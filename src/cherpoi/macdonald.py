@@ -2,6 +2,11 @@
 (q,t): P_mu by Gram-Schmidt, integral forms J_mu, the Kostka-Macdonald
 matrix, and the torus fixed-point data Omega(mu), P_mu(s,t).
 
+The Kostka-Macdonald matrix is built from the Haglund-Haiman-Loehr
+combinatorial formula for the modified Macdonald polynomials, in integer
+arithmetic only. Gram-Schmidt (macdonald_P, macdonald_J, _kostka_column) is
+the definition-level reference route that the tests compare it against.
+
 Degree-n symmetric functions are finite coefficient vectors indexed by
 partitions of n in one of three bases: monomial, power-sum, schur. The inner
 product is <p_lam, p_mu> = delta * z_lam * prod_i (1-q^{lam_i})/(1-t^{lam_i}).
@@ -18,6 +23,7 @@ those checks in the test suite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -41,7 +47,7 @@ from .sn_rep import centralizer_order, character_table, dim_irr, fake_degree
 QT = ("q", "t")
 ST = ("s", "t")
 BASES = ("monomial", "power-sum", "schur")
-MAX_KOSTKA_N = 6  # Gram-Schmidt bound; the acceptance battery requires >= 5
+MAX_KOSTKA_N = 7  # cold HHL build on a 2-core VM: ~2 s at n = 7, ~16 s at n = 8; the acceptance battery requires >= 5
 
 _KOSTKA_MEMORY: dict[tuple[int, str | None], "KostkaMacdonaldMatrix"] = {}
 
@@ -112,6 +118,30 @@ def _m_to_p(n: int) -> dict[Partition, dict[Partition, Fraction]]:
     # aug right half is now the inverse of the (rho, lam) transition matrix;
     # its (lam, rho) entry expands m in p
     return {parts[i]: {parts[j]: aug[i][k + j] for j in range(k)} for i in range(k)}
+
+
+@cache
+def kostka_numbers(n: int) -> dict[Partition, dict[Partition, int]]:
+    """s_lam = sum_nu kostka_numbers(n)[lam][nu] m_nu.
+
+    K_{lam nu} counts semistandard tableaux of shape lam and content nu. It is
+    read off s_lam = sum_rho chi_lam(rho)/z_rho p_rho through _p_to_m, and is
+    unitriangular in dominance order: K_{lam lam} = 1, and K_{lam nu} = 0
+    unless nu <= lam.
+    """
+    parts = enumerate_partitions(n)
+    table = character_table(n)
+    p2m = _p_to_m(n)
+    out = {}
+    for lam in parts:
+        row = {}
+        for nu in parts:
+            k = sum(Fraction(table.values[(lam, rho)] * p2m[rho][nu], table.centralizers[rho]) for rho in parts)
+            if k.denominator != 1:
+                raise ArithmeticError(f"non-integer Kostka number at ({lam},{nu})")
+            row[nu] = int(k)
+        out[lam] = row
+    return out
 
 
 def to_basis(f: SymmetricFunction, target: str) -> SymmetricFunction:
@@ -357,8 +387,93 @@ def _kostka_column(mu: Partition) -> dict[Partition, LaurentPoly]:
     return column
 
 
+def _hhl_weights(mu: Partition, content: Partition) -> Counter:
+    """Count the fillings of mu with the given content by (inv, maj).
+
+    Haglund-Haiman-Loehr statistics on the French diagram, read in reading
+    order (rows top to bottom, each left to right). A descent is a cell whose
+    entry exceeds the entry directly below it; maj sums leg+1 over the
+    descents. Two cells attack when they share a row, or sit in adjacent
+    rows with the upper cell strictly right of the lower one; inv counts the
+    attacking pairs whose earlier entry in reading order is larger, minus the
+    arms of the descents. Both are updated cell by cell as the filling grows.
+    """
+    order = [(i, j) for i in reversed(range(len(mu))) for j in range(mu[i])]
+    pos = {c: k for k, c in enumerate(order)}
+    attackers = []  # earlier positions in reading order that attack position k
+    above = []  # (position, arm, leg+1) of the cell directly above, or None
+    for i, j in order:
+        earlier = [pos[(i, jj)] for jj in range(j)]
+        if i + 1 < len(mu):
+            earlier += [pos[(i + 1, jj)] for jj in range(j + 1, mu[i + 1])]
+        attackers.append(earlier)
+        if i + 1 < len(mu) and j < mu[i + 1]:
+            cell = cell_data(mu, i + 1, j)
+            above.append((pos[(i + 1, j)], cell.arm, cell.leg + 1))
+        else:
+            above.append(None)
+    n = len(order)
+    remaining = list(content)
+    filling = [0] * n
+    weights: Counter = Counter()
+
+    def grow(k: int, inv: int, maj: int) -> None:
+        if k == n:
+            weights[(inv, maj)] += 1
+            return
+        for a, left in enumerate(remaining):
+            if not left:
+                continue
+            remaining[a] -= 1
+            filling[k] = a
+            inv_k = inv + sum(1 for b in attackers[k] if filling[b] > a)
+            maj_k = maj
+            if above[k] is not None and filling[above[k][0]] > a:
+                inv_k -= above[k][1]
+                maj_k += above[k][2]
+            grow(k + 1, inv_k, maj_k)
+            remaining[a] += 1
+
+    grow(0, 0, 0)
+    return weights
+
+
+def _hhl_column(mu: Partition) -> dict[Partition, LaurentPoly]:
+    """Entries K_{. , mu} from the Haglund-Haiman-Loehr formula, in integers.
+
+    The coefficient of m_lam in the modified Macdonald polynomial
+    H~_mu = sum_sigma q^inv t^maj x^sigma is the weighted count of fillings
+    with content lam. Schur coefficients K~_{lam mu} are peeled off
+    largest-first with the unitriangular Kostka numbers, and
+    K_{lam mu}(q,t) = t^{n(mu)} K~_{lam mu}(q, 1/t).
+    """
+    n = sum(mu)
+    parts = enumerate_partitions(n)
+    kostka = kostka_numbers(n)
+    shift = nstat(mu)
+    modified: dict[Partition, Counter] = {}
+    for lam in parts:  # largest first, which refines dominance
+        coeff = _hhl_weights(mu, lam)
+        for kappa, larger in modified.items():
+            k = kostka[kappa][lam]
+            if k:
+                for e, c in larger.items():
+                    coeff[e] -= k * c
+        modified[lam] = coeff
+    return {
+        lam: LaurentPoly(QT, {(inv, shift - maj): c for (inv, maj), c in coeff.items()})
+        for lam, coeff in modified.items()
+    }
+
+
 def kostka_macdonald(n: int, directory=None) -> KostkaMacdonaldMatrix:
-    """The full K_{lam mu}(q,t) matrix, disk-cached keyed by (n, engine version)."""
+    """The full K_{lam mu}(q,t) matrix, disk-cached keyed by (n, engine version).
+
+    Each column comes from the combinatorial formula of Haglund, Haiman and
+    Loehr, "A combinatorial formula for Macdonald polynomials", J. Amer.
+    Math. Soc. 18 (2005), through the modified Kostka-Macdonald
+    coefficients; see _hhl_column.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > MAX_KOSTKA_N:
@@ -375,24 +490,8 @@ def kostka_macdonald(n: int, directory=None) -> KostkaMacdonaldMatrix:
             entries[(lam, mu)] = LaurentPoly(QT, {tuple(e): Fraction(c) for c, e in terms})
         matrix = KostkaMacdonaldMatrix(n, parts, entries)
     else:
-        # Gram-Schmidt cost grows with position in dominance order, so each
-        # column is computed for whichever of mu, mu^t sits lower and its
-        # partner is filled through K_{lam mu}(q,t) = K_{lam^t mu^t}(t,q).
-        index = {p: i for i, p in enumerate(_default_order(n))}
-        reps = {mu if index[mu] <= index[transpose(mu)] else transpose(mu) for mu in parts}
-        entries = {}
-        for mu in reps:
-            for lam, poly in _kostka_column(mu).items():
-                for coeff in poly.terms.values():
-                    if coeff.denominator != 1:
-                        raise ArithmeticError(f"non-integer Kostka entry at ({lam},{mu})")
-                entries[(lam, mu)] = poly
-        swap = {"q": (0, 1), "t": (1, 0)}
-        for mu in parts:
-            if mu not in reps:
-                for lam in parts:
-                    dual = entries[(transpose(lam), transpose(mu))]
-                    entries[(lam, mu)] = dual.substitute_monomials(QT, swap)
+        columns = {mu: _hhl_column(mu) for mu in parts}
+        entries = {(lam, mu): columns[mu][lam] for lam in parts for mu in parts}
         matrix = KostkaMacdonaldMatrix(n, parts, entries)
         _cache.store(
             "kostka-macdonald",

@@ -902,7 +902,9 @@ def cmd_cache(args) -> int:
         removed = cache_purge(directory)
         print(f"removed {removed} cache entries from {cache_dir(directory)}")
         return 0
-    n_max = args.n_max or 5
+    n_max = 5 if args.n_max is None else args.n_max
+    if n_max < 2:
+        raise ValueError(f"cache warm needs --n-max >= 2, got {n_max}")
     for n in range(2, n_max + 1):
         start = time.perf_counter()
         kostka_macdonald(n, directory=directory)

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
 
+from cherpoi.errors import ResourceError
 from cherpoi.exact_poly import (
     ExactRationalFunction,
     LaurentPoly,
@@ -10,13 +12,16 @@ from cherpoi.exact_poly import (
 )
 from cherpoi.macdonald import (
     ARGUMENT_ORDERS,
+    MAX_KOSTKA_N,
     SymmetricFunction,
     _default_order,
+    _hhl_column,
     _kostka_column,
     inner_product,
     integral_form_scalar,
     kostka_fake_degree_identity,
     kostka_macdonald,
+    kostka_numbers,
     line_bundle_fiber,
     macdonald_J,
     macdonald_P,
@@ -144,21 +149,77 @@ def test_kostka_n2_matrix():
     assert matrix.entry((1, 1), (1, 1)) == ONE
 
 
-def test_kostka_duality_fill_matches_direct():
-    # the matrix builder only runs Gram-Schmidt on one column of each
-    # transpose pair and fills the partner by the q/t swap; recompute every
-    # column directly and check the filled entries against the real thing
+def test_hhl_column_matches_gram_schmidt():
+    # the two routes to K are called directly, bypassing the disk cache and
+    # the in-process memo; at n = 5 Gram-Schmidt is expensive, so only the
+    # member of each transpose pair that sits lower in dominance order runs
     zero = LaurentPoly.zero(QT)
-    for n in range(2, 5):
+    cases = [mu for n in range(1, 5) for mu in enumerate_partitions(n)]
+    order = _default_order(5)
+    cases += [
+        mu for mu in order if order.index(mu) <= order.index(transpose(mu))
+    ]
+    assert len(cases) == 1 + 2 + 3 + 5 + 4
+    for mu in cases:
+        hhl = _hhl_column(mu)
+        reference = _kostka_column(mu)
+        for lam in enumerate_partitions(sum(mu)):
+            assert hhl[lam] == reference.get(lam, zero), (lam, mu)
+
+
+def test_kostka_transpose_duality():
+    # K_{lam mu}(q,t) = K_{lam^t mu^t}(t,q); every column is built on its own
+    swap = {"q": (0, 1), "t": (1, 0)}
+    for n in range(1, MAX_KOSTKA_N + 1):
         matrix = kostka_macdonald(n)
-        for mu in enumerate_partitions(n):
-            column = _kostka_column(mu)
-            for lam in enumerate_partitions(n):
-                assert matrix.entry(lam, mu) == column.get(lam, zero)
+        for lam in enumerate_partitions(n):
+            for mu in enumerate_partitions(n):
+                dual = matrix.entry(transpose(lam), transpose(mu))
+                assert matrix.entry(lam, mu) == dual.substitute_monomials(QT, swap)
+
+
+def test_kostka_bound():
+    assert MAX_KOSTKA_N == 7
+    with pytest.raises(ResourceError):
+        kostka_macdonald(MAX_KOSTKA_N + 1)
+
+
+def _count_ssyt(shape, content):
+    """Semistandard tableaux by brute force: every word of the content,
+    laid into the rows of the shape, checked for weak rows and strict
+    columns."""
+    word = [v for v, m in enumerate(content) for _ in range(m)]
+    count = 0
+    for filling in set(permutations(word)):
+        rows, start = [], 0
+        for length in shape:
+            rows.append(filling[start : start + length])
+            start += length
+        weak_rows = all(row[j] <= row[j + 1] for row in rows for j in range(len(row) - 1))
+        strict_columns = all(
+            rows[i][j] < rows[i + 1][j]
+            for i in range(len(rows) - 1)
+            for j in range(len(rows[i + 1]))
+        )
+        count += weak_rows and strict_columns
+    return count
+
+
+def test_kostka_numbers_count_tableaux():
+    for n in range(1, 7):
+        numbers = kostka_numbers(n)
+        parts = enumerate_partitions(n)
+        assert set(numbers) == set(parts)
+        for lam in parts:
+            assert numbers[lam][lam] == 1
+            for nu in parts:
+                assert numbers[lam][nu] == _count_ssyt(lam, nu), (lam, nu)
+                if numbers[lam][nu]:
+                    assert dominance_leq(nu, lam)
 
 
 def test_kostka_specializations():
-    for n in range(2, 6):
+    for n in range(2, MAX_KOSTKA_N + 1):
         matrix = kostka_macdonald(n)
         one = {"q": Fraction(1), "t": Fraction(1)}
         for mu in enumerate_partitions(n):

@@ -332,6 +332,20 @@ def test_cache_inspect(tmp_path, capsys):
     json.loads(capsys.readouterr().out)
 
 
+def test_cache_warm_builds_each_n(tmp_path, capsys):
+    assert main(["cache", "warm", "--n-max", "3", "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "kostka-macdonald n=2 ready" in out and "kostka-macdonald n=3 ready" in out
+    assert len(list(tmp_path.glob("kostka-macdonald-n*.json"))) == 2
+
+
+@pytest.mark.parametrize("n_max", ["0", "1", "-2"])
+def test_cache_warm_rejects_n_max_below_two(tmp_path, capsys, n_max):
+    assert main(["cache", "warm", "--n-max", n_max, "--cache-dir", str(tmp_path)]) == 3
+    assert "input error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_parse_pair():
     assert _parse_pair("3,4") == (3, 4)
     assert _parse_pair((5, 6)) == (5, 6)
