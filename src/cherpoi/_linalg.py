@@ -1,5 +1,12 @@
-"""Exact linear algebra: Fraction Gaussian elimination and fraction-free
-Bareiss elimination over polynomial entries."""
+"""Exact linear algebra: an integer row-echelon span, Fraction Gaussian
+elimination for one particular solution, and fraction-free Bareiss
+elimination over polynomial entries.
+
+`EchelonSpan` keeps its rows as primitive integer vectors. Scaling a vector
+by a nonzero rational does not change its Q-span, so every rank, verdict and
+normal form it reports is exactly the one over Q; there is no modular or
+probabilistic step.
+"""
 
 from __future__ import annotations
 
@@ -14,60 +21,94 @@ class SingularMatrixError(ArithmeticError):
 
 
 class EchelonSpan:
-    """Incremental row-echelon span of Fraction vectors of fixed length."""
+    """Incremental reduced row-echelon span of rational vectors of fixed length.
+
+    Rows are sparse ``{column: int}`` dicts keyed by their pivot, the row's
+    smallest column. Each row is primitive (content 1), positive at its pivot
+    and zero at every other pivot. Arithmetic stays in the integers, and spans
+    and verdicts are exactly those over Q.
+
+    A vector is either a sparse ``{column: int}`` dict or a dense sequence of
+    ints or Fractions; a dense one is cleared to integers by the lcm of its
+    denominators.
+    """
 
     def __init__(self, length: int):
         self.length = length
-        self.rows: dict[int, list[Fraction]] = {}  # pivot column -> reduced row
+        self.rows: dict[int, dict[int, int]] = {}  # pivot column -> reduced row
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec) -> list[Fraction]:
-        """Reduce vec against the span; the result has zeros at all pivot columns."""
-        v = [Fraction(x) for x in vec]
-        if len(v) != self.length:
+    def _ints(self, vec) -> dict[int, int]:
+        if isinstance(vec, dict):
+            v = {i: x for i, x in vec.items() if x}
+            if v and (min(v) < 0 or max(v) >= self.length):
+                raise ValueError("vector column out of range")
+            return v
+        if len(vec) != self.length:
             raise ValueError("vector length mismatch")
-        for col, row in self.rows.items():
-            c = v[col]
-            if c:
-                for i in range(self.length):
-                    if row[i]:
-                        v[i] -= c * row[i]
-        return v
+        nonzero = [(i, x) for i, x in enumerate(vec) if x]
+        lcm = math.lcm(*(x.denominator for _, x in nonzero))
+        return {i: int(x * lcm) for i, x in nonzero}
+
+    def _eliminate(self, v: dict[int, int]) -> int:
+        """Clear every pivot column of v in place; returns the factor v gained.
+
+        Rows are zero at each other's pivots, so clearing one pivot column
+        never refills another."""
+        scale = 1
+        for p in [p for p in v if p in self.rows]:
+            scale *= _cancel(v, self.rows[p], p)
+        return scale
+
+    def normal_form(self, vec) -> tuple[dict[int, int], int]:
+        """(ints, scale): ints / scale is the representative of vec modulo the
+        span that is zero at every pivot column."""
+        v = self._ints(vec)
+        return v, self._eliminate(v)
 
     def add(self, vec) -> bool:
         """Insert vec; returns True when it enlarges the span."""
-        v = self.reduce(vec)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
+        v = self._ints(vec)
+        self._eliminate(v)
+        if not v:
             return False
-        inv = 1 / v[pivot]
-        v = [x * inv for x in v]
-        for row in self.rows.values():
-            c = row[pivot]
-            if c:
-                for i in range(self.length):
-                    if v[i]:
-                        row[i] -= c * v[i]
+        pivot = min(v)
+        v = _primitive(v, pivot)
+        for q, row in self.rows.items():
+            if pivot in row:
+                _cancel(row, v, pivot)
+                self.rows[q] = _primitive(row, q)
         self.rows[pivot] = v
         return True
 
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
 
-    def basis(self) -> list[list[Fraction]]:
-        return [self.rows[c] for c in sorted(self.rows)]
+def _cancel(v: dict[int, int], row: dict[int, int], p: int) -> int:
+    """v <- a*v - b*row in place, with a > 0 chosen so that v[p] becomes 0.
+
+    row[p] must be positive; returns a."""
+    g = math.gcd(row[p], v[p])
+    a, b = row[p] // g, v[p] // g
+    if a != 1:
+        for i in v:
+            v[i] *= a
+    for i, x in row.items():
+        y = v.get(i, 0) - b * x
+        if y:
+            v[i] = y
+        else:
+            del v[i]
+    return a
 
 
-def rank(rows) -> int:
-    if not rows:
-        return 0
-    span = EchelonSpan(len(rows[0]))
-    for r in rows:
-        span.add(r)
-    return span.rank
+def _primitive(v: dict[int, int], pivot: int) -> dict[int, int]:
+    """v divided by its content, signed to be positive at the pivot."""
+    g = math.gcd(*v.values())
+    if v[pivot] < 0:
+        g = -g
+    return v if g == 1 else {i: x // g for i, x in v.items()}
 
 
 def solve(columns, target):

@@ -3,7 +3,9 @@
 Everything here is computed from first principles: monomials, permutation
 substitutions, and exact row reduction. No closed formula from the series
 modules is consulted, so these tables can sit on the other side of an
-acceptance check.
+acceptance check. Every polynomial here has integer coefficients, and the
+cell bases are reduced over Z by `EchelonSpan`, whose ranks are exactly the
+ranks over Q.
 
 Conventions. h is the (n-1)-dimensional reflection representation realized
 inside C^n as the span of u_i = x_i - x_{i+1}; the dual copy h* carries the
@@ -31,7 +33,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import gcd
 
 from ._linalg import EchelonSpan
 from .errors import ResourceError
@@ -345,12 +346,9 @@ class _Engine:
             self._cells[key] = (monos, {e: i for i, e in enumerate(monos)})
         return self._cells[key]
 
-    def to_vec(self, poly: Poly, a: int, b: int) -> list[Fraction]:
-        monos, index = self.cell(a, b)
-        vec = [Fraction(0)] * len(monos)
-        for e, c in poly.items():
-            vec[index[e]] = Fraction(c)
-        return vec
+    def to_vec(self, poly: Poly, a: int, b: int) -> dict[int, int]:
+        index = self.cell(a, b)[1]
+        return {index[e]: c for e, c in poly.items()}
 
     def _store(self, bucket: dict, key, basis: list[Poly]):
         self._entries += sum(len(p) for p in basis)
@@ -579,44 +577,6 @@ def jbar_dims(n: int, d: int, window, total=None) -> JbarResult:
 # single-graded coinvariant algebra on the h side
 
 
-class _IntEchelon:
-    """Fraction-free row echelon over the integers, rows keyed by pivot."""
-
-    def __init__(self, length: int):
-        self.length = length
-        self.rows: dict[int, list[int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec: list[int]) -> tuple[list[int], int]:
-        """Eliminate all pivot columns; returns (scale * vec mod rows, scale)."""
-        v = list(vec)
-        scale = 1
-        for piv in sorted(self.rows):
-            if v[piv]:
-                row = self.rows[piv]
-                g = gcd(v[piv], row[piv])
-                a, b = row[piv] // g, v[piv] // g
-                v = [a * x - b * y for x, y in zip(v, row)]
-                scale *= a
-        return v, scale
-
-    def add(self, vec: list[int]) -> bool:
-        v, _ = self.reduce(vec)
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if v[piv] < 0:
-            g = -g
-        self.rows[piv] = [x // g for x in v]
-        return True
-
-
 def coinvariant_multiplicities(n: int) -> dict[int, dict[Partition, int]]:
     """Graded multiplicities of the irreducibles in C[h]/(p_2,...,p_n).
 
@@ -632,27 +592,20 @@ def coinvariant_multiplicities(n: int) -> dict[int, dict[Partition, int]]:
     reps = {rho: class_representative(rho, n) for rho in table.partitions}
     out: dict[int, dict[Partition, int]] = {}
     for degree in range(top + 1):
-        monos, index = eng.cell(degree, 0)
-        echelon = _IntEchelon(len(monos))
+        monos = eng.cell(degree, 0)[0]
+        echelon = EchelonSpan(len(monos))
         for k in range(2, n + 1):
             pk = _power_sum_poly(n, k)
             for e in eng.cell(degree - k, 0)[0] if degree >= k else ():
-                prod = _pmul(pk, {e: 1})
-                vec = [0] * len(monos)
-                for mono, c in prod.items():
-                    vec[index[mono]] = c
-                echelon.add(vec)
+                echelon.add(eng.to_vec(_pmul(pk, {e: 1}), degree, 0))
         standard = [i for i in range(len(monos)) if i not in echelon.rows]
         traces: dict[Partition, Fraction] = {}
         for rho, perm in reps.items():
             tr = Fraction(0)
             for i in standard:
                 img = eng._side_image(perm, 0, monos[i][:m])
-                vec = [0] * len(monos)
-                for mono, c in img.items():
-                    vec[index[mono]] = c
-                reduced, scale = echelon.reduce(vec)
-                tr += Fraction(reduced[i], scale)
+                reduced, scale = echelon.normal_form(eng.to_vec(img, degree, 0))
+                tr += Fraction(reduced.get(i, 0), scale)
             traces[rho] = tr
         row: dict[Partition, int] = {}
         for mu in enumerate_partitions(n):

@@ -818,36 +818,48 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # basis extraction from JSON
 
-def _load_idempotent(doc) -> GradedIdempotent:
-    algebra_doc = doc["algebra"]
-    kind = algebra_doc["kind"]
-    cutoff = int(algebra_doc["cutoff"])
-    variables = int(algebra_doc["variables"])
+def _field(doc, key):
+    """doc[key] of a JSON object; a missing key or a non-object is bad input."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object holding {key!r}, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    return doc[key]
+
+
+def _load_idempotent(doc, cutoff=None) -> GradedIdempotent:
+    """The idempotent a JSON document describes; cutoff, when given,
+    overrides the document's."""
+    algebra_doc = _field(doc, "algebra")
+    kind = _field(algebra_doc, "kind")
+    if cutoff is None:
+        cutoff = int(_field(algebra_doc, "cutoff"))
+    variables = int(_field(algebra_doc, "variables"))
     if kind == "polynomial":
         algebra = polynomial_algebra(variables, cutoff)
     elif kind == "truncated":
-        algebra = truncated_polynomial_algebra(variables, cutoff, int(algebra_doc["top"]))
+        algebra = truncated_polynomial_algebra(variables, cutoff, int(_field(algebra_doc, "top")))
     else:
         raise ValueError(f"unknown algebra kind {kind!r}")
-    shifts = tuple(int(s) for s in doc["shifts"])
+    shifts = tuple(int(s) for s in _field(doc, "shifts"))
     size = len(shifts)
     index = [{m: i for i, m in enumerate(row)} for row in algebra.basis]
     entries = [[dict() for _ in range(size)] for _ in range(size)]
     for item in doc.get("matrix", []):
-        i, j = int(item["row"]), int(item["col"])
+        i, j = int(_field(item, "row")), int(_field(item, "col"))
         if not (0 <= i < size and 0 <= j < size):
             raise ValueError(f"matrix position ({i},{j}) outside the {size} shifts")
         degree = shifts[j] - shifts[i]
         if not 0 <= degree <= cutoff:
             raise ValueError(f"entry ({i},{j}) cannot be nonzero at degree {degree}")
         element = entries[i][j]
-        for term in item["terms"]:
-            exps = tuple(int(e) for e in term["exponents"])
+        for term in _field(item, "terms"):
+            exps = tuple(int(e) for e in _field(term, "exponents"))
             if sum(exps) != degree or exps not in index[degree]:
                 raise ValueError(
                     f"term {list(exps)} at ({i},{j}) is not a degree-{degree} monomial"
                 )
-            coeff = Fraction(term["coeff"])
+            coeff = Fraction(_field(term, "coeff"))
             if coeff:
                 element[index[degree][exps]] = coeff
     entries = tuple(tuple(row) for row in entries)
@@ -857,9 +869,7 @@ def _load_idempotent(doc) -> GradedIdempotent:
 def cmd_basis(args) -> int:
     with open(args.input) as handle:
         doc = json.load(handle)
-    if args.cutoff is not None:
-        doc.setdefault("algebra", {})["cutoff"] = args.cutoff
-    idem = _load_idempotent(doc)
+    idem = _load_idempotent(doc, args.cutoff)
     try:
         result = extract_homogeneous_basis(idem)
     except CertificationError as exc:
@@ -1031,7 +1041,7 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
 

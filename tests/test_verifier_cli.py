@@ -290,6 +290,40 @@ def test_basis_missing_file(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("drop", ["shifts", "algebra.kind", "matrix.0.terms.0.coeff"])
+def test_basis_missing_key_is_input_error(tmp_path, capsys, drop):
+    doc = _hand_idempotent()
+    *path, last = drop.split(".")
+    holder = doc
+    for step in path:
+        holder = holder[int(step)] if step.isdigit() else holder[step]
+    del holder[last]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(doc))
+    assert main(["basis", "--input", str(path)]) == 3
+    assert f"missing key {last!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--cutoff", "3"]])
+def test_basis_non_object_document_is_input_error(tmp_path, capsys, extra):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["basis", "--input", str(path), *extra]) == 3
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_input_error(tmp_path, capsys, monkeypatch):
+    def broken(_idempotent):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("cherpoi.verifier_cli.extract_homogeneous_basis", broken)
+    path = tmp_path / "idem.json"
+    path.write_text(json.dumps(_hand_idempotent()))
+    with pytest.raises(KeyError, match="internal"):
+        main(["basis", "--input", str(path)])
+    assert "input error" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify and cache commands
 
