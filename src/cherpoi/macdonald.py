@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from . import _cache
-from ._linalg import SingularMatrixError, bareiss_solve
+from ._linalg import SingularMatrixError, bareiss_solve, solve
 from .errors import ResourceError
 from .exact_poly import ExactRationalFunction, LaurentPoly, divexact
 from .partition_core import (
@@ -48,8 +47,6 @@ QT = ("q", "t")
 ST = ("s", "t")
 BASES = ("monomial", "power-sum", "schur")
 MAX_KOSTKA_N = 7  # cold HHL build on a 2-core VM: ~2 s at n = 7, ~16 s at n = 8; the acceptance battery requires >= 5
-
-_KOSTKA_MEMORY: dict[tuple[int, str | None], "KostkaMacdonaldMatrix"] = {}
 
 
 def _one_rf() -> ExactRationalFunction:
@@ -103,21 +100,11 @@ def _p_to_m(n: int) -> dict[Partition, dict[Partition, int]]:
 def _m_to_p(n: int) -> dict[Partition, dict[Partition, Fraction]]:
     """m_lam = sum_rho _m_to_p(n)[lam][rho] p_rho (inverse transition matrix)."""
     parts = enumerate_partitions(n)
-    k = len(parts)
     p2m = _p_to_m(n)
-    aug = [[Fraction(p2m[parts[i]][parts[j]]) for j in range(k)] + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next(i for i in range(col, k) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[col])]
-    # aug right half is now the inverse of the (rho, lam) transition matrix;
-    # its (lam, rho) entry expands m in p
-    return {parts[i]: {parts[j]: aug[i][k + j] for j in range(k)} for i in range(k)}
+    # column rho is p_rho in the monomial basis; the unique solution for the
+    # unit vector of lam expands m_lam in power sums
+    columns = [[p2m[rho][lam] for lam in parts] for rho in parts]
+    return {lam: dict(zip(parts, solve(columns, [int(nu == lam) for nu in parts]))) for lam in parts}
 
 
 @cache
@@ -466,8 +453,9 @@ def _hhl_column(mu: Partition) -> dict[Partition, LaurentPoly]:
     }
 
 
-def kostka_macdonald(n: int, directory=None) -> KostkaMacdonaldMatrix:
-    """The full K_{lam mu}(q,t) matrix, disk-cached keyed by (n, engine version).
+@cache
+def kostka_macdonald(n: int) -> KostkaMacdonaldMatrix:
+    """The full K_{lam mu}(q,t) matrix, built once per process and kept in memory.
 
     Each column comes from the combinatorial formula of Haglund, Haiman and
     Loehr, "A combinatorial formula for Macdonald polynomials", J. Amer.
@@ -478,36 +466,10 @@ def kostka_macdonald(n: int, directory=None) -> KostkaMacdonaldMatrix:
         raise ValueError(f"need n >= 1, got {n}")
     if n > MAX_KOSTKA_N:
         raise ResourceError(f"kostka bound is n <= {MAX_KOSTKA_N}, got {n}")
-    key = (n, str(_cache.cache_dir(directory)))
-    if key in _KOSTKA_MEMORY:
-        return _KOSTKA_MEMORY[key]
     parts = enumerate_partitions(n)
-    payload = _cache.load("kostka-macdonald", n, directory)
-    if payload is not None:
-        entries = {}
-        for lam_l, mu_l, terms in payload["entries"]:
-            lam, mu = tuple(lam_l), tuple(mu_l)
-            entries[(lam, mu)] = LaurentPoly(QT, {tuple(e): Fraction(c) for c, e in terms})
-        matrix = KostkaMacdonaldMatrix(n, parts, entries)
-    else:
-        columns = {mu: _hhl_column(mu) for mu in parts}
-        entries = {(lam, mu): columns[mu][lam] for lam in parts for mu in parts}
-        matrix = KostkaMacdonaldMatrix(n, parts, entries)
-        _cache.store(
-            "kostka-macdonald",
-            n,
-            {
-                "partitions": [list(p) for p in parts],
-                "entries": [
-                    [list(lam), list(mu), [[str(c), list(e)] for e, c in entries[(lam, mu)].sorted_terms()]]
-                    for lam in parts
-                    for mu in parts
-                ],
-            },
-            directory,
-        )
-    _KOSTKA_MEMORY[key] = matrix
-    return matrix
+    columns = {mu: _hhl_column(mu) for mu in parts}
+    entries = {(lam, mu): columns[mu][lam] for lam in parts for mu in parts}
+    return KostkaMacdonaldMatrix(n, parts, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +479,7 @@ def kostka_macdonald(n: int, directory=None) -> KostkaMacdonaldMatrix:
 ARGUMENT_ORDERS = ("positional", "swapped")
 
 
-def procesi_fiber(mu, argument_order: str = "positional", directory=None) -> ExactRationalFunction:
+def procesi_fiber(mu, argument_order: str = "positional") -> ExactRationalFunction:
     """P_mu(s,t) = sum_lam s^{n(mu)} K_{lam mu}(q:=t, t:=s^{-1}) dim(lam).
 
     A Laurent polynomial in (s,t), returned with an empty denominator.
@@ -528,7 +490,7 @@ def procesi_fiber(mu, argument_order: str = "positional", directory=None) -> Exa
     if argument_order not in ARGUMENT_ORDERS:
         raise ValueError(f"argument_order must be one of {ARGUMENT_ORDERS}")
     n = sum(mu)
-    matrix = kostka_macdonald(n, directory)
+    matrix = kostka_macdonald(n)
     mapping = {"q": (0, 1), "t": (-1, 0)} if argument_order == "positional" else {"q": (-1, 0), "t": (0, 1)}
     acc = LaurentPoly.zero(ST)
     for lam in matrix.partitions:
@@ -569,7 +531,7 @@ def line_bundle_fiber(mu) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def kostka_fake_degree_identity(n: int, variant: str = "printed", directory=None) -> dict[Partition, bool]:
+def kostka_fake_degree_identity(n: int, variant: str = "printed") -> dict[Partition, bool]:
     """Per-mu truth of sum_lam v^{n(mu)} K_{lam mu}(1/v, 1/v) f_*(1/v) f_lam(1)
     = sum_lam f_lam(1/v) f_mu(1) f_lam(1), where f_* is f_mu for the "printed"
     reading and f_lam for the "lam" reading. Both readings are evaluated by
@@ -577,7 +539,7 @@ def kostka_fake_degree_identity(n: int, variant: str = "printed", directory=None
     """
     if variant not in ("printed", "lam"):
         raise ValueError("variant must be 'printed' or 'lam'")
-    matrix = kostka_macdonald(n, directory)
+    matrix = kostka_macdonald(n)
     v = ("v",)
     results = {}
     fk = {lam: fake_degree(lam).invert_variables() for lam in matrix.partitions}

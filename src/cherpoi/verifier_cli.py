@@ -1,4 +1,4 @@
-"""Verification command line: identity suites, tables, the oracle, the cache.
+"""Verification command line: identity suites, tables, the oracle, free bases.
 
 Subcommands
 -----------
@@ -8,7 +8,6 @@ oracle   brute-force bigraded dimension tables, optionally compared against
          the closed-form expansion and the diagonal saturation certificates
 basis    homogeneous free-basis extraction from a JSON idempotent
 verify   run one identity suite and emit a machine-readable report
-cache    warm, inspect, or purge the on-disk cache
 
 Exit codes: 0 pass, 1 check failure, 2 resource limit or skipped checks,
 3 input error.
@@ -41,14 +40,12 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from random import Random
 
 from . import __version__
-from ._cache import cache_dir, inspect as cache_inspect, purge as cache_purge
 from .commutative_oracle import (
     coinvariant_multiplicities,
     ideal_power_dims,
@@ -198,9 +195,9 @@ class SuiteReport:
         }
 
 
-def _run_checks(suite, params, items, jobs) -> SuiteReport:
-    def run_one(item):
-        name, thunk = item
+def _run_checks(suite, params, items) -> SuiteReport:
+    results = []
+    for name, thunk in items:
         start = time.perf_counter()
         try:
             verdict, left, right = thunk()
@@ -209,14 +206,8 @@ def _run_checks(suite, params, items, jobs) -> SuiteReport:
         except Exception as exc:  # a crash is a failed check, not a crash of the run
             verdict, left, right = "fail", f"{type(exc).__name__}: {exc}", None
         ms = (time.perf_counter() - start) * 1000.0
-        return CheckResult(name, verdict, left, right, ms)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = tuple(pool.map(run_one, items))
-    else:
-        results = tuple(run_one(item) for item in items)
-    return SuiteReport(suite, dict(params), results)
+        results.append(CheckResult(name, verdict, left, right, ms))
+    return SuiteReport(suite, dict(params), tuple(results))
 
 
 def _verdict(ok: bool) -> str:
@@ -269,11 +260,10 @@ def _natural_coeffs(poly: LaurentPoly) -> bool:
 
 def _suite_kostka(p):
     n_max = p.get("n_max", 5)
-    directory = p.get("cache_dir")
     items = []
     for n in range(2, n_max + 1):
         def positivity(n=n):
-            matrix = kostka_macdonald(n, directory=directory)
+            matrix = kostka_macdonald(n)
             bad = {
                 (_plabel(lam), _plabel(mu)): str(poly)
                 for (lam, mu), poly in matrix.entries.items()
@@ -282,7 +272,7 @@ def _suite_kostka(p):
             return _verdict(not bad), bad, {}
 
         def specialization(n=n):
-            matrix = kostka_macdonald(n, directory=directory)
+            matrix = kostka_macdonald(n)
             one = {"q": Fraction(1), "t": Fraction(1)}
             left = {}
             right = {}
@@ -300,8 +290,8 @@ def _suite_kostka(p):
             return _verdict(ok), left, right
 
         def variants(n=n):
-            printed = kostka_fake_degree_identity(n, variant="printed", directory=directory)
-            lam = kostka_fake_degree_identity(n, variant="lam", directory=directory)
+            printed = kostka_fake_degree_identity(n, variant="printed")
+            lam = kostka_fake_degree_identity(n, variant="lam")
             exactly_one = all(printed.values()) != all(lam.values())
             left = {"printed": {_plabel(m): v for m, v in printed.items()}}
             right = {"lam": {_plabel(m): v for m, v in lam.items()}}
@@ -312,7 +302,7 @@ def _suite_kostka(p):
         items.append((f"fake-degree-variants-n{n}", variants))
     if n_max >= 2:
         def two_matrix():
-            matrix = kostka_macdonald(2, directory=directory)
+            matrix = kostka_macdonald(2)
             got = {
                 (_plabel(lam), _plabel(mu)): poly
                 for (lam, mu), poly in matrix.entries.items()
@@ -339,21 +329,20 @@ def _collapse_target(n: int) -> ExactRationalFunction:
     return ExactRationalFunction(one, [s1, t1] * (n - 1))
 
 
-def _collapse_sum(n: int, order: str, directory=None) -> ExactRationalFunction:
+def _collapse_sum(n: int, order: str) -> ExactRationalFunction:
     one = LaurentPoly.one(ST)
     s1 = one - LaurentPoly.var_power(ST, "s", 1)
     t1 = one - LaurentPoly.var_power(ST, "t", 1)
     cross = ExactRationalFunction(s1 * t1)
     total = ExactRationalFunction(LaurentPoly.zero(ST))
     for mu in enumerate_partitions(n):
-        fiber = procesi_fiber(mu, argument_order=order, directory=directory)
+        fiber = procesi_fiber(mu, argument_order=order)
         total = total + fiber * cross / omega(mu)
     return total
 
 
 def _suite_omega_specialization(p):
     n_max = p.get("n_max", 4)
-    directory = p.get("cache_dir")
     items = []
     for n in range(2, n_max + 1):
         def collapse(n=n):
@@ -366,7 +355,7 @@ def _suite_omega_specialization(p):
         def order_protocol(n=n):
             target = _collapse_target(n)
             outcome = {
-                order: rf_equal(_collapse_sum(n, order, directory), target)
+                order: rf_equal(_collapse_sum(n, order), target)
                 for order in ("positional", "swapped")
             }
             want = {"positional": True, "swapped": False}
@@ -599,7 +588,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, params=None, jobs: int = 1) -> SuiteReport:
+def run_suite(name: str, params=None) -> SuiteReport:
     """Execute one named identity suite and return its report.
 
     Unknown names raise ValueError. Checks that trip a resource bound are
@@ -610,7 +599,7 @@ def run_suite(name: str, params=None, jobs: int = 1) -> SuiteReport:
         raise ValueError(f"unknown suite {name!r}, pick from {sorted(SUITES)}")
     params = dict(params or {})
     items = SUITES[name](params)
-    return _run_checks(name, params, items, max(1, jobs))
+    return _run_checks(name, params, items)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +685,7 @@ def cmd_series(args) -> int:
 # ---------------------------------------------------------------------------
 # tables
 
-def _table_data(kind: str, n: int, directory=None):
+def _table_data(kind: str, n: int):
     if kind == "characters":
         table = character_table(n)
         columns = [_plabel(r) for r in table.partitions]
@@ -706,7 +695,7 @@ def _table_data(kind: str, n: int, directory=None):
         ]
         return "irr\\class", columns, rows
     if kind == "kostka-macdonald":
-        matrix = kostka_macdonald(n, directory=directory)
+        matrix = kostka_macdonald(n)
         columns = [_plabel(lam) for lam in matrix.partitions]
         rows = [
             (_plabel(mu), [str(matrix.entry(lam, mu)) for lam in matrix.partitions])
@@ -716,8 +705,8 @@ def _table_data(kind: str, n: int, directory=None):
     raise ValueError(f"unknown table kind {kind!r}")
 
 
-def emit_table(kind: str, n: int, fmt: str, directory=None) -> str:
-    corner, columns, rows = _table_data(kind, n, directory)
+def emit_table(kind: str, n: int, fmt: str) -> str:
+    corner, columns, rows = _table_data(kind, n)
     if fmt == "json":
         return json.dumps(
             {
@@ -753,7 +742,7 @@ def emit_table(kind: str, n: int, fmt: str, directory=None) -> str:
 
 
 def cmd_table(args) -> int:
-    sys.stdout.write(emit_table(args.kind, args.n, args.format, args.cache_dir))
+    sys.stdout.write(emit_table(args.kind, args.n, args.format))
     return 0
 
 
@@ -901,29 +890,6 @@ def cmd_basis(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cache
-
-def cmd_cache(args) -> int:
-    directory = args.cache_dir
-    if args.action == "inspect":
-        print(json.dumps(cache_inspect(directory), indent=2, sort_keys=True))
-        return 0
-    if args.action == "purge":
-        removed = cache_purge(directory)
-        print(f"removed {removed} cache entries from {cache_dir(directory)}")
-        return 0
-    n_max = 5 if args.n_max is None else args.n_max
-    if n_max < 2:
-        raise ValueError(f"cache warm needs --n-max >= 2, got {n_max}")
-    for n in range(2, n_max + 1):
-        start = time.perf_counter()
-        kostka_macdonald(n, directory=directory)
-        elapsed = time.perf_counter() - start
-        print(f"kostka-macdonald n={n} ready ({elapsed:.1f}s)")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # verify
 
 def cmd_verify(args) -> int:
@@ -942,9 +908,7 @@ def cmd_verify(args) -> int:
         params["total"] = args.total
     if args.seed is not None:
         params["seed"] = args.seed
-    if args.cache_dir is not None:
-        params["cache_dir"] = args.cache_dir
-    report = run_suite(args.suite, params, jobs=args.jobs)
+    report = run_suite(args.suite, params)
     if args.format == "text":
         for check in report.checks:
             print(f"[{check.verdict}] {check.name} ({check.wall_ms:.1f} ms)")
@@ -992,7 +956,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--format", choices=("json", "csv", "latex", "markdown"), default="csv"
     )
-    p_table.add_argument("--cache-dir")
     p_table.set_defaults(func=cmd_table)
 
     p_oracle = sub.add_parser("oracle", help="brute-force bigraded dimension tables")
@@ -1018,17 +981,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--window", help="window bound A,B")
     p_verify.add_argument("--total", type=int, help="total-degree cap")
     p_verify.add_argument("--seed", type=int, help=f"battery seed (default {DEFAULT_SEED})")
-    p_verify.add_argument("--cache-dir")
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--no-timings", action="store_true")
     p_verify.add_argument("--format", choices=("json", "text"), default="json")
     p_verify.set_defaults(func=cmd_verify)
-
-    p_cache = sub.add_parser("cache", help="manage the on-disk cache")
-    p_cache.add_argument("action", choices=("warm", "inspect", "purge"))
-    p_cache.add_argument("--n-max", type=int)
-    p_cache.add_argument("--cache-dir")
-    p_cache.set_defaults(func=cmd_cache)
 
     return parser
 

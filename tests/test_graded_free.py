@@ -62,6 +62,12 @@ def test_corrupted_products_fail_associativity():
         ConnectedGradedAlgebra(good.cutoff, good.basis, products, "broken")
 
 
+def test_monomial_algebras_are_associative_by_construction():
+    # the monomial constructors skip the construction-time check, so run it here
+    for alg in (polynomial_algebra(2, 5), truncated_polynomial_algebra(2, 6, 3)):
+        ConnectedGradedAlgebra._check_associative(alg)
+
+
 def test_connectedness_is_required():
     good = polynomial_algebra(1, 2)
     basis = (((0,), "ghost"),) + good.basis[1:]

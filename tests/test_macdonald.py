@@ -150,8 +150,8 @@ def test_kostka_n2_matrix():
 
 
 def test_hhl_column_matches_gram_schmidt():
-    # the two routes to K are called directly, bypassing the disk cache and
-    # the in-process memo; at n = 5 Gram-Schmidt is expensive, so only the
+    # the two routes to K are called directly, bypassing kostka_macdonald's
+    # in-process memo; at n = 5 Gram-Schmidt is expensive, so only the
     # member of each transpose pair that sits lower in dominance order runs
     zero = LaurentPoly.zero(QT)
     cases = [mu for n in range(1, 5) for mu in enumerate_partitions(n)]

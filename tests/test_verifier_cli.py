@@ -55,10 +55,23 @@ def test_random_battery_is_seed_deterministic():
     assert a.to_json(timings=False) == b.to_json(timings=False)
 
 
-def test_parallel_execution_matches_serial():
-    serial = run_suite("jbar-chain", {"n_max": 3, "d_max": 2}, jobs=1)
-    parallel = run_suite("jbar-chain", {"n_max": 3, "d_max": 2}, jobs=4)
-    assert serial.to_json(timings=False) == parallel.to_json(timings=False)
+@pytest.mark.parametrize(
+    "suite, params, others",
+    [
+        (
+            "oracle-J",
+            {"n": 2, "d_max": 2, "window": (6, 6)},
+            [("oracle-jbar", {"n": 2}), ("parity", {"n_max": 2})],
+        ),
+        ("kostka", {"n_max": 4}, [("jbar-chain", {"n_max": 4})]),
+    ],
+)
+def test_reports_do_not_depend_on_process_history(suite, params, others):
+    # suites share the process-wide oracle engines and Kostka matrices
+    before = run_suite(suite, params).to_json(timings=False)
+    for other, other_params in others:
+        assert run_suite(other, other_params).status == "pass"
+    assert run_suite(suite, params).to_json(timings=False) == before
 
 
 def test_resource_bounds_show_up_as_partial():
@@ -325,7 +338,7 @@ def test_internal_key_error_is_not_input_error(tmp_path, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# verify and cache commands
+# verify command
 
 
 def test_verify_text_format(capsys):
@@ -359,25 +372,6 @@ def test_verify_partial_exit(capsys):
     assert main(["verify", "--suite", "oracle-jbar", "--n", "4"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "partial"
-
-
-def test_cache_inspect(tmp_path, capsys):
-    assert main(["cache", "inspect", "--cache-dir", str(tmp_path)]) == 0
-    json.loads(capsys.readouterr().out)
-
-
-def test_cache_warm_builds_each_n(tmp_path, capsys):
-    assert main(["cache", "warm", "--n-max", "3", "--cache-dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "kostka-macdonald n=2 ready" in out and "kostka-macdonald n=3 ready" in out
-    assert len(list(tmp_path.glob("kostka-macdonald-n*.json"))) == 2
-
-
-@pytest.mark.parametrize("n_max", ["0", "1", "-2"])
-def test_cache_warm_rejects_n_max_below_two(tmp_path, capsys, n_max):
-    assert main(["cache", "warm", "--n-max", n_max, "--cache-dir", str(tmp_path)]) == 3
-    assert "input error" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
 
 
 def test_parse_pair():
