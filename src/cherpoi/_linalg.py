@@ -1,6 +1,6 @@
-"""Exact linear algebra: an integer row-echelon span, Fraction Gaussian
-elimination for one particular solution, and fraction-free Bareiss
-elimination over polynomial entries.
+"""Exact linear algebra: an integer row-echelon span, one particular solution
+of a linear system read off that span, and fraction-free Bareiss elimination
+over polynomial entries.
 
 `EchelonSpan` keeps its rows as primitive integer vectors. Scaling a vector
 by a nonzero rational does not change its Q-span, so every rank, verdict and
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact_poly import ExactDivisionError, LaurentPoly
+from .exact_poly import LaurentPoly, _add_into, _clear_denominators, _divexact_int, _mul
 
 
 class SingularMatrixError(ArithmeticError):
@@ -114,100 +114,23 @@ def _primitive(v: dict[int, int], pivot: int) -> dict[int, int]:
 def solve(columns, target):
     """One exact solution x of sum_j x_j * columns[j] = target, or None.
 
-    Pivots prefer entries whose Fraction denominator (then magnitude) is
-    smallest, which keeps intermediate fractions tame.
+    The augmented rows [a_i1 .. a_ik | b_i] go into an EchelonSpan; the system
+    is inconsistent exactly when column k is a pivot. Otherwise x_p =
+    row[k] / row[p] at each pivot p and every free variable is 0: the unique
+    solution supported on the leftmost independent columns.
     """
     if not columns:
         return None if any(x != 0 for x in target) else []
-    m, k = len(columns[0]), len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(m)]
-    piv_cols: list[tuple[int, int]] = []  # (row, col)
-    row = 0
-    for col in range(k):
-        best = None
-        for i in range(row, m):
-            x = aug[i][col]
-            if x:
-                key = (x.denominator, abs(x.numerator))
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
-            continue
-        i = best[1]
-        aug[row], aug[i] = aug[i], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i2 in range(m):
-            if i2 != row and aug[i2][col]:
-                c = aug[i2][col]
-                aug[i2] = [a - c * b for a, b in zip(aug[i2], aug[row])]
-        piv_cols.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if aug[i][k]:
-            return None
+    k = len(columns)
+    span = EchelonSpan(k + 1)
+    for i, b in enumerate(target):
+        span.add([col[i] for col in columns] + [b])
+    if k in span.rows:
+        return None
     x = [Fraction(0)] * k
-    for r, c in piv_cols:
-        x[c] = aug[r][k]
+    for p, row in span.rows.items():
+        x[p] = Fraction(row.get(k, 0), row[p])
     return x
-
-
-def _imul(a: dict, b: dict) -> dict:
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _isub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) - c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _idivexact(a: dict, b: dict) -> dict:
-    """Exact division in Z[x*] on plain int coefficient dicts, by lex peeling."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not a:
-        return {}
-    b_lead = max(b)
-    b_c = b[b_lead]
-    qlow = tuple(x - y for x, y in zip(min(a), min(b)))
-    rem = dict(a)
-    out: dict = {}
-    while rem:
-        a_lead = max(rem)
-        qe = tuple(x - y for x, y in zip(a_lead, b_lead))
-        if qe < qlow or rem[a_lead] % b_c:
-            raise ExactDivisionError("not exactly divisible")
-        qc = rem[a_lead] // b_c
-        out[qe] = qc
-        for e, c in b.items():
-            key = tuple(x + y for x, y in zip(qe, e))
-            s = rem.get(key, 0) - qc * c
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return out
 
 
 def bareiss_solve(matrix: list[list[LaurentPoly]], rhs: list[LaurentPoly]):
@@ -221,20 +144,8 @@ def bareiss_solve(matrix: list[list[LaurentPoly]], rhs: list[LaurentPoly]):
     if k == 0:
         return [], None
     variables = rhs[0].vars
-    scale = 1
-    for row, b in zip(matrix, rhs):
-        for poly in (*row, b):
-            for c in poly.terms.values():
-                scale = scale * c.denominator // math.gcd(scale, c.denominator)
-
-    def to_int(poly: LaurentPoly) -> dict:
-        out = {}
-        for e, c in poly.terms.items():
-            ci = c * scale
-            out[e] = ci.numerator
-        return out
-
-    m = [[to_int(matrix[i][j]) for j in range(k)] + [to_int(rhs[i])] for i in range(k)]
+    ints, _ = _clear_denominators([p.terms for row, b in zip(matrix, rhs) for p in (*row, b)])
+    m = [ints[i * (k + 1) : (i + 1) * (k + 1)] for i in range(k)]
     prev: dict | None = None
     for r in range(k):
         piv, best = None, None
@@ -249,20 +160,17 @@ def bareiss_solve(matrix: list[list[LaurentPoly]], rhs: list[LaurentPoly]):
             m[r], m[piv] = m[piv], m[r]
         for i in range(r + 1, k):
             for j in range(r + 1, k + 1):
-                num = _isub(_imul(m[r][r], m[i][j]), _imul(m[i][r], m[r][j]))
-                m[i][j] = _idivexact(num, prev) if prev is not None else num
+                num = _mul(m[r][r], m[i][j])
+                _add_into(num, _mul(m[i][r], m[r][j]), -1)
+                m[i][j] = _divexact_int(num, prev) if prev is not None else num
             m[i][r] = {}
         prev = m[r][r]
     det = m[k - 1][k - 1]
     ys = [dict() for _ in range(k)]
     ys[k - 1] = m[k - 1][k]
     for i in range(k - 2, -1, -1):
-        num = _imul(m[i][k], det)
+        num = _mul(m[i][k], det)
         for j in range(i + 1, k):
-            num = _isub(num, _imul(m[i][j], ys[j]))
-        ys[i] = _idivexact(num, m[i][i])
-
-    def to_poly(d: dict) -> LaurentPoly:
-        return LaurentPoly(variables, {e: Fraction(c) for e, c in d.items()})
-
-    return [to_poly(y) for y in ys], to_poly(det)
+            _add_into(num, _mul(m[i][j], ys[j]), -1)
+        ys[i] = _divexact_int(num, m[i][i])
+    return [LaurentPoly(variables, y) for y in ys], LaurentPoly(variables, det)

@@ -36,6 +36,7 @@ from functools import cache
 
 from ._linalg import EchelonSpan
 from .errors import ResourceError
+from .exact_poly import _add_into, _mul
 from .partition_core import Partition, check_partition, enumerate_partitions
 from .sn_rep import character_table
 
@@ -179,31 +180,10 @@ def reflection_action(n: int) -> ReflectionAction:
 
 
 # ---------------------------------------------------------------------------
-# dict-based polynomials: exponent tuple of length 2(n-1) -> coefficient
+# polynomials are plain {exponent tuple of length 2(n-1): coefficient} dicts,
+# multiplied and accumulated by the sparse kernel of exact_poly
 
 Poly = dict
-
-
-def _pmul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _padd_into(acc: Poly, p: Poly, scale=1):
-    for e, c in p.items():
-        v = acc.get(e, 0) + scale * c
-        if v:
-            acc[e] = v
-        elif e in acc:
-            del acc[e]
 
 
 @cache
@@ -240,8 +220,8 @@ def _power_sum_poly(n: int, k: int) -> Poly:
     for i in range(1, n + 1):
         term = {(0,) * (2 * m): Fraction(1)}
         for _ in range(k):
-            term = _pmul(term, _x_in_u(i, n))
-        _padd_into(acc, term)
+            term = _mul(term, _x_in_u(i, n))
+        _add_into(acc, term)
     out: Poly = {}
     for e, c in acc.items():
         v = c * n**k
@@ -309,7 +289,7 @@ class _Engine:
             out = {(0,) * self.width: 1}
         else:
             smaller = tuple(e - 1 if i == j else e for i, e in enumerate(exps))
-            out = _pmul(self._side_image(perm, side, smaller), self._linear_images(perm, side)[j])
+            out = _mul(self._side_image(perm, side, smaller), self._linear_images(perm, side)[j])
         self._side[key] = out
         return out
 
@@ -318,21 +298,14 @@ class _Engine:
         for e, c in poly.items():
             xpart = self._side_image(perm, 0, e[: self.m])
             ypart = self._side_image(perm, 1, e[self.m :])
-            for ex, cx in xpart.items():
-                for ey, cy in ypart.items():
-                    key = tuple(p + q for p, q in zip(ex, ey))
-                    v = out.get(key, 0) + c * cx * cy
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
+            _add_into(out, _mul(xpart, ypart), c)
         return out
 
     def symmetrized(self, poly: Poly, sign: int) -> Poly:
         """Unnormalized projector: sum over sigma of sigma(poly), signed when sign=-1."""
         acc: Poly = {}
         for perm, eps in self.group:
-            _padd_into(acc, self.apply(perm, poly), eps if sign < 0 else 1)
+            _add_into(acc, self.apply(perm, poly), eps if sign < 0 else 1)
         return acc
 
     def cell(self, a: int, b: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
@@ -380,7 +353,7 @@ class _Engine:
                     ones = self.a_basis(1, a - ap, b - bp)
                     for f in lower:
                         for g in ones:
-                            h = _pmul(f, g)
+                            h = _mul(f, g)
                             if h and span.add(self.to_vec(h, a, b)):
                                 basis.append(h)
         self._store(self._abasis, key, basis)
@@ -554,7 +527,7 @@ def jbar_dims(n: int, d: int, window, total=None) -> JbarResult:
         for k in range(2, n + 1):
             pk = _power_sum_poly(n, k)
             for f in eng.j_basis(d, a - k, b):
-                span.add(eng.to_vec(_pmul(pk, f), a, b))
+                span.add(eng.to_vec(_mul(pk, f), a, b))
         qdim[(a, b)] = jdim - span.rank
 
     def window_sums(extra: int) -> dict[int, int]:
@@ -597,7 +570,7 @@ def coinvariant_multiplicities(n: int) -> dict[int, dict[Partition, int]]:
         for k in range(2, n + 1):
             pk = _power_sum_poly(n, k)
             for e in eng.cell(degree - k, 0)[0] if degree >= k else ():
-                echelon.add(eng.to_vec(_pmul(pk, {e: 1}), degree, 0))
+                echelon.add(eng.to_vec(_mul(pk, {e: 1}), degree, 0))
         standard = [i for i in range(len(monos)) if i not in echelon.rows]
         traces: dict[Partition, Fraction] = {}
         for rho, perm in reps.items():

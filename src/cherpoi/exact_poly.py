@@ -1,9 +1,15 @@
 """Exact Laurent polynomials and rational functions with factored denominators.
 
-Coefficients are fractions.Fraction throughout; there is no floating point and
-no gcd anywhere. Rational functions keep their denominator as a list of
-unexpanded factors, so equality is decided by cross-multiplication and series
-expansion can orient each factor separately.
+Coefficients are fractions.Fraction throughout; there is no floating point.
+Rational functions keep their denominator as a list of unexpanded factors and
+are never reduced by a polynomial gcd, so equality is decided by
+cross-multiplication and series expansion can orient each factor separately.
+
+One private sparse kernel on plain {exponent tuple: coefficient} dicts does
+the arithmetic, here and in _linalg and commutative_oracle: _mul (packed
+multiply, int or Fraction coefficients), _add_into (scaled accumulate) and
+_divexact_int (lex-peeling exact division over Z). divexact clears
+denominators and divides by the divisor's integer content before peeling.
 
 Window expansion semantics: a direction choice (ascending or descending per
 variable) selects signs for the exponents; after flipping, f is expanded in
@@ -15,6 +21,8 @@ exponents). Each denominator factor must have lowest term with coefficient
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +47,158 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, str):
         return Fraction(c)
     raise TypeError(f"not an exact rational: {c!r}")
+
+
+# ---------------------------------------------------------------------------
+# Sparse kernel on plain {exponent tuple: coefficient} dicts, shared by
+# LaurentPoly, bareiss_solve and the commutative oracle
+# ---------------------------------------------------------------------------
+
+
+def _box(terms) -> list[tuple[int, int]]:
+    """Per-variable (min, max) exponent of a nonzero sparse polynomial."""
+    return [(min(xs), max(xs)) for xs in zip(*terms)]
+
+
+def _packing(box, radix):
+    """(pack, unpack) between exponent tuples and ints.
+
+    pack is linear (packed exponents add as tuples do) with the mixed-radix
+    strides of the box radix, so it is injective and lex-monotone on radix.
+    unpack(key) is the tuple inside box that packs to key, or None when there
+    is none; box must fit inside a translate of radix.
+    """
+    strides = [1] * len(radix)
+    for i in range(len(radix) - 1, 0, -1):
+        lo, hi = radix[i]
+        strides[i - 1] = strides[i] * (hi - lo + 1)
+    base = sum(lo * s for (lo, _), s in zip(box, strides))
+    digits = [(s, lo, hi - lo) for (lo, hi), s in zip(box, strides)]
+
+    def pack(e) -> int:
+        return sum(map(operator.mul, e, strides))
+
+    def unpack(key):
+        rem = key - base
+        if rem < 0:
+            return None
+        e = []
+        for s, lo, top in digits:
+            d, rem = divmod(rem, s)
+            if d > top:
+                return None
+            e.append(lo + d)
+        return tuple(e)
+
+    return pack, unpack
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """Product of two sparse polynomials; coefficients may be ints or Fractions."""
+    if not a or not b:
+        return {}
+    small, big = (a, b) if len(a) < len(b) else (b, a)
+    out: dict = {}
+    if len(small) <= 4:
+        for e1, c1 in small.items():
+            for e2, c2 in big.items():
+                e = tuple(map(operator.add, e1, e2))
+                acc = out.get(e)
+                s = c1 * c2 if acc is None else acc + c1 * c2
+                if s == 0:
+                    out.pop(e, None)
+                else:
+                    out[e] = s
+        return out
+    # pack exponent tuples into single ints over the product's box, so the
+    # inner loop adds ints, not tuples
+    box = [(l1 + l2, h1 + h2) for (l1, h1), (l2, h2) in zip(_box(small), _box(big))]
+    pack, unpack = _packing(box, box)
+    big_p = [(pack(e), c) for e, c in big.items()]
+    for e1, c1 in small.items():
+        p1 = pack(e1)
+        for p2, c2 in big_p:
+            key = p1 + p2
+            acc = out.get(key)
+            s = c1 * c2 if acc is None else acc + c1 * c2
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return {unpack(key): c for key, c in out.items()}
+
+
+def _add_into(acc: dict, p: dict, scale=1) -> None:
+    """acc += scale * p, in place; scale is nonzero."""
+    for e, c in p.items():
+        if scale != 1:
+            c = scale * c
+        old = acc.get(e)
+        if old is None:
+            acc[e] = c
+        else:
+            s = old + c
+            if s == 0:
+                del acc[e]
+            else:
+                acc[e] = s
+
+
+def _clear_denominators(polys) -> tuple[list[dict], int]:
+    """(ints, lcm): each Fraction-coefficient dict times the lcm of every
+    coefficient denominator in polys, as int-coefficient dicts."""
+    lcm = math.lcm(*(c.denominator for p in polys for c in p.values()))
+    return [{e: c.numerator * (lcm // c.denominator) for e, c in p.items()} for p in polys], lcm
+
+
+def _divexact_int(a: dict, b: dict) -> dict:
+    """Exact quotient a/b of int-coefficient sparse polynomials, by lex peeling.
+
+    A true quotient lies in the box [min a - min b, max a - max b] (per
+    variable) and lex-above min a - min b; a peeled term outside either, a
+    coefficient that does not divide, or an exhausted step budget raises
+    ExactDivisionError.
+    """
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not a:
+        return {}
+    box_a, box_b = _box(a), _box(b)
+    qbox = [(la - lb, ha - hb) for (la, ha), (lb, hb) in zip(box_a, box_b)]
+    if any(lo > hi for lo, hi in qbox):
+        raise ExactDivisionError("not exactly divisible")
+    # the remainder stays inside box_a, where max of packed keys is lex max;
+    # unpack certifies each quotient exponent inside qbox before it is used
+    pack, unpack = _packing(qbox, box_a)
+    lead_b = max(b)
+    cb = b[lead_b]
+    lead_key = pack(lead_b)
+    qlow = pack(min(a)) - pack(min(b))
+    if unpack(qlow) is None:
+        raise ExactDivisionError("not exactly divisible")
+    b_p = [(pack(e), c) for e, c in b.items()]
+    rem = {pack(e): c for e, c in a.items()}
+    quotient: dict = {}
+    budget = 4 * (len(a) + len(b)) + 10_000_000 // len(b)
+    while rem:
+        top = max(rem)
+        qkey = top - lead_key
+        eq = unpack(qkey)
+        cq, r = divmod(rem[top], cb)
+        if eq is None or qkey < qlow or r:
+            raise ExactDivisionError("not exactly divisible")
+        quotient[eq] = cq
+        for kb, c in b_p:
+            key = qkey + kb
+            s = rem.get(key, 0) - cq * c
+            if s:
+                rem[key] = s
+            else:
+                del rem[key]
+        budget -= 1
+        if budget < 0:
+            raise ExactDivisionError("division budget exceeded; input likely not divisible")
+    return quotient
 
 
 class LaurentPoly:
@@ -117,13 +277,7 @@ class LaurentPoly:
             return NotImplemented
         self._check_same_vars(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            s = c if acc is None else acc + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+        _add_into(out, other.terms)
         return LaurentPoly(self.vars, out)
 
     __radd__ = __add__
@@ -148,75 +302,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same_vars(other)
-        if not self.terms or not other.terms:
-            return LaurentPoly.zero(self.vars)
-        if len(self.terms) < len(other.terms):
-            small, big = self.terms, other.terms
-        else:
-            small, big = other.terms, self.terms
-        k = len(self.vars)
-        if len(small) <= 4:
-            out_t: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in small.items():
-                for e2, c2 in big.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    acc = out_t.get(e)
-                    s = c1 * c2 if acc is None else acc + c1 * c2
-                    if s == 0:
-                        out_t.pop(e, None)
-                    else:
-                        out_t[e] = s
-            return LaurentPoly(self.vars, out_t)
-        if k == 1:
-            out1: dict[int, Fraction] = {}
-            for (e1,), c1 in small.items():
-                for (e2,), c2 in big.items():
-                    e = e1 + e2
-                    acc = out1.get(e)
-                    s = c1 * c2 if acc is None else acc + c1 * c2
-                    if s == 0:
-                        out1.pop(e, None)
-                    else:
-                        out1[e] = s
-            return LaurentPoly(self.vars, {(e,): c for e, c in out1.items()})
-        # pack exponent vectors into single ints so the inner loop adds ints,
-        # not tuples; strides sized so distinct products cannot collide
-        spans = []
-        for i in range(k):
-            xs = [e[i] for e in small]
-            ys = [e[i] for e in big]
-            spans.append((min(xs) + min(ys), max(xs) + max(ys)))
-        strides = [1] * k
-        for i in range(k - 2, -1, -1):
-            lo, hi = spans[i + 1]
-            strides[i] = strides[i + 1] * (hi - lo + 1)
-        base = sum(spans[i][0] * strides[i] for i in range(k))
-
-        def pack(e):
-            return sum(e[i] * strides[i] for i in range(k))
-
-        small_p = [(pack(e), c) for e, c in small.items()]
-        big_p = [(pack(e), c) for e, c in big.items()]
-        out: dict[int, Fraction] = {}
-        for p1, c1 in small_p:
-            for p2, c2 in big_p:
-                key = p1 + p2
-                acc = out.get(key)
-                s = c1 * c2 if acc is None else acc + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        result: dict[tuple[int, ...], Fraction] = {}
-        for key, c in out.items():
-            rem = key - base
-            e = [0] * k
-            for i in range(k - 1):
-                q, rem = divmod(rem, strides[i])
-                e[i] = q + spans[i][0]
-            e[k - 1] = rem + spans[k - 1][0]
-            result[tuple(e)] = c
-        return LaurentPoly(self.vars, result)
+        return LaurentPoly(self.vars, _mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -359,33 +445,14 @@ def divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero():
         return LaurentPoly.zero(a.vars)
-    lead_b, cb = b.leading_term_lex()
-    low_a, _ = a.lowest_term_lex()
-    low_b, _ = b.lowest_term_lex()
-    # lex support bound for a true quotient: lowest term of a product is the
-    # product of lowest terms, so the quotient's lex-lowest is low_a - low_b
-    qlow = tuple(x - y for x, y in zip(low_a, low_b))
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    rem = dict(a.terms)
-    budget = 4 * (len(a.terms) + len(b.terms)) + 10_000_000 // max(1, len(b.terms))
-    while rem:
-        er = max(rem)
-        eq = tuple(x - y for x, y in zip(er, lead_b))
-        if eq < qlow:
-            raise ExactDivisionError("not exactly divisible")
-        cq = rem[er] / cb
-        quotient[eq] = cq
-        for eb, cbb in b.terms.items():
-            e = tuple(x + y for x, y in zip(eq, eb))
-            s = rem.get(e, Fraction(0)) - cq * cbb
-            if s == 0:
-                rem.pop(e, None)
-            else:
-                rem[e] = s
-        budget -= 1
-        if budget < 0:
-            raise ExactDivisionError("division budget exceeded; input likely not divisible")
-    return LaurentPoly(a.vars, quotient)
+    (ai,), la = _clear_denominators([a.terms])
+    (bi,), lb = _clear_denominators([b.terms])
+    # Gauss's lemma: a primitive integer divisor divides over Q exactly when
+    # it divides over Z, so the peeling below stays in the integers
+    g = math.gcd(*bi.values())
+    q = _divexact_int(ai, {e: c // g for e, c in bi.items()})
+    scale = Fraction(lb, la * g)
+    return LaurentPoly(a.vars, {e: c * scale for e, c in q.items()})
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from functools import cache
 
 from ._linalg import SingularMatrixError, bareiss_solve, solve
 from .errors import ResourceError
-from .exact_poly import ExactRationalFunction, LaurentPoly, divexact
+from .exact_poly import ExactRationalFunction, LaurentPoly, _mul, divexact
 from .partition_core import (
     Partition,
     cells,
@@ -76,12 +76,7 @@ def _expand_power_sum(n: int, rho: Partition) -> dict[tuple[int, ...], int]:
     """p_rho as an honest polynomial in n variables."""
     acc = {(0,) * n: 1}
     for r in rho:
-        new: dict[tuple[int, ...], int] = {}
-        for e, c in acc.items():
-            for i in range(n):
-                e2 = e[:i] + (e[i] + r,) + e[i + 1 :]
-                new[e2] = new.get(e2, 0) + c
-        acc = new
+        acc = _mul(acc, {tuple(r if j == i else 0 for j in range(n)): 1 for i in range(n)})
     return acc
 
 

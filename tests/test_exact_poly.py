@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from cherpoi.exact_poly import (
     CExponent,
@@ -72,6 +73,96 @@ def test_divexact():
     assert divexact(f, g) == one + vp(2)
     with pytest.raises(ExactDivisionError):
         divexact(one - vp(3), g)
+
+
+# -- the sparse kernel against sympy --------------------------------------
+
+XYZ = ("x", "y", "z")
+FRACTION = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 6))
+
+
+def kernel_polys(variables, min_terms=5, max_terms=8):
+    """Polys with Fraction coefficients and negative exponents; five or more
+    terms put both operands of a product on the packed path."""
+    exps = st.tuples(*(st.integers(-3, 3) for _ in variables))
+    return st.dictionaries(exps, FRACTION, min_size=min_terms, max_size=max_terms).map(
+        lambda terms: LaurentPoly(variables, terms)
+    )
+
+
+def to_sympy(poly: LaurentPoly):
+    syms = sympy.symbols(poly.vars)
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**e for x, e in zip(syms, exps)))
+         for exps, c in poly.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+@st.composite
+def kernel_pair(draw, min_terms=5):
+    variables = XYZ[: draw(st.integers(1, 3))]
+    return (draw(kernel_polys(variables, min_terms)), draw(kernel_polys(variables, min_terms)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(kernel_pair())
+def test_packed_product_matches_sympy(pair):
+    f, g = pair
+    assert min(len(f.terms), len(g.terms)) > 4
+    assert sympy.expand(to_sympy(f * g) - to_sympy(f) * to_sympy(g)) == 0
+    assert sympy.expand(to_sympy(f + g) - to_sympy(f) - to_sympy(g)) == 0
+
+
+# divisors with a non-unit rational content, so clearing denominators leaves
+# a non-primitive integer divisor
+CONTENTS = st.sampled_from([Fraction(6, 5), Fraction(-4, 9), Fraction(2), Fraction(3, 7)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(kernel_pair(min_terms=2), CONTENTS)
+@example((LaurentPoly(("x",), {(0,): Fraction(1, 3), (1,): Fraction(1, 3)}),
+          LaurentPoly(("x",), {(0,): Fraction(1), (2,): Fraction(-1)})), Fraction(6, 5))
+def test_divexact_recovers_factor_of_nonprimitive_divisor(pair, content):
+    f, h = pair
+    g = h * content
+    product = f * g
+    assert sympy.expand(to_sympy(product) - to_sympy(f) * to_sympy(g)) == 0
+    assert divexact(product, g) == f
+    assert divexact(product, f) == g
+
+
+def test_divexact_by_a_scaled_monomial():
+    x = LaurentPoly.var_power(("x",), "x", 1)
+    assert divexact(x, x * 2) == LaurentPoly.const(("x",), Fraction(1, 2))
+    assert divexact(x * Fraction(3, 4), x * Fraction(-9, 2)) == LaurentPoly.const(("x",), Fraction(-1, 6))
+
+
+@settings(deadline=None, max_examples=60)
+@given(kernel_pair(min_terms=2))
+def test_divexact_rejects_a_non_divisible_pair(pair):
+    f, g = pair
+    # g has two or more terms, so it is not a unit and cannot divide 1
+    with pytest.raises(ExactDivisionError):
+        divexact(f * g + 1, g)
+
+
+def test_divexact_rejects_quotient_outside_the_degree_box():
+    XY = ("x", "y")
+    x, y = (LaurentPoly.var_power(XY, name, 1) for name in XY)
+    one = LaurentPoly.one(XY)
+    with pytest.raises(ExactDivisionError):
+        divexact(x + y, x - y)
+    with pytest.raises(ExactDivisionError):
+        divexact(one + x * y, one + x)
+    # peeling these leaves the quotient's box, where packed exponents of
+    # distinct tuples collide; an unchecked unpack returns a wrong quotient
+    for a, b in (
+        ({(-1, 2): 2, (1, 0): 1}, {(-2, 1): 2, (-1, 2): 1}),
+        ({(1, 1): 1, (-2, 0): -1}, {(-2, 1): 1, (-2, 2): -1}),
+    ):
+        with pytest.raises(ExactDivisionError):
+            divexact(LaurentPoly(XY, a), LaurentPoly(XY, b))
 
 
 def test_substitute_monomials():

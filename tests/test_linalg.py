@@ -1,4 +1,5 @@
-"""EchelonSpan against sympy: verdicts, normal forms and row invariants."""
+"""EchelonSpan and solve against sympy: verdicts, normal forms, row
+invariants and particular solutions."""
 
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cherpoi._linalg import EchelonSpan
+from cherpoi._linalg import EchelonSpan, solve
 
 SMALL = st.integers(-3, 3)
 RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
@@ -98,3 +99,39 @@ def test_shape_errors():
         span.add({3: 1})
     assert not span.add({0: 0}) and not span.add([0, 0, 0])
     assert span.rank == 0
+
+
+@st.composite
+def linear_systems(draw):
+    """(columns, target): k columns of length m, with a consistent target
+    (A times a random vector) about half the time."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = draw(st.sampled_from([SMALL, RATIONAL]))
+    rows = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(m)]
+    if draw(st.booleans()):
+        x = draw(st.lists(RATIONAL, min_size=k, max_size=k))
+        target = [sum(Fraction(a) * xj for a, xj in zip(row, x)) for row in rows]
+    else:
+        target = draw(st.lists(entries, min_size=m, max_size=m))
+    return [[row[j] for row in rows] for j in range(k)], target
+
+
+def _sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator) for x in r] for r in rows])
+
+
+@settings(deadline=None, max_examples=80)
+@given(linear_systems())
+def test_solve_matches_sympy(system):
+    columns, target = system
+    rows = [[col[i] for col in columns] for i in range(len(target))]
+    a = _sympy_matrix(rows)
+    augmented = _sympy_matrix([row + [b] for row, b in zip(rows, target)])
+    x = solve(columns, target)
+    if augmented.rank() > a.rank():
+        assert x is None
+        return
+    assert x is not None and all(type(v) is Fraction for v in x)
+    assert all(sum(Fraction(r) * v for r, v in zip(row, x)) == b for row, b in zip(rows, target))
+    _, pivots = a.rref()
+    assert all(v == 0 for j, v in enumerate(x) if j not in pivots)
