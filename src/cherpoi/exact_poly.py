@@ -1,6 +1,8 @@
 """Exact Laurent polynomials and rational functions with factored denominators.
 
-Coefficients are fractions.Fraction throughout; there is no floating point.
+Coefficients are exact rationals in one normal form: an int when integral, a
+fractions.Fraction with denominator other than 1 otherwise, never a float.
+Most polynomials here are integral, so most arithmetic runs on ints.
 Rational functions keep their denominator as a list of unexpanded factors and
 are never reduced by a polynomial gcd, so equality is decided by
 cross-multiplication and series expansion can orient each factor separately.
@@ -39,13 +41,14 @@ class ExactDivisionError(ArithmeticError):
     """Polynomial division that was expected to be exact failed."""
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _as_fraction(c) -> int | Fraction:
+    """c as a coefficient in normal form: int if integral, else Fraction."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     if isinstance(c, str):
-        return Fraction(c)
+        c = Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"not an exact rational: {c!r}")
 
 
@@ -202,13 +205,14 @@ def _divexact_int(a: dict, b: dict) -> dict:
 
 
 class LaurentPoly:
-    """A Laurent polynomial: map from integer exponent vectors to Fraction."""
+    """A Laurent polynomial: map from integer exponent vectors to nonzero
+    coefficients, each an int or a non-integral Fraction."""
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, variables: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction]):
+    def __init__(self, variables: tuple[str, ...], terms: Mapping[tuple[int, ...], int | Fraction | str]):
         self.vars = tuple(variables)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         k = len(self.vars)
         for exps, coeff in terms.items():
             coeff = _as_fraction(coeff)
@@ -221,6 +225,22 @@ class LaurentPoly:
                 raise OverflowError(f"exponent out of 64-bit range: {exps}")
             clean[exps] = coeff
         self.terms = clean
+
+    @classmethod
+    def _build(cls, variables: tuple[str, ...], terms: dict) -> "LaurentPoly":
+        """Wrap a fresh dict built by arithmetic on valid polys: its exponent
+        vectors already have the right arity and int entries, and it holds no
+        zero. Only integral Fractions and the exponent bound are checked."""
+        for e, c in terms.items():
+            if type(c) is not int and c.denominator == 1:
+                terms[e] = c.numerator
+        for lo, hi in _box(terms):
+            if lo <= -MAX_EXPONENT or hi >= MAX_EXPONENT:
+                raise OverflowError(f"exponent out of 64-bit range: {(lo, hi)}")
+        poly = object.__new__(cls)
+        poly.vars = variables
+        poly.terms = terms
+        return poly
 
     # -- constructors ---------------------------------------------------
 
@@ -278,12 +298,12 @@ class LaurentPoly:
         self._check_same_vars(other)
         out = dict(self.terms)
         _add_into(out, other.terms)
-        return LaurentPoly(self.vars, out)
+        return LaurentPoly._build(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._build(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -298,11 +318,11 @@ class LaurentPoly:
             c = _as_fraction(other)
             if c == 0:
                 return LaurentPoly.zero(self.vars)
-            return LaurentPoly(self.vars, {e: cc * c for e, cc in self.terms.items()})
+            return LaurentPoly._build(self.vars, {e: cc * c for e, cc in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same_vars(other)
-        return LaurentPoly(self.vars, _mul(self.terms, other.terms))
+        return LaurentPoly._build(self.vars, _mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -320,8 +340,10 @@ class LaurentPoly:
 
     def shift(self, exps: tuple[int, ...]) -> "LaurentPoly":
         """Multiply by the monomial with the given exponent vector."""
-        exps = tuple(exps)
-        return LaurentPoly(self.vars, {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()})
+        exps = tuple(int(x) for x in exps)
+        if len(exps) != len(self.vars):
+            raise ValueError(f"exponent vector {exps} does not match vars {self.vars}")
+        return LaurentPoly._build(self.vars, {tuple(map(operator.add, e, exps)): c for e, c in self.terms.items()})
 
     # -- substitution and evaluation ------------------------------------
 
@@ -335,7 +357,7 @@ class LaurentPoly:
                 raise ValueError(f"no image for variable {name}")
             images.append(tuple(mapping[name]))
             sgn.append((signs or {}).get(name, 1))
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for e, c in self.terms.items():
             new_e = [0] * len(new_vars)
             coeff = c
@@ -355,11 +377,12 @@ class LaurentPoly:
 
     def invert_variables(self) -> "LaurentPoly":
         """Substitute every variable x by x^(-1)."""
-        return LaurentPoly(self.vars, {tuple(-x for x in e): c for e, c in self.terms.items()})
+        return LaurentPoly._build(self.vars, {tuple(-x for x in e): c for e, c in self.terms.items()})
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         """Full evaluation at exact rational points (nonzero where exponents are negative)."""
-        vals = [_as_fraction(values[name]) for name in self.vars]
+        # Fraction, not int, so that x**power stays exact for negative powers
+        vals = [Fraction(_as_fraction(values[name])) for name in self.vars]
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c
@@ -373,8 +396,8 @@ class LaurentPoly:
 
     # -- term access ------------------------------------------------------
 
-    def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps) -> int | Fraction:
+        return self.terms.get(tuple(exps), 0)
 
     def exponent_range(self, var: int | str) -> tuple[int, int]:
         if not self.terms:
@@ -383,19 +406,13 @@ class LaurentPoly:
         es = [e[idx] for e in self.terms]
         return min(es), max(es)
 
-    def lowest_term_lex(self) -> tuple[tuple[int, ...], Fraction]:
+    def lowest_term_lex(self) -> tuple[tuple[int, ...], int | Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no lowest term")
         e = min(self.terms)
         return e, self.terms[e]
 
-    def leading_term_lex(self) -> tuple[tuple[int, ...], Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return sorted(self.terms.items())
 
     # -- rendering ---------------------------------------------------------
@@ -452,7 +469,7 @@ def divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     g = math.gcd(*bi.values())
     q = _divexact_int(ai, {e: c // g for e, c in bi.items()})
     scale = Fraction(lb, la * g)
-    return LaurentPoly(a.vars, {e: c * scale for e, c in q.items()})
+    return LaurentPoly._build(a.vars, {e: c * scale for e, c in q.items()})
 
 
 @dataclass(frozen=True)
@@ -688,7 +705,7 @@ def _normalize_window(variables: tuple[str, ...], window) -> list[tuple[int, int
 
 
 def _flip(poly: LaurentPoly, signs: tuple[int, ...]) -> LaurentPoly:
-    return LaurentPoly(poly.vars, {tuple(s * x for s, x in zip(signs, e)): c for e, c in poly.terms.items()})
+    return LaurentPoly._build(poly.vars, {tuple(s * x for s, x in zip(signs, e)): c for e, c in poly.terms.items()})
 
 
 def expand_window(f, direction, window) -> LaurentPoly:
@@ -728,13 +745,14 @@ def expand_window(f, direction, window) -> LaurentPoly:
             sign_flip = -sign_flip
         for i, e in enumerate(low_e):
             shift[i] -= e
-        # g = 1 - fac/(low_c * mono): strictly lex-positive support
+        # g = 1 - fac/(low_c * mono): strictly lex-positive support; low_c is
+        # +-1, so dividing by it is multiplying by it
         g_terms = {}
         for e, c in fac.terms.items():
             if e == low_e:
                 continue
-            g_terms[tuple(x - y for x, y in zip(e, low_e))] = -c / low_c
-        tails.append(LaurentPoly(variables, g_terms))
+            g_terms[tuple(x - y for x, y in zip(e, low_e))] = -c * low_c
+        tails.append(LaurentPoly._build(variables, g_terms))
 
     base = num.shift(tuple(shift))
     if sign_flip == -1:
@@ -764,7 +782,7 @@ def expand_window(f, direction, window) -> LaurentPoly:
             return e[0] <= p_cap
 
     def prune(poly: LaurentPoly) -> LaurentPoly:
-        return LaurentPoly(variables, {e: c for e, c in poly.terms.items() if keep(e)})
+        return LaurentPoly._build(variables, {e: c for e, c in poly.terms.items() if keep(e)})
 
     result = prune(base)
     if result.is_zero():
@@ -790,7 +808,7 @@ def expand_window(f, direction, window) -> LaurentPoly:
     for e, c in result.terms.items():
         if all(lo <= x <= hi for x, (lo, hi) in zip(e, fboxes)):
             final[tuple(s * x for s, x in zip(signs, e))] = c
-    return LaurentPoly(variables, final)
+    return LaurentPoly._build(variables, final)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ Irreducibles and conjugacy classes are both labelled by partitions of n;
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -143,8 +144,13 @@ def fake_degree(mu) -> LaurentPoly:
     """f_mu(v) = v^n(mu) prod_{i<=n}(1 - v^i) / prod_{cells}(1 - v^h), expanded.
 
     Always a polynomial with nonnegative integer coefficients; f_mu(1) = dim mu.
+    The result is shared between callers and must not be mutated.
     """
-    mu = check_partition(mu)
+    return _fake_degree(check_partition(mu))
+
+
+@cache
+def _fake_degree(mu: Partition) -> LaurentPoly:
     n = sum(mu)
     one = LaurentPoly.one(_V)
     num = LaurentPoly.monomial(_V, (nstat(mu),))
@@ -159,8 +165,4 @@ def fake_degree(mu) -> LaurentPoly:
 def fake_degree_maj(mu) -> LaurentPoly:
     """Independent route: sum of v^maj over standard Young tableaux of shape mu."""
     mu = check_partition(mu)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for tab in enumerate_syt(mu):
-        e = (tab.maj,)
-        terms[e] = terms.get(e, Fraction(0)) + 1
-    return LaurentPoly(_V, terms)
+    return LaurentPoly(_V, Counter((tab.maj,) for tab in enumerate_syt(mu)))

@@ -12,6 +12,8 @@ from cherpoi.exact_poly import (
     LaurentPoly,
     divexact,
     expand_window,
+    poly_terms_from_json,
+    poly_terms_to_json,
     q_factorial,
     q_factorial_poly,
     rf_equal,
@@ -263,3 +265,159 @@ def test_rf_json_roundtrip():
     g = rf_from_json(doc)
     assert rf_equal(f, g)
     assert doc["vars"] == ["s", "t"]
+
+
+# -- coefficient normal form: int when integral, else a non-integral Fraction
+
+# integral Fractions such as 4/2 are drawn on purpose: they must come out as ints
+COEFF = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
+
+
+def mixed_polys(variables=ST, max_terms=5):
+    exps = st.tuples(*(st.integers(-2, 2) for _ in variables))
+    return st.dictionaries(exps, COEFF, max_size=max_terms).map(lambda terms: LaurentPoly(variables, terms))
+
+
+def assert_normal_form(poly: LaurentPoly):
+    for c in poly.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+@settings(deadline=None, max_examples=80)
+@given(mixed_polys(), mixed_polys(), COEFF)
+def test_coefficients_stay_in_normal_form(a, b, c):
+    one = LaurentPoly.one(ST)
+    results = [
+        a,
+        a + b,
+        a - b,
+        a * b,
+        a * c,
+        c * a,
+        a + c,
+        a.invert_variables(),
+        a.shift((1, -2)),
+        a.substitute_monomials(V, {"s": (1,), "t": (-1,)}, {"t": -1}),
+        poly_terms_from_json(ST, poly_terms_to_json(a)),
+    ]
+    if b:
+        results.append(divexact(a * b, b))
+    # each factor's lex-lowest term is 1 in its direction: t descending
+    # flips s*t to exponent (1, -1)
+    up = one - LaurentPoly.monomial(ST, (0, 1), Fraction(1, 2)) + LaurentPoly.monomial(ST, (1, -1), c)
+    mixed = one + LaurentPoly.monomial(ST, (1, 1), c) - LaurentPoly.monomial(ST, (1, 0), Fraction(1, 3))
+    results.append(expand_window(ExactRationalFunction(a, [up]), "ascending", ((-2, 2), (-3, 3))))
+    results.append(expand_window(ExactRationalFunction(a, [mixed]), {"s": "ascending", "t": "descending"},
+                                 ((-2, 2), (-2, 2))))
+    for poly in results:
+        assert_normal_form(poly)
+
+
+@given(st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-5, 5)))
+def test_int_and_fraction_coefficients_render_alike(terms):
+    ints = LaurentPoly(ST, terms)
+    fractions = LaurentPoly(ST, {e: Fraction(2 * c, 2) for e, c in terms.items()})
+    strings = LaurentPoly(ST, {e: str(c) for e, c in terms.items()})
+    assert ints.terms == fractions.terms == strings.terms and hash(ints) == hash(fractions)
+    assert str(ints) == str(fractions) == str(strings)
+    assert ints.latex() == fractions.latex() == strings.latex()
+    # the JSON form is what it was when every coefficient was a Fraction
+    expected = [[str(Fraction(c)), list(e)] for e, c in sorted(terms.items()) if c]
+    assert poly_terms_to_json(ints) == poly_terms_to_json(fractions) == expected
+    absent = (3, 3)
+    assert ints.coefficient(absent) == 0 and type(ints.coefficient(absent)) is int
+
+
+def test_exponents_stay_within_64_bits():
+    big = vp(2**62)
+    with pytest.raises(OverflowError):
+        LaurentPoly(V, {(2**63,): 1})
+    with pytest.raises(OverflowError):
+        big * big
+    with pytest.raises(OverflowError):
+        big.shift((-(2**62),)).invert_variables().shift((-(2**63),))
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        LaurentPoly(V, {(0,): 0.5})
+    with pytest.raises(TypeError):
+        vp(1) * 2.0
+
+
+# -- rf_equal and expand_window against sympy --------------------------------
+
+
+def rf_to_sympy(f: ExactRationalFunction):
+    den = sympy.Mul(*(to_sympy(fac) for fac in f.den))
+    return to_sympy(f.num) / den
+
+
+def nonzero_polys(variables=ST):
+    return mixed_polys(variables).filter(bool)
+
+
+rational_functions = st.builds(
+    ExactRationalFunction, mixed_polys(), st.lists(nonzero_polys(), max_size=2)
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(rational_functions, rational_functions, nonzero_polys(), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+def test_rf_equal_matches_sympy_cancel(f, g, h, e):
+    def sympy_equal(x, y):
+        return sympy.cancel(rf_to_sympy(x) - rf_to_sympy(y)) == 0
+
+    # an equal pair with a different representation: f times h/h
+    same = ExactRationalFunction(f.num * h, (h,) + f.den)
+    assert rf_equal(f, same) and sympy_equal(f, same)
+    # an unequal pair: f plus a nonzero monomial
+    other = same + LaurentPoly.monomial(ST, e)
+    assert not rf_equal(f, other) and not sympy_equal(f, other)
+    # an unrelated pair, usually unequal
+    assert rf_equal(f, g) == sympy_equal(f, g)
+
+
+SHIFT = 20  # beyond any pole order the strategy below draws
+
+
+def sympy_window(f: ExactRationalFunction, direction: str, lo: int, hi: int) -> dict:
+    """{exponent: coefficient} of f's series in v on [lo, hi], by sympy.series;
+    descending expands f(1/w) at w = 0 and reads w^k as v^-k."""
+    v, w = sympy.symbols("v w")
+    if direction == "ascending":
+        x, expr, sign, top = v, rf_to_sympy(f), 1, hi
+    else:
+        x, expr, sign, top = w, rf_to_sympy(f).subs(v, 1 / w), -1, -lo
+    # times x^SHIFT, the Laurent series becomes a power series, truncated
+    # above x^(top + SHIFT)
+    series = sympy.series(expr * x**SHIFT, x, 0, top + SHIFT + 1).removeO()
+    shifted = sympy.Poly(sympy.expand(series), x)
+    out = {sign * (k - SHIFT): c for (k,), c in shifted.terms()}
+    return {k: Fraction(int(c.p), int(c.q)) for k, c in out.items() if lo <= k <= hi}
+
+
+@st.composite
+def univariate_windows(draw):
+    """(f, direction, lo, hi) with every factor's first term +-1 in the direction."""
+    direction = draw(st.sampled_from(["ascending", "descending"]))
+    step = 1 if direction == "ascending" else -1
+    factors = []
+    for _ in range(draw(st.integers(1, 2))):
+        k0 = draw(st.integers(-1, 2))
+        tail = draw(st.dictionaries(st.integers(1, 3), COEFF, min_size=1, max_size=2))
+        terms = {(k0,): draw(st.sampled_from([1, -1]))}
+        terms.update({(k0 + step * d,): c for d, c in tail.items()})
+        factors.append(LaurentPoly(V, terms))
+    num = draw(mixed_polys(V, max_terms=3))
+    lo = draw(st.integers(-4, 1))
+    return ExactRationalFunction(num, factors), direction, lo, lo + draw(st.integers(0, 5))
+
+
+@settings(deadline=None, max_examples=40)
+@given(univariate_windows())
+def test_expand_window_matches_sympy_series(case):
+    f, direction, lo, hi = case
+    box = expand_window(f, direction, (lo, hi))
+    assert {e: c for (e,), c in box.terms.items()} == sympy_window(f, direction, lo, hi)

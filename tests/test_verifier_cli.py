@@ -6,6 +6,8 @@ import pytest
 
 from cherpoi.exact_poly import rf_equal, rf_from_json
 from cherpoi.hilbert_series import jbar_closed
+from cherpoi.partition_core import enumerate_partitions
+from cherpoi.sn_rep import fake_degree
 from cherpoi.verifier_cli import SUITES, _parse_pair, emit_table, main, run_suite
 
 SMALL_GRIDS = {
@@ -64,14 +66,19 @@ def test_random_battery_is_seed_deterministic():
             [("oracle-jbar", {"n": 2}), ("parity", {"n_max": 2})],
         ),
         ("kostka", {"n_max": 4}, [("jbar-chain", {"n_max": 4})]),
+        ("fake-degrees", {"n_max": 6}, [("eqpoi", {}), ("appendix-b", {})]),
     ],
 )
 def test_reports_do_not_depend_on_process_history(suite, params, others):
-    # suites share the process-wide oracle engines and Kostka matrices
+    # suites share the process-wide oracle engines, Kostka matrices and
+    # memoized fake degrees
     before = run_suite(suite, params).to_json(timings=False)
+    shared = {mu: dict(fake_degree(mu).terms) for n in range(1, 7) for mu in enumerate_partitions(n)}
     for other, other_params in others:
         assert run_suite(other, other_params).status == "pass"
     assert run_suite(suite, params).to_json(timings=False) == before
+    # no caller mutated a shared f_mu
+    assert {mu: fake_degree(mu).terms for mu in shared} == shared
 
 
 def test_resource_bounds_show_up_as_partial():
