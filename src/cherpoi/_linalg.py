@@ -1,6 +1,5 @@
-"""Exact linear algebra: an integer row-echelon span, one particular solution
-of a linear system read off that span, and fraction-free Bareiss elimination
-over polynomial entries.
+"""Exact linear algebra: an integer row-echelon span, and one particular
+solution of a linear system read off that span.
 
 `EchelonSpan` keeps its rows as primitive integer vectors. Scaling a vector
 by a nonzero rational does not change its Q-span, so every rank, verdict and
@@ -12,12 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .exact_poly import LaurentPoly, _add_into, _clear_denominators, _divexact_int, _mul
-
-
-class SingularMatrixError(ArithmeticError):
-    pass
 
 
 class EchelonSpan:
@@ -132,45 +125,3 @@ def solve(columns, target):
         x[p] = Fraction(row.get(k, 0), row[p])
     return x
 
-
-def bareiss_solve(matrix: list[list[LaurentPoly]], rhs: list[LaurentPoly]):
-    """Solve A x = b fraction-free over polynomial entries.
-
-    Returns (ys, det) with x_i = ys[i] / det; all ys and det are polynomials.
-    Internally the system is scaled to integer coefficients so elimination
-    runs on plain int arithmetic.
-    """
-    k = len(matrix)
-    if k == 0:
-        return [], None
-    variables = rhs[0].vars
-    ints, _ = _clear_denominators([p.terms for row, b in zip(matrix, rhs) for p in (*row, b)])
-    m = [ints[i * (k + 1) : (i + 1) * (k + 1)] for i in range(k)]
-    prev: dict | None = None
-    for r in range(k):
-        piv, best = None, None
-        for i in range(r, k):
-            if m[i][r]:
-                sz = len(m[i][r])
-                if best is None or sz < best:
-                    piv, best = i, sz
-        if piv is None:
-            raise SingularMatrixError("singular system in fraction-free elimination")
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, k):
-            for j in range(r + 1, k + 1):
-                num = _mul(m[r][r], m[i][j])
-                _add_into(num, _mul(m[i][r], m[r][j]), -1)
-                m[i][j] = _divexact_int(num, prev) if prev is not None else num
-            m[i][r] = {}
-        prev = m[r][r]
-    det = m[k - 1][k - 1]
-    ys = [dict() for _ in range(k)]
-    ys[k - 1] = m[k - 1][k]
-    for i in range(k - 2, -1, -1):
-        num = _mul(m[i][k], det)
-        for j in range(i + 1, k):
-            _add_into(num, _mul(m[i][j], ys[j]), -1)
-        ys[i] = _divexact_int(num, m[i][i])
-    return [LaurentPoly(variables, y) for y in ys], LaurentPoly(variables, det)

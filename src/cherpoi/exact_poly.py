@@ -8,7 +8,7 @@ are never reduced by a polynomial gcd, so equality is decided by
 cross-multiplication and series expansion can orient each factor separately.
 
 One private sparse kernel on plain {exponent tuple: coefficient} dicts does
-the arithmetic, here and in _linalg and commutative_oracle: _mul (packed
+the arithmetic, here and in macdonald and commutative_oracle: _mul (packed
 multiply, int or Fraction coefficients), _add_into (scaled accumulate) and
 _divexact_int (lex-peeling exact division over Z). divexact clears
 denominators and divides by the divisor's integer content before peeling.
@@ -54,7 +54,7 @@ def _as_fraction(c) -> int | Fraction:
 
 # ---------------------------------------------------------------------------
 # Sparse kernel on plain {exponent tuple: coefficient} dicts, shared by
-# LaurentPoly, bareiss_solve and the commutative oracle
+# LaurentPoly, the power sums in macdonald and the commutative oracle
 # ---------------------------------------------------------------------------
 
 

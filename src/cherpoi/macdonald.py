@@ -1,15 +1,18 @@
 """Macdonald symmetric functions over the exact rational-function field in
-(q,t): P_mu by Gram-Schmidt, integral forms J_mu, the Kostka-Macdonald
-matrix, and the torus fixed-point data Omega(mu), P_mu(s,t).
+(q,t): the Kostka-Macdonald matrix, the Macdonald polynomials P_mu and their
+integral forms J_mu read off it, and the torus fixed-point data Omega(mu),
+P_mu(s,t).
 
 The Kostka-Macdonald matrix is built from the Haglund-Haiman-Loehr
 combinatorial formula for the modified Macdonald polynomials, in integer
-arithmetic only. Gram-Schmidt (macdonald_P, macdonald_J, _kostka_column) is
-the definition-level reference route that the tests compare it against.
+arithmetic only. J_mu = sum_lam K_{lam mu}(q,t) s_lam[X(1-t)] and
+P_mu = J_mu / c_mu are read off it (Macdonald, VI (8.11)). The tests certify
+K against Macdonald's definition of P_mu: triangular in dominance order,
+leading coefficient c_mu for J_mu, integral, and orthogonal under
+<p_lam, p_mu> = delta * z_lam * prod_i (1-q^{lam_i})/(1-t^{lam_i}).
 
 Degree-n symmetric functions are finite coefficient vectors indexed by
-partitions of n in one of three bases: monomial, power-sum, schur. The inner
-product is <p_lam, p_mu> = delta * z_lam * prod_i (1-q^{lam_i})/(1-t^{lam_i}).
+partitions of n in one of three bases: monomial, power-sum, schur.
 
 Argument-order note. The fixed-point series P_mu(s,t) evaluates the
 Kostka-Macdonald entries at a point written (t, s^{-1}); two readings of the
@@ -28,29 +31,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from ._linalg import SingularMatrixError, bareiss_solve, solve
+from ._linalg import solve
 from .errors import ResourceError
-from .exact_poly import ExactRationalFunction, LaurentPoly, _mul, divexact
+from .exact_poly import ExactRationalFunction, LaurentPoly, _mul
 from .partition_core import (
     Partition,
     cells,
     cell_data,
     check_partition,
-    dominance_leq,
     enumerate_partitions,
     nstat,
     transpose,
 )
-from .sn_rep import centralizer_order, character_table, dim_irr, fake_degree
+from .sn_rep import character_table, dim_irr, fake_degree
 
 QT = ("q", "t")
 ST = ("s", "t")
 BASES = ("monomial", "power-sum", "schur")
 MAX_KOSTKA_N = 7  # cold HHL build on a 2-core VM: ~2 s at n = 7, ~16 s at n = 8; the acceptance battery requires >= 5
-
-
-def _one_rf() -> ExactRationalFunction:
-    return ExactRationalFunction(LaurentPoly.one(QT))
 
 
 def _zero_rf() -> ExactRationalFunction:
@@ -176,115 +174,6 @@ def to_basis(f: SymmetricFunction, target: str) -> SymmetricFunction:
     return SymmetricFunction(n, target, {lam: c for lam, c in out.items() if not c.is_zero()})
 
 
-def to_power_sums(f: SymmetricFunction) -> SymmetricFunction:
-    return to_basis(f, "power-sum")
-
-
-def inner_product(f: SymmetricFunction, g: SymmetricFunction) -> ExactRationalFunction:
-    """<f, g> under <p_lam, p_mu> = delta z_lam prod (1-q^{lam_i})/(1-t^{lam_i})."""
-    if f.n != g.n:
-        raise ValueError(f"degree mismatch: {f.n} vs {g.n}")
-    fp, gp = to_power_sums(f), to_power_sums(g)
-    one = LaurentPoly.one(QT)
-    total = _zero_rf()
-    for rho, a in fp.coeffs.items():
-        b = gp.coeffs.get(rho)
-        if b is None:
-            continue
-        num = LaurentPoly.const(QT, centralizer_order(rho))
-        den = []
-        for r in rho:
-            num = num * (one - LaurentPoly.var_power(QT, "q", r))
-            den.append(one - LaurentPoly.var_power(QT, "t", r))
-        total = total + a * b * ExactRationalFunction(num, den)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Gram-Schmidt
-# ---------------------------------------------------------------------------
-
-
-@cache
-def _gram_cleared(n: int) -> dict[tuple[Partition, Partition], LaurentPoly]:
-    """T(t)-cleared Gram matrix of the monomial basis, T = prod (1-t^i)^{floor(n/i)}.
-
-    Entry (lam, nu) is T * <m_lam, m_nu>, a polynomial in (q, t).
-    """
-    parts = enumerate_partitions(n)
-    m2p = _m_to_p(n)
-    one = LaurentPoly.one(QT)
-    tpow = {i: one - LaurentPoly.var_power(QT, "t", i) for i in range(1, n + 1)}
-    qpow = {i: one - LaurentPoly.var_power(QT, "q", i) for i in range(1, n + 1)}
-    cleared = {}
-    for rho in parts:
-        mult = {i: rho.count(i) for i in range(1, n + 1)}
-        w = LaurentPoly.const(QT, centralizer_order(rho))
-        for r in rho:
-            w = w * qpow[r]
-        for i in range(1, n + 1):
-            for _ in range(n // i - mult[i]):
-                w = w * tpow[i]
-        cleared[rho] = w
-    gram = {}
-    for a, lam in enumerate(parts):
-        for nu in parts[a:]:
-            entry = LaurentPoly.zero(QT)
-            for rho in parts:
-                c = m2p[lam][rho] * m2p[nu][rho]
-                if c:
-                    entry = entry + cleared[rho] * c
-            gram[(lam, nu)] = entry
-            gram[(nu, lam)] = entry
-    return gram
-
-
-def _default_order(n: int) -> tuple[Partition, ...]:
-    return tuple(reversed(enumerate_partitions(n)))
-
-
-def _validate_order(n: int, order) -> tuple[Partition, ...]:
-    order = tuple(check_partition(p) for p in order)
-    if sorted(order) != sorted(enumerate_partitions(n)):
-        raise ValueError("order must list every partition of n exactly once")
-    for i, lam in enumerate(order):
-        for mu in order[i + 1 :]:
-            if dominance_leq(mu, lam) and mu != lam:
-                raise ValueError(f"order is not a linear extension of dominance: {mu} after {lam}")
-    return order
-
-
-def macdonald_P(mu, order=None) -> SymmetricFunction:
-    """P_mu = m_mu + sum_{lam earlier} c_lam m_lam, orthogonal to all earlier m.
-
-    `order` may be any linear extension of dominance (ascending); the output
-    does not depend on the choice. Coefficients on partitions not dominated
-    by mu must vanish, and this is asserted.
-    """
-    mu = check_partition(mu)
-    n = sum(mu)
-    order = _default_order(n) if order is None else _validate_order(n, order)
-    j = order.index(mu)
-    coeffs = {mu: _one_rf()}
-    if j == 0:
-        return SymmetricFunction(n, "monomial", coeffs)
-    gram = _gram_cleared(n)
-    lower = order[:j]
-    matrix = [[gram[(lower[i], lower[ip])] for i in range(j)] for ip in range(j)]
-    rhs = [-gram[(mu, lower[ip])] for ip in range(j)]
-    try:
-        ys, det = bareiss_solve(matrix, rhs)
-    except SingularMatrixError as exc:
-        raise ArithmeticError(f"Gram-Schmidt system for {mu} is singular") from exc
-    for lam, y in zip(lower, ys):
-        if y.is_zero():
-            continue
-        if not dominance_leq(lam, mu):
-            raise ArithmeticError(f"nonzero coefficient on {lam} not dominated by {mu}")
-        coeffs[lam] = ExactRationalFunction(y, [det])
-    return SymmetricFunction(n, "monomial", coeffs)
-
-
 def integral_form_scalar(mu) -> LaurentPoly:
     """c_mu = prod over cells (1 - q^arm t^(leg+1))."""
     mu = check_partition(mu)
@@ -294,14 +183,6 @@ def integral_form_scalar(mu) -> LaurentPoly:
         cell = cell_data(mu, i, jcol)
         c = c * (one - LaurentPoly.monomial(QT, (cell.arm, cell.leg + 1)))
     return c
-
-
-def macdonald_J(mu) -> SymmetricFunction:
-    """Integral form J_mu = c_mu P_mu (monomial basis)."""
-    mu = check_partition(mu)
-    p = macdonald_P(mu)
-    c = integral_form_scalar(mu)
-    return SymmetricFunction(p.n, "monomial", {lam: coeff * c for lam, coeff in p.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -317,56 +198,6 @@ class KostkaMacdonaldMatrix:
 
     def entry(self, lam, mu) -> LaurentPoly:
         return self.entries[(check_partition(lam), check_partition(mu))]
-
-
-def _kostka_column(mu: Partition) -> dict[Partition, LaurentPoly]:
-    """Entries K_{. , mu} by character orthogonality against the plethystic
-    Schur functions S_lam (p_r -> (1-t^r) p_r): K_{nu mu} =
-    sum_rho a_rho(J_mu) chi_nu(rho) / prod_i (1 - t^{rho_i})."""
-    n = sum(mu)
-    parts = enumerate_partitions(n)
-    table = character_table(n)
-    m2p = _m_to_p(n)
-    one = LaurentPoly.one(QT)
-
-    p = macdonald_P(mu)
-    dens = {c.den for c in p.coeffs.values() if c.den}
-    if len(dens) > 1 or (dens and len(next(iter(dens))) != 1):
-        raise ArithmeticError("expected a single shared Gram-Schmidt denominator")
-    det = next(iter(dens))[0] if dens else one
-    cmu = integral_form_scalar(mu)
-    num_m = {lam: (c.num if c.den else c.num * det) * cmu for lam, c in p.coeffs.items()}
-
-    num_p: dict[Partition, LaurentPoly] = {}
-    for lam, poly in num_m.items():
-        for rho, w in m2p[lam].items():
-            if w:
-                num_p[rho] = num_p.get(rho, LaurentPoly.zero(QT)) + poly * w
-
-    tpow = {i: one - LaurentPoly.var_power(QT, "t", i) for i in range(1, n + 1)}
-    t_clear = one
-    for i in range(1, n + 1):
-        t_clear = t_clear * tpow[i] ** (n // i)
-    t_rem = {}
-    for rho in parts:
-        rem = one
-        for i in range(1, n + 1):
-            rem = rem * tpow[i] ** (n // i - rho.count(i))
-        t_rem[rho] = rem
-
-    column = {}
-    for nu in parts:
-        acc = LaurentPoly.zero(QT)
-        for rho, poly in num_p.items():
-            chi = table.values[(nu, rho)]
-            if chi:
-                acc = acc + poly * t_rem[rho] * chi
-        if acc.is_zero():
-            column[nu] = acc
-            continue
-        quotient = divexact(acc, det) if det is not one else acc
-        column[nu] = divexact(quotient, t_clear)
-    return column
 
 
 def _hhl_weights(mu: Partition, content: Partition) -> Counter:
@@ -465,6 +296,44 @@ def kostka_macdonald(n: int) -> KostkaMacdonaldMatrix:
     columns = {mu: _hhl_column(mu) for mu in parts}
     entries = {(lam, mu): columns[mu][lam] for lam in parts for mu in parts}
     return KostkaMacdonaldMatrix(n, parts, entries)
+
+
+# ---------------------------------------------------------------------------
+# Macdonald P and J, read off the Kostka-Macdonald matrix
+# ---------------------------------------------------------------------------
+
+
+def macdonald_J(mu) -> SymmetricFunction:
+    """Integral form J_mu = sum_lam K_{lam mu}(q,t) s_lam[X(1-t)] (monomial basis).
+
+    Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., VI (8.11).
+    The plethysm p_r -> (1-t^r) p_r gives p_rho the coefficient
+    T_rho * sum_lam K_{lam mu} chi_lam(rho) / z_rho, T_rho = prod_i (1-t^{rho_i}).
+    K comes from kostka_macdonald, so |mu| is bounded by MAX_KOSTKA_N.
+    """
+    mu = check_partition(mu)
+    n = sum(mu)
+    matrix = kostka_macdonald(n)
+    table = character_table(n)
+    one = LaurentPoly.one(QT)
+    coeffs = {}
+    for rho in matrix.partitions:
+        a = LaurentPoly.zero(QT)
+        for lam in matrix.partitions:
+            chi = table.values[(lam, rho)]
+            if chi:
+                a = a + matrix.entries[(lam, mu)] * chi
+        for r in rho:
+            a = a * (one - LaurentPoly.var_power(QT, "t", r))
+        coeffs[rho] = ExactRationalFunction(a * Fraction(1, table.centralizers[rho]))
+    return to_basis(SymmetricFunction(n, "power-sum", coeffs), "monomial")
+
+
+def macdonald_P(mu) -> SymmetricFunction:
+    """P_mu = J_mu / c_mu (monomial basis); every coefficient has denominator [c_mu]."""
+    j = macdonald_J(mu)
+    c = integral_form_scalar(mu)
+    return SymmetricFunction(j.n, "monomial", {lam: coeff / c for lam, coeff in j.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

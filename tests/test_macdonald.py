@@ -3,21 +3,25 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from cherpoi.errors import ResourceError
 from cherpoi.exact_poly import (
     ExactRationalFunction,
     LaurentPoly,
+    _add_into,
+    _mul,
     rf_equal,
 )
 from cherpoi.macdonald import (
     ARGUMENT_ORDERS,
     MAX_KOSTKA_N,
+    KostkaMacdonaldMatrix,
     SymmetricFunction,
-    _default_order,
     _hhl_column,
-    _kostka_column,
-    inner_product,
+    _p_to_m,
     integral_form_scalar,
     kostka_fake_degree_identity,
     kostka_macdonald,
@@ -31,13 +35,12 @@ from cherpoi.macdonald import (
     to_basis,
 )
 from cherpoi.partition_core import (
-    cells,
     dominance_leq,
     enumerate_partitions,
     nstat,
     transpose,
 )
-from cherpoi.sn_rep import dim_irr
+from cherpoi.sn_rep import character_table, dim_irr
 
 QT = ("q", "t")
 ONE = LaurentPoly.one(QT)
@@ -60,22 +63,31 @@ def test_basis_conversion_roundtrip():
             assert rf_equal(g.coeffs[mu], ExactRationalFunction(ONE))
 
 
+def _qt_inner_product(f, g):
+    """<f, g> under <p_lam, p_mu> = delta z_lam prod_i (1-q^{lam_i})/(1-t^{lam_i})."""
+    fp, gp = to_basis(f, "power-sum"), to_basis(g, "power-sum")
+    centralizers = character_table(f.n).centralizers
+    total = ExactRationalFunction(LaurentPoly.zero(QT))
+    for rho, a in fp.coeffs.items():
+        b = gp.coeffs.get(rho)
+        if b is None:
+            continue
+        num = LaurentPoly.const(QT, centralizers[rho])
+        for r in rho:
+            num = num * (ONE - qp(r))
+        total = total + a * b * ExactRationalFunction(num, [ONE - tp(r) for r in rho])
+    return total
+
+
 def test_inner_product_power_sums():
     # <p_2, p_2> = 2 (1-q^2)/(1-t^2) for n = 2
     f = SymmetricFunction(2, "power-sum", {(2,): ExactRationalFunction(ONE)})
-    val = inner_product(f, f)
-    want = ExactRationalFunction(
-        LaurentPoly.const(QT, 2) * (ONE - qp(2)), [ONE - tp(2)]
-    )
-    assert rf_equal(val, want)
+    want = ExactRationalFunction(LaurentPoly.const(QT, 2) * (ONE - qp(2)), [ONE - tp(2)])
+    assert rf_equal(_qt_inner_product(f, f), want)
 
 
 def test_macdonald_p_is_unitriangular():
-    # full sweep through n = 4; at n = 5 the tail of the dominance order
-    # gets expensive, so probe two mid-order columns instead
-    cases = [mu for n in range(2, 5) for mu in enumerate_partitions(n)]
-    cases += [(2, 2, 1), (3, 2)]
-    for mu in cases:
+    for mu in [mu for n in range(2, 6) for mu in enumerate_partitions(n)]:
         p = macdonald_P(mu)
         assert rf_equal(p.coefficient(mu), ExactRationalFunction(ONE))
         for lam in p.coeffs:
@@ -83,44 +95,41 @@ def test_macdonald_p_is_unitriangular():
 
 
 def test_macdonald_p_orthogonality():
+    zero = ExactRationalFunction(LaurentPoly.zero(QT))
     for n in range(2, 5):
         parts = enumerate_partitions(n)
         ps = {mu: macdonald_P(mu) for mu in parts}
-        zero = ExactRationalFunction(LaurentPoly.zero(QT))
         for i, mu in enumerate(parts):
             for lam in parts[i + 1 :]:
-                assert rf_equal(inner_product(ps[mu], ps[lam]), zero)
+                assert rf_equal(_qt_inner_product(ps[mu], ps[lam]), zero)
 
 
 def test_order_independence_small_ranks():
     # dominance is a total order for n <= 5, so the linear extension is
-    # unique; running the only extension twice pins determinism, and
-    # orthogonality plus unit triangularity already determine P uniquely
-    for n in range(2, 5):
-        order = _default_order(n)
-        for mu in enumerate_partitions(n):
-            a = macdonald_P(mu)
-            b = macdonald_P(mu, order=order)
+    # unique; asking twice pins determinism, and orthogonality plus unit
+    # triangularity already determine P uniquely
+    for n in range(2, 6):
+        parts = enumerate_partitions(n)
+        assert all(dominance_leq(a, b) or dominance_leq(b, a) for a in parts for b in parts)
+        for mu in parts:
+            a, b = macdonald_P(mu), macdonald_P(mu)
             assert a.coeffs.keys() == b.coeffs.keys()
             for lam in a.coeffs:
                 assert rf_equal(a.coeffs[lam], b.coeffs[lam])
 
 
 def test_order_independence_first_incomparable_pair():
-    # first genuinely different linear extensions occur at n = 6
-    order = _default_order(6)
+    # the first incomparable pair occurs at n = 6, adjacent in the
+    # enumeration; Gram-Schmidt along either linear extension gives the same
+    # P for both exactly when neither has the other's monomial and they are
+    # orthogonal
+    parts = enumerate_partitions(6)
     a, b = (2, 2, 2), (3, 1, 1, 1)
-    ia, ib = order.index(a), order.index(b)
-    assert abs(ia - ib) == 1
+    assert abs(parts.index(a) - parts.index(b)) == 1
     assert not dominance_leq(a, b) and not dominance_leq(b, a)
-    swapped = list(order)
-    swapped[ia], swapped[ib] = swapped[ib], swapped[ia]
-    target = order[max(ia, ib)]
-    p1 = macdonald_P(target)
-    p2 = macdonald_P(target, order=tuple(swapped))
-    assert p1.coeffs.keys() == p2.coeffs.keys()
-    for lam in p1.coeffs:
-        assert rf_equal(p1.coeffs[lam], p2.coeffs[lam])
+    pa, pb = macdonald_P(a), macdonald_P(b)
+    assert b not in pa.coeffs and a not in pb.coeffs
+    assert _qt_inner_product(pa, pb).is_zero()
 
 
 def test_integral_form_scalar():
@@ -130,15 +139,13 @@ def test_integral_form_scalar():
 
 
 def test_macdonald_j_integrality():
-    # J coefficients over monomials clear all denominators for n <= 4
-    for n in range(2, 5):
+    # J coefficients over monomials clear all denominators
+    for n in range(2, 6):
         for mu in enumerate_partitions(n):
             j = macdonald_J(mu)
             for lam, coeff in j.coeffs.items():
                 poly = coeff.as_poly()
-                assert all(
-                    Fraction(c).denominator == 1 for c in poly.terms.values()
-                ), (mu, lam)
+                assert all(Fraction(c).denominator == 1 for c in poly.terms.values()), (mu, lam)
 
 
 def test_kostka_n2_matrix():
@@ -149,22 +156,229 @@ def test_kostka_n2_matrix():
     assert matrix.entry((1, 1), (1, 1)) == ONE
 
 
-def test_hhl_column_matches_gram_schmidt():
-    # the two routes to K are called directly, bypassing kostka_macdonald's
-    # in-process memo; at n = 5 Gram-Schmidt is expensive, so only the
-    # member of each transpose pair that sits lower in dominance order runs
+# ---------------------------------------------------------------------------
+# K against Macdonald's definition (Symmetric Functions and Hall Polynomials,
+# 2nd ed., VI (8.11)), as identities in Z[q,t] on int dicts
+# ---------------------------------------------------------------------------
+
+
+def _one_minus(exps):
+    return {(0, 0): 1, exps: -1}
+
+
+def _product(factors):
+    acc = {(0, 0): 1}
+    for f in factors:
+        acc = _mul(acc, f)
+    return acc
+
+
+def _power_sum_data(matrix):
+    """A_rho(mu) = sum_lam K_{lam mu} chi_lam(rho) and w_rho = n!/z_rho."""
+    parts = matrix.partitions
+    table = character_table(matrix.n)
+    a = {}
+    for rho in parts:
+        for mu in parts:
+            acc = {}
+            for lam in parts:
+                chi = table.values[(lam, rho)]
+                if chi:
+                    _add_into(acc, matrix.entries[(lam, mu)].terms, chi)
+            a[rho, mu] = acc
+    w = {rho: factorial(matrix.n) // table.centralizers[rho] for rho in parts}
+    return a, w
+
+
+def _scaled_j(matrix, a, w):
+    """[m_nu](n! J_mu) = sum_rho w_rho T_rho A_rho(mu) [m_nu]p_rho, keyed (nu, mu),
+    with T_rho = prod_i (1 - t^{rho_i})."""
+    parts = matrix.partitions
+    p2m = _p_to_m(matrix.n)
+    out = {}
+    for mu in parts:
+        terms = {rho: _mul(_product(_one_minus((0, r)) for r in rho), a[rho, mu]) for rho in parts}
+        for nu in parts:
+            acc = {}
+            for rho in parts:
+                if p2m[rho][nu]:
+                    _add_into(acc, terms[rho], w[rho] * p2m[rho][nu])
+            out[nu, mu] = acc
+    return out
+
+
+def _definition_failures(matrix) -> set[str]:
+    """The identities of the definition that K violates.
+
+    J_mu = sum_lam K_{lam mu} s_lam[X(1-t)] must be triangular in dominance
+    order with [m_mu]J_mu = c_mu, integral in the monomial basis, and
+    orthogonal: n! <J_lam, J_mu> = sum_rho w_rho prod_i (1-q^{rho_i})(1-t^{rho_i})
+    A_rho(lam) A_rho(mu) = 0 for lam != mu.
+    """
+    n, parts = matrix.n, matrix.partitions
+    a, w = _power_sum_data(matrix)
+    j = _scaled_j(matrix, a, w)
+    failures = set()
+    for (nu, mu), coeff in j.items():
+        if coeff and not dominance_leq(nu, mu):
+            failures.add("triangularity")
+        if any(c % factorial(n) for c in coeff.values()):
+            failures.add("integrality")
+    for mu in parts:
+        lead = {e: factorial(n) * c for e, c in integral_form_scalar(mu).terms.items()}
+        if j[mu, mu] != lead:
+            failures.add("leading term")
+    qt = {rho: _product(_one_minus(e) for r in rho for e in ((r, 0), (0, r))) for rho in parts}
+    for i, lam in enumerate(parts):
+        weighted = {rho: _mul(qt[rho], a[rho, lam]) for rho in parts}
+        for mu in parts[i + 1 :]:
+            pairing = {}
+            for rho in parts:
+                _add_into(pairing, _mul(weighted[rho], a[rho, mu]), w[rho])
+            if pairing:
+                failures.add("orthogonality")
+    return failures
+
+
+@pytest.mark.parametrize("n", range(1, MAX_KOSTKA_N + 1))
+def test_kostka_macdonald_satisfies_the_definition(n):
+    # the conditions fix P_mu for the dominance order itself, not for a
+    # chosen linear extension, so they also pin order independence
+    assert _definition_failures(kostka_macdonald(n)) == set()
+
+
+def test_macdonald_j_is_the_certified_j():
     zero = LaurentPoly.zero(QT)
-    cases = [mu for n in range(1, 5) for mu in enumerate_partitions(n)]
-    order = _default_order(5)
-    cases += [
-        mu for mu in order if order.index(mu) <= order.index(transpose(mu))
+    for n in range(1, 7):
+        matrix = kostka_macdonald(n)
+        a, w = _power_sum_data(matrix)
+        j = _scaled_j(matrix, a, w)
+        for mu in matrix.partitions:
+            got = macdonald_J(mu)
+            assert set(got.coeffs) == {nu for nu in matrix.partitions if j[nu, mu]}
+            for nu in matrix.partitions:
+                want = LaurentPoly(QT, {e: c // factorial(n) for e, c in j[nu, mu].items()})
+                assert got.coefficient(nu).as_poly() == (want if j[nu, mu] else zero), (nu, mu)
+
+
+def _mutant(matrix, entries):
+    return KostkaMacdonaldMatrix(matrix.n, matrix.partitions, {**matrix.entries, **entries})
+
+
+def test_definition_rejects_corrupted_kostka():
+    matrix = kostka_macdonald(5)
+    parts = matrix.partitions
+    a, b = (3, 2), (2, 2, 1)
+    bumped = _mutant(matrix, {(a, b): matrix.entries[(a, b)] + ONE})
+    swap = {"q": (0, 1), "t": (1, 0)}
+    flipped = _mutant(matrix, {(lam, a): matrix.entries[(lam, a)].substitute_monomials(QT, swap) for lam in parts})
+    exchanged = _mutant(
+        matrix,
+        {(lam, x): matrix.entries[(lam, y)] for lam in parts for x, y in ((a, b), (b, a))},
+    )
+    assert _definition_failures(bumped) == {"triangularity", "leading term", "orthogonality"}
+    assert _definition_failures(flipped) == {"triangularity", "leading term", "orthogonality"}
+    # J_a and J_b trade places, so every pair stays orthogonal
+    assert _definition_failures(exchanged) == {"triangularity", "leading term"}
+    # the unmodified matrix, next to its mutants, passes
+    assert _definition_failures(matrix) == set()
+
+
+def _sympy_m_in_p(n):
+    """[p_rho] m_lam at entry (lam, rho), rows and columns in enumeration order:
+    sympy's inverse of p_rho expanded in n variables."""
+    xs = sympy.symbols(f"x1:{n + 1}")
+    parts = enumerate_partitions(n)
+
+    def exponents(lam):
+        return tuple(lam) + (0,) * (n - len(lam))
+
+    p_in_m = sympy.Matrix(
+        [
+            [
+                sympy.Poly(sympy.Mul(*(sum(x**r for x in xs) for r in rho)), *xs).coeff_monomial(exponents(lam))
+                for lam in parts
+            ]
+            for rho in parts
+        ]
+    )
+    return p_in_m.inv()
+
+
+def _sympy_gram_schmidt_P(n):
+    """P_mu for every mu |- n by Gram-Schmidt on the monomial basis, in sympy.
+
+    Dominance is a total order for n <= 5, so the unitriangular orthogonal
+    basis is unique.
+    """
+    q, t = sympy.symbols("q t")
+    field = QQ.frac_field(q, t)
+    parts = enumerate_partitions(n)  # largest first
+    m_in_p = _sympy_m_in_p(n)
+    norms = []
+    for rho in parts:
+        z = sympy.prod(i ** rho.count(i) * sympy.factorial(rho.count(i)) for i in set(rho))
+        norms.append(field.from_sympy(z * sympy.prod((1 - q**r) / (1 - t**r) for r in rho)))
+    k = len(parts)
+    gram = [
+        [sum((field.convert(m_in_p[i, r] * m_in_p[j, r]) * norms[r] for r in range(k)), field.zero) for j in range(k)]
+        for i in range(k)
     ]
-    assert len(cases) == 1 + 2 + 3 + 5 + 4
-    for mu in cases:
-        hhl = _hhl_column(mu)
-        reference = _kostka_column(mu)
-        for lam in enumerate_partitions(sum(mu)):
-            assert hhl[lam] == reference.get(lam, zero), (lam, mu)
+    out = {}
+    for i, mu in enumerate(parts):
+        lower = range(i + 1, k)
+        coeffs = {mu: field.one}
+        if lower:
+            system = DomainMatrix([[gram[a][b] for a in lower] for b in lower], (len(lower), len(lower)), field)
+            rhs = DomainMatrix([[-gram[i][b]] for b in lower], (len(lower), 1), field)
+            solution = system.lu_solve(rhs).to_Matrix()
+            coeffs.update({parts[a]: field.from_sympy(solution[c, 0]) for c, a in enumerate(lower)})
+        out[mu] = {lam: c for lam, c in coeffs.items() if c}
+    return field, out
+
+
+def _rf_to_sympy(rf):
+    q, t = sympy.symbols("q t")
+
+    def poly(p):
+        return sum(sympy.Rational(c) * q**a * t**b for (a, b), c in p.terms.items())
+
+    return poly(rf.num) / sympy.prod(poly(f) for f in rf.den)
+
+
+def test_macdonald_p_matches_sympy_gram_schmidt():
+    for n in range(1, 5):
+        field, reference = _sympy_gram_schmidt_P(n)
+        for mu, coeffs in reference.items():
+            got = macdonald_P(mu)
+            assert set(got.coeffs) == set(coeffs), mu
+            for lam, c in coeffs.items():
+                assert field.from_sympy(_rf_to_sympy(got.coeffs[lam])) == c, (lam, mu)
+
+
+def test_hhl_column_matches_gram_schmidt():
+    # HHL is called directly, bypassing kostka_macdonald's in-process memo.
+    # K is read off the sympy reference: with J_mu = c_mu P_mu,
+    # K_{lam mu} = sum_rho chi_lam(rho) [p_rho]J_mu / prod_i (1-t^{rho_i})
+    q, t = sympy.symbols("q t")
+    for n in range(1, 5):
+        field, reference = _sympy_gram_schmidt_P(n)
+        m_in_p = _sympy_m_in_p(n)
+        parts = enumerate_partitions(n)
+        table = character_table(n)
+        for mu, p_mu in reference.items():
+            c_mu = field.from_sympy(_rf_to_sympy(ExactRationalFunction(integral_form_scalar(mu))))
+            j_in_p = [
+                sum((field.convert(m_in_p[parts.index(nu), r]) * c_mu * c for nu, c in p_mu.items()), field.zero)
+                for r in range(len(parts))
+            ]
+            hhl = _hhl_column(mu)
+            for lam in parts:
+                want = field.zero
+                for r, rho in enumerate(parts):
+                    t_rho = field.from_sympy(sympy.prod(1 - t**k for k in rho))
+                    want += field.convert(table.values[(lam, rho)]) * j_in_p[r] / t_rho
+                assert field.from_sympy(_rf_to_sympy(ExactRationalFunction(hhl[lam]))) == want, (lam, mu)
 
 
 def test_kostka_transpose_duality():

@@ -6,6 +6,7 @@ import pytest
 
 from cherpoi.exact_poly import rf_equal, rf_from_json
 from cherpoi.hilbert_series import jbar_closed
+from cherpoi.macdonald import kostka_macdonald, macdonald_J, macdonald_P
 from cherpoi.partition_core import enumerate_partitions
 from cherpoi.sn_rep import fake_degree
 from cherpoi.verifier_cli import SUITES, _parse_pair, emit_table, main, run_suite
@@ -71,14 +72,20 @@ def test_random_battery_is_seed_deterministic():
 )
 def test_reports_do_not_depend_on_process_history(suite, params, others):
     # suites share the process-wide oracle engines, Kostka matrices and
-    # memoized fake degrees
+    # memoized fake degrees; macdonald_J and macdonald_P read the Kostka ones
     before = run_suite(suite, params).to_json(timings=False)
     shared = {mu: dict(fake_degree(mu).terms) for n in range(1, 7) for mu in enumerate_partitions(n)}
+    kostka = {n: {key: dict(p.terms) for key, p in kostka_macdonald(n).entries.items()} for n in range(1, 5)}
     for other, other_params in others:
         assert run_suite(other, other_params).status == "pass"
+    for n in kostka:
+        for mu in enumerate_partitions(n):
+            macdonald_J(mu)
+            macdonald_P(mu)
     assert run_suite(suite, params).to_json(timings=False) == before
-    # no caller mutated a shared f_mu
+    # no caller mutated a shared f_mu or K_{lam mu}
     assert {mu: fake_degree(mu).terms for mu in shared} == shared
+    assert {n: {key: p.terms for key, p in kostka_macdonald(n).entries.items()} for n in kostka} == kostka
 
 
 def test_resource_bounds_show_up_as_partial():
