@@ -3,9 +3,10 @@
 Everything here is computed from first principles: monomials, permutation
 substitutions, and exact row reduction. No closed formula from the series
 modules is consulted, so these tables can sit on the other side of an
-acceptance check. Every polynomial here has integer coefficients, and the
-cell bases are reduced over Z by `EchelonSpan`, whose ranks are exactly the
-ranks over Q.
+acceptance check. Every polynomial here has integer coefficients except the
+linear forms of `_x_in_u`, whose denominators divide n; `_power_sum_poly`
+clears them. The cell bases are reduced over Z by `EchelonSpan`, whose ranks
+are exactly the ranks over Q.
 
 Conventions. h is the (n-1)-dimensional reflection representation realized
 inside C^n as the span of u_i = x_i - x_{i+1}; the dual copy h* carries the
@@ -19,6 +20,17 @@ A^d = (A^1)^d for d >= 2; J^d = C[h + h*] A^d. jbar refers to the quotient
 J^d / C[h]^W_+ J^d, whose diagonal sums are certified by the saturation
 protocol: a diagonal is trusted only when two successive window enlargements
 (+2 on every bound) leave its sum unchanged.
+
+Cell bases. Three rules skip candidates that cannot raise a rank; no stored
+basis changes by them:
+
+- `j_basis` offers its candidates lazily and stops once the cell is full,
+  so a J^d cell spanned by its neighbours' multiples (every J^0 cell but
+  (0,0)) never builds A^d(a,b);
+- `a_basis(2)` offers each unordered product of two A^1 factors once, since
+  A^1 A^1 is commutative;
+- `parity_check` symmetrizes each monomial of a cell once and combines those
+  images; they are held only while that cell is checked.
 
 Resource budget. reflection_action and coinvariant_multiplicities run for
 2 <= n <= 5. The bigraded operations run for 2 <= n <= 4 with d <= 3 when
@@ -332,6 +344,12 @@ class _Engine:
         bucket[key] = basis
 
     def a_basis(self, d: int, a: int, b: int) -> list[Poly]:
+        """A basis of A^d in cell (a, b). For d <= 1, the independent images of
+        the cell's monomials under the (anti)symmetrizer. For d >= 2, the
+        independent products A^{d-1}(a', b') A^1(a - a', b - b'); at d = 2 a
+        split lexicographically above its complement is skipped, and on the
+        self-complementary split only the pairs f_i g_j with i <= j are formed.
+        """
         if a < 0 or b < 0:
             return []
         key = (d, a, b)
@@ -349,10 +367,16 @@ class _Engine:
         else:
             for ap in range(a + 1):
                 for bp in range(b + 1):
+                    rest = (a - ap, b - bp)
+                    if d == 2 and (ap, bp) > rest:
+                        continue  # A^1 A^1 is commutative: the complement came first
                     lower = self.a_basis(d - 1, ap, bp)
-                    ones = self.a_basis(1, a - ap, b - bp)
-                    for f in lower:
-                        for g in ones:
+                    ones = self.a_basis(1, *rest)
+                    for i, f in enumerate(lower):
+                        # a self-complementary split has lower == ones, and
+                        # f_i g_j = f_j g_i came first for j < i
+                        start = i if d == 2 and (ap, bp) == rest else 0
+                        for g in ones[start:]:
                             h = _mul(f, g)
                             if h and span.add(self.to_vec(h, a, b)):
                                 basis.append(h)
@@ -360,6 +384,10 @@ class _Engine:
         return basis
 
     def j_basis(self, d: int, a: int, b: int) -> list[Poly]:
+        """A basis of J^d in cell (a, b): the independent ones among u_j f for
+        f in J^d(a-1, b), then w_j f for f in J^d(a, b-1), then A^d(a, b), in
+        that order. Once the rank reaches the cell's monomial count nothing
+        further is built, A^d(a, b) included; the basis is the same."""
         if a < 0 or b < 0:
             return []
         key = (d, a, b)
@@ -369,20 +397,19 @@ class _Engine:
         span = EchelonSpan(len(monos))
         basis: list[Poly] = []
 
-        def push(p: Poly):
+        def candidates():
+            for r in range(self.width):  # u_1..u_m times J^d(a-1, b), then w's
+                below = (a - 1, b) if r < self.m else (a, b - 1)
+                for f in self.j_basis(d, *below):
+                    yield {tuple(e + (i == r) for i, e in enumerate(key_e)): c
+                           for key_e, c in f.items()}
+            yield from self.a_basis(d, a, b)
+
+        for p in candidates():
             if p and span.add(self.to_vec(p, a, b)):
                 basis.append(p)
-
-        for j in range(self.m):
-            for f in self.j_basis(d, a - 1, b):
-                push({tuple(e + (1 if r == j else 0) for r, e in enumerate(key_e)): c
-                      for key_e, c in f.items()})
-        for j in range(self.m):
-            for f in self.j_basis(d, a, b - 1):
-                push({tuple(e + (1 if r == self.m + j else 0) for r, e in enumerate(key_e)): c
-                      for key_e, c in f.items()})
-        for f in self.a_basis(d, a, b):
-            push(f)
+                if span.rank == len(monos):
+                    break
         self._store(self._jbasis, key, basis)
         return basis
 
@@ -463,11 +490,23 @@ def ideal_power_dims(n: int, d: int, window, total=None) -> BigradedDims:
     return BigradedDims(window[0], window[1], total, table)
 
 
+def _cell_image(eng: _Engine, images: dict, f: Poly, sign: int) -> Poly:
+    """eng.symmetrized(f, sign), as the integer combination of the images of
+    f's monomials; `images` memoizes those and belongs to one cell."""
+    out: Poly = {}
+    for e, c in f.items():
+        if e not in images:
+            images[e] = eng.symmetrized({e: 1}, sign)
+        _add_into(out, images[e], c)
+    return out
+
+
 def parity_check(n: int, d: int, window, total=None) -> bool:
     """Does the correct-parity part of J^d equal A^d on every window cell?
 
     Correct parity means the image of the antisymmetrizer for odd d and of
-    the symmetrizer for even d.
+    the symmetrizer for even d. Each cell symmetrizes each of its monomials
+    at most once and builds the image of f in J^d(a, b) from those.
     """
     _check_bigraded_budget(n, d, window, total)
     eng = _engine(n)
@@ -476,8 +515,9 @@ def parity_check(n: int, d: int, window, total=None) -> bool:
         target = len(eng.a_basis(d, a, b))
         monos, _ = eng.cell(a, b)
         span = EchelonSpan(len(monos))
+        images: dict = {}  # monomial -> its image, local to this cell
         for f in eng.j_basis(d, a, b):
-            img = eng.symmetrized(f, sign)
+            img = _cell_image(eng, images, f, sign)
             if img:
                 span.add(eng.to_vec(img, a, b))
         if span.rank != target:

@@ -769,12 +769,14 @@ def expand_window(f, direction, window) -> LaurentPoly:
                 if p > 0 and q < 0:
                     rho = max(rho, Fraction(-q, p))
         s_hi = fboxes[1][1]
+        rho_num, rho_den = rho.numerator, rho.denominator
 
         def keep(e) -> bool:
+            # q <= s_hi + rho * (p_cap - p), compared in integers
             p, q = e
             if p > p_cap:
                 return False
-            return q <= s_hi + rho * (p_cap - p)
+            return (q - s_hi) * rho_den <= rho_num * (p_cap - p)
 
     else:
 

@@ -5,6 +5,8 @@ from math import comb, factorial
 
 import pytest
 
+from cherpoi import commutative_oracle as oracle
+from cherpoi._linalg import EchelonSpan
 from cherpoi.commutative_oracle import (
     BigradedDims,
     alternants_dims,
@@ -17,7 +19,7 @@ from cherpoi.commutative_oracle import (
     reflection_action,
 )
 from cherpoi.errors import ResourceError
-from cherpoi.exact_poly import expand_window, q_factorial
+from cherpoi.exact_poly import _mul, expand_window, q_factorial
 from cherpoi.hilbert_series import jbar_closed
 from cherpoi.partition_core import enumerate_partitions
 from cherpoi.sn_rep import dim_irr, fake_degree
@@ -255,3 +257,110 @@ def test_budget_limits():
         coinvariant_multiplicities(6)
     with pytest.raises(ResourceError):
         reflection_action(6)
+
+
+# n = 3 tables on the bench's (6, 6) window with total 8: rows a = 0..6,
+# columns b = 0..min(6, 8 - a)
+J3_FROZEN = {
+    0: [[1, 2, 3, 4, 5, 6, 7], [2, 4, 6, 8, 10, 12, 14], [3, 6, 9, 12, 15, 18, 21],
+        [4, 8, 12, 16, 20, 24], [5, 10, 15, 20, 25], [6, 12, 18, 24], [7, 14, 21]],
+    1: [[0, 0, 0, 1, 2, 3, 4], [0, 1, 3, 5, 7, 9, 11], [0, 3, 6, 9, 12, 15, 18],
+        [1, 5, 9, 13, 17, 21], [2, 7, 12, 17, 22], [3, 9, 15, 21], [4, 11, 18]],
+    2: [[0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 3, 5], [0, 0, 1, 3, 6, 9, 12],
+        [0, 0, 3, 7, 11, 15], [0, 1, 6, 11, 16], [0, 3, 9, 15], [1, 5, 12]],
+}
+
+# jbar_dims(3, d, (6, 6), 8): sums on diagonals 6, 5, ..., -6 and the
+# saturated diagonals
+JBAR3_FROZEN = {
+    0: ([0, 0, 0, 1, 4, 9, 15, 21, 27, 26, 31, 20, 7], {-2, -1, 0, 1, 2, 3, 4, 5, 6}),
+    1: ([1, 2, 3, 4, 7, 12, 17, 19, 24, 20, 25, 14, 4], {0, 1, 2, 3, 4, 5, 6}),
+    2: ([1, 4, 6, 6, 10, 11, 17, 13, 18, 10, 14, 5, 1], {2, 4}),
+}
+
+
+@pytest.mark.parametrize("d", sorted(J3_FROZEN))
+def test_ideal_powers_frozen_n3(d):
+    table = ideal_power_dims(3, d, (6, 6), 8).table
+    expected = {
+        (a, b): value for a, row in enumerate(J3_FROZEN[d]) for b, value in enumerate(row)
+    }
+    assert table == expected
+
+
+@pytest.mark.parametrize("d", sorted(JBAR3_FROZEN))
+def test_jbar_dims_frozen_n3(d):
+    result = jbar_dims(3, d, (6, 6), 8)
+    sums, saturated = JBAR3_FROZEN[d]
+    assert result.sums == dict(zip(range(6, -7, -1), sums))
+    assert {g for g, ok in result.saturated.items() if ok} == saturated
+    assert set(result.saturated) == set(range(-6, 7))
+
+
+def test_parity_check_frozen_n3():
+    assert [parity_check(3, d, (6, 6), 8) for d in range(4)] == [True] * 4
+
+
+# -- the engine's candidate rules, each on a fresh _Engine(3), so that no
+#    result depends on what ran before in the process
+
+
+def test_full_cells_never_build_their_invariants(monkeypatch):
+    eng = oracle._Engine(3)
+    monkeypatch.setattr(oracle, "_engine", lambda n: eng)
+    ideal_power_dims(3, 0, (4, 4))
+    assert len(eng._jbasis) == 25
+    assert [key for key in eng._abasis if key[0] == 0] == [(0, 0, 0)]
+
+
+def test_alternant_squares_have_the_rank_of_all_ordered_products():
+    # a_basis(2) keeps products only, so equal ranks mean equal spans
+    eng = oracle._Engine(3)
+    for a, b in itertools.product(range(7), repeat=2):
+        span = EchelonSpan(len(eng.cell(a, b)[0]))
+        for ap, bp in itertools.product(range(a + 1), range(b + 1)):
+            for f in eng.a_basis(1, ap, bp):
+                for g in eng.a_basis(1, a - ap, b - bp):
+                    span.add(eng.to_vec(_mul(f, g), a, b))
+        assert len(eng.a_basis(2, a, b)) == span.rank, (a, b)
+
+
+def test_stored_ideal_bases_match_the_closure_without_early_stop(monkeypatch):
+    eng = oracle._Engine(3)
+    monkeypatch.setattr(oracle, "_engine", lambda n: eng)
+    for d in range(3):
+        ideal_power_dims(3, d, (5, 5), 7)
+    units = [tuple(int(i == r) for i in range(4)) for r in range(4)]  # u1, u2, w1, w2
+    memo = {}
+
+    def reference(d, a, b):
+        """Every x_j f and y_j f, then A^d(a, b), each kept if independent."""
+        if a < 0 or b < 0:
+            return []
+        if (d, a, b) not in memo:
+            span = EchelonSpan(len(eng.cell(a, b)[0]))
+            shifted = [
+                _mul(f, {unit: 1})
+                for r, unit in enumerate(units)
+                for f in (reference(d, a - 1, b) if r < 2 else reference(d, a, b - 1))
+            ]
+            memo[(d, a, b)] = [
+                p for p in shifted + eng.a_basis(d, a, b) if p and span.add(eng.to_vec(p, a, b))
+            ]
+        return memo[(d, a, b)]
+
+    assert len(eng._jbasis) == 3 * 30  # the cells a, b <= 5 with a + b <= 7
+    for key, basis in eng._jbasis.items():
+        assert basis == reference(*key), key
+
+
+def test_cell_local_images_are_the_symmetrized_polynomials():
+    eng = oracle._Engine(3)
+    for d, a, b in [(0, 2, 1), (1, 3, 2), (2, 3, 3), (3, 4, 5)]:
+        sign = -1 if d % 2 else 1
+        images = {}
+        basis = eng.j_basis(d, a, b)
+        assert basis
+        for f in basis:
+            assert oracle._cell_image(eng, images, f, sign) == eng.symmetrized(f, sign)
+        assert set(images) <= set(eng.cell(a, b)[0])

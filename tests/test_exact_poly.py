@@ -421,3 +421,43 @@ def test_expand_window_matches_sympy_series(case):
     f, direction, lo, hi = case
     box = expand_window(f, direction, (lo, hi))
     assert {e: c for (e,), c in box.terms.items()} == sympy_window(f, direction, lo, hi)
+
+
+def sympy_window_2d(f: ExactRationalFunction, signs, box) -> dict:
+    """{exponent: coefficient} of f on box, by iterated sympy.series: after
+    s -> 1/s and t -> 1/t on the descending variables, expand in s at 0, then
+    each s-coefficient in t at 0, which is the lex field with s outermost."""
+    s, t = sympy.symbols(ST)
+    flips = {x: 1 / x for x, sign in zip((s, t), signs) if sign < 0}
+    expr = rf_to_sympy(f).subs(flips, simultaneous=True)
+    (plo, phi), (qlo, qhi) = [(lo, hi) if sign > 0 else (-hi, -lo) for (lo, hi), sign in zip(box, signs)]
+    outer = sympy.expand(sympy.series(expr * s**SHIFT, s, 0, phi + SHIFT + 1).removeO())
+    out = {}
+    for p in range(plo, phi + 1):
+        coeff = sympy.cancel(outer.coeff(s, p + SHIFT))
+        inner = sympy.series(coeff * t**SHIFT, t, 0, qhi + SHIFT + 1).removeO()
+        for (k,), c in sympy.Poly(sympy.expand(inner), t).terms():
+            if qlo <= k - SHIFT <= qhi and c:
+                out[(signs[0] * p, signs[1] * (k - SHIFT))] = Fraction(int(c.p), int(c.q))
+    return out
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)], ids=["s+t+", "s+t-", "s-t+", "s-t-"])
+def test_expand_window_two_variables_matches_sympy_series(signs):
+    """Tails s^2 t^-1 and s^3 t^-2 (in the flipped coordinates) drop the second
+    exponent by 1/2 and 2/3 per unit of the first, so the prune's slope is the
+    non-integral 2/3; numerator terms above the box must survive it."""
+
+    def mono(i, j, c=1):  # s^i t^j in the flipped coordinates
+        return LaurentPoly.monomial(ST, (signs[0] * i, signs[1] * j), c)
+
+    one = LaurentPoly.one(ST)
+    num = one + mono(0, 3) + mono(1, 4, -2) + mono(2, 5, 3)
+    f = ExactRationalFunction(num, [one - mono(2, -1), one - mono(3, -2), mono(0, 1) - one])
+    box = [(0, 6), (-3, 2)]
+    box = [(lo, hi) if sign > 0 else (-hi, -lo) for (lo, hi), sign in zip(box, signs)]
+    direction = {x: "ascending" if sign > 0 else "descending" for x, sign in zip(ST, signs)}
+    series = expand_window(f, direction, box)
+    expected = sympy_window_2d(f, signs, box)
+    assert len(expected) > 20
+    assert series.terms == expected
