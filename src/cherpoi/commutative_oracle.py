@@ -30,7 +30,8 @@ basis changes by them:
 - `a_basis(2)` offers each unordered product of two A^1 factors once, since
   A^1 A^1 is commutative;
 - `parity_check` symmetrizes each monomial of a cell once and combines those
-  images; they are held only while that cell is checked.
+  images; they are held only while that cell is checked. For d <= 1 the
+  rank of all of them is dim A^d(a,b), so it builds no A^d basis.
 
 Resource budget. reflection_action and coinvariant_multiplicities run for
 2 <= n <= 5. The bigraded operations run for 2 <= n <= 4 with d <= 3 when
@@ -506,16 +507,26 @@ def parity_check(n: int, d: int, window, total=None) -> bool:
 
     Correct parity means the image of the antisymmetrizer for odd d and of
     the symmetrizer for even d. Each cell symmetrizes each of its monomials
-    at most once and builds the image of f in J^d(a, b) from those.
+    at most once and builds the image of f in J^d(a, b) from those. For
+    d <= 1, A^d(a, b) is the span of all the monomials' images, so its
+    dimension is their rank and A^d is not built separately.
     """
     _check_bigraded_budget(n, d, window, total)
     eng = _engine(n)
     sign = -1 if d % 2 else 1
     for a, b in _window_cells(*window, total):
-        target = len(eng.a_basis(d, a, b))
         monos, _ = eng.cell(a, b)
-        span = EchelonSpan(len(monos))
         images: dict = {}  # monomial -> its image, local to this cell
+        if d <= 1:
+            full = EchelonSpan(len(monos))
+            for e in monos:
+                images[e] = eng.symmetrized({e: 1}, sign)
+                if images[e]:
+                    full.add(eng.to_vec(images[e], a, b))
+            target = full.rank
+        else:
+            target = len(eng.a_basis(d, a, b))
+        span = EchelonSpan(len(monos))
         for f in eng.j_basis(d, a, b):
             img = _cell_image(eng, images, f, sign)
             if img:

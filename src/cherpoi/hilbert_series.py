@@ -6,6 +6,9 @@ Everything stays in factored rational-function form; expansion happens only
 through exact_poly.expand_window. The degenerate rank n=1 is rejected across
 the module. Formal coupling parameters ride along as CExponent prefixes where
 a series has one; concrete integers d, k enter the bodies as monomial shifts.
+
+Only bigraded_JJ, bigraded_J and jbar_via_specialization use macdonald, and
+they import it themselves, so the other series load without it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_poly import CExponent, ExactRationalFunction, LaurentPoly
-from .macdonald import omega_factors, procesi_fiber
 from .partition_core import (
     Partition,
     cells,
@@ -157,6 +159,8 @@ def shift_amount(i: int, j: int, mu) -> int:
 def bigraded_JJ(n: int, d: int) -> ExactRationalFunction:
     """Bigraded series of the big ideal power:
     sum_mu P_mu(s,t) s^{d n(mu)} t^{d n(mu^t)} / Omega(mu)."""
+    from .macdonald import omega_factors, procesi_fiber
+
     _check_rank(n)
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
@@ -170,6 +174,8 @@ def bigraded_JJ(n: int, d: int) -> ExactRationalFunction:
 def bigraded_J(n: int, d: int) -> ExactRationalFunction:
     """Bigraded series of the small ideal power:
     sum_mu P_mu(s,t) (1-s)(1-t) s^{d n(mu)} t^{d n(mu^t)} / Omega(mu)."""
+    from .macdonald import omega_factors, procesi_fiber
+
     _check_rank(n)
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
@@ -213,6 +219,8 @@ def jbar_via_specialization(n: int, d: int) -> ExactRationalFunction:
     Its equality with jbar_closed is the derivation-chain check that the
     acceptance suite performs; nothing here assumes it.
     """
+    from .macdonald import procesi_fiber
+
     _check_rank(n)
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")

@@ -31,64 +31,34 @@ cherpoi/idempotent-v1):
 
 "top" applies only to the truncated kind. Absent matrix entries are zero;
 each listed term must have total degree shifts[col] - shifts[row].
+
+Imports
+-------
+A process loads only the modules its subcommand uses. At the top level this
+module imports only the standard library, __version__ and the error types:
+what argument parsing and report output need. Each suite builder
+(_suite_*) and each cmd_* handler imports what it calls inside the function.
+A builder whose checks go through a helper (_compare_window,
+_jbar_comparison, _collapse_sum) or through a function that loads a module on
+its first call (hilbert_series loads macdonald in bigraded_J and
+jbar_via_specialization) names those modules with `from . import ...` too.
+run_suite calls the builder before _run_checks starts a check's clock, so
+loading code counts as start-up and never enters a check's wall_ms; the
+helpers' own imports then only look the loaded module up.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from random import Random
 
 from . import __version__
-from .commutative_oracle import (
-    coinvariant_multiplicities,
-    ideal_power_dims,
-    jbar_dims,
-    parity_check,
-)
 from .errors import CertificationError, ResourceError
-from .exact_poly import (
-    ExactRationalFunction,
-    LaurentPoly,
-    expand_window,
-    q_factorial,
-    q_factorial_poly,
-    rf_equal,
-    rf_to_json,
-)
-from .graded_free import (
-    GradedIdempotent,
-    diagonal_idempotent,
-    extract_homogeneous_basis,
-    polynomial_algebra,
-    random_unipotent_idempotent,
-    truncated_polynomial_algebra,
-)
-from .hilbert_series import (
-    bigraded_J,
-    bigraded_JJ,
-    e_standard_series,
-    jbar_closed,
-    jbar_via_specialization,
-    mbar_series,
-    munder_series,
-    nbar_series,
-    nunder_series,
-)
-from .macdonald import (
-    kostka_fake_degree_identity,
-    kostka_macdonald,
-    omega,
-    procesi_fiber,
-)
-from .partition_core import enumerate_partitions, transpose
-from .sn_rep import character_table, dim_irr, fake_degree, fake_degree_maj
 
 REPORT_SCHEMA = "cherpoi/report-v1"
 SERIES_SCHEMA = "cherpoi/series-v1"
@@ -122,6 +92,8 @@ def _ser(obj):
         return [_ser(x) for x in obj]
     text = str(obj)
     if len(text) > _SER_CAP:
+        import hashlib
+
         digest = hashlib.sha256(text.encode()).hexdigest()
         return f"sha256:{digest} ({len(text)} chars)"
     return text
@@ -218,6 +190,10 @@ def _verdict(ok: bool) -> str:
 # individual suites
 
 def _suite_fake_degrees(p):
+    from .exact_poly import LaurentPoly, q_factorial_poly
+    from .partition_core import enumerate_partitions, transpose
+    from .sn_rep import dim_irr, fake_degree, fake_degree_maj
+
     n_max = p.get("n_max", 8)
     items = []
     for n in range(1, n_max + 1):
@@ -259,6 +235,10 @@ def _natural_coeffs(poly: LaurentPoly) -> bool:
 
 
 def _suite_kostka(p):
+    from .exact_poly import LaurentPoly
+    from .macdonald import kostka_fake_degree_identity, kostka_macdonald
+    from .sn_rep import dim_irr
+
     n_max = p.get("n_max", 5)
     items = []
     for n in range(2, n_max + 1):
@@ -323,6 +303,8 @@ def _suite_kostka(p):
 
 
 def _collapse_target(n: int) -> ExactRationalFunction:
+    from .exact_poly import ExactRationalFunction, LaurentPoly
+
     one = LaurentPoly.one(ST)
     s1 = one - LaurentPoly.var_power(ST, "s", 1)
     t1 = one - LaurentPoly.var_power(ST, "t", 1)
@@ -330,6 +312,10 @@ def _collapse_target(n: int) -> ExactRationalFunction:
 
 
 def _collapse_sum(n: int, order: str) -> ExactRationalFunction:
+    from .exact_poly import ExactRationalFunction, LaurentPoly
+    from .macdonald import omega, procesi_fiber
+    from .partition_core import enumerate_partitions
+
     one = LaurentPoly.one(ST)
     s1 = one - LaurentPoly.var_power(ST, "s", 1)
     t1 = one - LaurentPoly.var_power(ST, "t", 1)
@@ -342,6 +328,11 @@ def _collapse_sum(n: int, order: str) -> ExactRationalFunction:
 
 
 def _suite_omega_specialization(p):
+    # bigraded_J's and _collapse_sum's modules, loaded before any check's clock
+    from . import macdonald, partition_core  # noqa: F401
+    from .exact_poly import rf_equal
+    from .hilbert_series import bigraded_J
+
     n_max = p.get("n_max", 4)
     items = []
     for n in range(2, n_max + 1):
@@ -366,6 +357,11 @@ def _suite_omega_specialization(p):
 
 
 def _suite_jbar_chain(p):
+    # jbar_via_specialization's module, loaded before any check's clock
+    from . import macdonald  # noqa: F401
+    from .exact_poly import rf_equal
+    from .hilbert_series import jbar_closed, jbar_via_specialization
+
     n_max = p.get("n_max", 5)
     d_max = p.get("d_max", 3)
     items = []
@@ -381,6 +377,9 @@ def _suite_jbar_chain(p):
 
 
 def _suite_eqpoi(p):
+    from .exact_poly import LaurentPoly, rf_equal
+    from .hilbert_series import jbar_closed, nbar_series
+
     n_max = p.get("n_max", 5)
     k_max = p.get("k_max", 3)
     items = []
@@ -397,6 +396,9 @@ def _suite_eqpoi(p):
 
 
 def _suite_appendix_b(p):
+    from .exact_poly import LaurentPoly, q_factorial, rf_equal
+    from .hilbert_series import jbar_closed, mbar_series
+
     n_max = p.get("n_max", 5)
     k_max = p.get("k_max", 3)
     items = []
@@ -424,6 +426,10 @@ def _oracle_j_grid(p):
 
 def _compare_window(n: int, d: int, window, total):
     """Formula coefficients vs oracle dimensions, per window cell."""
+    from .commutative_oracle import ideal_power_dims
+    from .exact_poly import expand_window
+    from .hilbert_series import bigraded_J
+
     table = ideal_power_dims(n, d, window, total)
     expansion = expand_window(
         bigraded_J(n, d), "ascending", ((0, window[0]), (0, window[1]))
@@ -437,6 +443,9 @@ def _compare_window(n: int, d: int, window, total):
 
 
 def _suite_oracle_j(p):
+    # _compare_window's modules, loaded before any check's clock
+    from . import commutative_oracle, exact_poly, hilbert_series, macdonald  # noqa: F401
+
     items = []
     for n, d_max, window, total in _oracle_j_grid(p):
         for d in range(d_max + 1):
@@ -460,6 +469,10 @@ def _oracle_jbar_grid(p):
 
 def _jbar_comparison(n: int, d: int, window, total):
     """Saturated diagonal sums vs the closed-form coefficients."""
+    from .commutative_oracle import jbar_dims
+    from .exact_poly import expand_window
+    from .hilbert_series import jbar_closed
+
     result = jbar_dims(n, d, window, total)
     sums = result.saturated_sums()
     if not sums:
@@ -472,6 +485,9 @@ def _jbar_comparison(n: int, d: int, window, total):
 
 
 def _suite_oracle_jbar(p):
+    # _jbar_comparison's modules, loaded before any check's clock
+    from . import commutative_oracle, exact_poly, hilbert_series  # noqa: F401
+
     items = []
     for n, d_max, window, total in _oracle_jbar_grid(p):
         for d in range(d_max + 1):
@@ -483,6 +499,9 @@ def _suite_oracle_jbar(p):
 
 
 def _fake_degree_multiplicities(n: int) -> dict[int, dict]:
+    from .partition_core import enumerate_partitions
+    from .sn_rep import fake_degree
+
     expected: dict[int, dict] = {}
     for mu in enumerate_partitions(n):
         for exps, coeff in fake_degree(mu).terms.items():
@@ -491,6 +510,10 @@ def _fake_degree_multiplicities(n: int) -> dict[int, dict]:
 
 
 def _suite_coinvariants(p):
+    # _fake_degree_multiplicities's modules, loaded before any check's clock
+    from . import partition_core, sn_rep  # noqa: F401
+    from .commutative_oracle import coinvariant_multiplicities
+
     n_max = p.get("n_max", 4)
     items = []
     for n in range(2, n_max + 1):
@@ -504,6 +527,8 @@ def _suite_coinvariants(p):
 
 
 def _suite_parity(p):
+    from .commutative_oracle import parity_check
+
     n_max = p.get("n_max", 3)
     d_max = p.get("d_max", 3)
     window = p.get("window", (6, 6))
@@ -520,6 +545,8 @@ def _suite_parity(p):
 
 
 def _random_battery(algebra, trials: int, rng: Random):
+    from .graded_free import extract_homogeneous_basis, random_unipotent_idempotent
+
     passes = 0
     failures = []
     for trial in range(trials):
@@ -536,6 +563,10 @@ def _random_battery(algebra, trials: int, rng: Random):
 
 
 def _suite_graded_free(p):
+    from random import Random
+
+    from .graded_free import diagonal_idempotent, extract_homogeneous_basis, polynomial_algebra
+
     seed = p.get("seed", DEFAULT_SEED)
     trials = p.get("trials", 50)
     items = []
@@ -609,6 +640,17 @@ SERIES_KINDS = ("JJ", "J", "Jbar", "Nbar", "Nunder", "Mbar", "Munder", "eDelta")
 
 
 def _series_value(kind, n, d, k, grading, mu):
+    from .hilbert_series import (
+        bigraded_J,
+        bigraded_JJ,
+        e_standard_series,
+        jbar_closed,
+        mbar_series,
+        munder_series,
+        nbar_series,
+        nunder_series,
+    )
+
     if kind == "JJ":
         return bigraded_JJ(n, 0 if d is None else d), None
     if kind == "J":
@@ -657,6 +699,8 @@ def cmd_series(args) -> int:
         mu = None
     body, prefix = _series_value(args.kind, args.n, args.d, args.k, args.grading, mu)
     if args.format == "json":
+        from .exact_poly import rf_to_json
+
         doc = {
             "schema": SERIES_SCHEMA,
             "kind": args.kind,
@@ -687,6 +731,8 @@ def cmd_series(args) -> int:
 
 def _table_data(kind: str, n: int):
     if kind == "characters":
+        from .sn_rep import character_table
+
         table = character_table(n)
         columns = [_plabel(r) for r in table.partitions]
         rows = [
@@ -695,6 +741,8 @@ def _table_data(kind: str, n: int):
         ]
         return "irr\\class", columns, rows
     if kind == "kostka-macdonald":
+        from .macdonald import kostka_macdonald
+
         matrix = kostka_macdonald(n)
         columns = [_plabel(lam) for lam in matrix.partitions]
         rows = [
@@ -750,6 +798,8 @@ def cmd_table(args) -> int:
 # oracle
 
 def cmd_oracle(args) -> int:
+    from .commutative_oracle import ideal_power_dims
+
     window = _parse_pair(args.max_bidegree)
     total = args.total
     table = ideal_power_dims(args.n, args.d, window, total)
@@ -819,6 +869,8 @@ def _field(doc, key):
 def _load_idempotent(doc, cutoff=None) -> GradedIdempotent:
     """The idempotent a JSON document describes; cutoff, when given,
     overrides the document's."""
+    from .graded_free import GradedIdempotent, polynomial_algebra, truncated_polynomial_algebra
+
     algebra_doc = _field(doc, "algebra")
     kind = _field(algebra_doc, "kind")
     if cutoff is None:
@@ -856,6 +908,8 @@ def _load_idempotent(doc, cutoff=None) -> GradedIdempotent:
 
 
 def cmd_basis(args) -> int:
+    from .graded_free import extract_homogeneous_basis
+
     with open(args.input) as handle:
         doc = json.load(handle)
     idem = _load_idempotent(doc, args.cutoff)

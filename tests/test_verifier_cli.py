@@ -1,6 +1,10 @@
 """Suite runner and command-line surface: small grids, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,104 @@ def test_suite_passes_on_a_small_grid(suite):
     assert report.exit_code == 0
     assert report.checks
     assert all(c.verdict == "pass" for c in report.checks)
+
+
+# The cherpoi modules a fresh process has loaded: after a bare import of the
+# CLI, after each suite at its small grid, and after each other subcommand.
+CLI = {"cherpoi", "cherpoi.errors", "cherpoi.verifier_cli"}
+SERIES = CLI | {"cherpoi.exact_poly", "cherpoi.partition_core", "cherpoi.sn_rep"}
+HILBERT = SERIES | {"cherpoi.hilbert_series"}
+MACDONALD = SERIES | {"cherpoi._linalg", "cherpoi.macdonald"}
+ORACLE = SERIES | {"cherpoi._linalg", "cherpoi.commutative_oracle"}
+FREE = CLI | {"cherpoi._linalg", "cherpoi.graded_free"}
+SUITE_MODULES = {
+    "fake-degrees": SERIES,
+    "kostka": MACDONALD,
+    "omega-specialization": HILBERT | MACDONALD,
+    "jbar-chain": HILBERT | MACDONALD,
+    "eqpoi": HILBERT,
+    "appendix-b": HILBERT,
+    "oracle-J": HILBERT | MACDONALD | ORACLE,
+    "oracle-jbar": HILBERT | ORACLE,
+    "coinvariants": ORACLE,
+    "parity": ORACLE,
+    "graded-free": FREE,
+}
+
+# Run in a fresh interpreter: this process has imported every module.
+_PROBE = """
+import json, sys
+mode, arg = sys.argv[1], json.loads(sys.argv[2])
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("cherpoi"))
+import cherpoi.verifier_cli as cli
+out = {"imported": loaded()}
+if mode == "suite":
+    name, params = arg
+    if "window" in params:
+        params["window"] = tuple(params["window"])
+    cli.SUITES[name](params)
+    out["built"] = loaded()
+    out["code"] = cli.run_suite(name, params).exit_code
+elif mode == "main":
+    sys.stdout = sys.stderr
+    out["code"] = cli.main(arg)
+    sys.stdout = sys.__stdout__
+out["ran"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def _probe(mode, arg, cwd) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, mode, json.dumps(arg)],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_bare_cli_import_loads_no_compute_module(tmp_path):
+    assert set(_probe("import", None, tmp_path)["ran"]) == CLI
+
+
+@pytest.mark.parametrize("suite", sorted(SMALL_GRIDS))
+def test_a_suite_loads_only_its_modules_before_the_clock(suite, tmp_path):
+    out = _probe("suite", [suite, SMALL_GRIDS[suite]], tmp_path)
+    assert out["code"] == 0
+    assert set(out["imported"]) == CLI
+    # every module is in place once the builder returns, before any check runs
+    assert set(out["built"]) == set(out["ran"]) == SUITE_MODULES[suite]
+    if suite == "graded-free":
+        assert "cherpoi.exact_poly" not in out["ran"]
+        assert "cherpoi.commutative_oracle" not in out["ran"]
+    if suite in ("kostka", "fake-degrees"):
+        assert "cherpoi.commutative_oracle" not in out["ran"]
+        assert "cherpoi.graded_free" not in out["ran"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        pytest.param(["series", "--kind", "Jbar", "--n", "2", "--d", "1", "--format", "json"],
+                     HILBERT, id="series-Jbar-json"),
+        pytest.param(["series", "--kind", "J", "--n", "2", "--d", "1"],
+                     HILBERT | MACDONALD, id="series-J"),
+        pytest.param(["table", "--kind", "characters", "--n", "4"], SERIES, id="table-characters"),
+        pytest.param(["table", "--kind", "kostka-macdonald", "--n", "3"], MACDONALD,
+                     id="table-kostka-macdonald"),
+        pytest.param(["oracle", "--n", "2", "--d", "1", "--max-bidegree", "4,4"], ORACLE,
+                     id="oracle"),
+        pytest.param(["oracle", "--n", "2", "--d", "1", "--max-bidegree", "4,4", "--compare"],
+                     HILBERT | MACDONALD | ORACLE, id="oracle-compare"),
+        pytest.param(["basis", "--input", "idem.json"], FREE, id="basis"),
+    ],
+)
+def test_a_subcommand_loads_only_its_modules(argv, modules, tmp_path):
+    (tmp_path / "idem.json").write_text(json.dumps(_hand_idempotent()))
+    out = _probe("main", argv, tmp_path)
+    assert out["code"] == 0
+    assert set(out["ran"]) == modules
 
 
 def test_every_registered_suite_has_a_small_grid():
@@ -343,7 +445,7 @@ def test_internal_key_error_is_not_input_error(tmp_path, capsys, monkeypatch):
     def broken(_idempotent):
         raise KeyError("internal")
 
-    monkeypatch.setattr("cherpoi.verifier_cli.extract_homogeneous_basis", broken)
+    monkeypatch.setattr("cherpoi.graded_free.extract_homogeneous_basis", broken)
     path = tmp_path / "idem.json"
     path.write_text(json.dumps(_hand_idempotent()))
     with pytest.raises(KeyError, match="internal"):
