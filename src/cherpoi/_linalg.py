@@ -5,6 +5,9 @@ solution of a linear system read off that span.
 by a nonzero rational does not change its Q-span, so every rank, verdict and
 normal form it reports is exactly the one over Q; there is no modular or
 probabilistic step.
+
+There is one vector format: a sparse ``{column: int | Fraction}`` dict, with
+absent columns zero.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ class EchelonSpan:
     and zero at every other pivot. Arithmetic stays in the integers, and spans
     and verdicts are exactly those over Q.
 
-    A vector is either a sparse ``{column: int}`` dict or a dense sequence of
-    ints or Fractions; a dense one is cleared to integers by the lcm of its
-    denominators.
+    A vector is a sparse ``{column: int | Fraction}`` dict; one that holds a
+    Fraction is cleared to integers by the lcm of its denominators.
     """
 
     def __init__(self, length: int):
@@ -35,16 +37,13 @@ class EchelonSpan:
         return len(self.rows)
 
     def _ints(self, vec) -> dict[int, int]:
-        if isinstance(vec, dict):
-            v = {i: x for i, x in vec.items() if x}
-            if v and (min(v) < 0 or max(v) >= self.length):
-                raise ValueError("vector column out of range")
-            return v
-        if len(vec) != self.length:
-            raise ValueError("vector length mismatch")
-        nonzero = [(i, x) for i, x in enumerate(vec) if x]
-        lcm = math.lcm(*(x.denominator for _, x in nonzero))
-        return {i: int(x * lcm) for i, x in nonzero}
+        v = {i: x for i, x in vec.items() if x}
+        if v and (min(v) < 0 or max(v) >= self.length):
+            raise ValueError("vector column out of range")
+        if any(type(x) is Fraction for x in v.values()):
+            lcm = math.lcm(*(x.denominator for x in v.values()))
+            v = {i: x.numerator * (lcm // x.denominator) for i, x in v.items()}
+        return v
 
     def _eliminate(self, v: dict[int, int]) -> int:
         """Clear every pivot column of v in place; returns the factor v gained.
@@ -107,21 +106,24 @@ def _primitive(v: dict[int, int], pivot: int) -> dict[int, int]:
 def solve(columns, target):
     """One exact solution x of sum_j x_j * columns[j] = target, or None.
 
-    The augmented rows [a_i1 .. a_ik | b_i] go into an EchelonSpan; the system
-    is inconsistent exactly when column k is a pivot. Otherwise x_p =
-    row[k] / row[p] at each pivot p and every free variable is 0: the unique
-    solution supported on the leftmost independent columns.
+    Columns and target are sparse ``{row: int | Fraction}`` dicts. Their
+    transpose, the augmented rows [a_i1 .. a_ik | b_i], goes into an
+    EchelonSpan; the system is inconsistent exactly when column k is a pivot.
+    Otherwise x_p = row[k] / row[p] at each pivot p and every free variable
+    is 0: the unique solution supported on the leftmost independent columns.
+    The solution is a list of k Fractions.
     """
-    if not columns:
-        return None if any(x != 0 for x in target) else []
     k = len(columns)
+    rows: dict[int, dict] = {}
+    for j, col in enumerate([*columns, target]):
+        for i, c in col.items():
+            rows.setdefault(i, {})[j] = c
     span = EchelonSpan(k + 1)
-    for i, b in enumerate(target):
-        span.add([col[i] for col in columns] + [b])
+    for row in rows.values():
+        span.add(row)
     if k in span.rows:
         return None
     x = [Fraction(0)] * k
     for p, row in span.rows.items():
         x[p] = Fraction(row.get(k, 0), row[p])
     return x
-

@@ -520,10 +520,7 @@ class ExactRationalFunction:
         return cls(LaurentPoly.const(variables, c))
 
     def den_product(self) -> LaurentPoly:
-        prod = LaurentPoly.one(self.vars)
-        for f in self.den:
-            prod = prod * f
-        return prod
+        return _product(self.vars, self.den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

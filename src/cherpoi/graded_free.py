@@ -7,13 +7,14 @@ extracts homogeneous elements of the image whose generated submodule matches
 the image degree by degree, and certifies freeness by Hilbert-function
 comparison up to an explicit horizon.
 
-Algebras are presented degreewise over Q: a basis list per degree up to a
-cutoff, plus structure constants. A homogeneous element of degree d is a
-sparse {basis index: Fraction} map; a possibly inhomogeneous entry is a
-{degree: element} map. Free modules carry one shift per basis vector u_i,
-so the row-i component of a degree-g element lives in A_{g - shift_i}, and
-a degree-zero matrix has entry (i, j) homogeneous of degree
-shift_j - shift_i.
+The algebra is a monomial algebra: Q[x_1..x_m], possibly modulo every
+monomial above a top degree, presented degreewise over Q by its monomials
+up to a cutoff, and multiplied by adding exponent vectors. A homogeneous
+element of degree d is a sparse {basis index: Fraction} map; a possibly
+inhomogeneous entry is a {degree: element} map. Free modules carry one
+shift per basis vector u_i, so the row-i component of a degree-g element
+lives in A_{g - shift_i}, and a degree-zero matrix has entry (i, j)
+homogeneous of degree shift_j - shift_i.
 
 Everything is certified only up to the reported horizon
 min(cutoff - max(shifts), cutoff + min(shifts)); the tool never claims
@@ -23,8 +24,9 @@ global freeness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from random import Random
 
 from ._linalg import EchelonSpan, solve
@@ -34,44 +36,49 @@ Element = dict[int, Fraction]  # homogeneous, indexed into one degree's basis
 Entry = dict[int, Element]  # inhomogeneous: degree -> homogeneous component
 
 
-@dataclass(frozen=True, eq=False)
-class ConnectedGradedAlgebra:
-    """Commutative connected graded Q-algebra presented up to a cutoff.
+def _monomials(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    if num_vars == 1:
+        return ((degree,),)
+    out = []
+    for first in range(degree, -1, -1):
+        for rest in _monomials(num_vars - 1, degree - first):
+            out.append((first,) + rest)
+    return tuple(out)
 
-    basis[d] lists opaque labels for a Q-basis of A_d; products is keyed by
-    (i, j) with i + j <= cutoff and gives, per pair of basis indices, the
-    sparse product in A_{i+j}. Degree 0 must be spanned by the unit.
+
+def _accumulate(out: Element, k: int, c) -> None:
+    """out[k] += c, dropping k when the sum is zero."""
+    v = out.get(k, 0) + c
+    if v:
+        out[k] = v
+    else:
+        out.pop(k, None)
+
+
+class MonomialAlgebra:
+    """Q[x_1..x_m] presented degree by degree up to the cutoff, modulo every
+    monomial of total degree > top when top is given.
+
+    basis[d] lists the exponent tuples of the degree-d monomials, largest
+    first exponent first, and index[d] maps each back to its position. A
+    product adds exponent vectors, so it is one basis monomial or, above
+    top, zero; the algebra is commutative, associative and connected by
+    construction.
     """
 
-    cutoff: int
-    basis: tuple[tuple[object, ...], ...]
-    products: dict
-    name: str = "algebra"
-
-    def __post_init__(self):
-        if self.cutoff < 0:
+    def __init__(self, num_vars: int, cutoff: int, top: int | None = None):
+        if num_vars < 1:
+            raise ValueError("need at least one variable")
+        if top is not None and top < 0:
+            raise ValueError("truncation degree must be nonnegative")
+        if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
-        if len(self.basis) != self.cutoff + 1:
-            raise ValueError("need one basis list per degree 0..cutoff")
-        if len(self.basis[0]) != 1:
-            raise ValueError("connected means A_0 = Q, one basis element")
-        self._check_associative()
-
-    def _check_associative(self):
-        for i in range(self.cutoff + 1):
-            for j in range(self.cutoff + 1 - i):
-                for l in range(self.cutoff + 1 - i - j):
-                    for bi in range(len(self.basis[i])):
-                        for bj in range(len(self.basis[j])):
-                            ab = self.products[(i, j)][bi][bj]
-                            for bl in range(len(self.basis[l])):
-                                left = self.multiply(i + j, ab, l, {bl: Fraction(1)})
-                                bc = self.products[(j, l)][bj][bl]
-                                right = self.multiply(i, {bi: Fraction(1)}, j + l, bc)
-                                if left != right:
-                                    raise ValueError(
-                                        f"multiplication not associative at degrees {(i, j, l)}"
-                                    )
+        self.cutoff = cutoff
+        last = cutoff if top is None else min(top, cutoff)
+        self.basis = tuple(
+            _monomials(num_vars, d) if d <= last else () for d in range(cutoff + 1)
+        )
+        self.index = tuple({m: k for k, m in enumerate(row)} for row in self.basis)
 
     def dim(self, d: int) -> int:
         if d < 0 or d > self.cutoff:
@@ -85,77 +92,25 @@ class ConnectedGradedAlgebra:
         """Product of a in A_i and b in A_j, landing in A_{i+j}."""
         if i + j > self.cutoff:
             raise ValueError(f"product degree {i + j} exceeds cutoff {self.cutoff}")
+        left, right, index = self.basis[i], self.basis[j], self.index[i + j]
         out: Element = {}
-        table = self.products[(i, j)]
         for bi, ca in a.items():
-            row = table[bi]
+            x = left[bi]
             for bj, cb in b.items():
-                for bk, ck in row[bj].items():
-                    v = out.get(bk, Fraction(0)) + ca * cb * ck
-                    if v:
-                        out[bk] = v
-                    elif bk in out:
-                        del out[bk]
+                k = index.get(tuple(map(add, x, right[bj])))
+                if k is not None:
+                    _accumulate(out, k, ca * cb)
         return out
 
 
-def _monomials(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    if num_vars == 1:
-        return ((degree,),)
-    out = []
-    for first in range(degree, -1, -1):
-        for rest in _monomials(num_vars - 1, degree - first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-class _MonomialAlgebra(ConnectedGradedAlgebra):
-    """Monomials under exponent addition: each product is one basis monomial
-    or zero, and adding exponent vectors is associative, so there is nothing
-    for the O(cutoff^3 dim^3) associativity check to find."""
-
-    def _check_associative(self):
-        pass
-
-
-def _monomial_algebra(num_vars: int, cutoff: int, keep, name: str) -> ConnectedGradedAlgebra:
-    basis = tuple(
-        tuple(m for m in _monomials(num_vars, d) if keep(m)) for d in range(cutoff + 1)
-    )
-    index = [{m: k for k, m in enumerate(row)} for row in basis]
-    products = {}
-    for i in range(cutoff + 1):
-        for j in range(cutoff + 1 - i):
-            table = []
-            for a in basis[i]:
-                row = []
-                for b in basis[j]:
-                    prod = tuple(x + y for x, y in zip(a, b))
-                    cell = {}
-                    if prod in index[i + j]:
-                        cell[index[i + j][prod]] = Fraction(1)
-                    row.append(cell)
-                table.append(row)
-            products[(i, j)] = table
-    return _MonomialAlgebra(cutoff, basis, products, name)
-
-
-def polynomial_algebra(num_vars: int, cutoff: int) -> ConnectedGradedAlgebra:
+def polynomial_algebra(num_vars: int, cutoff: int) -> MonomialAlgebra:
     """Q[x_1..x_m] presented degree by degree up to the cutoff."""
-    if num_vars < 1:
-        raise ValueError("need at least one variable")
-    return _monomial_algebra(num_vars, cutoff, lambda m: True, f"poly{num_vars}")
+    return MonomialAlgebra(num_vars, cutoff)
 
 
-def truncated_polynomial_algebra(num_vars: int, cutoff: int, top: int) -> ConnectedGradedAlgebra:
+def truncated_polynomial_algebra(num_vars: int, cutoff: int, top: int) -> MonomialAlgebra:
     """Q[x_1..x_m] / (all monomials of total degree > top)."""
-    if num_vars < 1:
-        raise ValueError("need at least one variable")
-    if top < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    return _monomial_algebra(
-        num_vars, cutoff, lambda m: sum(m) <= top, f"poly{num_vars}trunc{top}"
-    )
+    return MonomialAlgebra(num_vars, cutoff, top)
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +139,23 @@ def matrix_multiply(algebra, shifts, A: MatrixEntries, B: MatrixEntries) -> Matr
                     _entry_degree(shifts, i, k), a, _entry_degree(shifts, k, j), b
                 )
                 for idx, c in prod.items():
-                    v = acc.get(idx, Fraction(0)) + c
-                    if v:
-                        acc[idx] = v
-                    elif idx in acc:
-                        del acc[idx]
+                    _accumulate(acc, idx, c)
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
 
 
-def identity_matrix(algebra, size: int) -> MatrixEntries:
-    unit = algebra.unit()
+def _diagonal(algebra, flags) -> MatrixEntries:
+    """The 0/1 diagonal matrix with a unit where flags is truthy."""
+    size = len(flags)
     return tuple(
-        tuple(dict(unit) if i == j else {} for j in range(size)) for i in range(size)
+        tuple(algebra.unit() if i == j and flags[i] else {} for j in range(size))
+        for i in range(size)
     )
+
+
+def identity_matrix(algebra, size: int) -> MatrixEntries:
+    return _diagonal(algebra, (True,) * size)
 
 
 def unipotent_inverse(algebra, shifts, U: MatrixEntries) -> MatrixEntries:
@@ -231,11 +188,7 @@ def unipotent_inverse(algebra, shifts, U: MatrixEntries) -> MatrixEntries:
 def _element_add(a: Element, b: Element, scale=1) -> Element:
     out = dict(a)
     for k, c in b.items():
-        v = out.get(k, Fraction(0)) + scale * c
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
+        _accumulate(out, k, scale * c)
     return out
 
 
@@ -248,7 +201,7 @@ class GradedIdempotent:
     construction, entry by entry within the cutoff.
     """
 
-    algebra: ConnectedGradedAlgebra
+    algebra: MonomialAlgebra
     shifts: tuple[int, ...]
     entries: MatrixEntries
 
@@ -282,12 +235,7 @@ class GradedIdempotent:
 
 def diagonal_idempotent(algebra, shifts, flags) -> GradedIdempotent:
     """Idempotent projecting onto the rows where flags is truthy."""
-    unit = algebra.unit()
-    entries = tuple(
-        tuple(dict(unit) if i == j and flags[i] else {} for j in range(len(shifts)))
-        for i in range(len(shifts))
-    )
-    return GradedIdempotent(algebra, tuple(shifts), entries)
+    return GradedIdempotent(algebra, tuple(shifts), _diagonal(algebra, flags))
 
 
 def random_unipotent_idempotent(algebra, shifts, rank: int, rng: Random) -> GradedIdempotent:
@@ -302,9 +250,7 @@ def random_unipotent_idempotent(algebra, shifts, rank: int, rng: Random) -> Grad
         raise ValueError("shifts must be weakly decreasing")
     if not 0 <= rank <= size:
         raise ValueError(f"rank must be within 0..{size}")
-    U = [[dict() for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        U[i][i] = dict(algebra.unit())
+    U = [list(row) for row in identity_matrix(algebra, size)]
     for i in range(size):
         for j in range(i):
             deg = _entry_degree(shifts, i, j)
@@ -323,13 +269,10 @@ def random_unipotent_idempotent(algebra, shifts, rank: int, rng: Random) -> Grad
     flags = [False] * size
     for p in positions[:rank]:
         flags[p] = True
-    unit = algebra.unit()
-    D = tuple(
-        tuple(dict(unit) if i == j and flags[i] else {} for j in range(size))
-        for i in range(size)
-    )
     Uinv = unipotent_inverse(algebra, shifts, U)
-    E = matrix_multiply(algebra, shifts, matrix_multiply(algebra, shifts, U, D), Uinv)
+    E = matrix_multiply(
+        algebra, shifts, matrix_multiply(algebra, shifts, U, _diagonal(algebra, flags)), Uinv
+    )
     return GradedIdempotent(algebra, shifts, E)
 
 
@@ -354,13 +297,12 @@ def _layout(algebra, shifts, g: int):
     return offsets, total
 
 
-def _to_qvector(algebra, shifts, vec: HomogeneousVector) -> list[Fraction]:
-    offsets, total = _layout(algebra, shifts, vec.degree)
-    out = [Fraction(0)] * total
-    for i, row in enumerate(vec.rows):
-        for idx, c in row.items():
-            out[offsets[i] + idx] = c
-    return out
+def _to_qvector(algebra, shifts, vec: HomogeneousVector) -> dict[int, Fraction]:
+    """vec as a sparse {column: coefficient} vector in the Q-basis of F_g."""
+    offsets, _ = _layout(algebra, shifts, vec.degree)
+    return {
+        offset + idx: c for offset, row in zip(offsets, vec.rows) for idx, c in row.items()
+    }
 
 
 def apply_matrix(algebra, shifts, entries: MatrixEntries, vec: HomogeneousVector) -> HomogeneousVector:
@@ -514,7 +456,7 @@ def minimal_expression(algebra, shifts, x: HomogeneousVector, basis) -> list[tup
     candidates = [
         i for i, b in enumerate(basis) if algebra.dim(x.degree - b.degree) > 0
     ]
-    if not any(target):
+    if not any(target.values()):
         return []
     for size in range(1, len(candidates) + 1):
         for subset in itertools.combinations(candidates, size):

@@ -7,8 +7,9 @@ through exact_poly.expand_window. The degenerate rank n=1 is rejected across
 the module. Formal coupling parameters ride along as CExponent prefixes where
 a series has one; concrete integers d, k enter the bodies as monomial shifts.
 
-Only bigraded_JJ, bigraded_J and jbar_via_specialization use macdonald, and
-they import it themselves, so the other series load without it.
+Only bigraded_JJ (and bigraded_J through it) and jbar_via_specialization
+use macdonald, and they import it themselves, so the other series load
+without it.
 """
 
 from __future__ import annotations
@@ -174,18 +175,10 @@ def bigraded_JJ(n: int, d: int) -> ExactRationalFunction:
 def bigraded_J(n: int, d: int) -> ExactRationalFunction:
     """Bigraded series of the small ideal power:
     sum_mu P_mu(s,t) (1-s)(1-t) s^{d n(mu)} t^{d n(mu^t)} / Omega(mu)."""
-    from .macdonald import omega_factors, procesi_fiber
-
-    _check_rank(n)
-    if d < 0:
-        raise ValueError(f"need d >= 0, got {d}")
     one = LaurentPoly.one(ST)
-    cut = (one - LaurentPoly.var_power(ST, "s", 1)) * (one - LaurentPoly.var_power(ST, "t", 1))
-    total = ExactRationalFunction(LaurentPoly.zero(ST))
-    for mu in enumerate_partitions(n):
-        num = procesi_fiber(mu).num.shift((d * nstat(mu), d * nstat(transpose(mu)))) * cut
-        total = total + ExactRationalFunction(num, list(omega_factors(mu)))
-    return total
+    return bigraded_JJ(n, d) * (
+        (one - LaurentPoly.var_power(ST, "s", 1)) * (one - LaurentPoly.var_power(ST, "t", 1))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,8 @@ def _m_to_p(n: int) -> dict[Partition, dict[Partition, Fraction]]:
     p2m = _p_to_m(n)
     # column rho is p_rho in the monomial basis; the unique solution for the
     # unit vector of lam expands m_lam in power sums
-    columns = [[p2m[rho][lam] for lam in parts] for rho in parts]
-    return {lam: dict(zip(parts, solve(columns, [int(nu == lam) for nu in parts]))) for lam in parts}
+    columns = [{i: c for i, lam in enumerate(parts) if (c := p2m[rho][lam])} for rho in parts]
+    return {lam: dict(zip(parts, solve(columns, {i: 1}))) for i, lam in enumerate(parts)}
 
 
 @cache

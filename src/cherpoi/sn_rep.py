@@ -20,9 +20,9 @@ from .partition_core import (
     check_partition,
     enumerate_partitions,
     enumerate_syt,
-    hook_product,
     hooks,
     nstat,
+    num_syt,
 )
 
 MAX_TABLE_N = 12  # p(12) = 77 classes; far beyond anything the suites need
@@ -85,15 +85,6 @@ class CharacterTable:
     def chi(self, mu, rho) -> int:
         return self.values[(check_partition(mu), check_partition(rho))]
 
-    def to_csv(self) -> str:
-        def label(p):
-            return "[" + " ".join(map(str, p)) + "]"
-
-        lines = ["irr\\class," + ",".join(label(r) for r in self.partitions)]
-        for mu in self.partitions:
-            lines.append(label(mu) + "," + ",".join(str(self.values[(mu, r)]) for r in self.partitions))
-        return "\n".join(lines) + "\n"
-
 
 @cache
 def character_table(n: int) -> CharacterTable:
@@ -109,11 +100,7 @@ def character_table(n: int) -> CharacterTable:
 
 def dim_irr(mu) -> int:
     """dim of the irreducible labelled mu, by the hook-length formula."""
-    mu = check_partition(mu)
-    d = Fraction(factorial(sum(mu)), hook_product(mu))
-    if d.denominator != 1:
-        raise ArithmeticError(f"hook formula non-integer for {mu}")
-    return int(d)
+    return num_syt(mu)
 
 
 def kronecker(lam, mu, nu) -> int:

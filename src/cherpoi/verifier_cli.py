@@ -884,7 +884,6 @@ def _load_idempotent(doc, cutoff=None) -> GradedIdempotent:
         raise ValueError(f"unknown algebra kind {kind!r}")
     shifts = tuple(int(s) for s in _field(doc, "shifts"))
     size = len(shifts)
-    index = [{m: i for i, m in enumerate(row)} for row in algebra.basis]
     entries = [[dict() for _ in range(size)] for _ in range(size)]
     for item in doc.get("matrix", []):
         i, j = int(_field(item, "row")), int(_field(item, "col"))
@@ -896,13 +895,13 @@ def _load_idempotent(doc, cutoff=None) -> GradedIdempotent:
         element = entries[i][j]
         for term in _field(item, "terms"):
             exps = tuple(int(e) for e in _field(term, "exponents"))
-            if sum(exps) != degree or exps not in index[degree]:
+            if sum(exps) != degree or exps not in algebra.index[degree]:
                 raise ValueError(
                     f"term {list(exps)} at ({i},{j}) is not a degree-{degree} monomial"
                 )
             coeff = Fraction(_field(term, "coeff"))
             if coeff:
-                element[index[degree][exps]] = coeff
+                element[algebra.index[degree][exps]] = coeff
     entries = tuple(tuple(row) for row in entries)
     return GradedIdempotent(algebra, shifts, entries)
 

@@ -1,6 +1,5 @@
 """Degreewise idempotent presentations: extraction, splittings, certificates."""
 
-import copy
 from fractions import Fraction
 from random import Random
 
@@ -8,7 +7,6 @@ import pytest
 
 from cherpoi.errors import CertificationError, InvalidSplittingError
 from cherpoi.graded_free import (
-    ConnectedGradedAlgebra,
     GradedIdempotent,
     HomogeneousVector,
     apply_matrix,
@@ -54,29 +52,29 @@ def test_multiplication_and_cutoff():
         alg.multiply(3, {0: ONE}, 2, {0: ONE})
 
 
-def test_corrupted_products_fail_associativity():
-    good = polynomial_algebra(2, 3)
-    products = copy.deepcopy(good.products)
-    products[(1, 1)][0][1] = {}  # kill x*y but keep y*x
-    with pytest.raises(ValueError, match="associative"):
-        ConnectedGradedAlgebra(good.cutoff, good.basis, products, "broken")
-
-
 def test_monomial_algebras_are_associative_by_construction():
-    # the monomial constructors skip the construction-time check, so run it here
     for alg in (polynomial_algebra(2, 5), truncated_polynomial_algebra(2, 6, 3)):
-        ConnectedGradedAlgebra._check_associative(alg)
+        for i in range(alg.cutoff + 1):
+            for j in range(alg.cutoff + 1 - i):
+                for a in range(alg.dim(i)):
+                    for b in range(alg.dim(j)):
+                        ab = alg.multiply(i, {a: ONE}, j, {b: ONE})
+                        assert ab == alg.multiply(j, {b: ONE}, i, {a: ONE})
+                        for l in range(alg.cutoff + 1 - i - j):
+                            for c in range(alg.dim(l)):
+                                bc = alg.multiply(j, {b: ONE}, l, {c: ONE})
+                                assert alg.multiply(i + j, ab, l, {c: ONE}) == alg.multiply(
+                                    i, {a: ONE}, j + l, bc
+                                )
 
 
-def test_connectedness_is_required():
-    good = polynomial_algebra(1, 2)
-    basis = (((0,), "ghost"),) + good.basis[1:]
-    with pytest.raises(ValueError, match="connected"):
-        ConnectedGradedAlgebra(2, basis, good.products, "fat")
-    with pytest.raises(ValueError):
-        ConnectedGradedAlgebra(-1, good.basis, good.products)
-    with pytest.raises(ValueError, match="per degree"):
-        ConnectedGradedAlgebra(3, good.basis, good.products)
+def test_algebra_arguments_are_checked():
+    with pytest.raises(ValueError, match="cutoff"):
+        polynomial_algebra(1, -1)
+    with pytest.raises(ValueError, match="variable"):
+        polynomial_algebra(0, 3)
+    with pytest.raises(ValueError, match="truncation"):
+        truncated_polynomial_algebra(2, 3, -1)
 
 
 def test_idempotent_validation():

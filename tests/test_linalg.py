@@ -30,7 +30,7 @@ def _rank_increments(rows) -> list[bool]:
     return [b > a for a, b in zip(ranks, ranks[1:])]
 
 
-def _sparse(row) -> dict[int, int]:
+def _sparse(row) -> dict:
     return {i: x for i, x in enumerate(row) if x}
 
 
@@ -46,7 +46,7 @@ def _check_row_invariants(span: EchelonSpan):
 @given(matrices())
 def test_integer_verdicts_match_sympy_rank(rows):
     span = EchelonSpan(len(rows[0]))
-    assert [span.add(r) for r in rows] == _rank_increments(rows)
+    assert [span.add(_sparse(r)) for r in rows] == _rank_increments(rows)
     _check_row_invariants(span)
 
 
@@ -54,16 +54,8 @@ def test_integer_verdicts_match_sympy_rank(rows):
 @given(matrices(RATIONAL))
 def test_fraction_verdicts_match_sympy_rank(rows):
     span = EchelonSpan(len(rows[0]))
-    assert [span.add(r) for r in rows] == _rank_increments(rows)
+    assert [span.add(_sparse(r)) for r in rows] == _rank_increments(rows)
     _check_row_invariants(span)
-
-
-@settings(deadline=None, max_examples=60)
-@given(matrices())
-def test_dense_and_sparse_inputs_agree(rows):
-    dense, sparse = EchelonSpan(len(rows[0])), EchelonSpan(len(rows[0]))
-    assert [dense.add(r) for r in rows] == [sparse.add(_sparse(r)) for r in rows]
-    assert dense.rows == sparse.rows
 
 
 @settings(deadline=None, max_examples=60)
@@ -73,31 +65,30 @@ def test_normal_form_is_a_representative_zero_at_pivots(rows, vec):
     vec = vec[:length]
     span = EchelonSpan(length)
     for r in rows:
-        span.add(r)
+        span.add(_sparse(r))
     ints, scale = span.normal_form(_sparse(vec))
     assert scale > 0
     assert all(ints.get(p, 0) == 0 for p in span.rows)
     # vec - ints/scale lies in the span of the inserted rows
     diff = [Fraction(x) - Fraction(ints.get(i, 0), scale) for i, x in enumerate(vec)]
     assert _sympy_rank(rows + [diff]) == _sympy_rank(rows)
-    assert span.normal_form(vec) == span.normal_form(_sparse(vec))
 
 
 def test_rank_is_not_decided_modulo_a_large_prime():
     # [1, 1] and [1, 1 + p] agree modulo p = 2**61 - 1 but are independent over Q
     span = EchelonSpan(2)
-    assert span.add([1, 1])
-    assert span.add([1, 1 + (2**61 - 1)])
+    assert span.add({0: 1, 1: 1})
+    assert span.add({0: 1, 1: 1 + (2**61 - 1)})
     assert span.rank == 2
 
 
 def test_shape_errors():
     span = EchelonSpan(3)
     with pytest.raises(ValueError):
-        span.add([1, 2])
-    with pytest.raises(ValueError):
         span.add({3: 1})
-    assert not span.add({0: 0}) and not span.add([0, 0, 0])
+    with pytest.raises(ValueError):
+        span.add({-1: Fraction(1, 2)})
+    assert not span.add({0: 0}) and not span.add({})
     assert span.rank == 0
 
 
@@ -127,7 +118,7 @@ def test_solve_matches_sympy(system):
     rows = [[col[i] for col in columns] for i in range(len(target))]
     a = _sympy_matrix(rows)
     augmented = _sympy_matrix([row + [b] for row, b in zip(rows, target)])
-    x = solve(columns, target)
+    x = solve([_sparse(col) for col in columns], _sparse(target))
     if augmented.rank() > a.rank():
         assert x is None
         return

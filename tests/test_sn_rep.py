@@ -121,12 +121,6 @@ def test_fake_degree_transpose_inversion(n):
         assert fake_degree(mu) == shift * fake_degree(transpose(mu)).invert_variables()
 
 
-def test_character_table_csv():
-    text = character_table(2).to_csv()
-    assert "irr\\class" in text.splitlines()[0]
-    assert len(text.splitlines()) == 3
-
-
 def test_character_table_bounds():
     with pytest.raises(ValueError):
         character_table(0)

@@ -378,6 +378,49 @@ def test_basis_extraction_round_trip(tmp_path, capsys):
     ]
 
 
+def test_basis_over_a_truncated_algebra(tmp_path, capsys):
+    # E = [[1, 0, 0], [a, 0, 0], [0, 0, 1]] with a = 5x^2 - 2/3 xy is idempotent,
+    # so im(E) is free on u_3 (degree 0) and u_1 + a u_2 (degree 2)
+    doc = {
+        "schema": "cherpoi/idempotent-v1",
+        "algebra": {"kind": "truncated", "variables": 2, "cutoff": 8, "top": 5},
+        "shifts": [2, 0, 0],
+        "matrix": [
+            {"row": 0, "col": 0, "terms": [{"exponents": [0, 0], "coeff": "1"}]},
+            {
+                "row": 1,
+                "col": 0,
+                "terms": [
+                    {"exponents": [2, 0], "coeff": "5"},
+                    {"exponents": [1, 1], "coeff": "-2/3"},
+                ],
+            },
+            {"row": 2, "col": 2, "terms": [{"exponents": [0, 0], "coeff": "1"}]},
+        ],
+    }
+    path = tmp_path / "truncated.json"
+    path.write_text(json.dumps(doc))
+    assert main(["basis", "--input", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["horizon"] == 6  # min(8 - 2, 8 + 0)
+    assert out["generators"] == [
+        {"degree": 0, "rows": [[], [], [{"exponents": [0, 0], "coeff": "1"}]]},
+        {
+            "degree": 2,
+            "rows": [
+                [{"exponents": [0, 0], "coeff": "1"}],
+                [{"exponents": [2, 0], "coeff": "5"}, {"exponents": [1, 1], "coeff": "-2/3"}],
+                [],
+            ],
+        },
+    ]
+
+    def dim(d):  # dim A_d in Q[x, y] modulo the monomials of degree > 5
+        return d + 1 if 0 <= d <= 5 else 0
+
+    assert out["image_dims"] == {str(g): dim(g) + dim(g - 2) for g in range(7)}
+
+
 def test_basis_cutoff_override(tmp_path, capsys):
     path = tmp_path / "idem.json"
     path.write_text(json.dumps(_hand_idempotent()))
