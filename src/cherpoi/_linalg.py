@@ -1,8 +1,10 @@
 """Exact linear algebra: an integer row-echelon span, and one particular
-solution of a linear system read off that span.
+solution of a linear system read off that span by back-substitution.
 
-`EchelonSpan` keeps its rows as primitive integer vectors. Scaling a vector
-by a nonzero rational does not change its Q-span, so every rank, verdict and
+`EchelonSpan` keeps its rows as primitive integer vectors in row-echelon,
+not reduced, form: a new row is eliminated against the existing pivots and
+stored as it is, without rewriting the other rows. Scaling a vector by a
+nonzero rational does not change its Q-span, so every rank, verdict and
 normal form it reports is exactly the one over Q; there is no modular or
 probabilistic step.
 
@@ -12,17 +14,19 @@ absent columns zero.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
 
 class EchelonSpan:
-    """Incremental reduced row-echelon span of rational vectors of fixed length.
+    """Incremental row-echelon span of rational vectors of fixed length.
 
     Rows are sparse ``{column: int}`` dicts keyed by their pivot, the row's
-    smallest column. Each row is primitive (content 1), positive at its pivot
-    and zero at every other pivot. Arithmetic stays in the integers, and spans
-    and verdicts are exactly those over Q.
+    smallest column. Each row is primitive (content 1) and positive at its
+    pivot. Rows are not reduced against each other: a row may be nonzero at a
+    later pivot, so inserting a row never rewrites the others. Arithmetic
+    stays in the integers, and spans and verdicts are exactly those over Q.
 
     A vector is a sparse ``{column: int | Fraction}`` dict; one that holds a
     Fraction is cleared to integers by the lcm of its denominators.
@@ -30,7 +34,8 @@ class EchelonSpan:
 
     def __init__(self, length: int):
         self.length = length
-        self.rows: dict[int, dict[int, int]] = {}  # pivot column -> reduced row
+        self.rows: dict[int, dict[int, int]] = {}  # pivot column -> echelon row
+        self._pivots: list[int] = []  # the keys of rows, ascending
 
     @property
     def rank(self) -> int:
@@ -40,7 +45,7 @@ class EchelonSpan:
         v = {i: x for i, x in vec.items() if x}
         if v and (min(v) < 0 or max(v) >= self.length):
             raise ValueError("vector column out of range")
-        if any(type(x) is Fraction for x in v.values()):
+        if Fraction in map(type, v.values()):
             lcm = math.lcm(*(x.denominator for x in v.values()))
             v = {i: x.numerator * (lcm // x.denominator) for i, x in v.items()}
         return v
@@ -48,11 +53,16 @@ class EchelonSpan:
     def _eliminate(self, v: dict[int, int]) -> int:
         """Clear every pivot column of v in place; returns the factor v gained.
 
-        Rows are zero at each other's pivots, so clearing one pivot column
-        never refills another."""
+        Pivots are cleared in ascending order. A row is zero left of its
+        pivot, so clearing pivot p can refill only later columns, and those
+        are cleared after it."""
         scale = 1
-        for p in [p for p in v if p in self.rows]:
-            scale *= _cancel(v, self.rows[p], p)
+        rows = self.rows
+        for p in self._pivots:
+            if p in v:
+                scale *= _cancel(v, rows[p], p)
+                if not v:
+                    break
         return scale
 
     def normal_form(self, vec) -> tuple[dict[int, int], int]:
@@ -68,12 +78,8 @@ class EchelonSpan:
         if not v:
             return False
         pivot = min(v)
-        v = _primitive(v, pivot)
-        for q, row in self.rows.items():
-            if pivot in row:
-                _cancel(row, v, pivot)
-                self.rows[q] = _primitive(row, q)
-        self.rows[pivot] = v
+        self.rows[pivot] = _primitive(v, pivot)
+        bisect.insort(self._pivots, pivot)
         return True
 
 
@@ -109,9 +115,11 @@ def solve(columns, target):
     Columns and target are sparse ``{row: int | Fraction}`` dicts. Their
     transpose, the augmented rows [a_i1 .. a_ik | b_i], goes into an
     EchelonSpan; the system is inconsistent exactly when column k is a pivot.
-    Otherwise x_p = row[k] / row[p] at each pivot p and every free variable
-    is 0: the unique solution supported on the leftmost independent columns.
-    The solution is a list of k Fractions.
+    Otherwise one back-substitution, from the last pivot to the first, clears
+    each pivot column from the rows above it; then x_p = row[k] / row[p] at
+    each pivot p and every free variable is 0: the unique solution supported
+    on the leftmost independent columns. The solution is a list of k
+    Fractions.
     """
     k = len(columns)
     rows: dict[int, dict] = {}
@@ -123,7 +131,14 @@ def solve(columns, target):
         span.add(row)
     if k in span.rows:
         return None
+    pivots, reduced = span._pivots, span.rows
+    for i in range(len(pivots) - 1, 0, -1):
+        p = pivots[i]
+        for q in pivots[:i]:
+            if p in reduced[q]:
+                _cancel(reduced[q], reduced[p], p)
+                reduced[q] = _primitive(reduced[q], q)
     x = [Fraction(0)] * k
-    for p, row in span.rows.items():
+    for p, row in reduced.items():
         x[p] = Fraction(row.get(k, 0), row[p])
     return x

@@ -5,7 +5,7 @@ substitutions, and exact row reduction. No closed formula from the series
 modules is consulted, so these tables can sit on the other side of an
 acceptance check. Every polynomial here has integer coefficients except the
 linear forms of `_x_in_u`, whose denominators divide n; `_power_sum_poly`
-clears them. The cell bases are reduced over Z by `EchelonSpan`, whose ranks
+clears them. The cell bases are eliminated over Z by `EchelonSpan`, whose ranks
 are exactly the ranks over Q.
 
 Conventions. h is the (n-1)-dimensional reflection representation realized
@@ -21,12 +21,15 @@ J^d / C[h]^W_+ J^d, whose diagonal sums are certified by the saturation
 protocol: a diagonal is trusted only when two successive window enlargements
 (+2 on every bound) leave its sum unchanged.
 
-Cell bases. Three rules skip candidates that cannot raise a rank; no stored
+Cell bases. Four rules skip candidates that cannot raise a rank; no stored
 basis changes by them:
 
 - `j_basis` offers its candidates lazily and stops once the cell is full,
   so a J^d cell spanned by its neighbours' multiples (every J^0 cell but
   (0,0)) never builds A^d(a,b);
+- `j_basis` records the origin (x^e, g) of each stored element x^e g, g an
+  A^d basis element, and skips a shifted candidate whose origin was already
+  offered in the cell: u_1 (u_2 g) and u_2 (u_1 g) are one polynomial;
 - `a_basis(2)` offers each unordered product of two A^1 factors once, since
   A^1 A^1 is commutative;
 - `parity_check` symmetrizes each monomial of a cell once and combines those
@@ -257,6 +260,7 @@ class _Engine:
         self._cells: dict = {}
         self._abasis: dict = {}  # (d, a, b) -> list[Poly]
         self._jbasis: dict = {}
+        self._jorigins: dict = {}  # (d, a, b) -> packed origin of each _jbasis element
         self._entries = 0
 
     @property
@@ -268,57 +272,54 @@ class _Engine:
         return self._group
 
     def _linear_images(self, perm, side: int) -> list[Poly]:
+        """sigma(u_j) (side 0) or sigma(w_j) (side 1) as side-local linear forms."""
         key = (perm, side)
         if key not in self._linear:
-            images = []
-            if side == 0:
-                for j in range(self.m):
-                    img: Poly = {}
-                    diff = _difference_in_u(perm[j] + 1, perm[j + 1] + 1, self.m)
-                    for i, c in diff.items():
-                        img[tuple(1 if r == i else 0 for r in range(self.width))] = c
-                    images.append(img)
-            else:
-                dual = _matrix_on_h_dual(perm, self.n)
-                for j in range(self.m):
-                    img = {}
-                    for i in range(self.m):
-                        if dual[i][j]:
-                            e = tuple(
-                                1 if r == self.m + i else 0 for r in range(self.width)
-                            )
-                            img[e] = dual[i][j]
-                    images.append(img)
-            self._linear[key] = images
+            mat = (_matrix_on_h if side == 0 else _matrix_on_h_dual)(perm, self.n)
+            units = [tuple(int(r == i) for r in range(self.m)) for i in range(self.m)]
+            self._linear[key] = [
+                {units[i]: mat[i][j] for i in range(self.m) if mat[i][j]}
+                for j in range(self.m)
+            ]
         return self._linear[key]
 
     def _side_image(self, perm, side: int, exps: tuple[int, ...]) -> Poly:
-        """Image of the side-local monomial u^exps (or w^exps) under perm."""
+        """Image of u^exps (or w^exps) under perm, keyed by side-local exponents."""
         key = (perm, side, exps)
         if key in self._side:
             return self._side[key]
         j = next((i for i, e in enumerate(exps) if e), None)
         if j is None:
-            out = {(0,) * self.width: 1}
+            out = {(0,) * self.m: 1}
         else:
             smaller = tuple(e - 1 if i == j else e for i, e in enumerate(exps))
             out = _mul(self._side_image(perm, side, smaller), self._linear_images(perm, side)[j])
         self._side[key] = out
         return out
 
+    def _monomial_image(self, perm, e: tuple[int, ...]) -> Poly:
+        """sigma(u^eu w^ew) = sigma(u^eu) sigma(w^ew). The factors live in
+        disjoint variables, so each term of the product is one concatenation
+        of exponent tuples and no two terms collide."""
+        ws = self._side_image(perm, 1, e[self.m :]).items()
+        return {
+            eu + ew: cu * cw
+            for eu, cu in self._side_image(perm, 0, e[: self.m]).items()
+            for ew, cw in ws
+        }
+
     def apply(self, perm, poly: Poly) -> Poly:
         out: Poly = {}
         for e, c in poly.items():
-            xpart = self._side_image(perm, 0, e[: self.m])
-            ypart = self._side_image(perm, 1, e[self.m :])
-            _add_into(out, _mul(xpart, ypart), c)
+            _add_into(out, self._monomial_image(perm, e), c)
         return out
 
     def symmetrized(self, poly: Poly, sign: int) -> Poly:
         """Unnormalized projector: sum over sigma of sigma(poly), signed when sign=-1."""
         acc: Poly = {}
         for perm, eps in self.group:
-            _add_into(acc, self.apply(perm, poly), eps if sign < 0 else 1)
+            for e, c in poly.items():
+                _add_into(acc, self._monomial_image(perm, e), eps * c if sign < 0 else c)
         return acc
 
     def cell(self, a: int, b: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
@@ -388,31 +389,61 @@ class _Engine:
         """A basis of J^d in cell (a, b): the independent ones among u_j f for
         f in J^d(a-1, b), then w_j f for f in J^d(a, b-1), then A^d(a, b), in
         that order. Once the rank reaches the cell's monomial count nothing
-        further is built, A^d(a, b) included; the basis is the same."""
+        further is built, A^d(a, b) included; the basis is the same.
+
+        Every stored element is x^e g for a monomial x^e and the i-th element
+        g of an A^d basis, and `_jorigins` keeps (e, i) beside it, packed by
+        `_origin`. A shifted candidate whose origin was already offered in
+        this cell is that same polynomial again, so it is skipped."""
         if a < 0 or b < 0:
             return []
         key = (d, a, b)
         if key in self._jbasis:
             return self._jbasis[key]
-        monos, _ = self.cell(a, b)
+        monos, index = self.cell(a, b)
         span = EchelonSpan(len(monos))
         basis: list[Poly] = []
+        origins: list[int] = []
+        offered: set[int] = set()
 
         def candidates():
             for r in range(self.width):  # u_1..u_m times J^d(a-1, b), then w's
-                below = (a - 1, b) if r < self.m else (a, b - 1)
-                for f in self.j_basis(d, *below):
-                    yield {tuple(e + (i == r) for i, e in enumerate(key_e)): c
-                           for key_e, c in f.items()}
-            yield from self.a_basis(d, a, b)
+                below = (d, a - 1, b) if r < self.m else (d, a, b - 1)
+                lower = self.j_basis(*below)
+                if not lower:
+                    continue
+                # x_r times a monomial of the cell below, as this cell's own
+                # tuple from `cell`: stored polynomials share their keys
+                times = {e: monos[index[e[:r] + (e[r] + 1,) + e[r + 1 :]]]
+                         for e in self.cell(*below[1:])[0]}
+                step = _origin(r, 1)
+                for f, o in zip(lower, self._jorigins[below]):
+                    if o + step not in offered:
+                        offered.add(o + step)
+                        yield o + step, {times[e]: c for e, c in f.items()}
+            for i, g in enumerate(self.a_basis(d, a, b)):
+                yield _origin(self.width, i), g
 
-        for p in candidates():
+        for o, p in candidates():
             if p and span.add(self.to_vec(p, a, b)):
                 basis.append(p)
+                origins.append(o)
                 if span.rank == len(monos):
                     break
         self._store(self._jbasis, key, basis)
+        self._jorigins[key] = origins
         return basis
+
+
+_ORIGIN_BITS = 8  # an exponent stays below MAX_WINDOW_BOUND + 4 < 2**8
+
+
+def _origin(slot: int, count: int) -> int:
+    """count in the given slot of a packed origin. Slot r < width holds the
+    exponent of variable r, slot width the index of the A^d element, so the
+    origin of x^e g_i is the sum of _origin(r, e_r) and _origin(width, i),
+    and multiplying by variable r adds _origin(r, 1)."""
+    return count << (_ORIGIN_BITS * slot)
 
 
 @cache
@@ -610,7 +641,6 @@ def coinvariant_multiplicities(n: int) -> dict[int, dict[Partition, int]]:
     """
     _check_linear_range(n)
     eng = _engine(n)
-    m = n - 1
     top = n * (n - 1) // 2
     table = character_table(n)
     reps = {rho: class_representative(rho, n) for rho in table.partitions}
@@ -627,7 +657,7 @@ def coinvariant_multiplicities(n: int) -> dict[int, dict[Partition, int]]:
         for rho, perm in reps.items():
             tr = Fraction(0)
             for i in standard:
-                img = eng._side_image(perm, 0, monos[i][:m])
+                img = eng.apply(perm, {monos[i]: 1})
                 reduced, scale = echelon.normal_form(eng.to_vec(img, degree, 0))
                 tr += Fraction(reduced.get(i, 0), scale)
             traces[rho] = tr

@@ -4,6 +4,7 @@ import itertools
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cherpoi import commutative_oracle as oracle
 from cherpoi._linalg import EchelonSpan
@@ -19,7 +20,7 @@ from cherpoi.commutative_oracle import (
     reflection_action,
 )
 from cherpoi.errors import ResourceError
-from cherpoi.exact_poly import _mul, expand_window, q_factorial
+from cherpoi.exact_poly import _add_into, _mul, expand_window, q_factorial
 from cherpoi.hilbert_series import jbar_closed
 from cherpoi.partition_core import enumerate_partitions
 from cherpoi.sn_rep import dim_irr, fake_degree
@@ -364,3 +365,109 @@ def test_cell_local_images_are_the_symmetrized_polynomials():
         for f in basis:
             assert oracle._cell_image(eng, images, f, sign) == eng.symmetrized(f, sign)
         assert set(images) <= set(eng.cell(a, b)[0])
+
+
+def _decode_origin(origin: int, width: int) -> tuple[tuple[int, ...], int]:
+    """(e, i) with origin = sum_r _origin(r, e_r) + _origin(width, i)."""
+    mask = (1 << oracle._ORIGIN_BITS) - 1
+    e = tuple((origin >> (oracle._ORIGIN_BITS * r)) & mask for r in range(width))
+    return e, origin >> (oracle._ORIGIN_BITS * width)
+
+
+def test_duplicate_origins_are_skipped(monkeypatch):
+    eng = oracle._Engine(3)
+    monkeypatch.setattr(oracle, "_engine", lambda n: eng)
+    adds = 0
+
+    class CountingSpan(EchelonSpan):
+        def add(self, vec):
+            nonlocal adds
+            adds += 1
+            return super().add(vec)
+
+    monkeypatch.setattr(oracle, "EchelonSpan", CountingSpan)
+    ideal_power_dims(3, 2, (5, 5), 7)
+    assert eng._entries == 1417  # stored entries, as without the rule
+    assert adds == 375
+
+    # replay each cell's shifted candidates by origin, up to where the cell
+    # filled: the duplicates among them are the adds the rule saved
+    def shifted_origins(d, a, b):
+        for r in range(4):
+            below = (d, a - 1, b) if r < 2 else (d, a, b - 1)
+            for o in eng._jorigins.get(below, ()):
+                yield o + oracle._origin(r, 1)
+
+    skipped = 0
+    for key, origins in eng._jorigins.items():
+        stop = origins[-1] if len(origins) == len(eng.cell(*key[1:])[0]) else None
+        seen = set()
+        for o in shifted_origins(*key):
+            skipped += o in seen
+            seen.add(o)
+            if o == stop:
+                break
+    assert adds + skipped == 407  # the add calls made without the rule
+
+    # every stored element is x^e times the i-th element of its A^2 basis
+    for (d, a, b), basis in eng._jbasis.items():
+        for f, origin in zip(basis, eng._jorigins[(d, a, b)], strict=True):
+            e, i = _decode_origin(origin, 4)
+            g = eng.a_basis(d, a - e[0] - e[1], b - e[2] - e[3])[i]
+            assert f == _mul({e: 1}, g), (d, a, b)
+
+
+def test_cell_bases_do_not_depend_on_which_operation_builds_them(monkeypatch):
+    runs = {
+        "jbar": lambda d: jbar_dims(3, d, (3, 3), 5),
+        "ideal": lambda d: ideal_power_dims(3, d, (6, 6), 8),
+        "parity": lambda d: parity_check(3, d, (5, 5), 7),
+    }
+    stores = []
+    for first in runs:
+        eng = oracle._Engine(3)
+        monkeypatch.setattr(oracle, "_engine", lambda n: eng)
+        for d in (1, 2):
+            for name in [first] + [k for k in runs if k != first]:
+                runs[name](d)
+        stores.append((eng._jbasis, eng._jorigins, eng._abasis, eng._entries))
+    assert stores[0] == stores[1] == stores[2]
+
+
+def _reference_image(n: int, perm, poly):
+    """sum of c * sigma(u-part) * sigma(w-part), each part a product of the
+    images of u_j and w_j read off the reflection matrices."""
+    m = n - 1
+    action = reflection_action(n)
+    matrices = (action.matrix(perm), action.dual_matrix(perm))
+    units = [tuple(int(r == i) for r in range(2 * m)) for i in range(2 * m)]
+    out = {}
+    for e, c in poly.items():
+        parts = []
+        for side, mat in enumerate(matrices):
+            part = {(0,) * (2 * m): 1}
+            for j in range(m):
+                linear = {units[side * m + i]: mat[i][j] for i in range(m) if mat[i][j]}
+                for _ in range(e[side * m + j]):
+                    part = _mul(part, linear)
+            parts.append(part)
+        _add_into(out, _mul(*parts), c)
+    return out
+
+
+@st.composite
+def bihomogeneous(draw):
+    n = draw(st.integers(2, 4))
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    monos = oracle._engine(n).cell(a, b)[0]
+    terms = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    return n, {e: draw(st.integers(-3, 3).filter(bool)) for e in terms}
+
+
+@settings(deadline=None, max_examples=40)
+@given(bihomogeneous())
+def test_apply_is_the_product_of_the_two_side_images(case):
+    n, poly = case
+    eng = oracle._Engine(n)
+    for perm, _ in eng.group:
+        assert eng.apply(perm, poly) == _reference_image(n, perm, poly)

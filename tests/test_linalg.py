@@ -21,8 +21,12 @@ def matrices(draw, entries=SMALL):
     return [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
 
 
+def _sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator) for x in r] for r in rows])
+
+
 def _sympy_rank(rows) -> int:
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]).rank()
+    return _sympy_matrix(rows).rank()
 
 
 def _rank_increments(rows) -> list[bool]:
@@ -34,12 +38,16 @@ def _sparse(row) -> dict:
     return {i: x for i, x in enumerate(row) if x}
 
 
-def _check_row_invariants(span: EchelonSpan):
+def _check_row_invariants(span: EchelonSpan, rows):
+    """Row-echelon form: each row is a primitive integer vector that starts at
+    its pivot with a positive entry, and the pivots are those of the rref of
+    the inserted rows."""
     for pivot, row in span.rows.items():
         assert all(type(x) is int and x for x in row.values())
         assert min(row) == pivot and row[pivot] > 0
         assert math.gcd(*row.values()) == 1
-        assert all(row.get(q, 0) == 0 for q in span.rows if q != pivot)
+    _, pivots = _sympy_matrix(rows).rref()
+    assert sorted(span.rows) == list(pivots)
 
 
 @settings(deadline=None, max_examples=60)
@@ -47,7 +55,7 @@ def _check_row_invariants(span: EchelonSpan):
 def test_integer_verdicts_match_sympy_rank(rows):
     span = EchelonSpan(len(rows[0]))
     assert [span.add(_sparse(r)) for r in rows] == _rank_increments(rows)
-    _check_row_invariants(span)
+    _check_row_invariants(span, rows)
 
 
 @settings(deadline=None, max_examples=60)
@@ -55,7 +63,28 @@ def test_integer_verdicts_match_sympy_rank(rows):
 def test_fraction_verdicts_match_sympy_rank(rows):
     span = EchelonSpan(len(rows[0]))
     assert [span.add(_sparse(r)) for r in rows] == _rank_increments(rows)
-    _check_row_invariants(span)
+    _check_row_invariants(span, rows)
+
+
+def _rational_normal_form(span: EchelonSpan, vec) -> dict:
+    ints, scale = span.normal_form(_sparse(vec))
+    return {i: Fraction(x, scale) for i, x in ints.items()}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), matrices(st.one_of(SMALL, RATIONAL)))
+def test_verdicts_do_not_depend_on_insertion_order(data, rows):
+    order = data.draw(st.permutations(range(len(rows))))
+    vec = data.draw(st.lists(RATIONAL, min_size=len(rows[0]), max_size=len(rows[0])))
+    spans = []
+    for sequence in (rows, [rows[i] for i in order]):
+        span = EchelonSpan(len(rows[0]))
+        accepted = sum(span.add(_sparse(r)) for r in sequence)
+        assert accepted == span.rank
+        spans.append(span)
+    first, second = spans
+    assert sorted(first.rows) == sorted(second.rows)
+    assert _rational_normal_form(first, vec) == _rational_normal_form(second, vec)
 
 
 @settings(deadline=None, max_examples=60)
@@ -105,10 +134,6 @@ def linear_systems(draw):
     else:
         target = draw(st.lists(entries, min_size=m, max_size=m))
     return [[row[j] for row in rows] for j in range(k)], target
-
-
-def _sympy_matrix(rows):
-    return sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator) for x in r] for r in rows])
 
 
 @settings(deadline=None, max_examples=80)
