@@ -10,9 +10,11 @@ comparison up to an explicit horizon.
 The algebra is a monomial algebra: Q[x_1..x_m], possibly modulo every
 monomial above a top degree, presented degreewise over Q by its monomials
 up to a cutoff, and multiplied by adding exponent vectors. A homogeneous
-element of degree d is a sparse {basis index: Fraction} map; a possibly
-inhomogeneous entry is a {degree: element} map. Free modules carry one
-shift per basis vector u_i, so the row-i component of a degree-g element
+element of degree d is a sparse {basis index: coefficient} map, each
+coefficient in exact_poly's normal form: an int when integral, a Fraction
+otherwise, so integer data stays on integer arithmetic throughout. A
+possibly inhomogeneous entry is a {degree: element} map. Free modules carry
+one shift per basis vector u_i, so the row-i component of a degree-g element
 lives in A_{g - shift_i}, and a degree-zero matrix has entry (i, j)
 homogeneous of degree shift_j - shift_i.
 
@@ -32,7 +34,7 @@ from random import Random
 from ._linalg import EchelonSpan, solve
 from .errors import CertificationError, InvalidSplittingError
 
-Element = dict[int, Fraction]  # homogeneous, indexed into one degree's basis
+Element = dict[int, int | Fraction]  # homogeneous, indexed into one degree's basis
 Entry = dict[int, Element]  # inhomogeneous: degree -> homogeneous component
 
 
@@ -44,6 +46,12 @@ def _monomials(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
         for rest in _monomials(num_vars - 1, degree - first):
             out.append((first,) + rest)
     return tuple(out)
+
+
+def _exact(c) -> int | Fraction:
+    """c in the coefficient normal form: an int when integral, else a Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _accumulate(out: Element, k: int, c) -> None:
@@ -86,7 +94,7 @@ class MonomialAlgebra:
         return len(self.basis[d])
 
     def unit(self) -> Element:
-        return {0: Fraction(1)}
+        return {0: 1}
 
     def multiply(self, i: int, a: Element, j: int, b: Element) -> Element:
         """Product of a in A_i and b in A_j, landing in A_{i+j}."""
@@ -261,7 +269,7 @@ def random_unipotent_idempotent(algebra, shifts, rank: int, rng: Random) -> Grad
             for idx in range(dimension):
                 c = rng.randint(-2, 2)
                 if c:
-                    entry[idx] = Fraction(c)
+                    entry[idx] = c
             U[i][j] = entry
     U = tuple(tuple(row) for row in U)
     positions = list(range(size))
@@ -297,7 +305,7 @@ def _layout(algebra, shifts, g: int):
     return offsets, total
 
 
-def _to_qvector(algebra, shifts, vec: HomogeneousVector) -> dict[int, Fraction]:
+def _to_qvector(algebra, shifts, vec: HomogeneousVector) -> Element:
     """vec as a sparse {column: coefficient} vector in the Q-basis of F_g."""
     offsets, _ = _layout(algebra, shifts, vec.degree)
     return {
@@ -336,7 +344,7 @@ def module_scale(algebra, shifts, vec: HomogeneousVector, e: int, a: Element) ->
 
 def _basis_vector(algebra, shifts, g: int, row: int, idx: int) -> HomogeneousVector:
     rows = [dict() for _ in shifts]
-    rows[row] = {idx: Fraction(1)}
+    rows[row] = {idx: 1}
     return HomogeneousVector(g, tuple(rows))
 
 
@@ -392,7 +400,7 @@ def extract_homogeneous_basis(E: GradedIdempotent) -> ExtractionResult:
         for p in generators:
             e = g - p.degree
             for idx in range(algebra.dim(e)):
-                scaled = module_scale(algebra, shifts, p, e, {idx: Fraction(1)})
+                scaled = module_scale(algebra, shifts, p, e, {idx: 1})
                 span.add(_to_qvector(algebra, shifts, scaled))
         for w in image_vectors:
             if span.rank == image_dims[g]:
@@ -433,7 +441,7 @@ def eilenberg_homogenize(E: GradedIdempotent, splitting, target_degrees=None) ->
             wanted = target_degrees[i] - shifts[j]
             entry: Entry = splitting[j][i]
             comp = entry.get(wanted, {})
-            row.append({k: Fraction(c) for k, c in comp.items() if c})
+            row.append({k: _exact(c) for k, c in comp.items() if c})
         homog.append(tuple(row))
     homog = tuple(homog)
     composed = matrix_multiply(algebra, shifts, E.entries, homog)
@@ -466,7 +474,7 @@ def minimal_expression(algebra, shifts, x: HomogeneousVector, basis) -> list[tup
                 e = x.degree - basis[i].degree
                 block = []
                 for idx in range(algebra.dim(e)):
-                    scaled = module_scale(algebra, shifts, basis[i], e, {idx: Fraction(1)})
+                    scaled = module_scale(algebra, shifts, basis[i], e, {idx: 1})
                     block.append(len(columns))
                     columns.append(_to_qvector(algebra, shifts, scaled))
                 blocks.append((i, e, block))
@@ -475,7 +483,7 @@ def minimal_expression(algebra, shifts, x: HomogeneousVector, basis) -> list[tup
                 continue
             out = []
             for i, e, block in blocks:
-                elem = {idx: sol[col] for idx, col in enumerate(block) if sol[col]}
+                elem = {idx: _exact(sol[col]) for idx, col in enumerate(block) if sol[col]}
                 if elem:
                     out.append((i, elem))
             return out

@@ -19,7 +19,6 @@ from .partition_core import (
     Partition,
     check_partition,
     enumerate_partitions,
-    enumerate_syt,
     hooks,
     nstat,
     num_syt,
@@ -138,18 +137,57 @@ def fake_degree(mu) -> LaurentPoly:
 
 @cache
 def _fake_degree(mu: Partition) -> LaurentPoly:
+    """The hook quotient with the factors (1 - v^i) that {1..n} and the hook
+    lengths have in common cancelled first, as multisets: only the rest is
+    multiplied out, and divexact divides the cancelled quotient exactly."""
     n = sum(mu)
+    hook_count = Counter(hooks(mu))
+    span = Counter(range(1, n + 1))
     one = LaurentPoly.one(_V)
     num = LaurentPoly.monomial(_V, (nstat(mu),))
-    for i in range(1, n + 1):
+    for i in (span - hook_count).elements():
         num = num * (one - LaurentPoly.var_power(_V, "v", i))
     den = one
-    for h in hooks(mu):
+    for h in (hook_count - span).elements():
         den = den * (one - LaurentPoly.var_power(_V, "v", h))
     return divexact(num, den)
 
 
+def _corners(mu: Partition) -> list[int]:
+    """Rows whose last cell can be removed, leaving a partition."""
+    return [r for r in range(len(mu)) if r + 1 == len(mu) or mu[r] > mu[r + 1]]
+
+
+@cache
+def _maj_counts(mu: Partition, r: int) -> Counter:
+    """{maj: count} over the standard tableaux of shape mu whose largest entry
+    k = |mu| sits at the end of row r, a corner.
+
+    Without k the tableau is one of the smaller shape, whose largest entry
+    k - 1 sits in some corner r2; k - 1 is a descent, adding k - 1 to maj,
+    exactly when r > r2 (French rows, as in Tableau.maj). The counts are
+    shared and must not be mutated."""
+    k = sum(mu)
+    if k == 1:
+        return Counter({0: 1})
+    rest = mu[:r] + (mu[r] - 1,) + mu[r + 1 :] if mu[r] > 1 else mu[:r]
+    out: Counter = Counter()
+    for r2 in _corners(rest):
+        shift = k - 1 if r > r2 else 0
+        for m, c in _maj_counts(rest, r2).items():
+            out[m + shift] += c
+    return out
+
+
 def fake_degree_maj(mu) -> LaurentPoly:
-    """Independent route: sum of v^maj over standard Young tableaux of shape mu."""
+    """Independent route: sum of v^maj over standard Young tableaux of shape mu.
+
+    The tableaux are not listed: a recursion on (shape, row of the largest
+    entry) counts them by maj, reading only the descent rule and never a hook
+    length, so this route stays independent of fake_degree's hook formula.
+    """
     mu = check_partition(mu)
-    return LaurentPoly(_V, Counter((tab.maj,) for tab in enumerate_syt(mu)))
+    total: Counter = Counter()
+    for r in _corners(mu):
+        total.update(_maj_counts(mu, r))
+    return LaurentPoly(_V, {(m,): c for m, c in total.items()})

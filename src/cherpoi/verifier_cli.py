@@ -583,7 +583,8 @@ def _suite_graded_free(p):
         algebra = polynomial_algebra(1, 12)
         idem = diagonal_idempotent(algebra, (1, 0, 0), (True, False, False))
         result = extract_homogeneous_basis(idem)
-        rows = [dict(r) for g in result for r in g.rows]
+        # Fraction rows, so that _ser renders each coefficient as a string
+        rows = [{k: Fraction(c) for k, c in r.items()} for g in result for r in g.rows]
         want = [{0: Fraction(1)}, {}, {}]
         return _verdict(len(result) == 1 and rows == want), rows, want
 
@@ -869,7 +870,7 @@ def _field(doc, key):
 def _load_idempotent(doc, cutoff=None) -> GradedIdempotent:
     """The idempotent a JSON document describes; cutoff, when given,
     overrides the document's."""
-    from .graded_free import GradedIdempotent, polynomial_algebra, truncated_polynomial_algebra
+    from .graded_free import GradedIdempotent, _exact, polynomial_algebra, truncated_polynomial_algebra
 
     algebra_doc = _field(doc, "algebra")
     kind = _field(algebra_doc, "kind")
@@ -899,7 +900,7 @@ def _load_idempotent(doc, cutoff=None) -> GradedIdempotent:
                 raise ValueError(
                     f"term {list(exps)} at ({i},{j}) is not a degree-{degree} monomial"
                 )
-            coeff = Fraction(_field(term, "coeff"))
+            coeff = _exact(_field(term, "coeff"))
             if coeff:
                 element[algebra.index[degree][exps]] = coeff
     entries = tuple(tuple(row) for row in entries)

@@ -155,6 +155,51 @@ def test_extraction_is_deterministic():
     assert all(_vec_eq(u, v) for u, v in zip(first, second))
 
 
+def _assert_normal_form(elements):
+    for element in elements:
+        for c in element.values():
+            assert c != 0
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def _entries(M):
+    return [e for row in M for e in row]
+
+
+@pytest.mark.parametrize("num_vars, shifts, rank, seed", [
+    (1, (3, 2, 1, 0), 2, 1),
+    (2, (2, 1, 1, 0), 3, 7),
+    (2, (3, 1, 0), 1, 42),
+])
+def test_coefficients_stay_in_normal_form(num_vars, shifts, rank, seed):
+    # integer data never produces a Fraction with denominator 1
+    alg = polynomial_algebra(num_vars, 9)
+    rng = Random(seed)
+    E = random_unipotent_idempotent(alg, shifts, rank, rng)
+    _assert_normal_form(_entries(E.entries))
+    U = [list(row) for row in identity_matrix(alg, len(shifts))]
+    for i in range(len(shifts)):
+        for j in range(i):
+            U[i][j] = {k: c for k in range(alg.dim(shifts[j] - shifts[i])) if (c := rng.randint(-3, 3))}
+    U = tuple(tuple(row) for row in U)
+    V = unipotent_inverse(alg, shifts, U)
+    _assert_normal_form(_entries(V))
+    _assert_normal_form(_entries(matrix_multiply(alg, shifts, U, V)))
+    _assert_normal_form(_entries(matrix_multiply(alg, shifts, E.entries, V)))
+    result = extract_homogeneous_basis(E)
+    assert len(result) == rank
+    _assert_normal_form([row for p in result for row in p.rows])
+
+
+def test_rational_input_keeps_fractions():
+    # E = [[1, 0], [3/2 x, 0]]: the generator u_1 + 3/2 x u_2
+    alg = polynomial_algebra(1, 8)
+    E = GradedIdempotent(alg, (1, 0), ((alg.unit(), {}), ({0: Fraction(3, 2)}, {})))
+    (gen,) = extract_homogeneous_basis(E)
+    assert gen.rows == ({0: 1}, {0: Fraction(3, 2)})
+    assert [type(row[0]) for row in gen.rows] == [int, Fraction]
+
+
 def test_random_battery():
     rng = Random(1729)
     for trial in range(10):

@@ -1,11 +1,13 @@
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
-from cherpoi.exact_poly import LaurentPoly, q_factorial_poly
-from cherpoi.partition_core import enumerate_partitions, nstat, size, transpose
+from cherpoi.exact_poly import LaurentPoly, divexact, q_factorial_poly
+from cherpoi.partition_core import enumerate_partitions, enumerate_syt, hooks, nstat, size, transpose
 from cherpoi.errors import ResourceError
 from cherpoi.sn_rep import (
     centralizer_order,
@@ -119,6 +121,43 @@ def test_fake_degree_transpose_inversion(n):
     shift = LaurentPoly.var_power(V, "v", big_n)
     for mu in enumerate_partitions(n):
         assert fake_degree(mu) == shift * fake_degree(transpose(mu)).invert_variables()
+
+
+def _coefficients(f: LaurentPoly) -> dict[int, int]:
+    return {e: c for (e,), c in f.terms.items()}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_maj_recursion_matches_tableau_enumeration(n):
+    # enumerate_syt and Tableau.maj are the definition the recursion must meet
+    for mu in enumerate_partitions(n):
+        assert _coefficients(fake_degree_maj(mu)) == Counter(t.maj for t in enumerate_syt(mu))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fake_degree_matches_sympy_cancel(n):
+    v = sympy.Symbol("v")
+    for mu in enumerate_partitions(n):
+        quotient = sympy.cancel(
+            v ** nstat(mu)
+            * sympy.prod([1 - v**i for i in range(1, n + 1)])
+            / sympy.prod([1 - v**h for h in hooks(mu)])
+        )
+        want = {e: int(c) for (e,), c in sympy.Poly(quotient, v).terms()}
+        assert _coefficients(fake_degree(mu)) == want
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_fake_degree_matches_the_uncancelled_quotient(n):
+    one = LaurentPoly.one(V)
+    for mu in enumerate_partitions(n):
+        num = LaurentPoly.monomial(V, (nstat(mu),))
+        for i in range(1, n + 1):
+            num = num * (one - LaurentPoly.var_power(V, "v", i))
+        den = one
+        for h in hooks(mu):
+            den = den * (one - LaurentPoly.var_power(V, "v", h))
+        assert fake_degree(mu) == divexact(num, den)
 
 
 def test_character_table_bounds():

@@ -527,6 +527,15 @@ def test_verify_json_is_reproducible(capsys):
     assert doc["status"] == "pass"
 
 
+def test_coordinate_projection_renders_fraction_strings(capsys):
+    # the extractor keeps integral coefficients as int; the check compares and
+    # renders Fraction rows, so the report keeps "1" as a string
+    assert main(["verify", "--suite", "graded-free", "--no-timings"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    (check,) = [c for c in doc["checks"] if c["name"] == "coordinate-projection"]
+    assert check["left"] == check["right"] == [{"0": "1"}, {}, {}]
+
+
 def test_verify_partial_exit(capsys):
     assert main(["verify", "--suite", "oracle-jbar", "--n", "4"]) == 2
     doc = json.loads(capsys.readouterr().out)
