@@ -1,0 +1,110 @@
+"""The basis subcommand: a certified homogeneous free basis of the image of
+an idempotent read from JSON.
+
+The input document has schema cherpoi/idempotent-v1:
+
+    {
+      "algebra": {"kind": "polynomial" | "truncated",
+                  "variables": 2, "cutoff": 12, "top": 3},
+      "shifts": [1, 0],
+      "matrix": [
+        {"row": 1, "col": 0,
+         "terms": [{"exponents": [1, 0], "coeff": "3/2"}]}
+      ]
+    }
+
+"top" applies only to the truncated kind. Absent matrix entries are zero;
+each listed term must have total degree shifts[col] - shifts[row].
+"""
+
+from __future__ import annotations
+
+import json
+
+from .errors import CertificationError
+from .report import BASIS_SCHEMA
+
+
+def _field(doc, key):
+    """doc[key] of a JSON object; a missing key or a non-object is bad input."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object holding {key!r}, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    return doc[key]
+
+
+def _load_idempotent(doc, cutoff=None) -> GradedIdempotent:
+    """The idempotent a JSON document describes; cutoff, when given,
+    overrides the document's."""
+    from .graded_free import GradedIdempotent, _exact, polynomial_algebra, truncated_polynomial_algebra
+
+    algebra_doc = _field(doc, "algebra")
+    kind = _field(algebra_doc, "kind")
+    if cutoff is None:
+        cutoff = int(_field(algebra_doc, "cutoff"))
+    variables = int(_field(algebra_doc, "variables"))
+    if kind == "polynomial":
+        algebra = polynomial_algebra(variables, cutoff)
+    elif kind == "truncated":
+        algebra = truncated_polynomial_algebra(variables, cutoff, int(_field(algebra_doc, "top")))
+    else:
+        raise ValueError(f"unknown algebra kind {kind!r}")
+    shifts = tuple(int(s) for s in _field(doc, "shifts"))
+    size = len(shifts)
+    entries = [[dict() for _ in range(size)] for _ in range(size)]
+    for item in doc.get("matrix", []):
+        i, j = int(_field(item, "row")), int(_field(item, "col"))
+        if not (0 <= i < size and 0 <= j < size):
+            raise ValueError(f"matrix position ({i},{j}) outside the {size} shifts")
+        degree = shifts[j] - shifts[i]
+        if not 0 <= degree <= cutoff:
+            raise ValueError(f"entry ({i},{j}) cannot be nonzero at degree {degree}")
+        element = entries[i][j]
+        for term in _field(item, "terms"):
+            exps = tuple(int(e) for e in _field(term, "exponents"))
+            if sum(exps) != degree or exps not in algebra.index[degree]:
+                raise ValueError(
+                    f"term {list(exps)} at ({i},{j}) is not a degree-{degree} monomial"
+                )
+            coeff = _exact(_field(term, "coeff"))
+            if coeff:
+                element[algebra.index[degree][exps]] = coeff
+    entries = tuple(tuple(row) for row in entries)
+    return GradedIdempotent(algebra, shifts, entries)
+
+
+def cmd_basis(args) -> int:
+    from .graded_free import extract_homogeneous_basis
+
+    with open(args.input) as handle:
+        doc = json.load(handle)
+    idem = _load_idempotent(doc, args.cutoff)
+    try:
+        result = extract_homogeneous_basis(idem)
+    except CertificationError as exc:
+        print(json.dumps({"schema": BASIS_SCHEMA, "error": str(exc)}))
+        return 1
+    generators = []
+    for g in result.generators:
+        rows = []
+        for i, row in enumerate(g.rows):
+            degree = g.degree - idem.shifts[i]
+            terms = [
+                {"exponents": list(idem.algebra.basis[degree][idx]), "coeff": str(c)}
+                for idx, c in sorted(row.items())
+            ]
+            rows.append(terms)
+        generators.append({"degree": g.degree, "rows": rows})
+    print(
+        json.dumps(
+            {
+                "schema": BASIS_SCHEMA,
+                "horizon": result.horizon,
+                "image_dims": {str(k): v for k, v in sorted(result.image_dims.items())},
+                "generators": generators,
+            },
+            sort_keys=True,
+        )
+    )
+    return 0

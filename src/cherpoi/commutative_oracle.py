@@ -46,9 +46,10 @@ window past the n = 4 budget by construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from ._linalg import EchelonSpan
 from .errors import ResourceError
@@ -168,8 +169,7 @@ def _matrix_on_h_dual(perm: tuple[int, ...], n: int) -> Matrix:
     return tuple(tuple(minv[j][i] for j in range(m)) for i in range(m))
 
 
-@dataclass(frozen=True)
-class ReflectionAction:
+class ReflectionAction(NamedTuple):
     """Integer matrices of the adjacent transpositions on h and on h*."""
 
     n: int
@@ -455,27 +455,30 @@ def _engine(n: int) -> _Engine:
 # bigraded dimension tables
 
 
-@dataclass(frozen=True)
-class BigradedDims:
+class BigradedDims(namedtuple("BigradedDims", "amax bmax total table saturated")):
     """Per-bidegree dimensions over a window, optionally total-degree capped.
 
     `saturated` is populated only by operations that certify diagonal sums;
-    plain dimension tables leave it empty.
+    plain dimension tables leave it empty (a fresh dict per table).
     """
 
-    amax: int
-    bmax: int
-    total: int | None
-    table: dict[tuple[int, int], int]
-    saturated: dict[int, bool] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for cell, value in self.table.items():
+    def __new__(
+        cls,
+        amax: int,
+        bmax: int,
+        total: int | None,
+        table: dict[tuple[int, int], int],
+        saturated: dict[int, bool] | None = None,
+    ):
+        for cell, value in table.items():
             if value < 0:
                 raise ValueError(f"negative dimension {value} at {cell}")
-        origin = self.table.get((0, 0))
+        origin = table.get((0, 0))
         if origin is not None and origin not in (0, 1):
             raise ValueError(f"dimension at (0,0) must be 0 or 1, got {origin}")
+        return super().__new__(cls, amax, bmax, total, table, {} if saturated is None else saturated)
 
     def dim(self, a: int, b: int) -> int:
         return self.table.get((a, b), 0)
@@ -567,8 +570,7 @@ def parity_check(n: int, d: int, window, total=None) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class JbarResult:
+class JbarResult(NamedTuple):
     """Diagonal sums of J^d / C[h]^W_+ J^d with saturation certificates."""
 
     n: int

@@ -26,9 +26,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 MAX_EXPONENT = 2**63  # exponents are conceptually signed 64-bit; beyond is a hard error
 
@@ -472,8 +471,7 @@ def divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._build(a.vars, {e: c * scale for e, c in q.items()})
 
 
-@dataclass(frozen=True)
-class CExponent:
+class CExponent(NamedTuple):
     """A formal exponent const + c_coeff*c used as a global degree prefix."""
 
     const: Fraction

@@ -26,7 +26,6 @@ global freeness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from random import Random
@@ -200,8 +199,27 @@ def _element_add(a: Element, b: Element, scale=1) -> Element:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class GradedIdempotent:
+class _Record:
+    """Base of this module's records: each field is a slot that __init__
+    sets once, read-only afterwards. Equality is identity, as for any object."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+_set_field = object.__setattr__
+
+
+class GradedIdempotent(_Record):
     """Idempotent degree-zero matrix acting on the shifted free module.
 
     Entry (i, j) is a homogeneous element of degree shift_j - shift_i, empty
@@ -209,11 +227,12 @@ class GradedIdempotent:
     construction, entry by entry within the cutoff.
     """
 
-    algebra: MonomialAlgebra
-    shifts: tuple[int, ...]
-    entries: MatrixEntries
+    __slots__ = ("algebra", "shifts", "entries")
 
-    def __post_init__(self):
+    def __init__(self, algebra: MonomialAlgebra, shifts: tuple[int, ...], entries: MatrixEntries):
+        _set_field(self, "algebra", algebra)
+        _set_field(self, "shifts", shifts)
+        _set_field(self, "entries", entries)
         size = len(self.shifts)
         if len(self.entries) != size or any(len(r) != size for r in self.entries):
             raise ValueError("matrix shape does not match the shifts")
@@ -287,12 +306,14 @@ def random_unipotent_idempotent(algebra, shifts, rank: int, rng: Random) -> Grad
 # ---------------------------------------------------------------------------
 # degreewise linear algebra on F_g
 
-@dataclass(frozen=True, eq=False)
-class HomogeneousVector:
+class HomogeneousVector(_Record):
     """Element of the shifted free module, homogeneous of the given degree."""
 
-    degree: int
-    rows: tuple[Element, ...]
+    __slots__ = ("degree", "rows")
+
+    def __init__(self, degree: int, rows: tuple[Element, ...]):
+        _set_field(self, "degree", degree)
+        _set_field(self, "rows", rows)
 
 
 def _layout(algebra, shifts, g: int):
@@ -305,9 +326,9 @@ def _layout(algebra, shifts, g: int):
     return offsets, total
 
 
-def _to_qvector(algebra, shifts, vec: HomogeneousVector) -> Element:
-    """vec as a sparse {column: coefficient} vector in the Q-basis of F_g."""
-    offsets, _ = _layout(algebra, shifts, vec.degree)
+def _to_qvector(offsets, vec: HomogeneousVector) -> Element:
+    """vec as a sparse {column: coefficient} vector in the Q-basis of F_g,
+    g = vec.degree, whose row blocks start at offsets (from _layout)."""
     return {
         offset + idx: c for offset, row in zip(offsets, vec.rows) for idx, c in row.items()
     }
@@ -351,13 +372,15 @@ def _basis_vector(algebra, shifts, g: int, row: int, idx: int) -> HomogeneousVec
 # ---------------------------------------------------------------------------
 # the extractor
 
-@dataclass(frozen=True, eq=False)
-class ExtractionResult:
+class ExtractionResult(_Record):
     """Homogeneous generators plus the certification horizon."""
 
-    generators: tuple[HomogeneousVector, ...]
-    horizon: int
-    image_dims: dict[int, int]
+    __slots__ = ("generators", "horizon", "image_dims")
+
+    def __init__(self, generators: tuple[HomogeneousVector, ...], horizon: int, image_dims: dict[int, int]):
+        _set_field(self, "generators", generators)
+        _set_field(self, "horizon", horizon)
+        _set_field(self, "image_dims", image_dims)
 
     def __iter__(self):
         return iter(self.generators)
@@ -391,7 +414,7 @@ def extract_homogeneous_basis(E: GradedIdempotent) -> ExtractionResult:
         for row in range(len(shifts)):
             for idx in range(algebra.dim(g - shifts[row])):
                 w = apply_matrix(algebra, shifts, E.entries, _basis_vector(algebra, shifts, g, row, idx))
-                qv = _to_qvector(algebra, shifts, w)
+                qv = _to_qvector(offsets, w)
                 if image_span.add(qv):
                     image_vectors.append(w)
         image_dims[g] = image_span.rank
@@ -401,11 +424,11 @@ def extract_homogeneous_basis(E: GradedIdempotent) -> ExtractionResult:
             e = g - p.degree
             for idx in range(algebra.dim(e)):
                 scaled = module_scale(algebra, shifts, p, e, {idx: 1})
-                span.add(_to_qvector(algebra, shifts, scaled))
+                span.add(_to_qvector(offsets, scaled))
         for w in image_vectors:
             if span.rank == image_dims[g]:
                 break
-            if span.add(_to_qvector(algebra, shifts, w)):
+            if span.add(_to_qvector(offsets, w)):
                 generators.append(w)
         free_count = sum(algebra.dim(g - p.degree) for p in generators)
         if not span.rank == image_dims[g] == free_count:
@@ -460,7 +483,8 @@ def minimal_expression(algebra, shifts, x: HomogeneousVector, basis) -> list[tup
     linear system over Q, smallest supports first, subsets in index order.
     Raises ValueError when x is outside the span of the basis.
     """
-    target = _to_qvector(algebra, shifts, x)
+    offsets, _ = _layout(algebra, shifts, x.degree)
+    target = _to_qvector(offsets, x)
     candidates = [
         i for i, b in enumerate(basis) if algebra.dim(x.degree - b.degree) > 0
     ]
@@ -476,7 +500,7 @@ def minimal_expression(algebra, shifts, x: HomogeneousVector, basis) -> list[tup
                 for idx in range(algebra.dim(e)):
                     scaled = module_scale(algebra, shifts, basis[i], e, {idx: 1})
                     block.append(len(columns))
-                    columns.append(_to_qvector(algebra, shifts, scaled))
+                    columns.append(_to_qvector(offsets, scaled))
                 blocks.append((i, e, block))
             sol = solve(columns, target)
             if sol is None:

@@ -14,8 +14,8 @@ without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact_poly import CExponent, ExactRationalFunction, LaurentPoly
 from .partition_core import (
@@ -62,8 +62,7 @@ def _zero_v() -> ExactRationalFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WGradedSeries:
+class WGradedSeries(NamedTuple):
     """A W-equivariant graded series: one rational function in v per isotype,
     behind a common formal monomial prefix v^(prefix)."""
 
@@ -83,8 +82,7 @@ class WGradedSeries:
         return self.prefix.specialize(c_value), total
 
 
-@dataclass(frozen=True)
-class PrefixedSeries:
+class PrefixedSeries(NamedTuple):
     prefix: CExponent
     body: ExactRationalFunction
 

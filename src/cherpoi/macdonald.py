@@ -27,9 +27,9 @@ those checks in the test suite.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from ._linalg import solve
 from .errors import ResourceError
@@ -55,8 +55,7 @@ def _zero_rf() -> ExactRationalFunction:
     return ExactRationalFunction(LaurentPoly.zero(QT))
 
 
-@dataclass(frozen=True)
-class SymmetricFunction:
+class SymmetricFunction(NamedTuple):
     n: int
     basis: str
     coeffs: dict  # Partition -> ExactRationalFunction over (q, t)
@@ -190,8 +189,7 @@ def integral_form_scalar(mu) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KostkaMacdonaldMatrix:
+class KostkaMacdonaldMatrix(NamedTuple):
     n: int
     partitions: tuple[Partition, ...]
     entries: dict  # (lam, mu) -> LaurentPoly in (q, t)

@@ -9,16 +9,15 @@ The empty partition is rejected everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from typing import NamedTuple
 
 Partition = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     row: int
     col: int
     arm: int
@@ -29,8 +28,7 @@ class Cell:
         return 1 + self.arm + self.leg
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(NamedTuple):
     """A standard Young tableau, stored as a tuple of row tuples (bottom row first)."""
 
     shape: Partition
@@ -106,8 +104,11 @@ def cell_data(mu, row: int, col: int) -> Cell:
 
 
 def hooks(mu) -> list[int]:
-    """Hook lengths over all cells, row by row."""
-    return [cell_data(mu, i, j).hook for i, j in cells(mu)]
+    """Hook lengths over all cells, row by row: 1 + arm + leg, with arm
+    mu_i - j - 1 and leg mu'_j - i - 1 read off mu and its conjugate."""
+    mu = check_partition(mu)
+    conj = [sum(1 for p in mu if p > j) for j in range(mu[0])]
+    return [p + conj[j] - i - j - 1 for i, p in enumerate(mu) for j in range(p)]
 
 
 def hook_product(mu) -> int:

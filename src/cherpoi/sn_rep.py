@@ -8,10 +8,10 @@ Irreducibles and conjugacy classes are both labelled by partitions of n;
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from typing import NamedTuple
 
 from .errors import ResourceError
 from .exact_poly import LaurentPoly, divexact
@@ -74,8 +74,7 @@ def class_sign(rho) -> int:
     return (-1) ** (sum(rho) - len(rho))
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     n: int
     partitions: tuple[Partition, ...]
     values: dict[tuple[Partition, Partition], int]

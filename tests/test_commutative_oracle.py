@@ -224,6 +224,11 @@ def test_bigraded_dims_validation_and_helpers():
         BigradedDims(1, 1, None, {(1, 0): -1})
     with pytest.raises(ValueError):
         BigradedDims(1, 1, None, {(0, 0): 2})
+    # an immutable value; each table gets a saturation dict of its own
+    other = BigradedDims(2, 2, None, {(0, 0): 1, (1, 0): 2, (0, 2): 1})
+    assert dims == other and dims.saturated == {} and dims.saturated is not other.saturated
+    with pytest.raises(AttributeError):
+        dims.amax = 3
 
 
 def test_argument_validation():

@@ -155,6 +155,22 @@ def test_extraction_is_deterministic():
     assert all(_vec_eq(u, v) for u, v in zip(first, second))
 
 
+def test_records_are_immutable_with_identity_equality():
+    alg = polynomial_algebra(1, 6)
+    E = diagonal_idempotent(alg, (1, 0), (True, False))
+    result = extract_homogeneous_basis(E)
+    vec = HomogeneousVector(1, ({0: 1}, {}))
+    twin = HomogeneousVector(1, ({0: 1}, {}))
+    assert vec != twin and vec == vec and len({vec, twin}) == 2
+    assert repr(vec) == "HomogeneousVector(degree=1, rows=({0: 1}, {}))"
+    for record, field in ((E, "shifts"), (vec, "degree"), (result, "horizon")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert E != diagonal_idempotent(alg, (1, 0), (True, False))
+
+
 def _assert_normal_form(elements):
     for element in elements:
         for c in element.values():

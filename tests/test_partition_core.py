@@ -60,6 +60,24 @@ def test_cell_data_example():
         cell_data((4, 2, 1), 1, 3)
 
 
+def test_hooks_match_cell_data_row_by_row():
+    for n in range(1, 9):
+        for mu in enumerate_partitions(n):
+            assert hooks(mu) == [cell_data(mu, i, j).hook for i, j in cells(mu)]
+    with pytest.raises(ValueError):
+        hooks((1, 2))
+
+
+def test_cell_and_tableau_are_immutable_values():
+    c = cell_data((2, 1), 0, 0)
+    assert c == cell_data((2, 1), 0, 0) and hash(c) == hash(cell_data((2, 1), 0, 0))
+    assert repr(c) == "Cell(row=0, col=0, arm=1, leg=1)"
+    t = enumerate_syt((2, 1))[0]
+    for record, field in ((c, "arm"), (t, "shape")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+
 def test_hooks_and_syt_count():
     assert sorted(hooks((2, 2))) == [1, 2, 2, 3]
     assert num_syt((2, 2)) == 2

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,8 @@ from cherpoi.hilbert_series import jbar_closed
 from cherpoi.macdonald import kostka_macdonald, macdonald_J, macdonald_P
 from cherpoi.partition_core import enumerate_partitions
 from cherpoi.sn_rep import fake_degree
-from cherpoi.verifier_cli import SUITES, _parse_pair, emit_table, main, run_suite
+from cherpoi.cli_table import emit_table
+from cherpoi.verifier_cli import SUITES, _parse_pair, main, run_suite
 
 SMALL_GRIDS = {
     "fake-degrees": {"n_max": 4},
@@ -41,33 +43,42 @@ def test_suite_passes_on_a_small_grid(suite):
 
 # The cherpoi modules a fresh process has loaded: after a bare import of the
 # CLI, after each suite at its small grid, and after each other subcommand.
-CLI = {"cherpoi", "cherpoi.errors", "cherpoi.verifier_cli"}
+CLI = {"cherpoi", "cherpoi.errors", "cherpoi.report", "cherpoi.verifier_cli"}
 SERIES = CLI | {"cherpoi.exact_poly", "cherpoi.partition_core", "cherpoi.sn_rep"}
 HILBERT = SERIES | {"cherpoi.hilbert_series"}
 MACDONALD = SERIES | {"cherpoi._linalg", "cherpoi.macdonald"}
 ORACLE = SERIES | {"cherpoi._linalg", "cherpoi.commutative_oracle"}
 FREE = CLI | {"cherpoi._linalg", "cherpoi.graded_free"}
+# the suite builders' family modules
+CLOSED_FORMS_SUITES = {"cherpoi.suites_closed_forms"}
+MACDONALD_SUITES = {"cherpoi.suites_macdonald"}
+ORACLE_SUITES = {"cherpoi.suites_oracle"}
+FREE_SUITE = {"cherpoi.suites_graded_free"}
 SUITE_MODULES = {
-    "fake-degrees": SERIES,
-    "kostka": MACDONALD,
-    "omega-specialization": HILBERT | MACDONALD,
-    "jbar-chain": HILBERT | MACDONALD,
-    "eqpoi": HILBERT,
-    "appendix-b": HILBERT,
-    "oracle-J": HILBERT | MACDONALD | ORACLE,
-    "oracle-jbar": HILBERT | ORACLE,
-    "coinvariants": ORACLE,
-    "parity": ORACLE,
-    "graded-free": FREE,
+    "fake-degrees": SERIES | CLOSED_FORMS_SUITES,
+    "kostka": MACDONALD | MACDONALD_SUITES,
+    "omega-specialization": HILBERT | MACDONALD | MACDONALD_SUITES,
+    "jbar-chain": HILBERT | MACDONALD | MACDONALD_SUITES,
+    "eqpoi": HILBERT | CLOSED_FORMS_SUITES,
+    "appendix-b": HILBERT | CLOSED_FORMS_SUITES,
+    "oracle-J": HILBERT | MACDONALD | ORACLE | ORACLE_SUITES,
+    "oracle-jbar": HILBERT | ORACLE | ORACLE_SUITES,
+    "coinvariants": ORACLE | ORACLE_SUITES,
+    "parity": ORACLE | ORACLE_SUITES,
+    "graded-free": FREE | FREE_SUITE,
 }
+# Standard-library modules that only introspection needs (dataclasses pulls
+# in all four); no subcommand may load them.
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis")
 
 # Run in a fresh interpreter: this process has imported every module.
 _PROBE = """
 import json, sys
 mode, arg = sys.argv[1], json.loads(sys.argv[2])
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("cherpoi"))
+introspection = lambda: sorted(m for m in %r if m in sys.modules)
 import cherpoi.verifier_cli as cli
-out = {"imported": loaded()}
+out = {"imported": loaded(), "introspection_imported": introspection()}
 if mode == "suite":
     name, params = arg
     if "window" in params:
@@ -80,8 +91,9 @@ elif mode == "main":
     out["code"] = cli.main(arg)
     sys.stdout = sys.__stdout__
 out["ran"] = loaded()
+out["introspection_ran"] = introspection()
 print(json.dumps(out))
-"""
+""" % (INTROSPECTION,)
 
 
 def _probe(mode, arg, cwd) -> dict:
@@ -95,7 +107,9 @@ def _probe(mode, arg, cwd) -> dict:
 
 
 def test_bare_cli_import_loads_no_compute_module(tmp_path):
-    assert set(_probe("import", None, tmp_path)["ran"]) == CLI
+    out = _probe("import", None, tmp_path)
+    assert set(out["ran"]) == CLI
+    assert out["introspection_ran"] == []
 
 
 @pytest.mark.parametrize("suite", sorted(SMALL_GRIDS))
@@ -105,6 +119,7 @@ def test_a_suite_loads_only_its_modules_before_the_clock(suite, tmp_path):
     assert set(out["imported"]) == CLI
     # every module is in place once the builder returns, before any check runs
     assert set(out["built"]) == set(out["ran"]) == SUITE_MODULES[suite]
+    assert out["introspection_imported"] == out["introspection_ran"] == []
     if suite == "graded-free":
         assert "cherpoi.exact_poly" not in out["ran"]
         assert "cherpoi.commutative_oracle" not in out["ran"]
@@ -117,17 +132,19 @@ def test_a_suite_loads_only_its_modules_before_the_clock(suite, tmp_path):
     "argv, modules",
     [
         pytest.param(["series", "--kind", "Jbar", "--n", "2", "--d", "1", "--format", "json"],
-                     HILBERT, id="series-Jbar-json"),
+                     HILBERT | {"cherpoi.cli_series"}, id="series-Jbar-json"),
         pytest.param(["series", "--kind", "J", "--n", "2", "--d", "1"],
-                     HILBERT | MACDONALD, id="series-J"),
-        pytest.param(["table", "--kind", "characters", "--n", "4"], SERIES, id="table-characters"),
-        pytest.param(["table", "--kind", "kostka-macdonald", "--n", "3"], MACDONALD,
-                     id="table-kostka-macdonald"),
-        pytest.param(["oracle", "--n", "2", "--d", "1", "--max-bidegree", "4,4"], ORACLE,
-                     id="oracle"),
+                     HILBERT | MACDONALD | {"cherpoi.cli_series"}, id="series-J"),
+        pytest.param(["table", "--kind", "characters", "--n", "4"],
+                     SERIES | {"cherpoi.cli_table"}, id="table-characters"),
+        pytest.param(["table", "--kind", "kostka-macdonald", "--n", "3"],
+                     MACDONALD | {"cherpoi.cli_table"}, id="table-kostka-macdonald"),
+        pytest.param(["oracle", "--n", "2", "--d", "1", "--max-bidegree", "4,4"],
+                     ORACLE | ORACLE_SUITES | {"cherpoi.cli_oracle"}, id="oracle"),
         pytest.param(["oracle", "--n", "2", "--d", "1", "--max-bidegree", "4,4", "--compare"],
-                     HILBERT | MACDONALD | ORACLE, id="oracle-compare"),
-        pytest.param(["basis", "--input", "idem.json"], FREE, id="basis"),
+                     HILBERT | MACDONALD | ORACLE | ORACLE_SUITES | {"cherpoi.cli_oracle"},
+                     id="oracle-compare"),
+        pytest.param(["basis", "--input", "idem.json"], FREE | {"cherpoi.cli_basis"}, id="basis"),
     ],
 )
 def test_a_subcommand_loads_only_its_modules(argv, modules, tmp_path):
@@ -135,6 +152,7 @@ def test_a_subcommand_loads_only_its_modules(argv, modules, tmp_path):
     out = _probe("main", argv, tmp_path)
     assert out["code"] == 0
     assert set(out["ran"]) == modules
+    assert out["introspection_ran"] == []
 
 
 def test_every_registered_suite_has_a_small_grid():
@@ -508,6 +526,18 @@ def test_verify_text_format(capsys):
     out = capsys.readouterr().out
     assert "suite fake-degrees: pass" in out
     assert "[pass] maj-matches-hook-n3" in out
+    *checks, _ = out.splitlines()
+    assert all(re.fullmatch(r"\[pass\] \S+ \(\d+\.\d ms\)", line) for line in checks)
+
+
+def test_verify_text_format_without_timings_is_reproducible(capsys):
+    argv = ["verify", "--suite", "fake-degrees", "--n-max", "3", "--format", "text", "--no-timings"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert "[pass] maj-matches-hook-n3\n" in first
+    assert " ms)" not in first
 
 
 def test_verify_json_is_reproducible(capsys):
