@@ -14,7 +14,9 @@ The input document has schema cherpoi/idempotent-v1:
     }
 
 "top" applies only to the truncated kind. Absent matrix entries are zero;
-each listed term must have total degree shifts[col] - shifts[row].
+each listed term must have total degree shifts[col] - shifts[row]. A
+coefficient is a JSON integer or a string like "3/2"; every other number is
+a JSON integer.
 """
 
 from __future__ import annotations
@@ -25,13 +27,25 @@ from .errors import CertificationError
 from .report import BASIS_SCHEMA
 
 
-def _field(doc, key):
-    """doc[key] of a JSON object; a missing key or a non-object is bad input."""
+def _field(doc, key, types=None):
+    """doc[key] of a JSON object; a missing key, a non-object or, when types
+    are given, a value of none of those types is bad input."""
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object holding {key!r}, got {type(doc).__name__}")
     if key not in doc:
         raise ValueError(f"missing key {key!r}")
-    return doc[key]
+    value = doc[key]
+    if types is not None and type(value) not in types:
+        names = " or ".join({int: "integer", str: "string", list: "list"}[t] for t in types)
+        raise ValueError(f"{key!r} must be a JSON {names}, got {value!r}")
+    return value
+
+
+def _ints(doc, key) -> tuple[int, ...]:
+    values = _field(doc, key, (list,))
+    if any(type(v) is not int for v in values):
+        raise ValueError(f"{key!r} must be a JSON list of integers, got {values!r}")
+    return tuple(values)
 
 
 def _load_idempotent(doc, cutoff=None) -> GradedIdempotent:
@@ -42,32 +56,35 @@ def _load_idempotent(doc, cutoff=None) -> GradedIdempotent:
     algebra_doc = _field(doc, "algebra")
     kind = _field(algebra_doc, "kind")
     if cutoff is None:
-        cutoff = int(_field(algebra_doc, "cutoff"))
-    variables = int(_field(algebra_doc, "variables"))
+        cutoff = _field(algebra_doc, "cutoff", (int,))
+    variables = _field(algebra_doc, "variables", (int,))
     if kind == "polynomial":
         algebra = polynomial_algebra(variables, cutoff)
     elif kind == "truncated":
-        algebra = truncated_polynomial_algebra(variables, cutoff, int(_field(algebra_doc, "top")))
+        algebra = truncated_polynomial_algebra(variables, cutoff, _field(algebra_doc, "top", (int,)))
     else:
         raise ValueError(f"unknown algebra kind {kind!r}")
-    shifts = tuple(int(s) for s in _field(doc, "shifts"))
+    shifts = _ints(doc, "shifts")
     size = len(shifts)
     entries = [[dict() for _ in range(size)] for _ in range(size)]
-    for item in doc.get("matrix", []):
-        i, j = int(_field(item, "row")), int(_field(item, "col"))
+    for item in _field(doc, "matrix", (list,)) if "matrix" in doc else ():
+        i, j = _field(item, "row", (int,)), _field(item, "col", (int,))
         if not (0 <= i < size and 0 <= j < size):
             raise ValueError(f"matrix position ({i},{j}) outside the {size} shifts")
         degree = shifts[j] - shifts[i]
         if not 0 <= degree <= cutoff:
             raise ValueError(f"entry ({i},{j}) cannot be nonzero at degree {degree}")
         element = entries[i][j]
-        for term in _field(item, "terms"):
-            exps = tuple(int(e) for e in _field(term, "exponents"))
+        for term in _field(item, "terms", (list,)):
+            exps = _ints(term, "exponents")
             if sum(exps) != degree or exps not in algebra.index[degree]:
                 raise ValueError(
                     f"term {list(exps)} at ({i},{j}) is not a degree-{degree} monomial"
                 )
-            coeff = _exact(_field(term, "coeff"))
+            try:
+                coeff = _exact(_field(term, "coeff", (str, int)))
+            except ZeroDivisionError:
+                raise ValueError(f"coefficient {term['coeff']!r} divides by zero") from None
             if coeff:
                 element[algebra.index[degree][exps]] = coeff
     entries = tuple(tuple(row) for row in entries)

@@ -63,6 +63,8 @@ def cmd_series(args) -> int:
         try:
             mu = tuple(json.loads(args.mu))
         except (json.JSONDecodeError, TypeError):
+            mu = None
+        if mu is None or any(type(p) is not int for p in mu):
             raise ValueError(f"--mu must be a JSON partition like [2,1], got {args.mu!r}")
     else:
         mu = None

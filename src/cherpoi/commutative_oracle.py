@@ -36,9 +36,9 @@ basis changes by them:
   images; they are held only while that cell is checked. For d <= 1 the
   rank of all of them is dim A^d(a,b), so it builds no A^d basis.
 
-Resource budget. reflection_action and coinvariant_multiplicities run for
-2 <= n <= 5. The bigraded operations run for 2 <= n <= 4 with d <= 3 when
-n <= 3, and n = 4 only for d <= 1 under a mandatory total-degree cap of 8.
+Resource budget. coinvariant_multiplicities runs for 2 <= n <= 5. The
+bigraded operations run for 2 <= n <= 4 with d <= 3 when n <= 3, and n = 4
+only for d <= 1 under a mandatory total-degree cap of 8.
 jbar_dims is restricted to n <= 3 because its certification enlarges the
 window past the n = 4 budget by construction.
 """
@@ -57,7 +57,7 @@ from .exact_poly import _add_into, _mul
 from .partition_core import Partition, check_partition, enumerate_partitions
 from .sn_rep import character_table
 
-MAX_ACTION_N = 5  # reflection_action, coinvariant_multiplicities
+MAX_ACTION_N = 5  # coinvariant_multiplicities
 MAX_BIGRADED_N = 4
 MAX_D = 3
 N4_TOTAL_CAP = 8
@@ -167,32 +167,6 @@ def _matrix_on_h_dual(perm: tuple[int, ...], n: int) -> Matrix:
     minv = _matrix_on_h(_perm_inverse(perm), n)
     m = n - 1
     return tuple(tuple(minv[j][i] for j in range(m)) for i in range(m))
-
-
-class ReflectionAction(NamedTuple):
-    """Integer matrices of the adjacent transpositions on h and on h*."""
-
-    n: int
-    generators: tuple[Matrix, ...]
-    dual_generators: tuple[Matrix, ...]
-
-    def matrix(self, perm) -> Matrix:
-        return _matrix_on_h(tuple(perm), self.n)
-
-    def dual_matrix(self, perm) -> Matrix:
-        return _matrix_on_h_dual(tuple(perm), self.n)
-
-
-def reflection_action(n: int) -> ReflectionAction:
-    _check_linear_range(n)
-    gens = []
-    duals = []
-    for k in range(n - 1):
-        perm = list(range(n))
-        perm[k], perm[k + 1] = perm[k + 1], perm[k]
-        gens.append(_matrix_on_h(tuple(perm), n))
-        duals.append(_matrix_on_h_dual(tuple(perm), n))
-    return ReflectionAction(n, tuple(gens), tuple(duals))
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +471,6 @@ def _window_cells(amax: int, bmax: int, total) -> list[tuple[int, int]]:
         for b in range(bmax + 1)
         if total is None or a + b <= total
     ]
-
-
-def alternants_dims(n: int, window, total=None) -> BigradedDims:
-    """Per-bidegree dimensions of A^1, the alternating polynomials."""
-    _check_bigraded_budget(n, 1, window, total)
-    eng = _engine(n)
-    table = {(a, b): len(eng.a_basis(1, a, b)) for a, b in _window_cells(*window, total)}
-    return BigradedDims(window[0], window[1], total, table)
 
 
 def ideal_power_dims(n: int, d: int, window, total=None) -> BigradedDims:

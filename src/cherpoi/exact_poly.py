@@ -513,10 +513,6 @@ class ExactRationalFunction:
             if f.is_zero():
                 raise ZeroDivisionError("zero denominator factor")
 
-    @classmethod
-    def from_const(cls, variables, c) -> "ExactRationalFunction":
-        return cls(LaurentPoly.const(variables, c))
-
     def den_product(self) -> LaurentPoly:
         return _product(self.vars, self.den)
 
@@ -529,7 +525,7 @@ class ExactRationalFunction:
         if isinstance(other, LaurentPoly):
             return ExactRationalFunction(other)
         if isinstance(other, (int, Fraction)):
-            return ExactRationalFunction.from_const(self.vars, other)
+            return ExactRationalFunction(LaurentPoly.const(self.vars, other))
         raise TypeError(f"cannot combine with {other!r}")
 
     def __add__(self, other):
@@ -566,9 +562,6 @@ class ExactRationalFunction:
             raise ZeroDivisionError("division by zero rational function")
         num = self.num * other.den_product()
         return ExactRationalFunction(num, self.den + (other.num,))
-
-    def reciprocal(self) -> "ExactRationalFunction":
-        return ExactRationalFunction.from_const(self.vars, 1) / self
 
     def substitute_monomials(self, new_vars, mapping) -> "ExactRationalFunction":
         return ExactRationalFunction(

@@ -363,12 +363,6 @@ def module_scale(algebra, shifts, vec: HomogeneousVector, e: int, a: Element) ->
     return HomogeneousVector(vec.degree + e, tuple(rows))
 
 
-def _basis_vector(algebra, shifts, g: int, row: int, idx: int) -> HomogeneousVector:
-    rows = [dict() for _ in shifts]
-    rows[row] = {idx: 1}
-    return HomogeneousVector(g, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # the extractor
 
@@ -405,15 +399,18 @@ def extract_homogeneous_basis(E: GradedIdempotent) -> ExtractionResult:
     )
     if horizon < 0:
         raise CertificationError("first uncertified degree 0: cutoff too small")
+    # column j of E is E u_j, of degree shift_j; E (u_j x^idx) is it times x^idx
+    columns = [HomogeneousVector(s, tuple(r[j] for r in E.entries)) for j, s in enumerate(shifts)]
     generators: list[HomogeneousVector] = []
     image_dims: dict[int, int] = {}
     for g in range(min(shifts), horizon + 1):
         offsets, total = _layout(algebra, shifts, g)
         image_vectors = []
         image_span = EchelonSpan(total)
-        for row in range(len(shifts)):
-            for idx in range(algebra.dim(g - shifts[row])):
-                w = apply_matrix(algebra, shifts, E.entries, _basis_vector(algebra, shifts, g, row, idx))
+        for column in columns:
+            e = g - column.degree
+            for idx in range(algebra.dim(e)):
+                w = module_scale(algebra, shifts, column, e, {idx: 1})
                 qv = _to_qvector(offsets, w)
                 if image_span.add(qv):
                     image_vectors.append(w)

@@ -7,9 +7,9 @@ through exact_poly.expand_window. The degenerate rank n=1 is rejected across
 the module. Formal coupling parameters ride along as CExponent prefixes where
 a series has one; concrete integers d, k enter the bodies as monomial shifts.
 
-Only bigraded_JJ (and bigraded_J through it) and jbar_via_specialization
-use macdonald, and they import it themselves, so the other series load
-without it.
+Only _fixed_point_term uses macdonald, and it imports it itself, so the
+series that do not sum over fixed points load without it; bigraded_JJ,
+bigraded_J and jbar_via_specialization all sum that one term.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from typing import NamedTuple
 from .exact_poly import CExponent, ExactRationalFunction, LaurentPoly
 from .partition_core import (
     Partition,
-    cells,
-    cell_data,
     check_partition,
     enumerate_partitions,
     nstat,
@@ -155,26 +153,31 @@ def shift_amount(i: int, j: int, mu) -> int:
 # ---------------------------------------------------------------------------
 
 
-def bigraded_JJ(n: int, d: int) -> ExactRationalFunction:
-    """Bigraded series of the big ideal power:
-    sum_mu P_mu(s,t) s^{d n(mu)} t^{d n(mu^t)} / Omega(mu)."""
+def _fixed_point_term(mu: Partition, d: int, argument_order: str) -> ExactRationalFunction:
+    """P_mu(s,t) s^{d n(mu)} t^{d n(mu^t)} / Omega(mu), over Omega's 2n factors."""
     from .macdonald import omega_factors, procesi_fiber
 
+    num = procesi_fiber(mu, argument_order).num.shift((d * nstat(mu), d * nstat(transpose(mu))))
+    return ExactRationalFunction(num, omega_factors(mu))
+
+
+def bigraded_JJ(n: int, d: int, argument_order: str = "positional") -> ExactRationalFunction:
+    """Bigraded series of the big ideal power, P_mu read in argument_order:
+    sum_mu P_mu(s,t) s^{d n(mu)} t^{d n(mu^t)} / Omega(mu)."""
     _check_rank(n)
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
     total = ExactRationalFunction(LaurentPoly.zero(ST))
     for mu in enumerate_partitions(n):
-        num = procesi_fiber(mu).num.shift((d * nstat(mu), d * nstat(transpose(mu))))
-        total = total + ExactRationalFunction(num, list(omega_factors(mu)))
+        total = total + _fixed_point_term(mu, d, argument_order)
     return total
 
 
-def bigraded_J(n: int, d: int) -> ExactRationalFunction:
+def bigraded_J(n: int, d: int, argument_order: str = "positional") -> ExactRationalFunction:
     """Bigraded series of the small ideal power:
     sum_mu P_mu(s,t) (1-s)(1-t) s^{d n(mu)} t^{d n(mu^t)} / Omega(mu)."""
     one = LaurentPoly.one(ST)
-    return bigraded_JJ(n, d) * (
+    return bigraded_JJ(n, d, argument_order) * (
         (one - LaurentPoly.var_power(ST, "s", 1)) * (one - LaurentPoly.var_power(ST, "t", 1))
     )
 
@@ -210,8 +213,6 @@ def jbar_via_specialization(n: int, d: int) -> ExactRationalFunction:
     Its equality with jbar_closed is the derivation-chain check that the
     acceptance suite performs; nothing here assumes it.
     """
-    from .macdonald import procesi_fiber
-
     _check_rank(n)
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
@@ -221,14 +222,8 @@ def jbar_via_specialization(n: int, d: int) -> ExactRationalFunction:
         cut = cut * (one - _vp(i))
     total = _zero_v()
     for mu in enumerate_partitions(n):
-        pnum = procesi_fiber(mu).num.substitute_monomials(V, {"s": (1,), "t": (-1,)})
-        num = pnum.shift((d * _wshift(mu),)) * cut
-        den = []
-        for i, j in cells(mu):
-            h = cell_data(mu, i, j).hook
-            den.append(one - _vp(h))
-            den.append(one - _vp(-h))
-        total = total + ExactRationalFunction(num, den)
+        term = _fixed_point_term(mu, d, "positional").substitute_monomials(V, {"s": (1,), "t": (-1,)})
+        total = total + term * cut
     return total
 
 

@@ -41,7 +41,6 @@ from .partition_core import (
     check_partition,
     enumerate_partitions,
     nstat,
-    transpose,
 )
 from .sn_rep import character_table, dim_irr, fake_degree
 
@@ -372,20 +371,6 @@ def omega_factors(mu) -> tuple[LaurentPoly, ...]:
         factors.append(one - LaurentPoly.monomial(ST, (1 + cell.leg, -cell.arm)))
         factors.append(one - LaurentPoly.monomial(ST, (-cell.leg, 1 + cell.arm)))
     return tuple(factors)
-
-
-def omega(mu) -> ExactRationalFunction:
-    """Omega(mu) as an expanded product (use omega_factors for the factored form)."""
-    prod = LaurentPoly.one(ST)
-    for f in omega_factors(mu):
-        prod = prod * f
-    return ExactRationalFunction(prod)
-
-
-def line_bundle_fiber(mu) -> LaurentPoly:
-    """The monomial s^{n(mu)} t^{n(mu^t)}."""
-    mu = check_partition(mu)
-    return LaurentPoly.monomial(ST, (nstat(mu), nstat(transpose(mu))))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,9 @@ class Tableau(NamedTuple):
 
 def check_partition(mu) -> Partition:
     """Validate and canonicalize a partition given as any iterable of ints."""
-    parts = tuple(int(p) for p in mu)
+    parts = tuple(mu)
+    if any(type(p) is not int for p in parts):
+        raise ValueError(f"partition parts must be integers: {parts}")
     if not parts:
         raise ValueError("empty partition is not allowed (need n >= 1)")
     if any(p <= 0 for p in parts):

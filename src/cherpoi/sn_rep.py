@@ -69,11 +69,6 @@ def centralizer_order(rho) -> int:
     return z
 
 
-def class_sign(rho) -> int:
-    rho = check_partition(rho)
-    return (-1) ** (sum(rho) - len(rho))
-
-
 class CharacterTable(NamedTuple):
     n: int
     partitions: tuple[Partition, ...]
@@ -116,13 +111,6 @@ def kronecker(lam, mu, nu) -> int:
     if total.denominator != 1 or total < 0:
         raise ArithmeticError(f"kronecker inner product not a nonnegative integer: {total}")
     return int(total)
-
-
-def tensor_decompose(lam, mu) -> dict[Partition, int]:
-    """Decomposition of chi_lam * chi_mu as {nu: multiplicity}."""
-    lam, mu = check_partition(lam), check_partition(mu)
-    n = sum(lam)
-    return {nu: k for nu in enumerate_partitions(n) if (k := kronecker(lam, mu, nu))}
 
 
 def fake_degree(mu) -> LaurentPoly:

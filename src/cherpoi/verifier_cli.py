@@ -35,10 +35,10 @@ SuiteReport, the check runner and the schemas.
   SUITES entry imports its family when called.
 - Each builder imports what its checks call inside the function, so a family
   module loads only the modules of the suite that runs. A builder whose
-  checks go through a helper (_compare_window, _jbar_comparison,
-  _collapse_sum) or through a function that loads a module on its first call
-  (hilbert_series loads macdonald in bigraded_J and jbar_via_specialization)
-  names those modules with `from . import ...` too.
+  checks go through a helper (_compare_window, _jbar_comparison) or through
+  a function that loads a module on its first call (hilbert_series loads
+  macdonald in _fixed_point_term, under bigraded_J and
+  jbar_via_specialization) names those modules with `from . import ...` too.
 
 run_suite calls the builder before _run_checks starts a check's clock, so
 loading code counts as start-up and never enters a check's wall_ms; the

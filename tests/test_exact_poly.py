@@ -195,7 +195,7 @@ def test_rational_arithmetic():
     assert rf_equal(total, ExactRationalFunction(one + one, [one - vp(1)]))
     assert rf_equal(half * (one - vp(1)), ExactRationalFunction(one))
     assert rf_equal(half / half, ExactRationalFunction(one))
-    assert rf_equal(half.reciprocal(), ExactRationalFunction(one - vp(1)))
+    assert rf_equal(ExactRationalFunction(one) / half, ExactRationalFunction(one - vp(1)))
 
 
 def test_q_factorial():

@@ -29,6 +29,7 @@ from cherpoi.hilbert_series import (
 )
 from cherpoi.partition_core import enumerate_partitions, nstat, transpose
 from cherpoi.sn_rep import dim_irr, fake_degree
+from cherpoi.suites_macdonald import _collapse_target
 
 V = ("v",)
 ST = ("s", "t")
@@ -115,6 +116,18 @@ def test_bigraded_jj_relation():
 def test_bigraded_j_trivial_target():
     for n in (2, 3, 4):
         assert rf_equal(bigraded_J(n, 0), st_target(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bigraded_j_argument_order_selects_the_collapse(n):
+    target = _collapse_target(n)
+    assert rf_equal(bigraded_J(n, 0, "positional"), target)
+    assert not rf_equal(bigraded_J(n, 0, "swapped"), target)
+
+
+def test_bigraded_j_rejects_an_unknown_argument_order():
+    with pytest.raises(ValueError, match="argument_order"):
+        bigraded_J(2, 0, "reversed")
 
 
 def test_jbar_closed_n2():

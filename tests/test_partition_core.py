@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 from math import factorial
@@ -33,6 +35,12 @@ def test_check_partition_rejects_bad_input():
     with pytest.raises(ValueError):
         check_partition((1, 2))
     assert check_partition([2, 1]) == (2, 1)
+
+
+@pytest.mark.parametrize("mu", [[2.7, 1.2], ["2", "1"], [2.0, 1], [True], [Fraction(2), 1]])
+def test_check_partition_rejects_parts_that_are_not_ints(mu):
+    with pytest.raises(ValueError, match="must be integers"):
+        check_partition(mu)
 
 
 def test_enumerate_partitions_revlex():

@@ -256,6 +256,16 @@ def test_series_mu_must_be_json(capsys):
         assert "JSON partition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["[1.5,1.5]", '"21"', '["2","1"]', "[true,true]"])
+def test_series_mu_parts_must_be_json_integers(capsys, raw):
+    # float parts once truncated to a partition of a smaller n, and a JSON
+    # string once reached sum(mu) and ended in a TypeError traceback
+    assert main(["series", "--kind", "eDelta", "--n", "3", "--mu", raw]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: --mu must be a JSON partition" in captured.err
+
+
 def test_series_json_round_trips(capsys):
     assert main(
         ["series", "--kind", "Jbar", "--n", "3", "--d", "1", "--format", "json"]
@@ -492,6 +502,50 @@ def test_basis_missing_key_is_input_error(tmp_path, capsys, drop):
     path.write_text(json.dumps(doc))
     assert main(["basis", "--input", str(path)]) == 3
     assert f"missing key {last!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("matrix.1.terms.0.coeff", 0.1),
+        ("matrix.1.terms.0.coeff", 1.0),
+        ("matrix.1.terms.0.coeff", True),
+        ("matrix.1.terms.0.coeff", "1/0"),
+        ("matrix.1.row", 1.0),
+        ("matrix.1.col", 0.5),
+        ("matrix.1.terms.0.exponents", [1.0]),
+        ("shifts", [1.0, 0]),
+        ("shifts", "10"),
+        ("algebra.variables", 1.5),
+        ("algebra.cutoff", 12.0),
+        ("matrix", 5),
+        ("matrix.1.terms", 5),
+    ],
+)
+def test_basis_malformed_number_is_input_error(tmp_path, capsys, path, value):
+    # float values were once read through Fraction(float) or truncated by
+    # int(), and a number in place of a list ended in a TypeError traceback
+    doc = _hand_idempotent()
+    *steps, last = path.split(".")
+    holder = doc
+    for step in steps:
+        holder = holder[int(step)] if step.isdigit() else holder[step]
+    holder[last] = value
+    file = tmp_path / "malformed.json"
+    file.write_text(json.dumps(doc))
+    assert main(["basis", "--input", str(file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error" in captured.err
+
+
+def test_basis_truncated_top_must_be_an_integer(tmp_path, capsys):
+    doc = _hand_idempotent()
+    doc["algebra"].update(kind="truncated", top=5.0)
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(doc))
+    assert main(["basis", "--input", str(path)]) == 3
+    assert "'top' must be a JSON integer, got 5.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [[], ["--cutoff", "3"]])
