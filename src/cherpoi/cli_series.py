@@ -8,7 +8,30 @@ import sys
 from .report import SERIES_SCHEMA
 
 
+# the options each kind reads; a kind given one it does not read is an input
+# error, not a series computed without it
+_KIND_OPTIONS = {
+    "JJ": ("d",),
+    "J": ("d",),
+    "Jbar": ("d",),
+    "Nbar": ("k",),
+    "Nunder": ("k",),
+    "Mbar": ("k",),
+    "Munder": ("k",),
+    "eDelta": ("mu",),
+}
+
+
 def _series_value(kind, n, d, k, grading, mu):
+    given = {"d": d, "k": k, "mu": mu}
+    unread = [
+        f"--{name}"
+        for name, value in given.items()
+        if value is not None and name not in _KIND_OPTIONS.get(kind, given)
+    ]
+    if unread:
+        raise ValueError(f"--kind {kind} does not read {', '.join(unread)}")
+
     from .hilbert_series import (
         bigraded_J,
         bigraded_JJ,

@@ -21,7 +21,14 @@ J^d / C[h]^W_+ J^d, whose diagonal sums are certified by the saturation
 protocol: a diagonal is trusted only when two successive window enlargements
 (+2 on every bound) leave its sum unchanged.
 
-Cell bases. Four rules skip candidates that cannot raise a rank; no stored
+Polynomials. Every polynomial of the engine is a {key: coefficient} dict
+whose key packs a monomial into one int: the exponent of variable r (u_1..u_m,
+then w_1..w_m) sits in the _SLOT_BITS-bit slot r, so the key of x^e is
+sum_r _origin(r, e_r). No exponent reaches 2**_SLOT_BITS, so a product of two
+monomials adds their keys and multiplying by x_r adds _origin(r, 1). Products
+go through exact_poly's _mul_packed.
+
+Cell bases. Five rules skip candidates that cannot raise a rank; no stored
 basis changes by them:
 
 - `j_basis` offers its candidates lazily and stops once the cell is full,
@@ -34,7 +41,12 @@ basis changes by them:
   A^1 A^1 is commutative;
 - `parity_check` symmetrizes each monomial of a cell once and combines those
   images; they are held only while that cell is checked. For d <= 1 the
-  rank of all of them is dim A^d(a,b), so it builds no A^d basis.
+  rank of all of them is dim A^d(a,b), so it builds no A^d basis;
+- for d <= 1, `a_basis` and `parity_check`'s span of the images stop once
+  their rank reaches dim A^d(a,b), which `_molien_dim` counts by Molien's
+  theorem: every later image lies in the span already built. A rank that
+  falls short of the count runs through every monomial as before, so the
+  count only ever ends a loop early.
 
 Resource budget. coinvariant_multiplicities runs for 2 <= n <= 5. The
 bigraded operations run for 2 <= n <= 4 with d <= 3 when n <= 3, and n = 4
@@ -49,13 +61,14 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
+from math import factorial
 from typing import NamedTuple
 
 from ._linalg import EchelonSpan
 from .errors import ResourceError
-from .exact_poly import _add_into, _mul
+from .exact_poly import _add_into, _mul_packed
 from .partition_core import Partition, check_partition, enumerate_partitions
-from .sn_rep import character_table
+from .sn_rep import centralizer_order, character_table
 
 MAX_ACTION_N = 5  # coinvariant_multiplicities
 MAX_BIGRADED_N = 4
@@ -63,6 +76,10 @@ MAX_D = 3
 N4_TOTAL_CAP = 8
 MAX_WINDOW_BOUND = 24
 _ENTRY_CAP = 4_000_000  # stored basis entries before the engine gives up
+# bits per variable in a packed key or origin; every exponent stays below
+# 2**_SLOT_BITS: MAX_WINDOW_BOUND + 4 in the bigraded operations (jbar_dims
+# enlarges the window by 4) and n(n-1)/2 in coinvariant_multiplicities
+_SLOT_BITS = 8
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -170,10 +187,22 @@ def _matrix_on_h_dual(perm: tuple[int, ...], n: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# polynomials are plain {exponent tuple of length 2(n-1): coefficient} dicts,
-# multiplied and accumulated by the sparse kernel of exact_poly
+# polynomials are plain {packed key: coefficient} dicts, multiplied and
+# accumulated by the sparse kernel of exact_poly
 
 Poly = dict
+
+
+def _origin(slot: int, count: int) -> int:
+    """count in the given slot of a packed key or origin. Slot r < width
+    holds the exponent of variable r, so the key of x^e is the sum of the
+    _origin(r, e_r), and multiplying by variable r adds _origin(r, 1). An
+    origin also uses slot width, for the index of an A^d element."""
+    return count << (_SLOT_BITS * slot)
+
+
+def _pack(e: tuple[int, ...]) -> int:
+    return sum(_origin(r, c) for r, c in enumerate(e))
 
 
 @cache
@@ -192,25 +221,22 @@ def _compositions(total: int, k: int) -> tuple[tuple[int, ...], ...]:
 @cache
 def _x_in_u(i: int, n: int) -> Poly:
     """x_i restricted to the sum-zero hyperplane, as a linear form in the u's."""
-    m = n - 1
     out: Poly = {}
-    for j in range(m):
+    for j in range(n - 1):
         c = Fraction(1 if j + 1 >= i else 0) - Fraction(j + 1, n)
         if c:
-            e = tuple(1 if r == j else 0 for r in range(2 * m))
-            out[e] = c
+            out[_origin(j, 1)] = c
     return out
 
 
 @cache
 def _power_sum_poly(n: int, k: int) -> Poly:
     """n^k * sum_i x_i^k in u-coordinates; integer coefficients, bidegree (k,0)."""
-    m = n - 1
     acc: Poly = {}
     for i in range(1, n + 1):
-        term = {(0,) * (2 * m): Fraction(1)}
+        term = {0: Fraction(1)}
         for _ in range(k):
-            term = _mul(term, _x_in_u(i, n))
+            term = _mul_packed(_x_in_u(i, n), term)
         _add_into(acc, term)
     out: Poly = {}
     for e, c in acc.items():
@@ -229,8 +255,9 @@ class _Engine:
         self.n = n
         self.m = n - 1
         self.width = 2 * self.m
-        self._side: dict = {}  # (perm, side, exps) -> side-local Poly
-        self._linear: dict = {}  # (perm, side) -> list of linear Polys
+        self._side: dict = {}  # perm -> {key of a u-only or w-only monomial: its image}
+        self._linear: dict = {}  # perm -> images of the variables u_1..u_m, w_1..w_m
+        self._umask = _origin(self.m, 1) - 1  # the u slots of a key
         self._cells: dict = {}
         self._abasis: dict = {}  # (d, a, b) -> list[Poly]
         self._jbasis: dict = {}
@@ -245,42 +272,41 @@ class _Engine:
             ]
         return self._group
 
-    def _linear_images(self, perm, side: int) -> list[Poly]:
-        """sigma(u_j) (side 0) or sigma(w_j) (side 1) as side-local linear forms."""
-        key = (perm, side)
-        if key not in self._linear:
-            mat = (_matrix_on_h if side == 0 else _matrix_on_h_dual)(perm, self.n)
-            units = [tuple(int(r == i) for r in range(self.m)) for i in range(self.m)]
-            self._linear[key] = [
-                {units[i]: mat[i][j] for i in range(self.m) if mat[i][j]}
-                for j in range(self.m)
-            ]
-        return self._linear[key]
+    def _linear_images(self, perm) -> list[Poly]:
+        """sigma(x_r) for each variable x_r: sigma(u_j), then sigma(w_j)."""
+        if perm not in self._linear:
+            m = self.m
+            forms = []
+            matrices = (_matrix_on_h(perm, self.n), _matrix_on_h_dual(perm, self.n))
+            for side, mat in enumerate(matrices):
+                forms += [
+                    {_origin(side * m + i, 1): mat[i][j] for i in range(m) if mat[i][j]}
+                    for j in range(m)
+                ]
+            self._linear[perm] = forms
+        return self._linear[perm]
 
-    def _side_image(self, perm, side: int, exps: tuple[int, ...]) -> Poly:
-        """Image of u^exps (or w^exps) under perm, keyed by side-local exponents."""
-        key = (perm, side, exps)
-        if key in self._side:
-            return self._side[key]
-        j = next((i for i, e in enumerate(exps) if e), None)
-        if j is None:
-            out = {(0,) * self.m: 1}
-        else:
-            smaller = tuple(e - 1 if i == j else e for i, e in enumerate(exps))
-            out = _mul(self._side_image(perm, side, smaller), self._linear_images(perm, side)[j])
-        self._side[key] = out
+    def _side_image(self, perm, key: int) -> Poly:
+        """Image under perm of a monomial in the u's alone or the w's alone."""
+        images = self._side.get(perm)
+        if images is None:
+            images = self._side[perm] = {0: {0: 1}}
+        out = images.get(key)
+        if out is None:
+            r = ((key & -key).bit_length() - 1) // _SLOT_BITS  # its first variable
+            out = _mul_packed(
+                self._linear_images(perm)[r], self._side_image(perm, key - _origin(r, 1))
+            )
+            images[key] = out
         return out
 
-    def _monomial_image(self, perm, e: tuple[int, ...]) -> Poly:
+    def _monomial_image(self, perm, e: int) -> Poly:
         """sigma(u^eu w^ew) = sigma(u^eu) sigma(w^ew). The factors live in
-        disjoint variables, so each term of the product is one concatenation
-        of exponent tuples and no two terms collide."""
-        ws = self._side_image(perm, 1, e[self.m :]).items()
-        return {
-            eu + ew: cu * cw
-            for eu, cu in self._side_image(perm, 0, e[: self.m]).items()
-            for ew, cw in ws
-        }
+        disjoint variables, so each term of the product is one sum of a u-key
+        and a w-key and no two terms collide."""
+        eu = e & self._umask
+        ws = self._side_image(perm, e - eu).items()
+        return {ku + kw: cu * cw for ku, cu in self._side_image(perm, eu).items() for kw, cw in ws}
 
     def apply(self, perm, poly: Poly) -> Poly:
         out: Poly = {}
@@ -296,14 +322,12 @@ class _Engine:
                 _add_into(acc, self._monomial_image(perm, e), eps * c if sign < 0 else c)
         return acc
 
-    def cell(self, a: int, b: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
+    def cell(self, a: int, b: int) -> tuple[tuple[int, ...], dict]:
+        """(the keys of the cell's monomials, the index of each key)."""
         key = (a, b)
         if key not in self._cells:
-            monos = tuple(
-                eu + ew
-                for eu in _compositions(a, self.m)
-                for ew in _compositions(b, self.m)
-            )
+            ws = [_pack(e) << (_SLOT_BITS * self.m) for e in _compositions(b, self.m)]
+            monos = tuple(_pack(e) + w for e in _compositions(a, self.m) for w in ws)
             self._cells[key] = (monos, {e: i for i, e in enumerate(monos)})
         return self._cells[key]
 
@@ -321,7 +345,8 @@ class _Engine:
 
     def a_basis(self, d: int, a: int, b: int) -> list[Poly]:
         """A basis of A^d in cell (a, b). For d <= 1, the independent images of
-        the cell's monomials under the (anti)symmetrizer. For d >= 2, the
+        the cell's monomials under the (anti)symmetrizer, up to the first that
+        brings the rank to `_molien_dim`. For d >= 2, the
         independent products A^{d-1}(a', b') A^1(a - a', b - b'); at d = 2 a
         split lexicographically above its complement is skipped, and on the
         self-complementary split only the pairs f_i g_j with i <= j are formed.
@@ -336,7 +361,10 @@ class _Engine:
         basis: list[Poly] = []
         if d <= 1:
             sign = -1 if d == 1 else 1
+            count = _molien_dim(self.n, d, a, b)
             for e in monos:
+                if span.rank == count:
+                    break  # every later image lies in the span
                 img = self.symmetrized({e: 1}, sign)
                 if img and span.add(self.to_vec(img, a, b)):
                     basis.append(img)
@@ -353,7 +381,7 @@ class _Engine:
                         # f_i g_j = f_j g_i came first for j < i
                         start = i if d == 2 and (ap, bp) == rest else 0
                         for g in ones[start:]:
-                            h = _mul(f, g)
+                            h = _mul_packed(f, g)
                             if h and span.add(self.to_vec(h, a, b)):
                                 basis.append(h)
         self._store(self._abasis, key, basis)
@@ -374,7 +402,7 @@ class _Engine:
         key = (d, a, b)
         if key in self._jbasis:
             return self._jbasis[key]
-        monos, index = self.cell(a, b)
+        monos = self.cell(a, b)[0]
         span = EchelonSpan(len(monos))
         basis: list[Poly] = []
         origins: list[int] = []
@@ -386,15 +414,11 @@ class _Engine:
                 lower = self.j_basis(*below)
                 if not lower:
                     continue
-                # x_r times a monomial of the cell below, as this cell's own
-                # tuple from `cell`: stored polynomials share their keys
-                times = {e: monos[index[e[:r] + (e[r] + 1,) + e[r + 1 :]]]
-                         for e in self.cell(*below[1:])[0]}
-                step = _origin(r, 1)
+                step = _origin(r, 1)  # x_r shifts a key and an origin alike
                 for f, o in zip(lower, self._jorigins[below]):
                     if o + step not in offered:
                         offered.add(o + step)
-                        yield o + step, {times[e]: c for e, c in f.items()}
+                        yield o + step, {k + step: c for k, c in f.items()}
             for i, g in enumerate(self.a_basis(d, a, b)):
                 yield _origin(self.width, i), g
 
@@ -409,20 +433,36 @@ class _Engine:
         return basis
 
 
-_ORIGIN_BITS = 8  # an exponent stays below MAX_WINDOW_BOUND + 4 < 2**8
-
-
-def _origin(slot: int, count: int) -> int:
-    """count in the given slot of a packed origin. Slot r < width holds the
-    exponent of variable r, slot width the index of the A^d element, so the
-    origin of x^e g_i is the sum of _origin(r, e_r) and _origin(width, i),
-    and multiplying by variable r adds _origin(r, 1)."""
-    return count << (_ORIGIN_BITS * slot)
-
-
 @cache
 def _engine(n: int) -> _Engine:
     return _Engine(n)
+
+
+@cache
+def _symmetric_power_traces(rho: Partition, top: int) -> tuple[int, ...]:
+    """t_0..t_top, where t_k is the trace of a permutation of cycle type rho
+    on S^k h (and on S^k h*): the q^k coefficient of
+    (1 - q) / prod_i (1 - q^{rho_i})."""
+    c = [1] + [0] * top
+    for r in rho:
+        for k in range(r, top + 1):
+            c[k] += c[k - r]
+    return tuple(c[k] - (c[k - 1] if k else 0) for k in range(top + 1))
+
+
+@cache
+def _molien_dim(n: int, d: int, a: int, b: int) -> int:
+    """dim A^d(a, b) for d <= 1 by Molien's theorem: the average over S_n
+    of eps(sigma)^d t_a(sigma) t_b(sigma)."""
+    total = 0
+    for rho in enumerate_partitions(n):
+        t = _symmetric_power_traces(rho, max(a, b))
+        sign = -1 if d and (n - len(rho)) % 2 else 1
+        total += sign * (factorial(n) // centralizer_order(rho)) * t[a] * t[b]
+    count, rest = divmod(total, factorial(n))
+    if rest:
+        raise ArithmeticError(f"Molien count of A^{d}({a}, {b}) is not integral")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +496,6 @@ class BigradedDims(namedtuple("BigradedDims", "amax bmax total table saturated")
 
     def dim(self, a: int, b: int) -> int:
         return self.table.get((a, b), 0)
-
-    def diagonal_sums(self) -> dict[int, int]:
-        sums: dict[int, int] = {}
-        for (a, b), value in self.table.items():
-            sums[a - b] = sums.get(a - b, 0) + value
-        return sums
 
 
 def _window_cells(amax: int, bmax: int, total) -> list[tuple[int, int]]:
@@ -519,7 +553,10 @@ def parity_check(n: int, d: int, window, total=None) -> bool:
         images: dict = {}  # monomial -> its image, local to this cell
         if d <= 1:
             full = EchelonSpan(len(monos))
+            count = _molien_dim(n, d, a, b)
             for e in monos:
+                if full.rank == count:
+                    break  # every later image lies in the span
                 images[e] = eng.symmetrized({e: 1}, sign)
                 if images[e]:
                     full.add(eng.to_vec(images[e], a, b))
@@ -577,7 +614,7 @@ def jbar_dims(n: int, d: int, window, total=None) -> JbarResult:
         for k in range(2, n + 1):
             pk = _power_sum_poly(n, k)
             for f in eng.j_basis(d, a - k, b):
-                span.add(eng.to_vec(_mul(pk, f), a, b))
+                span.add(eng.to_vec(_mul_packed(pk, f), a, b))
         qdim[(a, b)] = jdim - span.rank
 
     def window_sums(extra: int) -> dict[int, int]:
@@ -619,7 +656,7 @@ def coinvariant_multiplicities(n: int) -> dict[int, dict[Partition, int]]:
         for k in range(2, n + 1):
             pk = _power_sum_poly(n, k)
             for e in eng.cell(degree - k, 0)[0] if degree >= k else ():
-                echelon.add(eng.to_vec(_mul(pk, {e: 1}), degree, 0))
+                echelon.add(eng.to_vec({e + key: c for key, c in pk.items()}, degree, 0))
         standard = [i for i in range(len(monos)) if i not in echelon.rows]
         traces: dict[Partition, Fraction] = {}
         for rho, perm in reps.items():

@@ -12,6 +12,10 @@ the arithmetic, here and in macdonald and commutative_oracle: _mul (packed
 multiply, int or Fraction coefficients), _add_into (scaled accumulate) and
 _divexact_int (lex-peeling exact division over Z). divexact clears
 denominators and divides by the divisor's integer content before peeling.
+_mul packs its factors' exponent tuples into ints over the product's box,
+multiplies them by _mul_packed, whose keys add, and unpacks the result;
+commutative_oracle keeps its polynomials packed and calls _mul_packed
+directly. _add_into works on either kind of key.
 
 Window expansion semantics: a direction choice (ascending or descending per
 variable) selects signs for the exponents; after flipping, f is expanded in
@@ -116,18 +120,29 @@ def _mul(a: dict, b: dict) -> dict:
     # inner loop adds ints, not tuples
     box = [(l1 + l2, h1 + h2) for (l1, h1), (l2, h2) in zip(_box(small), _box(big))]
     pack, unpack = _packing(box, box)
-    big_p = [(pack(e), c) for e, c in big.items()]
-    for e1, c1 in small.items():
-        p1 = pack(e1)
-        for p2, c2 in big_p:
-            key = p1 + p2
+    out = _mul_packed(
+        {pack(e): c for e, c in small.items()}, {pack(e): c for e, c in big.items()}
+    )
+    return {unpack(key): c for key, c in out.items()}
+
+
+def _mul_packed(a: dict, b: dict) -> dict:
+    """Product of two sparse polynomials keyed by packed ints, under a
+    packing in which a product's key is the sum of its factors' keys (no
+    exponent overflows its slot)."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = k1 + k2
             acc = out.get(key)
             s = c1 * c2 if acc is None else acc + c1 * c2
             if s == 0:
                 out.pop(key, None)
             else:
                 out[key] = s
-    return {unpack(key): c for key, c in out.items()}
+    return out
 
 
 def _add_into(acc: dict, p: dict, scale=1) -> None:
@@ -398,13 +413,6 @@ class LaurentPoly:
     def coefficient(self, exps) -> int | Fraction:
         return self.terms.get(tuple(exps), 0)
 
-    def exponent_range(self, var: int | str) -> tuple[int, int]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponent range")
-        idx = self.vars.index(var) if isinstance(var, str) else var
-        es = [e[idx] for e in self.terms]
-        return min(es), max(es)
-
     def lowest_term_lex(self) -> tuple[tuple[int, ...], int | Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no lowest term")
@@ -479,9 +487,6 @@ class CExponent(NamedTuple):
 
     def __add__(self, other: "CExponent") -> "CExponent":
         return CExponent(self.const + other.const, self.c_coeff + other.c_coeff)
-
-    def specialize(self, c_value) -> Fraction:
-        return self.const + _as_fraction(c_value) * self.c_coeff
 
     def __str__(self) -> str:
         if self.c_coeff == 0:

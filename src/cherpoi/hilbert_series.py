@@ -68,17 +68,6 @@ class WGradedSeries(NamedTuple):
     prefix: CExponent
     components: dict  # Partition -> ExactRationalFunction in v
 
-    def component(self, lam) -> ExactRationalFunction:
-        return self.components.get(check_partition(lam), _zero_v())
-
-    def specialize_dims(self, c_value) -> tuple[Fraction, ExactRationalFunction]:
-        """Replace every [lam] by dim_irr(lam) and the prefix by its value at
-        the given coupling; returns (exponent value, total series)."""
-        total = _zero_v()
-        for lam, comp in self.components.items():
-            total = total + comp * dim_irr(lam)
-        return self.prefix.specialize(c_value), total
-
 
 class PrefixedSeries(NamedTuple):
     prefix: CExponent

@@ -23,10 +23,6 @@ class Cell(NamedTuple):
     arm: int
     leg: int
 
-    @property
-    def hook(self) -> int:
-        return 1 + self.arm + self.leg
-
 
 class Tableau(NamedTuple):
     """A standard Young tableau, stored as a tuple of row tuples (bottom row first)."""
@@ -96,7 +92,7 @@ def cells(mu) -> list[tuple[int, int]]:
 
 
 def cell_data(mu, row: int, col: int) -> Cell:
-    """Arm, leg, hook of a diagram cell; raises IndexError outside d(mu)."""
+    """Arm and leg of a diagram cell; raises IndexError outside d(mu)."""
     mu = check_partition(mu)
     if not (0 <= row < len(mu) and 0 <= col < mu[row]):
         raise IndexError(f"cell ({row},{col}) outside diagram of {mu}")

@@ -1,6 +1,7 @@
 """Brute-force oracle checks: small frozen tables plus structural laws."""
 
 import itertools
+import sys
 from math import comb, factorial
 
 import pytest
@@ -233,7 +234,6 @@ def test_bigraded_dims_validation_and_helpers():
     dims = BigradedDims(2, 2, None, {(0, 0): 1, (1, 0): 2, (0, 2): 1})
     assert dims.dim(1, 0) == 2
     assert dims.dim(5, 5) == 0
-    assert dims.diagonal_sums() == {0: 1, 1: 2, -2: 1}
     with pytest.raises(ValueError):
         BigradedDims(1, 1, None, {(1, 0): -1})
     with pytest.raises(ValueError):
@@ -277,6 +277,47 @@ def test_budget_limits():
         coinvariant_multiplicities(6)
 
 
+def test_every_exponent_fits_its_key_slot():
+    # two monomials share a packed key, or a product carries into the next
+    # variable, once an exponent reaches 2**_SLOT_BITS
+    width = 2**oracle._SLOT_BITS
+    assert oracle.MAX_WINDOW_BOUND + 4 < width  # jbar_dims's +4 window
+    n = oracle.MAX_ACTION_N
+    assert n * (n - 1) // 2 < width  # the top coinvariant degree
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_molien_counts_are_the_ranks_of_all_symmetrized_monomials(n):
+    # the count at which a_basis and parity_check stop, against the rank of
+    # every monomial's image with no stop
+    eng = oracle._Engine(n)
+    for a, b in _window_cells(6, 6, 8 if n == 4 else None):
+        for d, sign in ((0, 1), (1, -1)):
+            span = EchelonSpan(len(eng.cell(a, b)[0]))
+            for e in eng.cell(a, b)[0]:
+                img = eng.symmetrized({e: 1}, sign)
+                if img:
+                    span.add(eng.to_vec(img, a, b))
+            assert oracle._molien_dim(n, d, a, b) == span.rank, (d, a, b)
+
+
+def test_a_molien_count_one_short_changes_the_ideal_table(monkeypatch):
+    # A^1(3, 0) at n = 3 is the line of the Vandermonde; a count of 0 there
+    # drops it, and the J^1 table shows it
+    assert oracle._molien_dim(3, 1, 3, 0) == 1
+    true_count = oracle._molien_dim
+    eng = oracle._Engine(3)
+    monkeypatch.setattr(oracle, "_engine", lambda n: eng)
+    monkeypatch.setattr(
+        oracle,
+        "_molien_dim",
+        lambda n, d, a, b: true_count(n, d, a, b) - ((n, d, a, b) == (3, 1, 3, 0)),
+    )
+    table = ideal_power_dims(3, 1, (6, 6), 8).table
+    assert table != _frozen_table(J3_FROZEN[1])
+    assert table[(3, 0)] == 0
+
+
 # n = 3 tables on the bench's (6, 6) window with total 8: rows a = 0..6,
 # columns b = 0..min(6, 8 - a)
 J3_FROZEN = {
@@ -297,13 +338,13 @@ JBAR3_FROZEN = {
 }
 
 
+def _frozen_table(rows):
+    return {(a, b): value for a, row in enumerate(rows) for b, value in enumerate(row)}
+
+
 @pytest.mark.parametrize("d", sorted(J3_FROZEN))
 def test_ideal_powers_frozen_n3(d):
-    table = ideal_power_dims(3, d, (6, 6), 8).table
-    expected = {
-        (a, b): value for a, row in enumerate(J3_FROZEN[d]) for b, value in enumerate(row)
-    }
-    assert table == expected
+    assert ideal_power_dims(3, d, (6, 6), 8).table == _frozen_table(J3_FROZEN[d])
 
 
 @pytest.mark.parametrize("d", sorted(JBAR3_FROZEN))
@@ -331,6 +372,31 @@ def test_full_cells_never_build_their_invariants(monkeypatch):
     assert [key for key in eng._abasis if key[0] == 0] == [(0, 0, 0)]
 
 
+def _decode(key: int, width: int) -> tuple[tuple[int, ...], int]:
+    """(e, i) with key = sum_r _origin(r, e_r) + _origin(width, i). A packed
+    monomial key decodes to its exponent tuple and i = 0; a packed origin
+    names the monomial and the index of its A^d element."""
+    mask = (1 << oracle._SLOT_BITS) - 1
+    e = tuple((key >> (oracle._SLOT_BITS * r)) & mask for r in range(width))
+    return e, key >> (oracle._SLOT_BITS * width)
+
+
+def _tuple_keyed(eng, poly):
+    """An engine polynomial with its packed keys decoded to exponent tuples."""
+    out = {}
+    for key, c in poly.items():
+        e, rest = _decode(key, eng.width)
+        assert rest == 0, key
+        out[e] = c
+    return out
+
+
+def _tuple_vec(eng, poly, a, b):
+    """The column vector of a tuple-keyed polynomial in cell (a, b)."""
+    index = {_decode(key, eng.width)[0]: i for i, key in enumerate(eng.cell(a, b)[0])}
+    return {index[e]: c for e, c in poly.items()}
+
+
 def test_alternant_squares_have_the_rank_of_all_ordered_products():
     # a_basis(2) keeps products only, so equal ranks mean equal spans
     eng = oracle._Engine(3)
@@ -339,7 +405,8 @@ def test_alternant_squares_have_the_rank_of_all_ordered_products():
         for ap, bp in itertools.product(range(a + 1), range(b + 1)):
             for f in eng.a_basis(1, ap, bp):
                 for g in eng.a_basis(1, a - ap, b - bp):
-                    span.add(eng.to_vec(_mul(f, g), a, b))
+                    product = _mul(_tuple_keyed(eng, f), _tuple_keyed(eng, g))
+                    span.add(_tuple_vec(eng, product, a, b))
         assert len(eng.a_basis(2, a, b)) == span.rank, (a, b)
 
 
@@ -362,14 +429,15 @@ def test_stored_ideal_bases_match_the_closure_without_early_stop(monkeypatch):
                 for r, unit in enumerate(units)
                 for f in (reference(d, a - 1, b) if r < 2 else reference(d, a, b - 1))
             ]
+            alternants = [_tuple_keyed(eng, g) for g in eng.a_basis(d, a, b)]
             memo[(d, a, b)] = [
-                p for p in shifted + eng.a_basis(d, a, b) if p and span.add(eng.to_vec(p, a, b))
+                p for p in shifted + alternants if p and span.add(_tuple_vec(eng, p, a, b))
             ]
         return memo[(d, a, b)]
 
     assert len(eng._jbasis) == 3 * 30  # the cells a, b <= 5 with a + b <= 7
     for key, basis in eng._jbasis.items():
-        assert basis == reference(*key), key
+        assert [_tuple_keyed(eng, f) for f in basis] == reference(*key), key
 
 
 def test_cell_local_images_are_the_symmetrized_polynomials():
@@ -384,13 +452,6 @@ def test_cell_local_images_are_the_symmetrized_polynomials():
         assert set(images) <= set(eng.cell(a, b)[0])
 
 
-def _decode_origin(origin: int, width: int) -> tuple[tuple[int, ...], int]:
-    """(e, i) with origin = sum_r _origin(r, e_r) + _origin(width, i)."""
-    mask = (1 << oracle._ORIGIN_BITS) - 1
-    e = tuple((origin >> (oracle._ORIGIN_BITS * r)) & mask for r in range(width))
-    return e, origin >> (oracle._ORIGIN_BITS * width)
-
-
 def test_duplicate_origins_are_skipped(monkeypatch):
     eng = oracle._Engine(3)
     monkeypatch.setattr(oracle, "_engine", lambda n: eng)
@@ -399,13 +460,14 @@ def test_duplicate_origins_are_skipped(monkeypatch):
     class CountingSpan(EchelonSpan):
         def add(self, vec):
             nonlocal adds
-            adds += 1
+            # only the candidates that j_basis offers; a_basis has rules of its own
+            adds += sys._getframe(1).f_code.co_name == "j_basis"
             return super().add(vec)
 
     monkeypatch.setattr(oracle, "EchelonSpan", CountingSpan)
     ideal_power_dims(3, 2, (5, 5), 7)
     assert eng._entries == 1417  # stored entries, as without the rule
-    assert adds == 375
+    assert adds == 113
 
     # replay each cell's shifted candidates by origin, up to where the cell
     # filled: the duplicates among them are the adds the rule saved
@@ -424,14 +486,14 @@ def test_duplicate_origins_are_skipped(monkeypatch):
             seen.add(o)
             if o == stop:
                 break
-    assert adds + skipped == 407  # the add calls made without the rule
+    assert adds + skipped == 145  # the add calls j_basis makes without the rule
 
     # every stored element is x^e times the i-th element of its A^2 basis
     for (d, a, b), basis in eng._jbasis.items():
         for f, origin in zip(basis, eng._jorigins[(d, a, b)], strict=True):
-            e, i = _decode_origin(origin, 4)
+            e, i = _decode(origin, 4)
             g = eng.a_basis(d, a - e[0] - e[1], b - e[2] - e[3])[i]
-            assert f == _mul({e: 1}, g), (d, a, b)
+            assert _tuple_keyed(eng, f) == _mul({e: 1}, _tuple_keyed(eng, g)), (d, a, b)
 
 
 def test_cell_bases_do_not_depend_on_which_operation_builds_them(monkeypatch):
@@ -486,4 +548,5 @@ def test_apply_is_the_product_of_the_two_side_images(case):
     n, poly = case
     eng = oracle._Engine(n)
     for perm, _ in eng.group:
-        assert eng.apply(perm, poly) == _reference_image(n, perm, poly)
+        image = _tuple_keyed(eng, eng.apply(perm, poly))
+        assert image == _reference_image(n, perm, _tuple_keyed(eng, poly))

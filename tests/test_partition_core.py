@@ -63,7 +63,7 @@ def test_transpose_involution(mu):
 
 def test_cell_data_example():
     c = cell_data((4, 2, 1), 0, 0)
-    assert (c.arm, c.leg, c.hook) == (3, 2, 6)
+    assert (c.arm, c.leg) == (3, 2)
     with pytest.raises(IndexError):
         cell_data((4, 2, 1), 1, 3)
 
@@ -71,7 +71,8 @@ def test_cell_data_example():
 def test_hooks_match_cell_data_row_by_row():
     for n in range(1, 9):
         for mu in enumerate_partitions(n):
-            assert hooks(mu) == [cell_data(mu, i, j).hook for i, j in cells(mu)]
+            arms_and_legs = [cell_data(mu, i, j) for i, j in cells(mu)]
+            assert hooks(mu) == [1 + c.arm + c.leg for c in arms_and_legs]
     with pytest.raises(ValueError):
         hooks((1, 2))
 

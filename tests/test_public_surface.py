@@ -1,8 +1,10 @@
-"""Every public top-level function or class of cherpoi has a caller.
+"""Every public top-level function or class of cherpoi, and every public
+method of a public class, has a caller.
 
 A name defined at the top level of src/cherpoi/*.py without a leading
-underscore must be named somewhere in src/cherpoi or bench/*.py outside its
-own definition, or sit in KEEP. A name counts as an identifier, an
+underscore, or a method without one in such a class's body, must be named
+somewhere in src/cherpoi or bench/*.py outside its own definition, or sit in
+KEEP (a method as "Class.method"). A name counts as an identifier, an
 attribute, an imported name, or a dot-separated part of a string constant
 other than a docstring: the CLI's suite registry and the bench's trace
 targets name functions by string. Tests do not count, so a public name that
@@ -42,30 +44,42 @@ def _docstrings(tree):
     return out
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _names(node, docstrings):
-    """Every name that the subtree mentions."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.alias):
-            yield from sub.name.split(".")
-        elif (
-            isinstance(sub, ast.Constant)
-            and isinstance(sub.value, str)
-            and id(sub) not in docstrings
-        ):
-            yield from sub.value.split(".")
+    """Every name that the subtree mentions, less each definition's mentions
+    of its own name: recursion is not a caller."""
+    names = set()
+    if isinstance(node, ast.Name):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add(node.attr)
+    elif isinstance(node, ast.alias):
+        names.update(node.name.split("."))
+    elif (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in docstrings
+    ):
+        names.update(node.value.split("."))
+    for child in ast.iter_child_nodes(node):
+        names |= _names(child, docstrings)
+    if isinstance(node, DEFINITIONS):
+        names.discard(node.name)
+    return names
 
 
 def _public_definitions(tree):
-    return [
-        node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    ]
+    """(qualified name, name) of each public top-level definition and of each
+    public method of a public top-level class."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, DEFINITIONS) and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", member.name
 
 
 def _uncalled_public_names():
@@ -74,18 +88,11 @@ def _uncalled_public_names():
     defined = {}
     for path in sources:
         tree = ast.parse(path.read_text(), filename=str(path))
-        docstrings = _docstrings(tree)
-        own = {}
         if path.parent == PACKAGE:
-            for node in _public_definitions(tree):
-                own[id(node)] = node.name
-                defined[node.name] = path.name
-        for stmt in tree.body:
-            names = set(_names(stmt, docstrings))
-            # a definition's mention of itself (recursion) is not a caller
-            names.discard(own.get(id(stmt)))
-            used |= names
-    return {name: module for name, module in defined.items() if name not in used}
+            for qualified, name in _public_definitions(tree):
+                defined[qualified] = (name, path.name)
+        used |= _names(tree, _docstrings(tree))
+    return {qualified: module for qualified, (name, module) in defined.items() if name not in used}
 
 
 def test_every_public_name_has_a_caller_or_is_kept():

@@ -266,6 +266,40 @@ def test_series_mu_parts_must_be_json_integers(capsys, raw):
     assert "input error: --mu must be a JSON partition" in captured.err
 
 
+SERIES_OPTIONS = {"d": ["--d", "1"], "k": ["--k", "2"], "mu": ["--mu", "[2,1]"]}
+SERIES_READS = {
+    "JJ": "d", "J": "d", "Jbar": "d",
+    "Nbar": "k", "Nunder": "k", "Mbar": "k", "Munder": "k",
+    "eDelta": "mu",
+}
+
+
+@pytest.mark.parametrize(
+    "kind,option",
+    [
+        (kind, option)
+        for kind, reads in SERIES_READS.items()
+        for option in SERIES_OPTIONS
+        if option != reads
+    ],
+)
+def test_series_rejects_an_option_its_kind_does_not_read(capsys, kind, option):
+    argv = ["series", "--kind", kind, "--n", "3", *SERIES_OPTIONS[option]]
+    if kind == "eDelta":
+        argv += SERIES_OPTIONS["mu"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: --kind {kind} does not read --{option}" in captured.err
+
+
+@pytest.mark.parametrize("kind", sorted(SERIES_READS))
+def test_series_accepts_the_option_its_kind_reads(capsys, kind):
+    option = SERIES_READS[kind]
+    assert main(["series", "--kind", kind, "--n", "3", *SERIES_OPTIONS[option]]) == 0
+    assert capsys.readouterr().out
+
+
 def test_series_json_round_trips(capsys):
     assert main(
         ["series", "--kind", "Jbar", "--n", "3", "--d", "1", "--format", "json"]
