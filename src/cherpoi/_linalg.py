@@ -73,7 +73,13 @@ class EchelonSpan:
 
     def add(self, vec) -> bool:
         """Insert vec; returns True when it enlarges the span."""
-        v = self._ints(vec)
+        return self._insert(self._ints(vec))
+
+    def _insert(self, v: dict[int, int]) -> bool:
+        """Insert v, a fresh dict of nonzero ints at columns in range, which
+        it consumes; returns True when it enlarges the span. Every insert
+        comes here: from `add`, and directly from callers that build such
+        dicts, whose vectors would pass `_ints` unchanged."""
         self._eliminate(v)
         if not v:
             return False

@@ -14,16 +14,16 @@ _KIND_OPTIONS = {
     "JJ": ("d",),
     "J": ("d",),
     "Jbar": ("d",),
-    "Nbar": ("k",),
-    "Nunder": ("k",),
-    "Mbar": ("k",),
-    "Munder": ("k",),
+    "Nbar": ("k", "grading"),
+    "Nunder": ("k", "grading"),
+    "Mbar": ("k", "grading"),
+    "Munder": ("k", "grading"),
     "eDelta": ("mu",),
 }
 
 
 def _series_value(kind, n, d, k, grading, mu):
-    given = {"d": d, "k": k, "mu": mu}
+    given = {"d": d, "k": k, "mu": mu, "grading": grading}
     unread = [
         f"--{name}"
         for name, value in given.items()
@@ -31,6 +31,7 @@ def _series_value(kind, n, d, k, grading, mu):
     ]
     if unread:
         raise ValueError(f"--kind {kind} does not read {', '.join(unread)}")
+    grading = "h" if grading is None else grading
 
     from .hilbert_series import (
         bigraded_J,
@@ -101,7 +102,7 @@ def cmd_series(args) -> int:
             "n": args.n,
             "d": args.d,
             "k": args.k,
-            "grading": args.grading,
+            "grading": "h" if args.grading is None else args.grading,
             "series": rf_to_json(body),
         }
         if mu is not None:

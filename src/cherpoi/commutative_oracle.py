@@ -28,17 +28,27 @@ sum_r _origin(r, e_r). No exponent reaches 2**_SLOT_BITS, so a product of two
 monomials adds their keys and multiplying by x_r adds _origin(r, 1). Products
 go through exact_poly's _mul_packed.
 
-Cell bases. Five rules skip candidates that cannot raise a rank; no stored
+Cell bases. Six rules skip candidates that cannot raise a rank; no stored
 basis changes by them:
 
 - `j_basis` offers its candidates lazily and stops once the cell is full,
   so a J^d cell spanned by its neighbours' multiples (every J^0 cell but
-  (0,0)) never builds A^d(a,b);
-- `j_basis` records the origin (x^e, g) of each stored element x^e g, g an
-  A^d basis element, and skips a shifted candidate whose origin was already
-  offered in the cell: u_1 (u_2 g) and u_2 (u_1 g) are one polynomial;
-- `a_basis(2)` offers each unordered product of two A^1 factors once, since
-  A^1 A^1 is commutative;
+  (0,0)) never builds its generator stage;
+- `j_basis` records the origin (x^e, g) of each stored element x^e g, g the
+  i-th candidate of a generator stage, and skips a shifted candidate whose
+  origin was already offered in the cell: u_1 (u_2 g) and u_2 (u_1 g) are
+  one polynomial;
+- for d >= 2 the generator stage of J^d(a, b) offers the products f g,
+  f in G^{d-1}(c) and g in G^1((a, b) - c), over the splits c, not
+  A^d(a, b); G^e(c) is what the generator stage of J^e(c) kept. Each J^e
+  cell is spanned by its shifts and G^e, so the G^e of all cells generate
+  J^e, and J^d = J^{d-1} J^1 is generated by the products of the two
+  ideals' generators. A product from a lower cell times a monomial lies in
+  a shift, so the shifts and this cell's products span J^d(a, b). No J^d
+  operation builds an A^d basis for d >= 2, and the stored bases are those
+  of the A^d route, which the tests certify;
+- `a_basis(2)` and the d = 2 products offer each unordered product of two
+  degree-one factors once, since multiplication is commutative;
 - `parity_check` symmetrizes each monomial of a cell once and combines those
   images; they are held only while that cell is checked. For d <= 1 the
   rank of all of them is dim A^d(a,b), so it builds no A^d basis;
@@ -262,6 +272,7 @@ class _Engine:
         self._abasis: dict = {}  # (d, a, b) -> list[Poly]
         self._jbasis: dict = {}
         self._jorigins: dict = {}  # (d, a, b) -> packed origin of each _jbasis element
+        self._shift_bits = _origin(self.width, 1) - 1  # the monomial slots of an origin
         self._entries = 0
 
     @property
@@ -332,6 +343,9 @@ class _Engine:
         return self._cells[key]
 
     def to_vec(self, poly: Poly, a: int, b: int) -> dict[int, int]:
+        """poly's coordinates in cell (a, b): a fresh dict of nonzero ints at
+        columns in range, as `EchelonSpan._insert` takes it. A monomial
+        outside the cell is a KeyError."""
         index = self.cell(a, b)[1]
         return {index[e]: c for e, c in poly.items()}
 
@@ -346,7 +360,8 @@ class _Engine:
     def a_basis(self, d: int, a: int, b: int) -> list[Poly]:
         """A basis of A^d in cell (a, b). For d <= 1, the independent images of
         the cell's monomials under the (anti)symmetrizer, up to the first that
-        brings the rank to `_molien_dim`. For d >= 2, the
+        brings the rank to `_molien_dim`. For d >= 2, which only
+        `parity_check` reads, as the dimension of A^d(a, b), the
         independent products A^{d-1}(a', b') A^1(a - a', b - b'); at d = 2 a
         split lexicographically above its complement is skipped, and on the
         self-complementary split only the pairs f_i g_j with i <= j are formed.
@@ -366,7 +381,7 @@ class _Engine:
                 if span.rank == count:
                     break  # every later image lies in the span
                 img = self.symmetrized({e: 1}, sign)
-                if img and span.add(self.to_vec(img, a, b)):
+                if img and span._insert(self.to_vec(img, a, b)):
                     basis.append(img)
         else:
             for ap in range(a + 1):
@@ -382,21 +397,47 @@ class _Engine:
                         start = i if d == 2 and (ap, bp) == rest else 0
                         for g in ones[start:]:
                             h = _mul_packed(f, g)
-                            if h and span.add(self.to_vec(h, a, b)):
+                            if h and span._insert(self.to_vec(h, a, b)):
                                 basis.append(h)
         self._store(self._abasis, key, basis)
         return basis
 
+    def _generators(self, d: int, a: int, b: int) -> list[Poly]:
+        """G^d(a, b): the elements that `j_basis(d, a, b)` took from its
+        generator stage, i.e. those whose origin has no shift bits."""
+        basis = self.j_basis(d, a, b)
+        shifted = self._shift_bits
+        return [f for f, o in zip(basis, self._jorigins[(d, a, b)]) if not o & shifted]
+
+    def _products(self, d: int, a: int, b: int):
+        """For d >= 2, the products f g with f in G^{d-1}(a', b') and g in
+        G^1(a - a', b - b'), split by split in the order of `a_basis`, and
+        under its d = 2 rules: a split lexicographically above its complement
+        is skipped, and on the self-complementary split only f_i g_j with
+        i <= j is formed. Lazy, so a cell that fills first builds no more."""
+        for ap in range(a + 1):
+            for bp in range(b + 1):
+                rest = (a - ap, b - bp)
+                if d == 2 and (ap, bp) > rest:
+                    continue  # J^1 J^1 is commutative: the complement came first
+                lower = self._generators(d - 1, ap, bp)
+                ones = self._generators(1, *rest) if lower else ()
+                for i, f in enumerate(lower):
+                    start = i if d == 2 and (ap, bp) == rest else 0
+                    for g in ones[start:]:
+                        yield _mul_packed(f, g)
+
     def j_basis(self, d: int, a: int, b: int) -> list[Poly]:
         """A basis of J^d in cell (a, b): the independent ones among u_j f for
-        f in J^d(a-1, b), then w_j f for f in J^d(a, b-1), then A^d(a, b), in
-        that order. Once the rank reaches the cell's monomial count nothing
-        further is built, A^d(a, b) included; the basis is the same.
+        f in J^d(a-1, b), then w_j f for f in J^d(a, b-1), then the
+        generator stage, in that order. The generator stage offers A^d(a, b)
+        for d <= 1 and `_products(d, a, b)` for d >= 2. Once the rank reaches
+        the cell's monomial count nothing further is built.
 
         Every stored element is x^e g for a monomial x^e and the i-th element
-        g of an A^d basis, and `_jorigins` keeps (e, i) beside it, packed by
-        `_origin`. A shifted candidate whose origin was already offered in
-        this cell is that same polynomial again, so it is skipped."""
+        g offered by a generator stage, and `_jorigins` keeps (e, i) beside
+        it, packed by `_origin`. A shifted candidate whose origin was already
+        offered in this cell is that same polynomial again, so it is skipped."""
         if a < 0 or b < 0:
             return []
         key = (d, a, b)
@@ -419,11 +460,12 @@ class _Engine:
                     if o + step not in offered:
                         offered.add(o + step)
                         yield o + step, {k + step: c for k, c in f.items()}
-            for i, g in enumerate(self.a_basis(d, a, b)):
+            stage = self.a_basis(d, a, b) if d <= 1 else self._products(d, a, b)
+            for i, g in enumerate(stage):
                 yield _origin(self.width, i), g
 
         for o, p in candidates():
-            if p and span.add(self.to_vec(p, a, b)):
+            if p and span._insert(self.to_vec(p, a, b)):
                 basis.append(p)
                 origins.append(o)
                 if span.rank == len(monos):
@@ -559,7 +601,7 @@ def parity_check(n: int, d: int, window, total=None) -> bool:
                     break  # every later image lies in the span
                 images[e] = eng.symmetrized({e: 1}, sign)
                 if images[e]:
-                    full.add(eng.to_vec(images[e], a, b))
+                    full._insert(eng.to_vec(images[e], a, b))
             target = full.rank
         else:
             target = len(eng.a_basis(d, a, b))
@@ -567,7 +609,7 @@ def parity_check(n: int, d: int, window, total=None) -> bool:
         for f in eng.j_basis(d, a, b):
             img = _cell_image(eng, images, f, sign)
             if img:
-                span.add(eng.to_vec(img, a, b))
+                span._insert(eng.to_vec(img, a, b))
         if span.rank != target:
             return False
     return True
@@ -614,7 +656,7 @@ def jbar_dims(n: int, d: int, window, total=None) -> JbarResult:
         for k in range(2, n + 1):
             pk = _power_sum_poly(n, k)
             for f in eng.j_basis(d, a - k, b):
-                span.add(eng.to_vec(_mul_packed(pk, f), a, b))
+                span._insert(eng.to_vec(_mul_packed(pk, f), a, b))
         qdim[(a, b)] = jdim - span.rank
 
     def window_sums(extra: int) -> dict[int, int]:
@@ -656,7 +698,7 @@ def coinvariant_multiplicities(n: int) -> dict[int, dict[Partition, int]]:
         for k in range(2, n + 1):
             pk = _power_sum_poly(n, k)
             for e in eng.cell(degree - k, 0)[0] if degree >= k else ():
-                echelon.add(eng.to_vec({e + key: c for key, c in pk.items()}, degree, 0))
+                echelon._insert(eng.to_vec({e + key: c for key, c in pk.items()}, degree, 0))
         standard = [i for i in range(len(monos)) if i not in echelon.rows]
         traces: dict[Partition, Fraction] = {}
         for rho, perm in reps.items():

@@ -23,6 +23,12 @@ the lexicographic Laurent field determined by the variable order (first
 variable outermost, so for vars (s, t) this is Q((t))((s)) in the flipped
 exponents). Each denominator factor must have lowest term with coefficient
 +1 or -1 in that order, which is the usual geometric-series condition.
+Each factor is then 1 - g up to a sign and a monomial, and the numerator is
+multiplied by sum_k g^k one layer g^k at a time. A term that lies past the
+window and cannot come back into it is dropped as soon as it appears, and
+so are all its multiples; the expansion stops at the first empty layer. The
+layers and their sum are plain {(p, q): coefficient} dicts, a single
+variable being p with q = 0, and only the result becomes a LaurentPoly.
 """
 
 from __future__ import annotations
@@ -723,10 +729,12 @@ def expand_window(f, direction, window) -> LaurentPoly:
     if num.is_zero():
         return LaurentPoly.zero(variables)
 
+    # the layers below work on pairs (p, q); with one variable q stays 0
+    pad = (0,) * (2 - len(variables))
     # peel each factor into sign, monomial shift, and tail g with lex(g) > 0
-    shift = [0] * len(variables)
+    shift_p = shift_q = 0
     sign_flip = 1
-    tails: list[LaurentPoly] = []
+    tails: list[list] = []  # each g as a list of ((p, q), coefficient)
     for factor in f.den:
         fac = _flip(factor, signs)
         low_e, low_c = fac.lowest_term_lex()
@@ -736,71 +744,65 @@ def expand_window(f, direction, window) -> LaurentPoly:
             )
         if low_c == -1:
             sign_flip = -sign_flip
-        for i, e in enumerate(low_e):
-            shift[i] -= e
+        lp, lq = (*low_e, *pad)
+        shift_p -= lp
+        shift_q -= lq
         # g = 1 - fac/(low_c * mono): strictly lex-positive support; low_c is
         # +-1, so dividing by it is multiplying by it
-        g_terms = {}
+        tail = []
         for e, c in fac.terms.items():
-            if e == low_e:
-                continue
-            g_terms[tuple(x - y for x, y in zip(e, low_e))] = -c * low_c
-        tails.append(LaurentPoly._build(variables, g_terms))
+            p, q = (*e, *pad)
+            if (p, q) != (lp, lq):
+                tail.append(((p - lp, q - lq), -c * low_c))
+        tails.append(tail)
 
-    base = num.shift(tuple(shift))
-    if sign_flip == -1:
-        base = -base
-
+    # a term (p, q) is kept while p <= p_cap and q <= q_cap + rho (p_cap - p),
+    # rho the largest possible future drop of q per unit of p; compared in
+    # integers
     p_cap = fboxes[0][1]
-    two = len(variables) == 2
+    q_cap = fboxes[1][1] if pad == () else 0
+    rho = Fraction(0)
+    for tail in tails:
+        for (p, q), _ in tail:
+            if p > 0 and q < 0:
+                rho = max(rho, Fraction(-q, p))
+    rho_num, rho_den = rho.numerator, rho.denominator
 
-    if two:
-        # largest possible future drop of the second coordinate per unit of the first
-        rho = Fraction(0)
-        for g in tails:
-            for (p, q) in g.terms:
-                if p > 0 and q < 0:
-                    rho = max(rho, Fraction(-q, p))
-        s_hi = fboxes[1][1]
-        rho_num, rho_den = rho.numerator, rho.denominator
+    result: dict = {}
+    for e, c in num.terms.items():
+        p, q = (*e, *pad)
+        p += shift_p
+        q += shift_q
+        if p <= p_cap and (q - q_cap) * rho_den <= rho_num * (p_cap - p):
+            result[(p, q)] = sign_flip * c
 
-        def keep(e) -> bool:
-            # q <= s_hi + rho * (p_cap - p), compared in integers
-            p, q = e
-            if p > p_cap:
-                return False
-            return (q - s_hi) * rho_den <= rho_num * (p_cap - p)
-
-    else:
-
-        def keep(e) -> bool:
-            return e[0] <= p_cap
-
-    def prune(poly: LaurentPoly) -> LaurentPoly:
-        return LaurentPoly._build(variables, {e: c for e, c in poly.terms.items() if keep(e)})
-
-    result = prune(base)
-    if result.is_zero():
-        return LaurentPoly.zero(variables)
-
-    for g in tails:
-        if g.is_zero():
-            continue
+    for tail in tails:
         # result *= sum_k g^k, with hereditary pruning; terms once pruned can
         # never re-enter the window because tails are lex-nonnegative in the
         # first coordinate and second-coordinate drops consume first-coordinate
         # budget at rate at most rho
-        acc = result
+        acc = dict(result)
         layer = result
-        while True:
-            layer = prune(layer * g)
-            if layer.is_zero():
-                break
-            acc = acc + layer
+        while layer:
+            nxt: dict = {}
+            for (p1, q1), c1 in layer.items():
+                for (p2, q2), c2 in tail:
+                    p = p1 + p2
+                    q = q1 + q2
+                    if p > p_cap or (q - q_cap) * rho_den > rho_num * (p_cap - p):
+                        continue
+                    s = nxt.get((p, q), 0) + c1 * c2
+                    if s:
+                        nxt[(p, q)] = s
+                    else:
+                        del nxt[(p, q)]
+            _add_into(acc, nxt)
+            layer = nxt
         result = acc
 
     final = {}
-    for e, c in result.terms.items():
+    for e, c in result.items():
+        e = e[: len(variables)]
         if all(lo <= x <= hi for x, (lo, hi) in zip(e, fboxes)):
             final[tuple(s * x for s, x in zip(signs, e))] = c
     return LaurentPoly._build(variables, final)

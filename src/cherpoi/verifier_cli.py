@@ -157,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--d", type=int)
     p_series.add_argument("--k", type=int)
     p_series.add_argument("--mu", help="JSON partition for eDelta, e.g. [2,1]")
-    p_series.add_argument("--grading", choices=("h", "E"), default="h")
+    p_series.add_argument("--grading", choices=("h", "E"))  # h for the kinds that read it
     p_series.add_argument(
         "--format", choices=("text", "json", "csv", "latex"), default="text"
     )

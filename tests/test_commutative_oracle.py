@@ -411,33 +411,62 @@ def test_alternant_squares_have_the_rank_of_all_ordered_products():
 
 
 def test_stored_ideal_bases_match_the_closure_without_early_stop(monkeypatch):
+    # the reference offers A^d(a, b) as its generators for every d: the
+    # engine's generator products for d >= 2 must give the same bases
+    for n, window, total in ((2, (8, 8), None), (3, (5, 5), 7)):
+        eng = oracle._Engine(n)
+        monkeypatch.setattr(oracle, "_engine", lambda n: eng)
+        for d in range(4):
+            ideal_power_dims(n, d, window, total)
+        units = [tuple(int(i == r) for i in range(eng.width)) for r in range(eng.width)]
+        memo = {}
+
+        def reference(d, a, b):
+            """Every x_j f and y_j f, then A^d(a, b), each kept if independent."""
+            if a < 0 or b < 0:
+                return []
+            if (d, a, b) not in memo:
+                span = EchelonSpan(len(eng.cell(a, b)[0]))
+                shifted = [
+                    _mul(f, {unit: 1})
+                    for r, unit in enumerate(units)
+                    for f in (reference(d, a - 1, b) if r < eng.m else reference(d, a, b - 1))
+                ]
+                alternants = [_tuple_keyed(eng, g) for g in eng.a_basis(d, a, b)]
+                memo[(d, a, b)] = [
+                    p for p in shifted + alternants if p and span.add(_tuple_vec(eng, p, a, b))
+                ]
+            return memo[(d, a, b)]
+
+        assert len(eng._jbasis) == 4 * len(_window_cells(*window, total))
+        for key, basis in eng._jbasis.items():
+            assert [_tuple_keyed(eng, f) for f in basis] == reference(*key), (n, key)
+
+
+def test_a_generator_dropped_from_the_products_changes_the_ideal_table(monkeypatch):
+    # G^1(3, 0) at n = 3 is the Vandermonde alone, and J^2(6, 0) is the line
+    # of its square; without it in the product list, the J^2 table shows it
     eng = oracle._Engine(3)
     monkeypatch.setattr(oracle, "_engine", lambda n: eng)
-    for d in range(3):
-        ideal_power_dims(3, d, (5, 5), 7)
-    units = [tuple(int(i == r) for i in range(4)) for r in range(4)]  # u1, u2, w1, w2
-    memo = {}
+    assert len(eng._generators(1, 3, 0)) == 1
+    true_generators = eng._generators
+    monkeypatch.setattr(
+        eng,
+        "_generators",
+        lambda d, a, b: [] if (d, a, b) == (1, 3, 0) else true_generators(d, a, b),
+    )
+    table = ideal_power_dims(3, 2, (6, 6), 8).table
+    assert table != _frozen_table(J3_FROZEN[2])
+    assert table[(6, 0)] == 0
 
-    def reference(d, a, b):
-        """Every x_j f and y_j f, then A^d(a, b), each kept if independent."""
-        if a < 0 or b < 0:
-            return []
-        if (d, a, b) not in memo:
-            span = EchelonSpan(len(eng.cell(a, b)[0]))
-            shifted = [
-                _mul(f, {unit: 1})
-                for r, unit in enumerate(units)
-                for f in (reference(d, a - 1, b) if r < 2 else reference(d, a, b - 1))
-            ]
-            alternants = [_tuple_keyed(eng, g) for g in eng.a_basis(d, a, b)]
-            memo[(d, a, b)] = [
-                p for p in shifted + alternants if p and span.add(_tuple_vec(eng, p, a, b))
-            ]
-        return memo[(d, a, b)]
 
-    assert len(eng._jbasis) == 3 * 30  # the cells a, b <= 5 with a + b <= 7
-    for key, basis in eng._jbasis.items():
-        assert [_tuple_keyed(eng, f) for f in basis] == reference(*key), key
+def test_ideal_powers_never_build_alternant_powers(monkeypatch):
+    eng = oracle._Engine(3)
+    monkeypatch.setattr(oracle, "_engine", lambda n: eng)
+    ideal_power_dims(3, 2, (6, 6), 8)
+    jbar_dims(3, 2, (3, 3), 5)
+    assert eng._abasis
+    assert [key for key in eng._abasis if key[0] >= 2] == []
 
 
 def test_cell_local_images_are_the_symmetrized_polynomials():
@@ -458,16 +487,18 @@ def test_duplicate_origins_are_skipped(monkeypatch):
     adds = 0
 
     class CountingSpan(EchelonSpan):
-        def add(self, vec):
+        def _insert(self, vec):
             nonlocal adds
             # only the candidates that j_basis offers; a_basis has rules of its own
             adds += sys._getframe(1).f_code.co_name == "j_basis"
-            return super().add(vec)
+            return super()._insert(vec)
 
     monkeypatch.setattr(oracle, "EchelonSpan", CountingSpan)
     ideal_power_dims(3, 2, (5, 5), 7)
-    assert eng._entries == 1417  # stored entries, as without the rule
-    assert adds == 113
+    # stored entries, as without the rule: J^2, and the J^1 and A^1 cells
+    # that its generator products read
+    assert eng._entries == 1082
+    assert adds == 201
 
     # replay each cell's shifted candidates by origin, up to where the cell
     # filled: the duplicates among them are the adds the rule saved
@@ -486,13 +517,17 @@ def test_duplicate_origins_are_skipped(monkeypatch):
             seen.add(o)
             if o == stop:
                 break
-    assert adds + skipped == 145  # the add calls j_basis makes without the rule
+    assert adds + skipped == 266  # the add calls j_basis makes without the rule
 
-    # every stored element is x^e times the i-th element of its A^2 basis
+    # every stored element is x^e times the i-th candidate of a generator
+    # stage: A^1 for J^1, the generator products for J^2
+    assert {key[0] for key in eng._jbasis} == {1, 2}
     for (d, a, b), basis in eng._jbasis.items():
         for f, origin in zip(basis, eng._jorigins[(d, a, b)], strict=True):
             e, i = _decode(origin, 4)
-            g = eng.a_basis(d, a - e[0] - e[1], b - e[2] - e[3])[i]
+            cell = (d, a - e[0] - e[1], b - e[2] - e[3])
+            stage = eng.a_basis(*cell) if d == 1 else eng._products(*cell)
+            g = next(itertools.islice(stage, i, None))
             assert _tuple_keyed(eng, f) == _mul({e: 1}, _tuple_keyed(eng, g)), (d, a, b)
 
 
