@@ -48,7 +48,7 @@ def _ints(doc, key) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _load_idempotent(doc, cutoff=None) -> GradedIdempotent:
+def _load_idempotent(doc, cutoff=None):
     """The idempotent a JSON document describes; cutoff, when given,
     overrides the document's."""
     from .graded_free import GradedIdempotent, _exact, polynomial_algebra, truncated_polynomial_algebra

@@ -8,56 +8,34 @@ import sys
 from .report import SERIES_SCHEMA
 
 
-# the options each kind reads; a kind given one it does not read is an input
-# error, not a series computed without it
-_KIND_OPTIONS = {
-    "JJ": ("d",),
-    "J": ("d",),
-    "Jbar": ("d",),
-    "Nbar": ("k", "grading"),
-    "Nunder": ("k", "grading"),
-    "Mbar": ("k", "grading"),
-    "Munder": ("k", "grading"),
-    "eDelta": ("mu",),
+# kind -> (its hilbert_series function, the option it reads, that option's
+# default); the k kinds also read --grading. A kind given an option it does
+# not read is an input error, not a series computed without it
+_KINDS = {
+    "JJ": ("bigraded_JJ", "d", 0),
+    "J": ("bigraded_J", "d", 0),
+    "Jbar": ("jbar_closed", "d", 0),
+    "Nbar": ("nbar_series", "k", 0),
+    "Nunder": ("nunder_series", "k", 0),
+    "Mbar": ("mbar_series", "k", 1),
+    "Munder": ("munder_series", "k", 1),
+    "eDelta": ("e_standard_series", "mu", None),
 }
 
 
 def _series_value(kind, n, d, k, grading, mu):
+    if kind not in _KINDS:
+        raise ValueError(f"unknown series kind {kind!r}")
+    name, option, default = _KINDS[kind]
+    reads = (option, "grading") if option == "k" else (option,)
     given = {"d": d, "k": k, "mu": mu, "grading": grading}
-    unread = [
-        f"--{name}"
-        for name, value in given.items()
-        if value is not None and name not in _KIND_OPTIONS.get(kind, given)
-    ]
+    unread = [f"--{o}" for o, value in given.items() if value is not None and o not in reads]
     if unread:
         raise ValueError(f"--kind {kind} does not read {', '.join(unread)}")
-    grading = "h" if grading is None else grading
 
-    from .hilbert_series import (
-        bigraded_J,
-        bigraded_JJ,
-        e_standard_series,
-        jbar_closed,
-        mbar_series,
-        munder_series,
-        nbar_series,
-        nunder_series,
-    )
+    from . import hilbert_series
 
-    if kind == "JJ":
-        return bigraded_JJ(n, 0 if d is None else d), None
-    if kind == "J":
-        return bigraded_J(n, 0 if d is None else d), None
-    if kind == "Jbar":
-        return jbar_closed(n, 0 if d is None else d), None
-    if kind == "Nbar":
-        return nbar_series(n, 0 if k is None else k, grading), None
-    if kind == "Nunder":
-        return nunder_series(n, 0 if k is None else k, grading), None
-    if kind == "Mbar":
-        return mbar_series(n, 1 if k is None else k, grading), None
-    if kind == "Munder":
-        return munder_series(n, 1 if k is None else k, grading), None
+    series = getattr(hilbert_series, name)
     if kind == "eDelta":
         if mu is None:
             raise ValueError("eDelta needs --mu, a JSON partition like [2,1]")
@@ -65,12 +43,15 @@ def _series_value(kind, n, d, k, grading, mu):
             raise ValueError(
                 f"--mu {list(mu)} is a partition of {sum(mu)}, not of n = {n}"
             )
-        series = e_standard_series(mu)
-        return series.body, series.prefix
-    raise ValueError(f"unknown series kind {kind!r}")
+        result = series(mu)
+        return result.body, result.prefix
+    value = default if given[option] is None else given[option]
+    if option == "k":
+        return series(n, value, "h" if grading is None else grading), None
+    return series(n, value), None
 
 
-def _series_csv(f: ExactRationalFunction, prefix) -> str:
+def _series_csv(f, prefix) -> str:
     lines = ["part,coeff,exponents"]
     if prefix is not None:
         lines.append(f'prefix,"{prefix}",')

@@ -3,10 +3,9 @@
 Everything here is computed from first principles: monomials, permutation
 substitutions, and exact row reduction. No closed formula from the series
 modules is consulted, so these tables can sit on the other side of an
-acceptance check. Every polynomial here has integer coefficients except the
-linear forms of `_x_in_u`, whose denominators divide n; `_power_sum_poly`
-clears them. The cell bases are eliminated over Z by `EchelonSpan`, whose ranks
-are exactly the ranks over Q.
+acceptance check. Every polynomial here has integer coefficients: `_x_in_u`
+writes n x_i, so `_power_sum_poly` is n^k p_k. The cell bases are eliminated
+over Z by `EchelonSpan`, whose ranks are exactly the ranks over Q.
 
 Conventions. h is the (n-1)-dimensional reflection representation realized
 inside C^n as the span of u_i = x_i - x_{i+1}; the dual copy h* carries the
@@ -28,6 +27,12 @@ sum_r _origin(r, e_r). No exponent reaches 2**_SLOT_BITS, so a product of two
 monomials adds their keys and multiplying by x_r adds _origin(r, 1). Products
 go through exact_poly's _mul_packed.
 
+Cell spans. Each kind of span is written once: `_image_span` spans the
+(anti)symmetrized monomials of a cell (A^0 and A^1), `_split_products` offers
+the products over the splits of a cell (the J^d generator stage and A^d for
+d >= 2), `_invariant_multiples` spans p_2..p_n times a lower module (jbar_dims
+and coinvariant_multiplicities), and `j_basis` closes a cell under shifts.
+
 Cell bases. Six rules skip candidates that cannot raise a rank; no stored
 basis changes by them:
 
@@ -38,8 +43,8 @@ basis changes by them:
   i-th candidate of a generator stage, and skips a shifted candidate whose
   origin was already offered in the cell: u_1 (u_2 g) and u_2 (u_1 g) are
   one polynomial;
-- for d >= 2 the generator stage of J^d(a, b) offers the products f g,
-  f in G^{d-1}(c) and g in G^1((a, b) - c), over the splits c, not
+- for d >= 2 the generator stage of J^d(a, b) offers the `_split_products`
+  f g, f in G^{d-1}(c) and g in G^1((a, b) - c), over the splits c, not
   A^d(a, b); G^e(c) is what the generator stage of J^e(c) kept. Each J^e
   cell is spanned by its shifts and G^e, so the G^e of all cells generate
   J^e, and J^d = J^{d-1} J^1 is generated by the products of the two
@@ -47,16 +52,16 @@ basis changes by them:
   a shift, so the shifts and this cell's products span J^d(a, b). No J^d
   operation builds an A^d basis for d >= 2, and the stored bases are those
   of the A^d route, which the tests certify;
-- `a_basis(2)` and the d = 2 products offer each unordered product of two
+- at d = 2, `_split_products` offers each unordered product of two
   degree-one factors once, since multiplication is commutative;
 - `parity_check` symmetrizes each monomial of a cell once and combines those
   images; they are held only while that cell is checked. For d <= 1 the
   rank of all of them is dim A^d(a,b), so it builds no A^d basis;
-- for d <= 1, `a_basis` and `parity_check`'s span of the images stop once
-  their rank reaches dim A^d(a,b), which `_molien_dim` counts by Molien's
+- `_image_span`, behind `a_basis(d <= 1)` and `parity_check(d <= 1)`, stops
+  once its rank reaches dim A^d(a,b), which `_molien_dim` counts by Molien's
   theorem: every later image lies in the span already built. A rank that
-  falls short of the count runs through every monomial as before, so the
-  count only ever ends a loop early.
+  falls short of the count runs through every monomial, so the count only
+  ever ends a loop early.
 
 Resource budget. coinvariant_multiplicities runs for 2 <= n <= 5. The
 bigraded operations run for 2 <= n <= 4 with d <= 3 when n <= 3, and n = 4
@@ -230,32 +235,21 @@ def _compositions(total: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 @cache
 def _x_in_u(i: int, n: int) -> Poly:
-    """x_i restricted to the sum-zero hyperplane, as a linear form in the u's."""
-    out: Poly = {}
-    for j in range(n - 1):
-        c = Fraction(1 if j + 1 >= i else 0) - Fraction(j + 1, n)
-        if c:
-            out[_origin(j, 1)] = c
-    return out
+    """n x_i restricted to the sum-zero hyperplane, as a linear form in the
+    u's: x_i = sum_j ([j >= i] - j/n) u_j."""
+    return {_origin(j - 1, 1): c for j in range(1, n) if (c := n * (j >= i) - j)}
 
 
 @cache
 def _power_sum_poly(n: int, k: int) -> Poly:
-    """n^k * sum_i x_i^k in u-coordinates; integer coefficients, bidegree (k,0)."""
+    """n^k * sum_i x_i^k in u-coordinates, bidegree (k,0)."""
     acc: Poly = {}
     for i in range(1, n + 1):
-        term = {0: Fraction(1)}
+        term = {0: 1}
         for _ in range(k):
             term = _mul_packed(_x_in_u(i, n), term)
         _add_into(acc, term)
-    out: Poly = {}
-    for e, c in acc.items():
-        v = c * n**k
-        if v.denominator != 1:
-            raise ArithmeticError("power sum failed to clear denominators")
-        if v:
-            out[e] = int(v)
-    return out
+    return acc
 
 
 class _Engine:
@@ -319,12 +313,6 @@ class _Engine:
         ws = self._side_image(perm, e - eu).items()
         return {ku + kw: cu * cw for ku, cu in self._side_image(perm, eu).items() for kw, cw in ws}
 
-    def apply(self, perm, poly: Poly) -> Poly:
-        out: Poly = {}
-        for e, c in poly.items():
-            _add_into(out, self._monomial_image(perm, e), c)
-        return out
-
     def symmetrized(self, poly: Poly, sign: int) -> Poly:
         """Unnormalized projector: sum over sigma of sigma(poly), signed when sign=-1."""
         acc: Poly = {}
@@ -357,50 +345,78 @@ class _Engine:
             )
         bucket[key] = basis
 
+    def _image_span(self, d: int, a: int, b: int, images: dict) -> list[Poly]:
+        """The independent images of the cell's monomials under the
+        symmetrizer (d = 0) or the antisymmetrizer (d = 1), up to the first
+        that brings the rank to `_molien_dim`; every image made is recorded in
+        `images`. A rank that falls short of the count runs through every
+        monomial."""
+        monos = self.cell(a, b)[0]
+        span = EchelonSpan(len(monos))
+        count = _molien_dim(self.n, d, a, b)
+        sign = -1 if d == 1 else 1
+        basis: list[Poly] = []
+        for e in monos:
+            if span.rank == count:
+                break  # every later image lies in the span
+            img = images[e] = self.symmetrized({e: 1}, sign)
+            if img and span._insert(self.to_vec(img, a, b)):
+                basis.append(img)
+        return basis
+
+    def _split_products(self, d: int, a: int, b: int, factor):
+        """For d >= 2, the products f g with f in factor(d - 1, a', b') and g
+        in factor(1, a - a', b - b'), split by split. Multiplication is
+        commutative, so at d = 2 a split lexicographically above its
+        complement is skipped, and on the self-complementary split only
+        f_i g_j with i <= j is formed. Lazy, so a cell that fills first builds
+        no more."""
+        for ap in range(a + 1):
+            for bp in range(b + 1):
+                rest = (a - ap, b - bp)
+                if d == 2 and (ap, bp) > rest:
+                    continue  # the complement came first
+                lower = factor(d - 1, ap, bp)
+                ones = factor(1, *rest) if lower else ()
+                for i, f in enumerate(lower):
+                    # a self-complementary split has lower == ones, and
+                    # f_i g_j = f_j g_i came first for j < i
+                    start = i if d == 2 and (ap, bp) == rest else 0
+                    for g in ones[start:]:
+                        yield _mul_packed(f, g)
+
     def a_basis(self, d: int, a: int, b: int) -> list[Poly]:
-        """A basis of A^d in cell (a, b). For d <= 1, the independent images of
-        the cell's monomials under the (anti)symmetrizer, up to the first that
-        brings the rank to `_molien_dim`. For d >= 2, which only
-        `parity_check` reads, as the dimension of A^d(a, b), the
-        independent products A^{d-1}(a', b') A^1(a - a', b - b'); at d = 2 a
-        split lexicographically above its complement is skipped, and on the
-        self-complementary split only the pairs f_i g_j with i <= j are formed.
-        """
+        """A basis of A^d in cell (a, b): `_image_span` for d <= 1; for
+        d >= 2, which only `parity_check` reads, as the dimension of
+        A^d(a, b), the independent ones among `_split_products` of A^{d-1}
+        and A^1."""
         if a < 0 or b < 0:
             return []
         key = (d, a, b)
         if key in self._abasis:
             return self._abasis[key]
-        monos, _ = self.cell(a, b)
-        span = EchelonSpan(len(monos))
-        basis: list[Poly] = []
         if d <= 1:
-            sign = -1 if d == 1 else 1
-            count = _molien_dim(self.n, d, a, b)
-            for e in monos:
-                if span.rank == count:
-                    break  # every later image lies in the span
-                img = self.symmetrized({e: 1}, sign)
-                if img and span._insert(self.to_vec(img, a, b)):
-                    basis.append(img)
+            basis = self._image_span(d, a, b, {})
         else:
-            for ap in range(a + 1):
-                for bp in range(b + 1):
-                    rest = (a - ap, b - bp)
-                    if d == 2 and (ap, bp) > rest:
-                        continue  # A^1 A^1 is commutative: the complement came first
-                    lower = self.a_basis(d - 1, ap, bp)
-                    ones = self.a_basis(1, *rest)
-                    for i, f in enumerate(lower):
-                        # a self-complementary split has lower == ones, and
-                        # f_i g_j = f_j g_i came first for j < i
-                        start = i if d == 2 and (ap, bp) == rest else 0
-                        for g in ones[start:]:
-                            h = _mul_packed(f, g)
-                            if h and span._insert(self.to_vec(h, a, b)):
-                                basis.append(h)
+            span = EchelonSpan(len(self.cell(a, b)[0]))
+            basis = [
+                h
+                for h in self._split_products(d, a, b, self.a_basis)
+                if h and span._insert(self.to_vec(h, a, b))
+            ]
         self._store(self._abasis, key, basis)
         return basis
+
+    def _invariant_multiples(self, a: int, b: int, lower) -> EchelonSpan:
+        """(C[h]^W_+ M)(a, b) for the module M whose cell (c, b) `lower(c, b)`
+        lists: the span of p_k f, 2 <= k <= n, f in lower(a - k, b), with
+        p_k = `_power_sum_poly(n, k)`."""
+        span = EchelonSpan(len(self.cell(a, b)[0]))
+        for k in range(2, self.n + 1):
+            pk = _power_sum_poly(self.n, k)
+            for f in lower(a - k, b):
+                span._insert(self.to_vec(_mul_packed(pk, f), a, b))
+        return span
 
     def _generators(self, d: int, a: int, b: int) -> list[Poly]:
         """G^d(a, b): the elements that `j_basis(d, a, b)` took from its
@@ -409,30 +425,13 @@ class _Engine:
         shifted = self._shift_bits
         return [f for f, o in zip(basis, self._jorigins[(d, a, b)]) if not o & shifted]
 
-    def _products(self, d: int, a: int, b: int):
-        """For d >= 2, the products f g with f in G^{d-1}(a', b') and g in
-        G^1(a - a', b - b'), split by split in the order of `a_basis`, and
-        under its d = 2 rules: a split lexicographically above its complement
-        is skipped, and on the self-complementary split only f_i g_j with
-        i <= j is formed. Lazy, so a cell that fills first builds no more."""
-        for ap in range(a + 1):
-            for bp in range(b + 1):
-                rest = (a - ap, b - bp)
-                if d == 2 and (ap, bp) > rest:
-                    continue  # J^1 J^1 is commutative: the complement came first
-                lower = self._generators(d - 1, ap, bp)
-                ones = self._generators(1, *rest) if lower else ()
-                for i, f in enumerate(lower):
-                    start = i if d == 2 and (ap, bp) == rest else 0
-                    for g in ones[start:]:
-                        yield _mul_packed(f, g)
-
     def j_basis(self, d: int, a: int, b: int) -> list[Poly]:
         """A basis of J^d in cell (a, b): the independent ones among u_j f for
         f in J^d(a-1, b), then w_j f for f in J^d(a, b-1), then the
         generator stage, in that order. The generator stage offers A^d(a, b)
-        for d <= 1 and `_products(d, a, b)` for d >= 2. Once the rank reaches
-        the cell's monomial count nothing further is built.
+        for d <= 1 and the `_split_products` of G^{d-1} and G^1 for d >= 2.
+        Once the rank reaches the cell's monomial count nothing further is
+        built.
 
         Every stored element is x^e g for a monomial x^e and the i-th element
         g offered by a generator stage, and `_jorigins` keeps (e, i) beside
@@ -460,7 +459,11 @@ class _Engine:
                     if o + step not in offered:
                         offered.add(o + step)
                         yield o + step, {k + step: c for k, c in f.items()}
-            stage = self.a_basis(d, a, b) if d <= 1 else self._products(d, a, b)
+            stage = (
+                self.a_basis(d, a, b)
+                if d <= 1
+                else self._split_products(d, a, b, self._generators)
+            )
             for i, g in enumerate(stage):
                 yield _origin(self.width, i), g
 
@@ -591,21 +594,12 @@ def parity_check(n: int, d: int, window, total=None) -> bool:
     eng = _engine(n)
     sign = -1 if d % 2 else 1
     for a, b in _window_cells(*window, total):
-        monos, _ = eng.cell(a, b)
         images: dict = {}  # monomial -> its image, local to this cell
         if d <= 1:
-            full = EchelonSpan(len(monos))
-            count = _molien_dim(n, d, a, b)
-            for e in monos:
-                if full.rank == count:
-                    break  # every later image lies in the span
-                images[e] = eng.symmetrized({e: 1}, sign)
-                if images[e]:
-                    full._insert(eng.to_vec(images[e], a, b))
-            target = full.rank
+            target = len(eng._image_span(d, a, b, images))
         else:
             target = len(eng.a_basis(d, a, b))
-        span = EchelonSpan(len(monos))
+        span = EchelonSpan(len(eng.cell(a, b)[0]))
         for f in eng.j_basis(d, a, b):
             img = _cell_image(eng, images, f, sign)
             if img:
@@ -651,12 +645,7 @@ def jbar_dims(n: int, d: int, window, total=None) -> JbarResult:
         if jdim == 0:
             qdim[(a, b)] = 0
             continue
-        monos, _ = eng.cell(a, b)
-        span = EchelonSpan(len(monos))
-        for k in range(2, n + 1):
-            pk = _power_sum_poly(n, k)
-            for f in eng.j_basis(d, a - k, b):
-                span._insert(eng.to_vec(_mul_packed(pk, f), a, b))
+        span = eng._invariant_multiples(a, b, lambda a, b: eng.j_basis(d, a, b))
         qdim[(a, b)] = jdim - span.rank
 
     def window_sums(extra: int) -> dict[int, int]:
@@ -694,17 +683,15 @@ def coinvariant_multiplicities(n: int) -> dict[int, dict[Partition, int]]:
     out: dict[int, dict[Partition, int]] = {}
     for degree in range(top + 1):
         monos = eng.cell(degree, 0)[0]
-        echelon = EchelonSpan(len(monos))
-        for k in range(2, n + 1):
-            pk = _power_sum_poly(n, k)
-            for e in eng.cell(degree - k, 0)[0] if degree >= k else ():
-                echelon._insert(eng.to_vec({e + key: c for key, c in pk.items()}, degree, 0))
+        echelon = eng._invariant_multiples(
+            degree, 0, lambda a, b: [{e: 1} for e in eng.cell(a, b)[0]] if a >= 0 else ()
+        )
         standard = [i for i in range(len(monos)) if i not in echelon.rows]
         traces: dict[Partition, Fraction] = {}
         for rho, perm in reps.items():
             tr = Fraction(0)
             for i in standard:
-                img = eng.apply(perm, {monos[i]: 1})
+                img = eng._monomial_image(perm, monos[i])
                 reduced, scale = echelon.normal_form(eng.to_vec(img, degree, 0))
                 tr += Fraction(reduced.get(i, 0), scale)
             traces[rho] = tr

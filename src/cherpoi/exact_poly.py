@@ -346,18 +346,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers of polynomials are not polynomials")
-        result = LaurentPoly.one(self.vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def shift(self, exps: tuple[int, ...]) -> "LaurentPoly":
         """Multiply by the monomial with the given exponent vector."""
         exps = tuple(int(x) for x in exps)
@@ -367,25 +355,20 @@ class LaurentPoly:
 
     # -- substitution and evaluation ------------------------------------
 
-    def substitute_monomials(self, new_vars, mapping: Mapping[str, tuple[int, ...]], signs: Mapping[str, int] | None = None) -> "LaurentPoly":
-        """Map each variable to a monomial (exponent vector over new_vars, optional sign)."""
+    def substitute_monomials(self, new_vars, mapping: Mapping[str, tuple[int, ...]]) -> "LaurentPoly":
+        """Map each variable to a monomial (exponent vector over new_vars)."""
         new_vars = tuple(new_vars)
         images = []
-        sgn = []
         for name in self.vars:
             if name not in mapping:
                 raise ValueError(f"no image for variable {name}")
             images.append(tuple(mapping[name]))
-            sgn.append((signs or {}).get(name, 1))
         out: dict[tuple[int, ...], int | Fraction] = {}
-        for e, c in self.terms.items():
+        for e, coeff in self.terms.items():
             new_e = [0] * len(new_vars)
-            coeff = c
-            for power, image, s in zip(e, images, sgn):
+            for power, image in zip(e, images):
                 for i, ei in enumerate(image):
                     new_e[i] += power * ei
-                if s == -1 and power % 2:
-                    coeff = -coeff
             key = tuple(new_e)
             acc = out.get(key)
             tot = coeff if acc is None else acc + coeff

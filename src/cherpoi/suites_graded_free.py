@@ -8,7 +8,7 @@ from .report import _verdict
 from .verifier_cli import DEFAULT_SEED
 
 
-def _random_battery(algebra, trials: int, rng: Random):
+def _random_battery(algebra, trials: int, rng):
     from .graded_free import extract_homogeneous_basis, random_unipotent_idempotent
 
     passes = 0

@@ -15,7 +15,7 @@ from .report import _plabel, _verdict
 ST = ("s", "t")
 
 
-def _natural_coeffs(poly: LaurentPoly) -> bool:
+def _natural_coeffs(poly) -> bool:
     return all(
         c == int(c) and c >= 0 and all(e >= 0 for e in exps)
         for exps, c in poly.terms.items()
@@ -90,7 +90,7 @@ def _suite_kostka(p):
     return items
 
 
-def _collapse_target(n: int) -> ExactRationalFunction:
+def _collapse_target(n: int):
     from .exact_poly import ExactRationalFunction, LaurentPoly
 
     one = LaurentPoly.one(ST)

@@ -297,7 +297,7 @@ def test_coefficients_stay_in_normal_form(a, b, c):
         a + c,
         a.invert_variables(),
         a.shift((1, -2)),
-        a.substitute_monomials(V, {"s": (1,), "t": (-1,)}, {"t": -1}),
+        a.substitute_monomials(V, {"s": (1,), "t": (-1,)}),
         poly_terms_from_json(ST, poly_terms_to_json(a)),
     ]
     if b:
