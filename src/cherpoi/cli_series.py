@@ -6,48 +6,27 @@ import json
 import sys
 
 from .report import SERIES_SCHEMA
+from .verifier_cli import SERIES_KINDS
 
 
-# kind -> (its hilbert_series function, the option it reads, that option's
-# default); the k kinds also read --grading. A kind given an option it does
-# not read is an input error, not a series computed without it
-_KINDS = {
-    "JJ": ("bigraded_JJ", "d", 0),
-    "J": ("bigraded_J", "d", 0),
-    "Jbar": ("jbar_closed", "d", 0),
-    "Nbar": ("nbar_series", "k", 0),
-    "Nunder": ("nunder_series", "k", 0),
-    "Mbar": ("mbar_series", "k", 1),
-    "Munder": ("munder_series", "k", 1),
-    "eDelta": ("e_standard_series", "mu", None),
-}
-
-
-def _series_value(kind, n, d, k, grading, mu):
-    if kind not in _KINDS:
-        raise ValueError(f"unknown series kind {kind!r}")
-    name, option, default = _KINDS[kind]
-    reads = (option, "grading") if option == "k" else (option,)
-    given = {"d": d, "k": k, "mu": mu, "grading": grading}
-    unread = [f"--{o}" for o, value in given.items() if value is not None and o not in reads]
-    if unread:
-        raise ValueError(f"--kind {kind} does not read {', '.join(unread)}")
+def _series_value(kind, n, value, grading):
+    """(body, prefix) of one series; value is the option the kind reads."""
+    name, option, _ = SERIES_KINDS[kind]
 
     from . import hilbert_series
 
     series = getattr(hilbert_series, name)
-    if kind == "eDelta":
-        if mu is None:
+    if option == "mu":
+        if value is None:
             raise ValueError("eDelta needs --mu, a JSON partition like [2,1]")
-        if sum(mu) != n:
+        if sum(value) != n:
             raise ValueError(
-                f"--mu {list(mu)} is a partition of {sum(mu)}, not of n = {n}"
+                f"--mu {list(value)} is a partition of {sum(value)}, not of n = {n}"
             )
-        result = series(mu)
+        result = series(value)
         return result.body, result.prefix
-    value = default if given[option] is None else given[option]
     if option == "k":
-        return series(n, value, "h" if grading is None else grading), None
+        return series(n, value, grading), None
     return series(n, value), None
 
 
@@ -73,7 +52,15 @@ def cmd_series(args) -> int:
             raise ValueError(f"--mu must be a JSON partition like [2,1], got {args.mu!r}")
     else:
         mu = None
-    body, prefix = _series_value(args.kind, args.n, args.d, args.k, args.grading, mu)
+    _, option, default = SERIES_KINDS[args.kind]
+    reads = (option, "grading") if option == "k" else (option,)
+    given = {"d": args.d, "k": args.k, "mu": mu, "grading": args.grading}
+    unread = [f"--{o}" for o, value in given.items() if value is not None and o not in reads]
+    if unread:
+        raise ValueError(f"--kind {args.kind} does not read {', '.join(unread)}")
+    value = default if given[option] is None else given[option]
+    grading = "h" if args.grading is None else args.grading
+    body, prefix = _series_value(args.kind, args.n, value, grading)
     if args.format == "json":
         from .exact_poly import rf_to_json
 
@@ -83,7 +70,7 @@ def cmd_series(args) -> int:
             "n": args.n,
             "d": args.d,
             "k": args.k,
-            "grading": "h" if args.grading is None else args.grading,
+            "grading": grading,
             "series": rf_to_json(body),
         }
         if mu is not None:

@@ -183,10 +183,7 @@ def jbar_closed(n: int, d: int) -> ExactRationalFunction:
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
     one = LaurentPoly.one(V)
-    num = LaurentPoly.zero(V)
-    for mu in enumerate_partitions(n):
-        term = fake_degree(mu).invert_variables().shift((-d * _wshift(mu),))
-        num = num + term * dim_irr(mu)
+    num = _graded_numerator(n, d).invert_variables()
     for i in range(1, n + 1):
         num = num * (one - _vp(i))
     den = [one - _vp(1)] * n + [one - _vp(-i) for i in range(2, n + 1)]
@@ -286,9 +283,5 @@ def munder_series(n: int, k: int, grading: str = "h") -> ExactRationalFunction:
     if k < 1:
         raise ValueError(f"the module M(k) needs k >= 1, got {k}")
     one = LaurentPoly.one(V)
-    num = LaurentPoly.zero(V)
-    for mu in enumerate_partitions(n):
-        term = fake_degree(mu).invert_variables().shift((k * _wshift(mu),))
-        num = num + term * dim_irr(mu)
-    body = ExactRationalFunction(num, [one - _vp(1)] * (n - 1))
+    body = ExactRationalFunction(_graded_numerator(n, -k).invert_variables(), [one - _vp(1)] * (n - 1))
     return _with_grading(body, n, k, grading)

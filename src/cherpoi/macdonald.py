@@ -1,18 +1,13 @@
-"""Macdonald symmetric functions over the exact rational-function field in
-(q,t): the Kostka-Macdonald matrix, the Macdonald polynomials P_mu and their
-integral forms J_mu read off it, and the torus fixed-point data Omega(mu),
-P_mu(s,t).
+"""Kostka-Macdonald coefficients over (q,t) and the torus fixed-point data:
+the factors of Omega(mu) and the fiber series P_mu(s,t) read off K.
 
 The Kostka-Macdonald matrix is built from the Haglund-Haiman-Loehr
 combinatorial formula for the modified Macdonald polynomials, in integer
-arithmetic only. J_mu = sum_lam K_{lam mu}(q,t) s_lam[X(1-t)] and
-P_mu = J_mu / c_mu are read off it (Macdonald, VI (8.11)). The tests certify
-K against Macdonald's definition of P_mu: triangular in dominance order,
-leading coefficient c_mu for J_mu, integral, and orthogonal under
+arithmetic only. The tests certify K against Macdonald's definition of the
+integral forms that it expands in the plethystic Schur basis s_lam[X(1-t)]
+(Macdonald, VI (8.11)): triangular in dominance order, leading coefficient
+c_mu (integral_form_scalar), integral, and orthogonal under
 <p_lam, p_mu> = delta * z_lam * prod_i (1-q^{lam_i})/(1-t^{lam_i}).
-
-Degree-n symmetric functions are finite coefficient vectors indexed by
-partitions of n in one of three bases: monomial, power-sum, schur.
 
 Argument-order note. The fixed-point series P_mu(s,t) evaluates the
 Kostka-Macdonald entries at a point written (t, s^{-1}); two readings of the
@@ -31,7 +26,6 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from ._linalg import solve
 from .errors import ResourceError
 from .exact_poly import ExactRationalFunction, LaurentPoly, _mul
 from .partition_core import (
@@ -46,25 +40,13 @@ from .sn_rep import character_table, dim_irr, fake_degree
 
 QT = ("q", "t")
 ST = ("s", "t")
-BASES = ("monomial", "power-sum", "schur")
-MAX_KOSTKA_N = 7  # cold HHL build on a 2-core VM: ~2 s at n = 7, ~16 s at n = 8; the acceptance battery requires >= 5
-
-
-def _zero_rf() -> ExactRationalFunction:
-    return ExactRationalFunction(LaurentPoly.zero(QT))
-
-
-class SymmetricFunction(NamedTuple):
-    n: int
-    basis: str
-    coeffs: dict  # Partition -> ExactRationalFunction over (q, t)
-
-    def coefficient(self, lam) -> ExactRationalFunction:
-        return self.coeffs.get(check_partition(lam), _zero_rf())
+# every HHL column, cold, on 2 cores: 0.68 s at n = 7, 6.9 s at n = 8; the
+# acceptance battery requires >= 5
+MAX_KOSTKA_N = 7
 
 
 # ---------------------------------------------------------------------------
-# Basis conversion data (exact rational matrices, no (q,t) content)
+# Power sums and Kostka numbers (integer matrices, no (q,t) content)
 # ---------------------------------------------------------------------------
 
 
@@ -85,17 +67,6 @@ def _p_to_m(n: int) -> dict[Partition, dict[Partition, int]]:
         poly = _expand_power_sum(n, rho)
         out[rho] = {lam: poly.get(lam + (0,) * (n - len(lam)), 0) for lam in parts}
     return out
-
-
-@cache
-def _m_to_p(n: int) -> dict[Partition, dict[Partition, Fraction]]:
-    """m_lam = sum_rho _m_to_p(n)[lam][rho] p_rho (inverse transition matrix)."""
-    parts = enumerate_partitions(n)
-    p2m = _p_to_m(n)
-    # column rho is p_rho in the monomial basis; the unique solution for the
-    # unit vector of lam expands m_lam in power sums
-    columns = [{i: c for i, lam in enumerate(parts) if (c := p2m[rho][lam])} for rho in parts]
-    return {lam: dict(zip(parts, solve(columns, {i: 1}))) for i, lam in enumerate(parts)}
 
 
 @cache
@@ -120,56 +91,6 @@ def kostka_numbers(n: int) -> dict[Partition, dict[Partition, int]]:
             row[nu] = int(k)
         out[lam] = row
     return out
-
-
-def to_basis(f: SymmetricFunction, target: str) -> SymmetricFunction:
-    """Exact basis conversion through the power-sum basis."""
-    if target not in BASES:
-        raise ValueError(f"unknown basis {target!r}")
-    if f.basis not in BASES:
-        raise ValueError(f"unknown basis {f.basis!r}")
-    if f.basis == target:
-        return f
-    n = f.n
-    parts = enumerate_partitions(n)
-    table = character_table(n)
-
-    def as_p(g: SymmetricFunction) -> dict[Partition, ExactRationalFunction]:
-        if g.basis == "power-sum":
-            return dict(g.coeffs)
-        acc: dict[Partition, ExactRationalFunction] = {}
-        if g.basis == "monomial":
-            m2p = _m_to_p(n)
-            for lam, c in g.coeffs.items():
-                for rho, w in m2p[lam].items():
-                    if w:
-                        acc[rho] = acc.get(rho, _zero_rf()) + c * w
-        else:  # schur: s_lam = sum_rho chi_lam(rho)/z_rho * p_rho
-            for lam, c in g.coeffs.items():
-                for rho in parts:
-                    w = Fraction(table.values[(lam, rho)], table.centralizers[rho])
-                    if w:
-                        acc[rho] = acc.get(rho, _zero_rf()) + c * w
-        return acc
-
-    p_coeffs = as_p(f)
-    if target == "power-sum":
-        out = {rho: c for rho, c in p_coeffs.items() if not c.is_zero()}
-        return SymmetricFunction(n, "power-sum", out)
-    out: dict[Partition, ExactRationalFunction] = {}
-    if target == "monomial":
-        p2m = _p_to_m(n)
-        for rho, a in p_coeffs.items():
-            for lam, w in p2m[rho].items():
-                if w:
-                    out[lam] = out.get(lam, _zero_rf()) + a * w
-    else:  # schur: p_rho = sum_lam chi_lam(rho) s_lam
-        for rho, a in p_coeffs.items():
-            for lam in parts:
-                w = table.values[(lam, rho)]
-                if w:
-                    out[lam] = out.get(lam, _zero_rf()) + a * w
-    return SymmetricFunction(n, target, {lam: c for lam, c in out.items() if not c.is_zero()})
 
 
 def integral_form_scalar(mu) -> LaurentPoly:
@@ -293,44 +214,6 @@ def kostka_macdonald(n: int) -> KostkaMacdonaldMatrix:
     columns = {mu: _hhl_column(mu) for mu in parts}
     entries = {(lam, mu): columns[mu][lam] for lam in parts for mu in parts}
     return KostkaMacdonaldMatrix(n, parts, entries)
-
-
-# ---------------------------------------------------------------------------
-# Macdonald P and J, read off the Kostka-Macdonald matrix
-# ---------------------------------------------------------------------------
-
-
-def macdonald_J(mu) -> SymmetricFunction:
-    """Integral form J_mu = sum_lam K_{lam mu}(q,t) s_lam[X(1-t)] (monomial basis).
-
-    Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., VI (8.11).
-    The plethysm p_r -> (1-t^r) p_r gives p_rho the coefficient
-    T_rho * sum_lam K_{lam mu} chi_lam(rho) / z_rho, T_rho = prod_i (1-t^{rho_i}).
-    K comes from kostka_macdonald, so |mu| is bounded by MAX_KOSTKA_N.
-    """
-    mu = check_partition(mu)
-    n = sum(mu)
-    matrix = kostka_macdonald(n)
-    table = character_table(n)
-    one = LaurentPoly.one(QT)
-    coeffs = {}
-    for rho in matrix.partitions:
-        a = LaurentPoly.zero(QT)
-        for lam in matrix.partitions:
-            chi = table.values[(lam, rho)]
-            if chi:
-                a = a + matrix.entries[(lam, mu)] * chi
-        for r in rho:
-            a = a * (one - LaurentPoly.var_power(QT, "t", r))
-        coeffs[rho] = ExactRationalFunction(a * Fraction(1, table.centralizers[rho]))
-    return to_basis(SymmetricFunction(n, "power-sum", coeffs), "monomial")
-
-
-def macdonald_P(mu) -> SymmetricFunction:
-    """P_mu = J_mu / c_mu (monomial basis); every coefficient has denominator [c_mu]."""
-    j = macdonald_J(mu)
-    c = integral_form_scalar(mu)
-    return SymmetricFunction(j.n, "monomial", {lam: coeff / c for lam, coeff in j.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

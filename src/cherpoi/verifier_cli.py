@@ -21,10 +21,11 @@ text format.
 Imports
 -------
 A process loads and compiles only the modules its subcommand uses. This
-module keeps argument parsing, the suite registry SUITES, run_suite and the
-verify handler. At the top level it imports only the standard library it
-needs, __version__, the error types and report, which holds CheckResult,
-SuiteReport, the check runner and the schemas.
+module keeps argument parsing, the series kind table SERIES_KINDS, the suite
+registry SUITES, run_suite and the verify handler. At the top level it
+imports only the standard library it needs, __version__, the error types and
+report, which holds CheckResult, SuiteReport, the check runner and the
+schemas.
 
 - Each other subcommand's handler lives in its own module (cli_series,
   cli_table, cli_oracle, cli_basis), imported when that subcommand runs.
@@ -57,7 +58,19 @@ from .report import SuiteReport, _run_checks
 
 DEFAULT_SEED = 1729
 
-SERIES_KINDS = ("JJ", "J", "Jbar", "Nbar", "Nunder", "Mbar", "Munder", "eDelta")
+# series kind -> (its hilbert_series function, the option it reads, that
+# option's default); the k kinds also read --grading. A kind given an option
+# it does not read is an input error, not a series computed without it
+SERIES_KINDS = {
+    "JJ": ("bigraded_JJ", "d", 0),
+    "J": ("bigraded_J", "d", 0),
+    "Jbar": ("jbar_closed", "d", 0),
+    "Nbar": ("nbar_series", "k", 0),
+    "Nunder": ("nunder_series", "k", 0),
+    "Mbar": ("mbar_series", "k", 1),
+    "Munder": ("munder_series", "k", 1),
+    "eDelta": ("e_standard_series", "mu", None),
+}
 
 
 def _deferred(module: str, name: str):
@@ -87,17 +100,51 @@ SUITES = {
 }
 
 
+# verify's options, by argparse dest, and the suite parameter each one sets
+_PARAMETERS = {
+    "n": "n",
+    "n_max": "n_max",
+    "d": "d_max",
+    "k": "k_max",
+    "window": "window",
+    "total": "total",
+    "seed": "seed",
+}
+_OPTIONS = {param: "--" + dest.replace("_", "-") for dest, param in _PARAMETERS.items()}
+
+
+class _Params(dict):
+    """Suite parameters that record the keys a builder reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def run_suite(name: str, params=None) -> SuiteReport:
     """Execute one named identity suite and return its report.
 
-    Unknown names raise ValueError. Checks that trip a resource bound are
-    recorded as skipped; the report's exit code is then 2 unless some other
-    check actually failed.
+    Unknown names raise ValueError, and so does a parameter that the suite's
+    builder does not read: every builder reads its parameters while it
+    builds the checks. Checks that trip a resource bound are recorded as
+    skipped; the report's exit code is then 2 unless some other check
+    actually failed.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}, pick from {sorted(SUITES)}")
-    params = dict(params or {})
+    params = _Params(params or {})
     items = SUITES[name](params)
+    unread = [_OPTIONS.get(key, key) for key in params if key not in params.read]
+    if unread:
+        raise ValueError(f"suite {name} does not read {', '.join(unread)}")
     return _run_checks(name, params, items)
 
 
@@ -105,21 +152,13 @@ def run_suite(name: str, params=None) -> SuiteReport:
 # verify
 
 def cmd_verify(args) -> int:
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.n_max is not None:
-        params["n_max"] = args.n_max
-    if args.d is not None:
-        params["d_max"] = args.d
-    if args.k is not None:
-        params["k_max"] = args.k
-    if args.window is not None:
-        params["window"] = _parse_pair(args.window)
-    if args.total is not None:
-        params["total"] = args.total
-    if args.seed is not None:
-        params["seed"] = args.seed
+    params = {
+        param: getattr(args, dest)
+        for dest, param in _PARAMETERS.items()
+        if getattr(args, dest) is not None
+    }
+    if "window" in params:
+        params["window"] = _parse_pair(params["window"])
     report = run_suite(args.suite, params)
     if args.format == "text":
         for check in report.checks:

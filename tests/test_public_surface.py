@@ -24,6 +24,7 @@ KEEP = {
     "apply_matrix",
     "dominance_leq",
     "eilenberg_homogenize",
+    "integral_form_scalar",
     "minimal_expression",
     "rf_from_json",
     "shift_amount",

@@ -11,7 +11,7 @@ import pytest
 
 from cherpoi.exact_poly import rf_equal, rf_from_json
 from cherpoi.hilbert_series import jbar_closed
-from cherpoi.macdonald import kostka_macdonald, macdonald_J, macdonald_P
+from cherpoi.macdonald import kostka_fake_degree_identity, kostka_macdonald, procesi_fiber
 from cherpoi.partition_core import enumerate_partitions
 from cherpoi.sn_rep import fake_degree
 from cherpoi.cli_table import emit_table
@@ -46,7 +46,7 @@ def test_suite_passes_on_a_small_grid(suite):
 CLI = {"cherpoi", "cherpoi.errors", "cherpoi.report", "cherpoi.verifier_cli"}
 SERIES = CLI | {"cherpoi.exact_poly", "cherpoi.partition_core", "cherpoi.sn_rep"}
 HILBERT = SERIES | {"cherpoi.hilbert_series"}
-MACDONALD = SERIES | {"cherpoi._linalg", "cherpoi.macdonald"}
+MACDONALD = SERIES | {"cherpoi.macdonald"}
 ORACLE = SERIES | {"cherpoi._linalg", "cherpoi.commutative_oracle"}
 FREE = CLI | {"cherpoi._linalg", "cherpoi.graded_free"}
 # the suite builders' family modules
@@ -156,7 +156,8 @@ def test_a_subcommand_loads_only_its_modules(argv, modules, tmp_path):
 
 
 def test_every_registered_suite_has_a_small_grid():
-    assert sorted(SUITES) == sorted(SMALL_GRIDS)
+    # and a list of the options it reads, for the unread-option tests
+    assert sorted(SUITES) == sorted(SMALL_GRIDS) == sorted(VERIFY_READS)
 
 
 def test_unknown_suite_is_rejected():
@@ -192,16 +193,17 @@ def test_random_battery_is_seed_deterministic():
 )
 def test_reports_do_not_depend_on_process_history(suite, params, others):
     # suites share the process-wide oracle engines, Kostka matrices and
-    # memoized fake degrees; macdonald_J and macdonald_P read the Kostka ones
+    # memoized fake degrees; procesi_fiber and kostka_fake_degree_identity
+    # read the Kostka ones
     before = run_suite(suite, params).to_json(timings=False)
     shared = {mu: dict(fake_degree(mu).terms) for n in range(1, 7) for mu in enumerate_partitions(n)}
     kostka = {n: {key: dict(p.terms) for key, p in kostka_macdonald(n).entries.items()} for n in range(1, 5)}
     for other, other_params in others:
         assert run_suite(other, other_params).status == "pass"
     for n in kostka:
+        kostka_fake_degree_identity(n, variant="lam")
         for mu in enumerate_partitions(n):
-            macdonald_J(mu)
-            macdonald_P(mu)
+            procesi_fiber(mu, argument_order="swapped")
     assert run_suite(suite, params).to_json(timings=False) == before
     # no caller mutated a shared f_mu or K_{lam mu}
     assert {mu: fake_degree(mu).terms for mu in shared} == shared
@@ -661,6 +663,54 @@ def test_verify_partial_exit(capsys):
     assert main(["verify", "--suite", "oracle-jbar", "--n", "4"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "partial"
+
+
+VERIFY_OPTIONS = {
+    "n": ["--n", "2"], "n_max": ["--n-max", "2"], "d": ["--d", "1"], "k": ["--k", "1"],
+    "window": ["--window", "4,4"], "total": ["--total", "6"], "seed": ["--seed", "7"],
+}
+# the options each suite reads when given alone: the oracle-J and oracle-jbar
+# grids read --d, --window and --total only beside --n
+VERIFY_READS = {
+    "fake-degrees": ("n_max",),
+    "kostka": ("n_max",),
+    "omega-specialization": ("n_max",),
+    "jbar-chain": ("n_max", "d"),
+    "eqpoi": ("n_max", "k"),
+    "appendix-b": ("n_max", "k"),
+    "oracle-J": ("n",),
+    "oracle-jbar": ("n",),
+    "coinvariants": ("n_max",),
+    "parity": ("n_max", "d", "window", "total"),
+    "graded-free": ("seed",),
+}
+
+
+@pytest.mark.parametrize(
+    "suite,option",
+    [
+        (suite, option)
+        for suite, reads in VERIFY_READS.items()
+        for option in VERIFY_OPTIONS
+        if option not in reads
+    ],
+)
+def test_verify_rejects_an_option_its_suite_does_not_read(capsys, suite, option):
+    # such an option was once dropped without a word, and the report's
+    # params still claimed it
+    argv = ["verify", "--suite", suite, *VERIFY_OPTIONS[option]]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: suite {suite} does not read {VERIFY_OPTIONS[option][0]}" in captured.err
+
+
+def test_run_suite_rejects_an_unread_parameter(monkeypatch):
+    with pytest.raises(ValueError, match="suite kostka does not read trials, --d$"):
+        run_suite("kostka", {"n_max": 2, "trials": 3, "d_max": 1})
+    # a parameter read by index counts as read as well as one read by get
+    monkeypatch.setitem(SUITES, "kostka", lambda p: [("n", lambda n=p["n_max"]: ("pass", n, n))])
+    assert run_suite("kostka", {"n_max": 2}).status == "pass"
 
 
 def test_parse_pair():
