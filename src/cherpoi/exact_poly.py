@@ -7,15 +7,19 @@ Rational functions keep their denominator as a list of unexpanded factors and
 are never reduced by a polynomial gcd, so equality is decided by
 cross-multiplication and series expansion can orient each factor separately.
 
-One private sparse kernel on plain {exponent tuple: coefficient} dicts does
-the arithmetic, here and in macdonald and commutative_oracle: _mul (packed
-multiply, int or Fraction coefficients), _add_into (scaled accumulate) and
-_divexact_int (lex-peeling exact division over Z). divexact clears
-denominators and divides by the divisor's integer content before peeling.
-_mul packs its factors' exponent tuples into ints over the product's box,
-multiplies them by _mul_packed, whose keys add, and unpacks the result;
-commutative_oracle keeps its polynomials packed and calls _mul_packed
-directly. _add_into works on either kind of key.
+Every polynomial is a {packed key: coefficient} dict in one key format: the
+exponents e of k variables pack to key(e) = sum_i e_i 2^(66(k-1-i)), first
+variable most significant (one variable is its own exponent), in signed,
+balanced 66-bit slots. Exponents stay below 2^63 in absolute value, so a
+product's exponents fit their slots: its key is the sum of its factors' keys,
+int order of keys is lex order of exponents, and negating a key inverts
+every variable. One private kernel works on these dicts, here and in
+macdonald: _mul_packed (multiply, int or Fraction coefficients), _add_into
+(scaled accumulate) and _divexact_int (lex-peeling exact division over Z,
+after divexact clears denominators and the divisor's integer content).
+commutative_oracle calls the first two on keys of its own packing. Exponent
+tuples appear only where a caller reads exponents: LaurentPoly.terms,
+coefficient, sorted_terms, rendering, JSON and evaluate.
 
 Window expansion semantics: a direction choice (ascending or descending per
 variable) selects signs for the exponents; after flipping, f is expanded in
@@ -27,19 +31,22 @@ Each factor is then 1 - g up to a sign and a monomial, and the numerator is
 multiplied by sum_k g^k one layer g^k at a time. A term that lies past the
 window and cannot come back into it is dropped as soon as it appears, and
 so are all its multiples; the expansion stops at the first empty layer. The
-layers and their sum are plain {(p, q): coefficient} dicts, a single
-variable being p with q = 0, and only the result becomes a LaurentPoly.
+layers and their sum are {key: coefficient} dicts over the plane (p, q), a
+single variable being p with q = 0, on slots wide enough for every term the
+window keeps; only the result becomes a LaurentPoly.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 MAX_EXPONENT = 2**63  # exponents are conceptually signed 64-bit; beyond is a hard error
+_SLOT = 66  # bits per exponent in a packed key
+_HALF = 1 << (_SLOT - 1)
+_DIGIT = (1 << _SLOT) - 1
 
 
 class ExpansionDirectionError(ValueError):
@@ -62,74 +69,38 @@ def _as_fraction(c) -> int | Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Sparse kernel on plain {exponent tuple: coefficient} dicts, shared by
+# Packed keys and the sparse kernel on {key: coefficient} dicts, shared by
 # LaurentPoly, the power sums in macdonald and the commutative oracle
 # ---------------------------------------------------------------------------
 
 
-def _box(terms) -> list[tuple[int, int]]:
-    """Per-variable (min, max) exponent of a nonzero sparse polynomial."""
-    return [(min(xs), max(xs)) for xs in zip(*terms)]
+def _pack(e, slot: int = _SLOT) -> int:
+    """The key of exponent vector e, on slots of the given width."""
+    key = 0
+    for x in e:
+        key = (key << slot) + x
+    return key
 
 
-def _packing(box, radix):
-    """(pack, unpack) between exponent tuples and ints.
-
-    pack is linear (packed exponents add as tuples do) with the mixed-radix
-    strides of the box radix, so it is injective and lex-monotone on radix.
-    unpack(key) is the tuple inside box that packs to key, or None when there
-    is none; box must fit inside a translate of radix.
-    """
-    strides = [1] * len(radix)
-    for i in range(len(radix) - 1, 0, -1):
-        lo, hi = radix[i]
-        strides[i - 1] = strides[i] * (hi - lo + 1)
-    base = sum(lo * s for (lo, _), s in zip(box, strides))
-    digits = [(s, lo, hi - lo) for (lo, hi), s in zip(box, strides)]
-
-    def pack(e) -> int:
-        return sum(map(operator.mul, e, strides))
-
-    def unpack(key):
-        rem = key - base
-        if rem < 0:
-            return None
-        e = []
-        for s, lo, top in digits:
-            d, rem = divmod(rem, s)
-            if d > top:
-                return None
-            e.append(lo + d)
-        return tuple(e)
-
-    return pack, unpack
+def _unpack(key: int, k: int, slot: int = _SLOT) -> tuple[int, ...]:
+    """The exponent vector of k variables that packs to key; every slot but
+    the first must lie below 2^(slot-1) in absolute value."""
+    if k == 1:
+        return (key,)
+    half, digit = 1 << (slot - 1), (1 << slot) - 1
+    out = [0] * k
+    for i in range(k - 1, 0, -1):
+        out[i] = x = ((key + half) & digit) - half
+        key = (key - x) >> slot
+    out[0] = key
+    return tuple(out)
 
 
-def _mul(a: dict, b: dict) -> dict:
-    """Product of two sparse polynomials; coefficients may be ints or Fractions."""
-    if not a or not b:
-        return {}
-    small, big = (a, b) if len(a) < len(b) else (b, a)
-    out: dict = {}
-    if len(small) <= 4:
-        for e1, c1 in small.items():
-            for e2, c2 in big.items():
-                e = tuple(map(operator.add, e1, e2))
-                acc = out.get(e)
-                s = c1 * c2 if acc is None else acc + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return out
-    # pack exponent tuples into single ints over the product's box, so the
-    # inner loop adds ints, not tuples
-    box = [(l1 + l2, h1 + h2) for (l1, h1), (l2, h2) in zip(_box(small), _box(big))]
-    pack, unpack = _packing(box, box)
-    out = _mul_packed(
-        {pack(e): c for e, c in small.items()}, {pack(e): c for e, c in big.items()}
-    )
-    return {unpack(key): c for key, c in out.items()}
+def _box(a: dict, k: int) -> tuple[list[int], list[int]]:
+    """Per-variable (minima, maxima) of a nonzero packed polynomial's exponents, each |e| < 2^65."""
+    offset = _pack([_HALF] * k)  # every slot's digit becomes its exponent plus 2^65
+    slots = [[((key + offset) >> (_SLOT * i) & _DIGIT) - _HALF for key in a] for i in range(k - 1, -1, -1)]
+    return [min(s) for s in slots], [max(s) for s in slots]
 
 
 def _mul_packed(a: dict, b: dict) -> dict:
@@ -167,51 +138,48 @@ def _add_into(acc: dict, p: dict, scale=1) -> None:
                 acc[e] = s
 
 
-def _clear_denominators(polys) -> tuple[list[dict], int]:
-    """(ints, lcm): each Fraction-coefficient dict times the lcm of every
-    coefficient denominator in polys, as int-coefficient dicts."""
-    lcm = math.lcm(*(c.denominator for p in polys for c in p.values()))
-    return [{e: c.numerator * (lcm // c.denominator) for e, c in p.items()} for p in polys], lcm
+def _clear_denominators(p: dict) -> tuple[dict, int]:
+    """(p times the lcm of its coefficients' denominators, as int coefficients; that lcm)."""
+    lcm = math.lcm(*(c.denominator for c in p.values()))
+    return {e: c.numerator * (lcm // c.denominator) for e, c in p.items()}, lcm
 
 
-def _divexact_int(a: dict, b: dict) -> dict:
-    """Exact quotient a/b of int-coefficient sparse polynomials, by lex peeling.
+def _divexact_int(a: dict, b: dict, k: int) -> dict:
+    """Exact quotient a/b of int-coefficient packed polynomials in k
+    variables, by lex peeling.
 
     A true quotient lies in the box [min a - min b, max a - max b] (per
     variable) and lex-above min a - min b; a peeled term outside either, a
     coefficient that does not divide, or an exhausted step budget raises
-    ExactDivisionError.
+    ExactDivisionError. While every peeled term lies in the box, the
+    remainder stays inside a's box, so no key leaves its slots.
     """
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     if not a:
         return {}
-    box_a, box_b = _box(a), _box(b)
-    qbox = [(la - lb, ha - hb) for (la, ha), (lb, hb) in zip(box_a, box_b)]
-    if any(lo > hi for lo, hi in qbox):
-        raise ExactDivisionError("not exactly divisible")
-    # the remainder stays inside box_a, where max of packed keys is lex max;
-    # unpack certifies each quotient exponent inside qbox before it is used
-    pack, unpack = _packing(qbox, box_a)
-    lead_b = max(b)
-    cb = b[lead_b]
-    lead_key = pack(lead_b)
-    qlow = pack(min(a)) - pack(min(b))
-    if unpack(qlow) is None:
-        raise ExactDivisionError("not exactly divisible")
-    b_p = [(pack(e), c) for e, c in b.items()]
-    rem = {pack(e): c for e, c in a.items()}
+    (lo_a, hi_a), (lo_b, hi_b) = _box(a, k), _box(b, k)
+    base = [la - lb for la, lb in zip(lo_a, lo_b)]
+    qbase = _pack(base)
+    # (position, width) of each slot of the box, as read off qkey - qbase
+    slots = [(_SLOT * (k - 1 - i), ha - hb - q) for i, (ha, hb, q) in enumerate(zip(hi_a, hi_b, base))]
+    lead_key = max(b)
+    cb = b[lead_key]
+    qlow = min(a) - min(b)
+    rem = dict(a)
     quotient: dict = {}
     budget = 4 * (len(a) + len(b)) + 10_000_000 // len(b)
     while rem:
         top = max(rem)
         qkey = top - lead_key
-        eq = unpack(qkey)
         cq, r = divmod(rem[top], cb)
-        if eq is None or qkey < qlow or r:
+        # qkey - qbase has slots below 2^65 in absolute value, so its plain
+        # base-2^66 digits are its slots exactly when each lies in [0, width]
+        x = qkey - qbase
+        if r or qkey < qlow or x < 0 or x >> (_SLOT * k) or any((x >> at) & _DIGIT > w for at, w in slots):
             raise ExactDivisionError("not exactly divisible")
-        quotient[eq] = cq
-        for kb, c in b_p:
+        quotient[qkey] = cq
+        for kb, c in b.items():
             key = qkey + kb
             s = rem.get(key, 0) - cq * c
             if s:
@@ -225,15 +193,17 @@ def _divexact_int(a: dict, b: dict) -> dict:
 
 
 class LaurentPoly:
-    """A Laurent polynomial: map from integer exponent vectors to nonzero
-    coefficients, each an int or a non-integral Fraction."""
+    """A Laurent polynomial: map from packed exponent keys (see the module
+    docstring) to nonzero coefficients, each an int or a non-integral
+    Fraction. reach bounds the absolute value of every exponent."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "packed", "reach")
 
     def __init__(self, variables: tuple[str, ...], terms: Mapping[tuple[int, ...], int | Fraction | str]):
         self.vars = tuple(variables)
-        clean: dict[tuple[int, ...], int | Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         k = len(self.vars)
+        reach = 0
         for exps, coeff in terms.items():
             coeff = _as_fraction(coeff)
             if coeff == 0:
@@ -241,37 +211,42 @@ class LaurentPoly:
             exps = tuple(int(e) for e in exps)
             if len(exps) != k:
                 raise ValueError(f"exponent vector {exps} does not match vars {self.vars}")
-            if any(abs(e) >= MAX_EXPONENT for e in exps):
+            reach = max(reach, max(map(abs, exps), default=0))
+            if reach >= MAX_EXPONENT:
                 raise OverflowError(f"exponent out of 64-bit range: {exps}")
-            clean[exps] = coeff
-        self.terms = clean
+            clean[_pack(exps)] = coeff
+        self.packed = clean
+        self.reach = reach
 
     @classmethod
-    def _build(cls, variables: tuple[str, ...], terms: dict) -> "LaurentPoly":
-        """Wrap a fresh dict built by arithmetic on valid polys: its exponent
-        vectors already have the right arity and int entries, and it holds no
-        zero. Only integral Fractions and the exponent bound are checked."""
-        for e, c in terms.items():
-            if type(c) is not int and c.denominator == 1:
-                terms[e] = c.numerator
-        for lo, hi in _box(terms):
-            if lo <= -MAX_EXPONENT or hi >= MAX_EXPONENT:
-                raise OverflowError(f"exponent out of 64-bit range: {(lo, hi)}")
+    def _build(cls, variables: tuple[str, ...], packed: dict, reach: int = 0) -> "LaurentPoly":
+        """Wrap a fresh packed dict of nonzero coefficients whose exponents are
+        at most reach (below 2^65) in absolute value; integral Fractions
+        become ints. From MAX_EXPONENT on, reach is checked term by term."""
+        if set(map(type, packed.values())) - {int}:
+            for key, c in packed.items():
+                if type(c) is not int and c.denominator == 1:
+                    packed[key] = c.numerator
+        if reach >= MAX_EXPONENT:
+            reach = max(max(map(abs, side)) for side in _box(packed, len(variables))) if packed else 0
+            if reach >= MAX_EXPONENT:
+                raise OverflowError("exponent out of 64-bit range")
         poly = object.__new__(cls)
         poly.vars = variables
-        poly.terms = terms
+        poly.packed = packed
+        poly.reach = reach
         return poly
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, variables) -> "LaurentPoly":
-        return cls(tuple(variables), {})
+        return cls._build(tuple(variables), {})
 
     @classmethod
     def const(cls, variables, c) -> "LaurentPoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): _as_fraction(c)})
+        c = _as_fraction(c)
+        return cls._build(tuple(variables), {0: c} if c else {})
 
     @classmethod
     def one(cls, variables) -> "LaurentPoly":
@@ -290,19 +265,25 @@ class LaurentPoly:
 
     # -- basic structure -------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], int | Fraction]:
+        """{exponent tuple: coefficient}, unpacked afresh on every read."""
+        k = len(self.vars)
+        return {_unpack(key, k): c for key, c in self.packed.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.packed == other.packed
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self.packed.items())))
 
     def _check_same_vars(self, other: "LaurentPoly"):
         if self.vars != other.vars:
@@ -316,14 +297,14 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same_vars(other)
-        out = dict(self.terms)
-        _add_into(out, other.terms)
-        return LaurentPoly._build(self.vars, out)
+        out = dict(self.packed)
+        _add_into(out, other.packed)
+        return LaurentPoly._build(self.vars, out, max(self.reach, other.reach))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._build(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._build(self.vars, {key: -c for key, c in self.packed.items()}, self.reach)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -338,11 +319,11 @@ class LaurentPoly:
             c = _as_fraction(other)
             if c == 0:
                 return LaurentPoly.zero(self.vars)
-            return LaurentPoly._build(self.vars, {e: cc * c for e, cc in self.terms.items()})
+            return LaurentPoly._build(self.vars, {key: cc * c for key, cc in self.packed.items()}, self.reach)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same_vars(other)
-        return LaurentPoly._build(self.vars, _mul(self.terms, other.terms))
+        return LaurentPoly._build(self.vars, _mul_packed(self.packed, other.packed), self.reach + other.reach)
 
     __rmul__ = __mul__
 
@@ -351,36 +332,54 @@ class LaurentPoly:
         exps = tuple(int(x) for x in exps)
         if len(exps) != len(self.vars):
             raise ValueError(f"exponent vector {exps} does not match vars {self.vars}")
-        return LaurentPoly._build(self.vars, {tuple(map(operator.add, e, exps)): c for e, c in self.terms.items()})
+        # a shift this large leaves the range from every term; smaller ones
+        # keep each exponent below 2^65
+        top = max(map(abs, exps), default=0)
+        if self.packed and top >= 2 * MAX_EXPONENT:
+            raise OverflowError(f"exponent out of 64-bit range: {exps}")
+        step = _pack(exps)
+        return LaurentPoly._build(self.vars, {key + step: c for key, c in self.packed.items()}, self.reach + top)
 
     # -- substitution and evaluation ------------------------------------
 
     def substitute_monomials(self, new_vars, mapping: Mapping[str, tuple[int, ...]]) -> "LaurentPoly":
         """Map each variable to a monomial (exponent vector over new_vars)."""
         new_vars = tuple(new_vars)
+        width = len(new_vars)
         images = []
         for name in self.vars:
             if name not in mapping:
                 raise ValueError(f"no image for variable {name}")
-            images.append(tuple(mapping[name]))
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        for e, coeff in self.terms.items():
-            new_e = [0] * len(new_vars)
-            for power, image in zip(e, images):
-                for i, ei in enumerate(image):
-                    new_e[i] += power * ei
-            key = tuple(new_e)
-            acc = out.get(key)
+            image = tuple(mapping[name])
+            if len(image) > width:
+                raise ValueError(f"image {image} of {name} does not match vars {new_vars}")
+            images.append(image + (0,) * (width - len(image)))
+        # no new exponent exceeds reach; from 2^65 on, keys take wider slots
+        reach = self.reach * max((sum(abs(image[j]) for image in images) for j in range(width)), default=0)
+        slot = _SLOT if reach < _HALF else reach.bit_length() + 2
+        steps = [_pack(image, slot) for image in images]
+        # with r_0 = key and r_{j+1} = (r_j + 2^65) >> 66, the key of the
+        # first k-1-j variables, sum_i e_i step_i = sum_j r_j fold_j
+        folds = [steps[-1 - j] - (steps[-j] << _SLOT if j else 0) for j in range(len(steps))]
+        out: dict = {}
+        for key, coeff in self.packed.items():
+            new = 0
+            for fold in folds:
+                new += key * fold
+                key = (key + _HALF) >> _SLOT
+            acc = out.get(new)
             tot = coeff if acc is None else acc + coeff
             if tot == 0:
-                out.pop(key, None)
+                out.pop(new, None)
             else:
-                out[key] = tot
-        return LaurentPoly(new_vars, out)
+                out[new] = tot
+        if slot != _SLOT:
+            return LaurentPoly(new_vars, {_unpack(key, width, slot): c for key, c in out.items()})
+        return LaurentPoly._build(new_vars, out, reach)
 
     def invert_variables(self) -> "LaurentPoly":
         """Substitute every variable x by x^(-1)."""
-        return LaurentPoly._build(self.vars, {tuple(-x for x in e): c for e, c in self.terms.items()})
+        return LaurentPoly._build(self.vars, {-key: c for key, c in self.packed.items()}, self.reach)
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         """Full evaluation at exact rational points (nonzero where exponents are negative)."""
@@ -400,21 +399,19 @@ class LaurentPoly:
     # -- term access ------------------------------------------------------
 
     def coefficient(self, exps) -> int | Fraction:
-        return self.terms.get(tuple(exps), 0)
-
-    def lowest_term_lex(self) -> tuple[tuple[int, ...], int | Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no lowest term")
-        e = min(self.terms)
-        return e, self.terms[e]
+        exps = tuple(exps)
+        if len(exps) != len(self.vars) or any(abs(x) >= MAX_EXPONENT for x in exps):
+            return 0
+        return self.packed.get(_pack(exps), 0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
-        return sorted(self.terms.items())
+        k = len(self.vars)
+        return [(_unpack(key, k), self.packed[key]) for key in sorted(self.packed)]
 
     # -- rendering ---------------------------------------------------------
 
     def _render(self, mul: str, pow_open: str, pow_close: str) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         bits = []
         for e, c in self.sorted_terms():
@@ -458,14 +455,16 @@ def divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero():
         return LaurentPoly.zero(a.vars)
-    (ai,), la = _clear_denominators([a.terms])
-    (bi,), lb = _clear_denominators([b.terms])
+    ai, la = _clear_denominators(a.packed)
+    bi, lb = _clear_denominators(b.packed)
     # Gauss's lemma: a primitive integer divisor divides over Q exactly when
     # it divides over Z, so the peeling below stays in the integers
     g = math.gcd(*bi.values())
-    q = _divexact_int(ai, {e: c // g for e, c in bi.items()})
+    q = _divexact_int(ai, {e: c // g for e, c in bi.items()}, len(a.vars))
     scale = Fraction(lb, la * g)
-    return LaurentPoly._build(a.vars, {e: c * scale for e, c in q.items()})
+    q = {e: c * scale for e, c in q.items()} if scale != 1 else q
+    # every quotient exponent lies between differences of a's and b's
+    return LaurentPoly._build(a.vars, q, a.reach + b.reach)
 
 
 class CExponent(NamedTuple):
@@ -489,7 +488,7 @@ class CExponent(NamedTuple):
 
 
 def _factor_key(p: LaurentPoly):
-    return tuple(sorted(p.terms.items()))
+    return tuple(sorted(p.packed.items()))
 
 
 class ExactRationalFunction:
@@ -572,7 +571,7 @@ class ExactRationalFunction:
         if not self.den:
             return num
         dens = ")(".join(str(f) for f in self.den)
-        if len(self.num.terms) > 1:
+        if len(self.num.packed) > 1:
             num = f"({num})"
         return f"{num}/(({dens}))" if len(self.den) > 1 else f"{num}/({dens})"
 
@@ -596,28 +595,19 @@ def _product(variables, factors) -> LaurentPoly:
 
 def _split_common_factors(a: tuple[LaurentPoly, ...], b: tuple[LaurentPoly, ...]):
     """Multiset intersection of factor lists by structural equality (not gcd)."""
-    ca = Counter(_factor_key(f) for f in a)
-    cb = Counter(_factor_key(f) for f in b)
-    common_keys = ca & cb
-    lookup = {_factor_key(f): f for f in a}
-    common = []
-    for key, mult in common_keys.items():
-        common.extend([lookup[key]] * mult)
-    rest_a, taken = [], Counter(common_keys)
-    for f in a:
-        k = _factor_key(f)
-        if taken[k] > 0:
-            taken[k] -= 1
-        else:
-            rest_a.append(f)
-    rest_b, taken = [], Counter(common_keys)
-    for f in b:
-        k = _factor_key(f)
-        if taken[k] > 0:
-            taken[k] -= 1
-        else:
-            rest_b.append(f)
-    return tuple(common), tuple(rest_a), tuple(rest_b)
+    keys_a, keys_b = [_factor_key(f) for f in a], [_factor_key(f) for f in b]
+    common_keys = Counter(keys_a) & Counter(keys_b)
+    lookup = dict(zip(keys_a, a))
+    rests = []
+    for factors, keys in ((a, keys_a), (b, keys_b)):
+        taken, rest = Counter(common_keys), []
+        for f, key in zip(factors, keys):
+            if taken[key] > 0:
+                taken[key] -= 1
+            else:
+                rest.append(f)
+        rests.append(tuple(rest))
+    return tuple(lookup[key] for key, mult in common_keys.items() for _ in range(mult)), *rests
 
 
 def rf_equal(f: ExactRationalFunction, g: ExactRationalFunction) -> bool:
@@ -629,9 +619,7 @@ def rf_equal(f: ExactRationalFunction, g: ExactRationalFunction) -> bool:
     if f.vars != g.vars:
         raise ValueError(f"mixed variable sets: {f.vars} vs {g.vars}")
     _, mine, theirs = _split_common_factors(f.den, g.den)
-    lhs = f.num * _product(f.vars, theirs)
-    rhs = g.num * _product(g.vars, mine)
-    return (lhs - rhs).is_zero()
+    return f.num * _product(f.vars, theirs) == g.num * _product(g.vars, mine)
 
 
 def q_factorial(n: int) -> ExactRationalFunction:
@@ -678,16 +666,10 @@ def _normalize_window(variables: tuple[str, ...], window) -> list[tuple[int, int
         boxes = list(window)
     if len(boxes) != len(variables):
         raise ValueError("window does not match variable count")
-    out = []
     for lo, hi in boxes:
         if lo > hi:
             raise ValueError(f"empty window [{lo}..{hi}]")
-        out.append((int(lo), int(hi)))
-    return out
-
-
-def _flip(poly: LaurentPoly, signs: tuple[int, ...]) -> LaurentPoly:
-    return LaurentPoly._build(poly.vars, {tuple(s * x for s, x in zip(signs, e)): c for e, c in poly.terms.items()})
+    return [(int(lo), int(hi)) for lo, hi in boxes]
 
 
 def expand_window(f, direction, window) -> LaurentPoly:
@@ -700,64 +682,78 @@ def expand_window(f, direction, window) -> LaurentPoly:
     if isinstance(f, LaurentPoly):
         f = ExactRationalFunction(f)
     variables = f.vars
-    if len(variables) not in (1, 2):
+    k = len(variables)
+    if k not in (1, 2):
         raise ValueError("window expansion supports one or two variables")
-    signs = _normalize_direction(variables, direction)
-    boxes = _normalize_window(variables, window)
-    fboxes = []
-    for (lo, hi), s in zip(boxes, signs):
-        fboxes.append((lo, hi) if s == 1 else (-hi, -lo))
+    signs = _normalize_direction(variables, direction) + (1,) * (2 - k)
+    fboxes = [(lo, hi) if s == 1 else (-hi, -lo) for (lo, hi), s in zip(_normalize_window(variables, window), signs)]
+    fboxes += [(0, 0)] * (2 - k)
 
-    num = _flip(f.num, signs)
-    if num.is_zero():
+    def plane(poly: LaurentPoly) -> dict:
+        """poly in the flipped exponents, on 66-bit plane keys p 2^66 + q."""
+        s0, s1 = signs
+        keys = ((key << _SLOT * (2 - k), c) for key, c in poly.packed.items())
+        return {s1 * key + (s0 - s1) * (((key + _HALF) >> _SLOT) << _SLOT): c for key, c in keys}
+
+    num = plane(f.num)
+    if not num:
         return LaurentPoly.zero(variables)
-
-    # the layers below work on pairs (p, q); with one variable q stays 0
-    pad = (0,) * (2 - len(variables))
     # peel each factor into sign, monomial shift, and tail g with lex(g) > 0
     shift_p = shift_q = 0
     sign_flip = 1
-    tails: list[list] = []  # each g as a list of ((p, q), coefficient)
+    tails: list[list] = []  # each g as a list of (key, coefficient)
     for factor in f.den:
-        fac = _flip(factor, signs)
-        low_e, low_c = fac.lowest_term_lex()
+        fac = plane(factor)
+        low = min(fac)
+        low_c = fac[low]
         if low_c not in (1, -1):
             raise ExpansionDirectionError(
                 f"factor {factor} has lowest-term coefficient {low_c}, not +-1, in the chosen direction"
             )
         if low_c == -1:
             sign_flip = -sign_flip
-        lp, lq = (*low_e, *pad)
+        lp = (low + _HALF) >> _SLOT
         shift_p -= lp
-        shift_q -= lq
+        shift_q -= low - (lp << _SLOT)
         # g = 1 - fac/(low_c * mono): strictly lex-positive support; low_c is
         # +-1, so dividing by it is multiplying by it
-        tail = []
-        for e, c in fac.terms.items():
-            p, q = (*e, *pad)
-            if (p, q) != (lp, lq):
-                tail.append(((p - lp, q - lq), -c * low_c))
-        tails.append(tail)
+        tails.append([(key - low, -c * low_c) for key, c in fac.items() if key != low])
 
     # a term (p, q) is kept while p <= p_cap and q <= q_cap + rho (p_cap - p),
-    # rho the largest possible future drop of q per unit of p; compared in
-    # integers
-    p_cap = fboxes[0][1]
-    q_cap = fboxes[1][1] if pad == () else 0
+    # rho the largest possible future drop of q per unit of p
+    (plo, p_cap), (qlo, q_cap) = fboxes
     rho = Fraction(0)
+    step = 0  # the largest |q| of a tail term
     for tail in tails:
-        for (p, q), _ in tail:
+        for key, _ in tail:
+            p = (key + _HALF) >> _SLOT
+            q = key - (p << _SLOT)
+            step = max(step, abs(q))
             if p > 0 and q < 0:
                 rho = max(rho, Fraction(-q, p))
+    # a kept term's q lies within margin of q_cap and of the numerator's, and
+    # a candidate's within step of a kept one's: the plane's slots hold both
+    qs = [key - (((key + _HALF) >> _SLOT) << _SLOT) + shift_q for key in num]
+    margin = math.ceil(rho * max(0, p_cap - ((min(num) + _HALF) >> _SLOT) - shift_p))
+    bound = max(abs(min(qs)), abs(max(qs)), abs(q_cap)) + margin + step
+    slot = max(_SLOT, bound.bit_length() + 2)
+    if slot != _SLOT:
+        num = {_pack(_unpack(key, 2), slot): c for key, c in num.items()}
+        tails = [[(_pack(_unpack(key, 2), slot), c) for key, c in tail] for tail in tails]
+    half = 1 << (slot - 1)
+    shift = (shift_p << slot) + shift_q
+    # p <= p_cap is key < limit, and the rho condition is a bound on the
+    # weight rho_num p + rho_den q = rho_den key + slope p; both in integers
+    limit = (p_cap << slot) + half
     rho_num, rho_den = rho.numerator, rho.denominator
+    slope = rho_num - (rho_den << slot)
+    cap = rho_num * p_cap + rho_den * q_cap
 
     result: dict = {}
-    for e, c in num.terms.items():
-        p, q = (*e, *pad)
-        p += shift_p
-        q += shift_q
-        if p <= p_cap and (q - q_cap) * rho_den <= rho_num * (p_cap - p):
-            result[(p, q)] = sign_flip * c
+    for key, c in num.items():
+        key += shift
+        if key < limit and rho_den * key + slope * ((key + half) >> slot) <= cap:
+            result[key] = sign_flip * c
 
     for tail in tails:
         # result *= sum_k g^k, with hereditary pruning; terms once pruned can
@@ -768,27 +764,31 @@ def expand_window(f, direction, window) -> LaurentPoly:
         layer = result
         while layer:
             nxt: dict = {}
-            for (p1, q1), c1 in layer.items():
-                for (p2, q2), c2 in tail:
-                    p = p1 + p2
-                    q = q1 + q2
-                    if p > p_cap or (q - q_cap) * rho_den > rho_num * (p_cap - p):
+            for k1, c1 in layer.items():
+                for k2, c2 in tail:
+                    key = k1 + k2
+                    if key >= limit or rho_den * key + slope * ((key + half) >> slot) > cap:
                         continue
-                    s = nxt.get((p, q), 0) + c1 * c2
+                    s = nxt.get(key, 0) + c1 * c2
                     if s:
-                        nxt[(p, q)] = s
+                        nxt[key] = s
                     else:
-                        del nxt[(p, q)]
+                        del nxt[key]
             _add_into(acc, nxt)
             layer = nxt
         result = acc
 
     final = {}
-    for e, c in result.items():
-        e = e[: len(variables)]
-        if all(lo <= x <= hi for x, (lo, hi) in zip(e, fboxes)):
-            final[tuple(s * x for s, x in zip(signs, e))] = c
-    return LaurentPoly._build(variables, final)
+    reach = 0
+    for key, c in result.items():
+        p = (key + half) >> slot
+        q = key - (p << slot)
+        if plo <= p <= p_cap and qlo <= q <= q_cap:
+            reach = max(reach, abs(p), abs(q))
+            final[signs[0] * p if k == 1 else (signs[0] * p << _SLOT) + signs[1] * q] = c
+    if reach >= MAX_EXPONENT:
+        raise OverflowError("exponent out of 64-bit range")
+    return LaurentPoly._build(variables, final, reach)
 
 
 # ---------------------------------------------------------------------------

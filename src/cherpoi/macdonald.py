@@ -27,7 +27,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .errors import ResourceError
-from .exact_poly import ExactRationalFunction, LaurentPoly, _mul
+from .exact_poly import ExactRationalFunction, LaurentPoly, _mul_packed, _pack
 from .partition_core import (
     Partition,
     cells,
@@ -50,11 +50,11 @@ MAX_KOSTKA_N = 7
 # ---------------------------------------------------------------------------
 
 
-def _expand_power_sum(n: int, rho: Partition) -> dict[tuple[int, ...], int]:
-    """p_rho as an honest polynomial in n variables."""
-    acc = {(0,) * n: 1}
+def _expand_power_sum(n: int, rho: Partition) -> dict[int, int]:
+    """p_rho as an honest polynomial in n variables, on exact_poly's packed keys."""
+    acc = {0: 1}
     for r in rho:
-        acc = _mul(acc, {tuple(r if j == i else 0 for j in range(n)): 1 for i in range(n)})
+        acc = _mul_packed(acc, {_pack([r if j == i else 0 for j in range(n)]): 1 for i in range(n)})
     return acc
 
 
@@ -65,7 +65,7 @@ def _p_to_m(n: int) -> dict[Partition, dict[Partition, int]]:
     out = {}
     for rho in parts:
         poly = _expand_power_sum(n, rho)
-        out[rho] = {lam: poly.get(lam + (0,) * (n - len(lam)), 0) for lam in parts}
+        out[rho] = {lam: poly.get(_pack(lam + (0,) * (n - len(lam))), 0) for lam in parts}
     return out
 
 
@@ -228,11 +228,16 @@ def procesi_fiber(mu, argument_order: str = "positional") -> ExactRationalFuncti
 
     A Laurent polynomial in (s,t), returned with an empty denominator.
     argument_order="swapped" uses the reading q:=s^{-1}, t:=t instead; see
-    the module docstring.
+    the module docstring. The result is shared between callers and must not
+    be mutated.
     """
-    mu = check_partition(mu)
     if argument_order not in ARGUMENT_ORDERS:
         raise ValueError(f"argument_order must be one of {ARGUMENT_ORDERS}")
+    return _procesi_fiber(check_partition(mu), argument_order)
+
+
+@cache
+def _procesi_fiber(mu: Partition, argument_order: str) -> ExactRationalFunction:
     n = sum(mu)
     matrix = kostka_macdonald(n)
     mapping = {"q": (0, 1), "t": (-1, 0)} if argument_order == "positional" else {"q": (-1, 0), "t": (0, 1)}
@@ -245,8 +250,13 @@ def procesi_fiber(mu, argument_order: str = "positional") -> ExactRationalFuncti
 
 
 def omega_factors(mu) -> tuple[LaurentPoly, ...]:
-    """The 2n binomials (1-s^{1+l}t^{-a})(1-s^{-l}t^{1+a}) over the cells of mu."""
-    mu = check_partition(mu)
+    """The 2n binomials (1-s^{1+l}t^{-a})(1-s^{-l}t^{1+a}) over the cells of
+    mu, shared between callers."""
+    return _omega_factors(check_partition(mu))
+
+
+@cache
+def _omega_factors(mu: Partition) -> tuple[LaurentPoly, ...]:
     one = LaurentPoly.one(ST)
     factors = []
     for i, j in cells(mu):

@@ -134,9 +134,10 @@ def run_suite(name: str, params=None) -> SuiteReport:
 
     Unknown names raise ValueError, and so does a parameter that the suite's
     builder does not read: every builder reads its parameters while it
-    builds the checks. Checks that trip a resource bound are recorded as
-    skipped; the report's exit code is then 2 unless some other check
-    actually failed.
+    builds the checks. A grid that selects no check raises ValueError too,
+    so that an empty report never reads as a pass. Checks that trip a
+    resource bound are recorded as skipped; the report's exit code is then 2
+    unless some other check actually failed.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}, pick from {sorted(SUITES)}")
@@ -145,6 +146,9 @@ def run_suite(name: str, params=None) -> SuiteReport:
     unread = [_OPTIONS.get(key, key) for key in params if key not in params.read]
     if unread:
         raise ValueError(f"suite {name} does not read {', '.join(unread)}")
+    if not items:
+        given = " ".join(f"{_OPTIONS.get(key, key)} {value}" for key, value in params.items())
+        raise ValueError(f"suite {name} selects no check{' for ' + given if given else ''}")
     return _run_checks(name, params, items)
 
 

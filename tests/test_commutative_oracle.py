@@ -4,6 +4,7 @@ import itertools
 import sys
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,10 +25,25 @@ from cherpoi.commutative_oracle import (
     perm_sign,
 )
 from cherpoi.errors import ResourceError
-from cherpoi.exact_poly import _add_into, _mul, expand_window, q_factorial
+from cherpoi.exact_poly import _add_into, expand_window, q_factorial
 from cherpoi.hilbert_series import jbar_closed
 from cherpoi.partition_core import enumerate_partitions
 from cherpoi.sn_rep import dim_irr, fake_degree
+
+
+def _mul(a, b):
+    """Product of two {exponent tuple: coefficient} dicts, term by term: a
+    reference that shares no packing with exact_poly's kernel."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
 
 
 def _matmul(a, b):

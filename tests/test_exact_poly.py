@@ -460,3 +460,86 @@ def test_expand_window_two_variables_matches_sympy_series(signs):
     expected = sympy_window_2d(f, signs, box)
     assert len(expected) > 20
     assert series.terms == expected
+
+
+# -- packed keys against a tuple-dict reference -------------------------------
+
+NEAR = 2**62
+KEY_EXPONENT = st.one_of(
+    st.integers(-3, 3), st.integers(NEAR - 3, NEAR + 3), st.integers(-NEAR - 3, -NEAR + 3)
+)
+KEY_COEFF = st.one_of(st.integers(-3, 3).filter(bool), FRACTION)
+
+
+def ref_clean(terms: dict) -> dict:
+    """terms without zeros; OverflowError if an exponent leaves the 64-bit range."""
+    out = {e: c for e, c in terms.items() if c}
+    if any(abs(x) >= 2**63 for e in out for x in e):
+        raise OverflowError
+    return out
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def ref_substitute(a: dict, images: list) -> dict:
+    out = {}
+    for e, c in a.items():
+        new = tuple(sum(x * image[j] for x, image in zip(e, images)) for j in range(len(images[0])))
+        out[new] = out.get(new, 0) + c
+    return out
+
+
+def agrees(op, reference) -> None:
+    """op() equals the reference's terms, or both overflow."""
+    try:
+        expected = ref_clean(reference)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            op()
+        return
+    poly = op()
+    assert poly.terms == expected
+    assert poly.sorted_terms() == sorted(poly.terms.items())
+
+
+@st.composite
+def key_case(draw):
+    k = draw(st.integers(1, 3))
+    terms = st.dictionaries(st.tuples(*[KEY_EXPONENT] * k), KEY_COEFF, max_size=4)
+    width = draw(st.integers(1, 3))
+    images = [draw(st.tuples(*[st.integers(-2, 2)] * width)) for _ in range(k)]
+    return k, draw(terms), draw(terms), draw(st.tuples(*[KEY_EXPONENT] * k)), images
+
+
+@settings(deadline=None, max_examples=300)
+@given(key_case())
+def test_packed_keys_match_tuple_arithmetic(case):
+    k, a, b, step, images = case
+    variables, new_vars = XYZ[:k], ("u", "v", "w")[: len(images[0])]
+    f, g = LaurentPoly(variables, a), LaurentPoly(variables, b)
+    assert f.terms == ref_clean(a) and f.sorted_terms() == sorted(f.terms.items())
+    agrees(lambda: f + g, ref_add(a, b))
+    agrees(lambda: f * g, ref_mul(a, b))
+    agrees(lambda: f.shift(step), {tuple(x + s for x, s in zip(e, step)): c for e, c in a.items()})
+    agrees(lambda: f.invert_variables(), {tuple(-x for x in e): c for e, c in a.items()})
+    agrees(lambda: f.substitute_monomials(new_vars, dict(zip(variables, images))), ref_substitute(a, images))
+    try:
+        product = ref_clean(ref_mul(a, b))
+    except OverflowError:
+        return
+    if g:
+        agrees(lambda: divexact(LaurentPoly(variables, product), g), a)

@@ -11,7 +11,13 @@ import pytest
 
 from cherpoi.exact_poly import rf_equal, rf_from_json
 from cherpoi.hilbert_series import jbar_closed
-from cherpoi.macdonald import kostka_fake_degree_identity, kostka_macdonald, procesi_fiber
+from cherpoi.macdonald import (
+    ARGUMENT_ORDERS,
+    kostka_fake_degree_identity,
+    kostka_macdonald,
+    omega_factors,
+    procesi_fiber,
+)
 from cherpoi.partition_core import enumerate_partitions
 from cherpoi.sn_rep import fake_degree
 from cherpoi.cli_table import emit_table
@@ -192,12 +198,24 @@ def test_random_battery_is_seed_deterministic():
     ],
 )
 def test_reports_do_not_depend_on_process_history(suite, params, others):
-    # suites share the process-wide oracle engines, Kostka matrices and
-    # memoized fake degrees; procesi_fiber and kostka_fake_degree_identity
-    # read the Kostka ones
+    # suites share the process-wide oracle engines, Kostka matrices,
+    # memoized fake degrees and fixed-point ingredients; procesi_fiber and
+    # kostka_fake_degree_identity read the Kostka ones
     before = run_suite(suite, params).to_json(timings=False)
     shared = {mu: dict(fake_degree(mu).terms) for n in range(1, 7) for mu in enumerate_partitions(n)}
     kostka = {n: {key: dict(p.terms) for key, p in kostka_macdonald(n).entries.items()} for n in range(1, 5)}
+
+    def fixed_point_ingredients():
+        out = {}
+        for n in kostka:
+            for mu in enumerate_partitions(n):
+                out[mu] = [f.terms for f in omega_factors(mu)]
+                for order in ARGUMENT_ORDERS:
+                    fiber = procesi_fiber(mu, order)
+                    out[mu, order] = [fiber.num.terms] + [f.terms for f in fiber.den]
+        return out
+
+    ingredients = fixed_point_ingredients()
     for other, other_params in others:
         assert run_suite(other, other_params).status == "pass"
     for n in kostka:
@@ -205,9 +223,10 @@ def test_reports_do_not_depend_on_process_history(suite, params, others):
         for mu in enumerate_partitions(n):
             procesi_fiber(mu, argument_order="swapped")
     assert run_suite(suite, params).to_json(timings=False) == before
-    # no caller mutated a shared f_mu or K_{lam mu}
+    # no caller mutated a shared f_mu, K_{lam mu}, P_mu or Omega(mu) factor
     assert {mu: fake_degree(mu).terms for mu in shared} == shared
     assert {n: {key: p.terms for key, p in kostka_macdonald(n).entries.items()} for n in kostka} == kostka
+    assert fixed_point_ingredients() == ingredients
 
 
 def test_resource_bounds_show_up_as_partial():
@@ -718,3 +737,28 @@ def test_parse_pair():
     assert _parse_pair((5, 6)) == (5, 6)
     with pytest.raises(ValueError):
         _parse_pair("7")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "kostka", "--n-max", "1"],
+        ["--suite", "fake-degrees", "--n-max", "0"],
+        ["--suite", "oracle-J", "--n", "2", "--d", "-1"],
+    ],
+    ids=["kostka", "fake-degrees", "oracle-J"],
+)
+def test_verify_rejects_a_grid_that_selects_no_check(capsys, argv):
+    # an empty report once read as a pass: "checks": [] with status pass
+    assert main(["verify", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: suite {argv[1]} selects no check for {' '.join(argv[2:])}" in captured.err
+
+
+def test_the_smallest_grids_still_select_checks():
+    # the benchmark's warm-up process runs fake-degrees at --n-max 1
+    report = run_suite("fake-degrees", {"n_max": 1})
+    assert len(report.checks) == 3 and report.exit_code == 0
+    with pytest.raises(ValueError, match="suite kostka selects no check for --n-max 1$"):
+        run_suite("kostka", {"n_max": 1})
