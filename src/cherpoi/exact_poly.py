@@ -32,8 +32,8 @@ multiplied by sum_k g^k one layer g^k at a time. A term that lies past the
 window and cannot come back into it is dropped as soon as it appears, and
 so are all its multiples; the expansion stops at the first empty layer. The
 layers and their sum are {key: coefficient} dicts over the plane (p, q), a
-single variable being p with q = 0, on slots wide enough for every term the
-window keeps; only the result becomes a LaurentPoly.
+single variable being p with q = 0, on the narrowest slots that hold every
+term the window keeps; only the result becomes a LaurentPoly.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def _pack(e, slot: int = _SLOT) -> int:
 def _unpack(key: int, k: int, slot: int = _SLOT) -> tuple[int, ...]:
     """The exponent vector of k variables that packs to key; every slot but
     the first must lie below 2^(slot-1) in absolute value."""
-    if k == 1:
-        return (key,)
+    if k < 2:
+        return (key,)[:k]
     half, digit = 1 << (slot - 1), (1 << slot) - 1
     out = [0] * k
     for i in range(k - 1, 0, -1):
@@ -732,14 +732,14 @@ def expand_window(f, direction, window) -> LaurentPoly:
             if p > 0 and q < 0:
                 rho = max(rho, Fraction(-q, p))
     # a kept term's q lies within margin of q_cap and of the numerator's, and
-    # a candidate's within step of a kept one's: the plane's slots hold both
+    # a candidate's within step of a kept one's: the layers' keys take the
+    # narrowest slots that hold both, so they stay small ints
     qs = [key - (((key + _HALF) >> _SLOT) << _SLOT) + shift_q for key in num]
     margin = math.ceil(rho * max(0, p_cap - ((min(num) + _HALF) >> _SLOT) - shift_p))
     bound = max(abs(min(qs)), abs(max(qs)), abs(q_cap)) + margin + step
-    slot = max(_SLOT, bound.bit_length() + 2)
-    if slot != _SLOT:
-        num = {_pack(_unpack(key, 2), slot): c for key, c in num.items()}
-        tails = [[(_pack(_unpack(key, 2), slot), c) for key, c in tail] for tail in tails]
+    slot = bound.bit_length() + 2
+    num = {_pack(_unpack(key, 2), slot): c for key, c in num.items()}
+    tails = [[(_pack(_unpack(key, 2), slot), c) for key, c in tail] for tail in tails]
     half = 1 << (slot - 1)
     shift = (shift_p << slot) + shift_q
     # p <= p_cap is key < limit, and the rho condition is a bound on the
