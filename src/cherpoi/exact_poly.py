@@ -87,13 +87,12 @@ def _unpack(key: int, k: int, slot: int = _SLOT) -> tuple[int, ...]:
     the first must lie below 2^(slot-1) in absolute value."""
     if k < 2:
         return (key,)[:k]
-    half, digit = 1 << (slot - 1), (1 << slot) - 1
-    out = [0] * k
-    for i in range(k - 1, 0, -1):
-        out[i] = x = ((key + half) & digit) - half
-        key = (key - x) >> slot
-    out[0] = key
-    return tuple(out)
+    half, tail = 1 << (slot - 1), ()
+    for _ in range(k - 1):
+        rest = (key + half) >> slot  # the key of all but the last variable
+        tail = (key - (rest << slot),) + tail
+        key = rest
+    return (key,) + tail
 
 
 def _box(a: dict, k: int) -> tuple[list[int], list[int]]:
@@ -202,14 +201,13 @@ class LaurentPoly:
     def __init__(self, variables: tuple[str, ...], terms: Mapping[tuple[int, ...], int | Fraction | str]):
         self.vars = tuple(variables)
         clean: dict[int, int | Fraction] = {}
-        k = len(self.vars)
         reach = 0
         for exps, coeff in terms.items():
             coeff = _as_fraction(coeff)
             if coeff == 0:
                 continue
             exps = tuple(int(e) for e in exps)
-            if len(exps) != k:
+            if len(exps) != len(self.vars):
                 raise ValueError(f"exponent vector {exps} does not match vars {self.vars}")
             reach = max(reach, max(map(abs, exps), default=0))
             if reach >= MAX_EXPONENT:
@@ -332,8 +330,7 @@ class LaurentPoly:
         exps = tuple(int(x) for x in exps)
         if len(exps) != len(self.vars):
             raise ValueError(f"exponent vector {exps} does not match vars {self.vars}")
-        # a shift this large leaves the range from every term; smaller ones
-        # keep each exponent below 2^65
+        # |shift| >= 2^64 leaves the range from every term; below, exponents stay under 2^65
         top = max(map(abs, exps), default=0)
         if self.packed and top >= 2 * MAX_EXPONENT:
             raise OverflowError(f"exponent out of 64-bit range: {exps}")
@@ -405,8 +402,10 @@ class LaurentPoly:
         return self.packed.get(_pack(exps), 0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
-        k = len(self.vars)
-        return [(_unpack(key, k), self.packed[key]) for key in sorted(self.packed)]
+        keys, k = sorted(self.packed), len(self.vars)
+        # zip(keys) makes a single variable's 1-tuples without a call per key
+        exps = zip(keys) if k == 1 else (_unpack(key, k) for key in keys)
+        return list(zip(exps, map(self.packed.__getitem__, keys)))
 
     # -- rendering ---------------------------------------------------------
 
