@@ -32,8 +32,8 @@ multiplied by sum_k g^k one layer g^k at a time. A term that lies past the
 window and cannot come back into it is dropped as soon as it appears, and
 so are all its multiples; the expansion stops at the first empty layer. The
 layers and their sum are {key: coefficient} dicts over the plane (p, q), a
-single variable being p with q = 0, on the narrowest slots that hold every
-term the window keeps; only the result becomes a LaurentPoly.
+single variable being p with q = 0, on slots wide enough for every term the
+window keeps; only the result becomes a LaurentPoly.
 """
 
 from __future__ import annotations
@@ -402,10 +402,8 @@ class LaurentPoly:
         return self.packed.get(_pack(exps), 0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
-        keys, k = sorted(self.packed), len(self.vars)
-        # zip(keys) makes a single variable's 1-tuples without a call per key
-        exps = zip(keys) if k == 1 else (_unpack(key, k) for key in keys)
-        return list(zip(exps, map(self.packed.__getitem__, keys)))
+        k = len(self.vars)
+        return [(_unpack(key, k), self.packed[key]) for key in sorted(self.packed)]
 
     # -- rendering ---------------------------------------------------------
 
@@ -594,19 +592,26 @@ def _product(variables, factors) -> LaurentPoly:
 
 def _split_common_factors(a: tuple[LaurentPoly, ...], b: tuple[LaurentPoly, ...]):
     """Multiset intersection of factor lists by structural equality (not gcd)."""
-    keys_a, keys_b = [_factor_key(f) for f in a], [_factor_key(f) for f in b]
+    keys_a = [_factor_key(f) for f in a]
+    keys_b = [_factor_key(f) for f in b]
     common_keys = Counter(keys_a) & Counter(keys_b)
     lookup = dict(zip(keys_a, a))
-    rests = []
-    for factors, keys in ((a, keys_a), (b, keys_b)):
-        taken, rest = Counter(common_keys), []
-        for f, key in zip(factors, keys):
-            if taken[key] > 0:
-                taken[key] -= 1
-            else:
-                rest.append(f)
-        rests.append(tuple(rest))
-    return tuple(lookup[key] for key, mult in common_keys.items() for _ in range(mult)), *rests
+    common = []
+    for key, mult in common_keys.items():
+        common.extend([lookup[key]] * mult)
+    rest_a, taken = [], Counter(common_keys)
+    for f, k in zip(a, keys_a):
+        if taken[k] > 0:
+            taken[k] -= 1
+        else:
+            rest_a.append(f)
+    rest_b, taken = [], Counter(common_keys)
+    for f, k in zip(b, keys_b):
+        if taken[k] > 0:
+            taken[k] -= 1
+        else:
+            rest_b.append(f)
+    return tuple(common), tuple(rest_a), tuple(rest_b)
 
 
 def rf_equal(f: ExactRationalFunction, g: ExactRationalFunction) -> bool:
@@ -665,10 +670,12 @@ def _normalize_window(variables: tuple[str, ...], window) -> list[tuple[int, int
         boxes = list(window)
     if len(boxes) != len(variables):
         raise ValueError("window does not match variable count")
+    out = []
     for lo, hi in boxes:
         if lo > hi:
             raise ValueError(f"empty window [{lo}..{hi}]")
-    return [(int(lo), int(hi)) for lo, hi in boxes]
+        out.append((int(lo), int(hi)))
+    return out
 
 
 def expand_window(f, direction, window) -> LaurentPoly:
@@ -731,14 +738,16 @@ def expand_window(f, direction, window) -> LaurentPoly:
             if p > 0 and q < 0:
                 rho = max(rho, Fraction(-q, p))
     # a kept term's q lies within margin of q_cap and of the numerator's, and
-    # a candidate's within step of a kept one's: the layers' keys take the
-    # narrowest slots that hold both, so they stay small ints
+    # a candidate's within step of a kept one's; past 2^65 (many factors, or
+    # a steep tail and a long window) the plane takes slots that hold both
     qs = [key - (((key + _HALF) >> _SLOT) << _SLOT) + shift_q for key in num]
     margin = math.ceil(rho * max(0, p_cap - ((min(num) + _HALF) >> _SLOT) - shift_p))
     bound = max(abs(min(qs)), abs(max(qs)), abs(q_cap)) + margin + step
-    slot = bound.bit_length() + 2
-    num = {_pack(_unpack(key, 2), slot): c for key, c in num.items()}
-    tails = [[(_pack(_unpack(key, 2), slot), c) for key, c in tail] for tail in tails]
+    slot = max(_SLOT, bound.bit_length() + 2)
+    if slot > _SLOT:  # p 2^66 + q becomes p 2^slot + q
+        grow = (1 << slot) - (1 << _SLOT)
+        num = {key + ((key + _HALF) >> _SLOT) * grow: c for key, c in num.items()}
+        tails = [[(key + ((key + _HALF) >> _SLOT) * grow, c) for key, c in tail] for tail in tails]
     half = 1 << (slot - 1)
     shift = (shift_p << slot) + shift_q
     # p <= p_cap is key < limit, and the rho condition is a bound on the

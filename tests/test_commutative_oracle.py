@@ -4,7 +4,6 @@ import itertools
 import sys
 from fractions import Fraction
 from math import comb, factorial
-from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,20 +29,7 @@ from cherpoi.hilbert_series import jbar_closed
 from cherpoi.partition_core import enumerate_partitions
 from cherpoi.sn_rep import dim_irr, fake_degree
 
-
-def _mul(a, b):
-    """Product of two {exponent tuple: coefficient} dicts, term by term: a
-    reference that shares no packing with exact_poly's kernel."""
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
+from _reference import ref_mul
 
 
 def _matmul(a, b):
@@ -308,7 +294,7 @@ def test_power_sums_are_n_to_the_k_times_the_sum_of_powers(n):
         for x in xs:
             power = {(0,) * (n - 1): Fraction(1)}
             for _ in range(k):
-                power = _mul(power, x)
+                power = ref_mul(power, x)
             _add_into(total, power)
         reference = {e: c * n**k for e, c in total.items()}
         assert all(c.denominator == 1 for c in reference.values())
@@ -445,7 +431,7 @@ def test_alternant_squares_have_the_rank_of_all_ordered_products():
         for ap, bp in itertools.product(range(a + 1), range(b + 1)):
             for f in eng.a_basis(1, ap, bp):
                 for g in eng.a_basis(1, a - ap, b - bp):
-                    product = _mul(_tuple_keyed(eng, f), _tuple_keyed(eng, g))
+                    product = ref_mul(_tuple_keyed(eng, f), _tuple_keyed(eng, g))
                     span.add(_tuple_vec(eng, product, a, b))
         assert len(eng.a_basis(2, a, b)) == span.rank, (a, b)
 
@@ -468,7 +454,7 @@ def test_stored_ideal_bases_match_the_closure_without_early_stop(monkeypatch):
             if (d, a, b) not in memo:
                 span = EchelonSpan(len(eng.cell(a, b)[0]))
                 shifted = [
-                    _mul(f, {unit: 1})
+                    ref_mul(f, {unit: 1})
                     for r, unit in enumerate(units)
                     for f in (reference(d, a - 1, b) if r < eng.m else reference(d, a, b - 1))
                 ]
@@ -568,7 +554,7 @@ def test_duplicate_origins_are_skipped(monkeypatch):
             cell = (d, a - e[0] - e[1], b - e[2] - e[3])
             stage = eng.a_basis(*cell) if d == 1 else eng._split_products(*cell, eng._generators)
             g = next(itertools.islice(stage, i, None))
-            assert _tuple_keyed(eng, f) == _mul({e: 1}, _tuple_keyed(eng, g)), (d, a, b)
+            assert _tuple_keyed(eng, f) == ref_mul({e: 1}, _tuple_keyed(eng, g)), (d, a, b)
 
 
 def test_cell_bases_do_not_depend_on_which_operation_builds_them(monkeypatch):
@@ -602,9 +588,9 @@ def _reference_image(n: int, perm, poly):
             for j in range(m):
                 linear = {units[side * m + i]: mat[i][j] for i in range(m) if mat[i][j]}
                 for _ in range(e[side * m + j]):
-                    part = _mul(part, linear)
+                    part = ref_mul(part, linear)
             parts.append(part)
-        _add_into(out, _mul(*parts), c)
+        _add_into(out, ref_mul(*parts), c)
     return out
 
 

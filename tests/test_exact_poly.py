@@ -21,6 +21,8 @@ from cherpoi.exact_poly import (
     rf_to_json,
 )
 
+from _reference import ref_mul
+
 V = ("v",)
 ST = ("s", "t")
 
@@ -486,15 +488,6 @@ def ref_add(a: dict, b: dict) -> dict:
     return out
 
 
-def ref_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
-
-
 def ref_substitute(a: dict, images: list) -> dict:
     out = {}
     for e, c in a.items():
@@ -521,7 +514,7 @@ def key_case(draw):
     k = draw(st.integers(1, 3))
     terms = st.dictionaries(st.tuples(*[KEY_EXPONENT] * k), KEY_COEFF, max_size=4)
     width = draw(st.integers(1, 3))
-    images = [draw(st.tuples(*[st.integers(-2, 2)] * width)) for _ in range(k)]
+    images = [draw(st.tuples(*[st.integers(-5, 5)] * width)) for _ in range(k)]
     return k, draw(terms), draw(terms), draw(st.tuples(*[KEY_EXPONENT] * k)), images
 
 
@@ -543,3 +536,30 @@ def test_packed_keys_match_tuple_arithmetic(case):
         return
     if g:
         agrees(lambda: divexact(LaurentPoly(variables, product), g), a)
+
+
+def test_substitute_monomials_on_wide_slots():
+    # these images take exponents to 4 (2^63 - 1) and past it, where keys need
+    # slots wider than 66 bits, before the result cancels back into range or,
+    # for the last two images, overflows; v = 8 (2^63 - 1) = 2^66 - 8 would
+    # read as v = -8 and u + 1 on 66-bit slots
+    big = 2**63 - 1
+    a = {(big, big): 3, (big, big - 1): -1, (1, 2): Fraction(1, 2), (-big, 1 - big): 5}
+    f = LaurentPoly(("x", "y"), a)
+    wide = ([(2,), (-2,)], [(5, -3), (-5, 3)], [(-1, 4, 2), (1, -4, -2)], [(1,), (1,)], [(0, 5), (0, 3)])
+    for images in wide:
+        new_vars = ("u", "v", "w")[: len(images[0])]
+        agrees(lambda: f.substitute_monomials(new_vars, dict(zip("xy", images))), ref_substitute(a, images))
+    assert f.substitute_monomials(("u",), {"x": (2,), "y": (-2,)}).terms == {(0,): 3, (2,): -1, (-2,): Fraction(11, 2)}
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_expand_window_keys_past_66_bit_slots(order):
+    # 1/((1 - s t^-M)(1 - t^M)): its layers reach q = -6M < -2^65 before
+    # t^M lifts them back into the window
+    m = 2**63 - 1
+    one = LaurentPoly.one(ST)
+    den = [one - LaurentPoly(ST, {(1, -m): 1}), one - LaurentPoly(ST, {(0, m): 1})]
+    f = ExactRationalFunction(one, den[order:] + den[:order])
+    series = expand_window(f, "ascending", ((0, 6), (-m, m)))
+    assert series.terms == {(i, j * m): 1 for i in range(7) for j in (-1, 0, 1) if i + j >= 0}

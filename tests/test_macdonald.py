@@ -1,7 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
-from operator import add
 
 import pytest
 import sympy
@@ -35,20 +34,7 @@ from cherpoi.partition_core import (
 )
 from cherpoi.sn_rep import character_table, dim_irr
 
-
-def _mul(a, b):
-    """Product of two {exponent tuple: coefficient} dicts, term by term: a
-    reference that shares no packing with exact_poly's kernel."""
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
+from _reference import ref_mul
 
 
 QT = ("q", "t")
@@ -90,7 +76,7 @@ def _one_minus(exps):
 def _product(factors):
     acc = {(0, 0): 1}
     for f in factors:
-        acc = _mul(acc, f)
+        acc = ref_mul(acc, f)
     return acc
 
 
@@ -118,7 +104,7 @@ def _scaled_j(matrix, a, w):
     p2m = _p_to_m(matrix.n)
     out = {}
     for mu in parts:
-        terms = {rho: _mul(_product(_one_minus((0, r)) for r in rho), a[rho, mu]) for rho in parts}
+        terms = {rho: ref_mul(_product(_one_minus((0, r)) for r in rho), a[rho, mu]) for rho in parts}
         for nu in parts:
             acc = {}
             for rho in parts:
@@ -151,11 +137,11 @@ def _definition_failures(matrix) -> set[str]:
             failures.add("leading term")
     qt = {rho: _product(_one_minus(e) for r in rho for e in ((r, 0), (0, r))) for rho in parts}
     for i, lam in enumerate(parts):
-        weighted = {rho: _mul(qt[rho], a[rho, lam]) for rho in parts}
+        weighted = {rho: ref_mul(qt[rho], a[rho, lam]) for rho in parts}
         for mu in parts[i + 1 :]:
             pairing = {}
             for rho in parts:
-                _add_into(pairing, _mul(weighted[rho], a[rho, mu]), w[rho])
+                _add_into(pairing, ref_mul(weighted[rho], a[rho, mu]), w[rho])
             if pairing:
                 failures.add("orthogonality")
     return failures
