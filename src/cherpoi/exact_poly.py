@@ -17,9 +17,11 @@ every variable. One private kernel works on these dicts, here and in
 macdonald: _mul_packed (multiply, int or Fraction coefficients), _add_into
 (scaled accumulate) and _divexact_int (lex-peeling exact division over Z,
 after divexact clears denominators and the divisor's integer content).
-commutative_oracle calls the first two on keys of its own packing. Exponent
-tuples appear only where a caller reads exponents: LaurentPoly.terms,
-coefficient, sorted_terms, rendering, JSON and evaluate.
+commutative_oracle calls the first two on keys of its own packing. Beside
+them, _divexact_binomial divides a dense one-variable coefficient list by
+1 - v^h, for the hook quotients in sn_rep. Exponent tuples appear only
+where a caller reads exponents: LaurentPoly.terms, coefficient,
+sorted_terms, rendering, JSON and evaluate.
 
 Window expansion semantics: a direction choice (ascending or descending per
 variable) selects signs for the exponents; after flipping, f is expanded in
@@ -43,10 +45,15 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
+from .errors import ResourceError
+
 MAX_EXPONENT = 2**63  # exponents are conceptually signed 64-bit; beyond is a hard error
 _SLOT = 66  # bits per exponent in a packed key
 _HALF = 1 << (_SLOT - 1)
 _DIGIT = (1 << _SLOT) - 1
+# term products one expand_window may make; bigraded_J(4, 0) on (24, 24),
+# the largest comparison the oracle's caps allow, makes about 306,000
+_EXPANSION_BUDGET = 1_000_000
 
 
 class ExpansionDirectionError(ValueError):
@@ -189,6 +196,20 @@ def _divexact_int(a: dict, b: dict, k: int) -> dict:
         if budget < 0:
             raise ExactDivisionError("division budget exceeded; input likely not divisible")
     return quotient
+
+
+def _divexact_binomial(a: list, h: int) -> list:
+    """Exact quotient of a(v) by 1 - v^h, h >= 1, on dense coefficient lists
+    (a[k] the coefficient of v^k), by the recurrence q_k = a_k + q_{k-h} in
+    O(len(a)) steps; a nonzero remainder raises ExactDivisionError."""
+    q = list(a)
+    for k in range(h, len(q)):
+        q[k] += q[k - h]
+    # past the quotient's degree the recurrence yields the remainder
+    cut = max(len(q) - h, 0)
+    if any(q[cut:]):
+        raise ExactDivisionError("not exactly divisible")
+    return q[:cut]
 
 
 class LaurentPoly:
@@ -683,7 +704,8 @@ def expand_window(f, direction, window) -> LaurentPoly:
 
     After flipping descending variables, expansion happens in the lex Laurent
     field with the first variable outermost. Every denominator factor must
-    have a lex-lowest term with coefficient +-1.
+    have a lex-lowest term with coefficient +-1. An expansion that would make
+    more than _EXPANSION_BUDGET term products raises ResourceError.
     """
     if isinstance(f, LaurentPoly):
         f = ExactRationalFunction(f)
@@ -763,6 +785,9 @@ def expand_window(f, direction, window) -> LaurentPoly:
         if key < limit and rho_den * key + slope * ((key + half) >> slot) <= cap:
             result[key] = sign_flip * c
 
+    # the layers a factor needs grow with the numerator's distance from the
+    # window, not with the window, so the products they make are budgeted
+    budget = _EXPANSION_BUDGET
     for tail in tails:
         # result *= sum_k g^k, with hereditary pruning; terms once pruned can
         # never re-enter the window because tails are lex-nonnegative in the
@@ -771,6 +796,9 @@ def expand_window(f, direction, window) -> LaurentPoly:
         acc = dict(result)
         layer = result
         while layer:
+            budget -= len(layer) * len(tail)
+            if budget < 0:
+                raise ResourceError(f"window expansion needs more than {_EXPANSION_BUDGET} term products")
             nxt: dict = {}
             for k1, c1 in layer.items():
                 for k2, c2 in tail:

@@ -334,6 +334,24 @@ def _to_qvector(offsets, vec: HomogeneousVector) -> Element:
     }
 
 
+def _scaled_qvector(algebra, shifts, offsets, vec: HomogeneousVector, e: int, idx: int) -> Element:
+    """_to_qvector(offsets, module_scale(algebra, shifts, vec, e, {idx: 1})),
+    written straight into the Q-basis of F_{vec.degree + e} without building
+    the scaled vector: a monomial carries distinct monomials to distinct
+    ones, or above the algebra's top to zero, so each coefficient is copied."""
+    g = vec.degree + e
+    m = algebra.basis[e][idx]
+    out: Element = {}
+    for offset, s, row in zip(offsets, shifts, vec.rows):
+        if row:
+            left, index = algebra.basis[vec.degree - s], algebra.index[g - s]
+            for bi, c in row.items():
+                k = index.get(tuple(map(add, left[bi], m)))
+                if k is not None:
+                    out[offset + k] = c
+    return out
+
+
 def apply_matrix(algebra, shifts, entries: MatrixEntries, vec: HomogeneousVector) -> HomogeneousVector:
     g = vec.degree
     rows = []
@@ -405,28 +423,26 @@ def extract_homogeneous_basis(E: GradedIdempotent) -> ExtractionResult:
     image_dims: dict[int, int] = {}
     for g in range(min(shifts), horizon + 1):
         offsets, total = _layout(algebra, shifts, g)
-        image_vectors = []
+        image_vectors = []  # (column, e, idx, Q-vector) of each accepted image vector
         image_span = EchelonSpan(total)
         for column in columns:
             e = g - column.degree
             for idx in range(algebra.dim(e)):
-                w = module_scale(algebra, shifts, column, e, {idx: 1})
-                qv = _to_qvector(offsets, w)
+                qv = _scaled_qvector(algebra, shifts, offsets, column, e, idx)
                 if image_span.add(qv):
-                    image_vectors.append(w)
+                    image_vectors.append((column, e, idx, qv))
         image_dims[g] = image_span.rank
 
         span = EchelonSpan(total)
         for p in generators:
             e = g - p.degree
             for idx in range(algebra.dim(e)):
-                scaled = module_scale(algebra, shifts, p, e, {idx: 1})
-                span.add(_to_qvector(offsets, scaled))
-        for w in image_vectors:
+                span.add(_scaled_qvector(algebra, shifts, offsets, p, e, idx))
+        for column, e, idx, qv in image_vectors:
             if span.rank == image_dims[g]:
                 break
-            if span.add(_to_qvector(offsets, w)):
-                generators.append(w)
+            if span.add(qv):
+                generators.append(module_scale(algebra, shifts, column, e, {idx: 1}))
         free_count = sum(algebra.dim(g - p.degree) for p in generators)
         if not span.rank == image_dims[g] == free_count:
             raise CertificationError(
@@ -495,9 +511,8 @@ def minimal_expression(algebra, shifts, x: HomogeneousVector, basis) -> list[tup
                 e = x.degree - basis[i].degree
                 block = []
                 for idx in range(algebra.dim(e)):
-                    scaled = module_scale(algebra, shifts, basis[i], e, {idx: 1})
                     block.append(len(columns))
-                    columns.append(_to_qvector(offsets, scaled))
+                    columns.append(_scaled_qvector(algebra, shifts, offsets, basis[i], e, idx))
                 blocks.append((i, e, block))
             sol = solve(columns, target)
             if sol is None:

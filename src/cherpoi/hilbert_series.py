@@ -15,6 +15,7 @@ bigraded_J and jbar_via_specialization all sum that one term.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .exact_poly import CExponent, ExactRationalFunction, LaurentPoly
@@ -218,8 +219,10 @@ def jbar_via_specialization(n: int, d: int) -> ExactRationalFunction:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _graded_numerator(n: int, shift_mult: int) -> LaurentPoly:
-    """sum_mu f_mu(1) f_mu(v) v^{shift_mult*(n(mu)-n(mu^t))}."""
+    """sum_mu f_mu(1) f_mu(v) v^{shift_mult*(n(mu)-n(mu^t))}, built once per
+    (n, shift_mult); the result is shared and must not be mutated."""
     num = LaurentPoly.zero(V)
     for mu in enumerate_partitions(n):
         num = num + fake_degree(mu).shift((shift_mult * _wshift(mu),)) * dim_irr(mu)

@@ -82,7 +82,11 @@ def size(mu) -> int:
 
 
 def transpose(mu) -> Partition:
-    mu = check_partition(mu)
+    return _transpose(check_partition(mu))
+
+
+@cache
+def _transpose(mu: Partition) -> Partition:
     return tuple(sum(1 for p in mu if p >= j) for j in range(1, mu[0] + 1))
 
 
@@ -132,13 +136,21 @@ def dominance_leq(lam, mu) -> bool:
 
 def nstat(mu) -> int:
     """n(mu) = sum_i mu_i (i-1) with rows indexed from 1."""
-    mu = check_partition(mu)
+    return _nstat(check_partition(mu))
+
+
+@cache
+def _nstat(mu: Partition) -> int:
     return sum(i * p for i, p in enumerate(mu))
 
 
 def num_syt(mu) -> int:
     """Number of standard Young tableaux of shape mu, by the hook-length formula."""
-    mu = check_partition(mu)
+    return _num_syt(check_partition(mu))
+
+
+@cache
+def _num_syt(mu: Partition) -> int:
     count = Fraction(factorial(sum(mu)), hook_product(mu))
     if count.denominator != 1:
         raise ArithmeticError(f"hook-length formula gave a non-integer for {mu}")

@@ -14,7 +14,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .errors import ResourceError
-from .exact_poly import LaurentPoly, divexact
+from .exact_poly import LaurentPoly, _divexact_binomial
 from .partition_core import (
     Partition,
     check_partition,
@@ -125,19 +125,21 @@ def fake_degree(mu) -> LaurentPoly:
 @cache
 def _fake_degree(mu: Partition) -> LaurentPoly:
     """The hook quotient with the factors (1 - v^i) that {1..n} and the hook
-    lengths have in common cancelled first, as multisets: only the rest is
-    multiplied out, and divexact divides the cancelled quotient exactly."""
+    lengths have in common cancelled first, as multisets, on a dense
+    coefficient list: the rest of {1..n} is multiplied out, and each
+    leftover hook binomial 1 - v^h is divided off exactly."""
     n = sum(mu)
     hook_count = Counter(hooks(mu))
     span = Counter(range(1, n + 1))
-    one = LaurentPoly.one(_V)
-    num = LaurentPoly.monomial(_V, (nstat(mu),))
+    coeffs = [1]
     for i in (span - hook_count).elements():
-        num = num * (one - LaurentPoly.var_power(_V, "v", i))
-    den = one
+        coeffs += [0] * i
+        for k in range(len(coeffs) - 1, i - 1, -1):
+            coeffs[k] -= coeffs[k - i]
     for h in (hook_count - span).elements():
-        den = den * (one - LaurentPoly.var_power(_V, "v", h))
-    return divexact(num, den)
+        coeffs = _divexact_binomial(coeffs, h)
+    low = nstat(mu)
+    return LaurentPoly._build(_V, {low + k: c for k, c in enumerate(coeffs) if c}, low + len(coeffs))
 
 
 def _corners(mu: Partition) -> list[int]:

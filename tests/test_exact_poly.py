@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from cherpoi.exact_poly import (
     rf_from_json,
     rf_to_json,
 )
+from cherpoi.errors import ResourceError
+from cherpoi.exact_poly import _divexact_binomial
 
 from _reference import ref_mul
 
@@ -563,3 +566,52 @@ def test_expand_window_keys_past_66_bit_slots(order):
     f = ExactRationalFunction(one, den[order:] + den[:order])
     series = expand_window(f, "ascending", ((0, 6), (-m, m)))
     assert series.terms == {(i, j * m): 1 for i in range(7) for j in (-1, 0, 1) if i + j >= 0}
+
+
+def _dense(poly, length):
+    return [poly.coefficient((k,)) for k in range(length)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.integers(-9, 9), max_size=12), st.integers(1, 6), st.booleans())
+def test_binomial_division_matches_divexact(coeffs, h, multiple):
+    # a multiple of 1 - v^h divides; most other lists do not, and both
+    # routes must then refuse
+    binom = LaurentPoly.one(V) - vp(h)
+    a = LaurentPoly(V, {(k,): c for k, c in enumerate(coeffs)})
+    if multiple:
+        a = a * binom
+    length = len(coeffs) + (h if multiple else 0)
+    try:
+        want = divexact(a, binom)
+    except ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            _divexact_binomial(_dense(a, length), h)
+        return
+    got = _divexact_binomial(_dense(a, length), h)
+    assert LaurentPoly(V, {(k,): c for k, c in enumerate(got)}) == want
+    assert len(got) == max(length - h, 0)
+
+
+def test_binomial_division_rejects_a_remainder():
+    # (1 - v^4) / (1 - v^2) = 1 + v^2; changing any coefficient leaves a remainder
+    assert _divexact_binomial([1, 0, 0, 0, -1], 2) == [1, 0, 1]
+    for k in range(5):
+        mutant = [1, 0, 0, 0, -1]
+        mutant[k] += 1
+        with pytest.raises(ExactDivisionError):
+            _divexact_binomial(mutant, 2)
+    with pytest.raises(ExactDivisionError):
+        _divexact_binomial([3], 2)
+
+
+def test_expand_window_budget_stops_a_runaway_expansion():
+    # the numerator sits 2^62 layers of 1/(1 - s) below the window, so the
+    # expansion would never end; the budget makes it a ResourceError
+    one = LaurentPoly.one(ST)
+    den = [one - LaurentPoly.var_power(ST, "s", 1), one - LaurentPoly.var_power(ST, "t", 1)]
+    f = ExactRationalFunction(LaurentPoly.monomial(ST, (-(2**62), 0)), den)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="term products"):
+        expand_window(f, "ascending", ((-5, 5), (0, 4)))
+    assert time.perf_counter() - start < 15

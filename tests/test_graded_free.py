@@ -22,6 +22,7 @@ from cherpoi.graded_free import (
     truncated_polynomial_algebra,
     unipotent_inverse,
 )
+from cherpoi.graded_free import _exact, _layout, _scaled_qvector, _to_qvector
 
 ONE = Fraction(1)
 
@@ -214,6 +215,34 @@ def test_rational_input_keeps_fractions():
     (gen,) = extract_homogeneous_basis(E)
     assert gen.rows == ({0: 1}, {0: Fraction(3, 2)})
     assert [type(row[0]) for row in gen.rows] == [int, Fraction]
+
+
+@pytest.mark.parametrize("algebra", [polynomial_algebra(2, 7), truncated_polynomial_algebra(2, 7, 3)])
+def test_scaled_qvector_matches_the_scaled_vector(algebra):
+    # the extractor's Q-vectors, written directly, against module_scale and
+    # _to_qvector; conjugating by diag(1, 2, 3) puts Fractions in the
+    # entries, as an idempotent read by basis --input may carry them
+    shifts = (2, 1, 0)
+    rng = Random(7)
+    fractions = 0
+    for _ in range(4):
+        E = random_unipotent_idempotent(algebra, shifts, 2, rng)
+        scaled = tuple(
+            tuple({k: _exact(c * Fraction(j + 1, i + 1)) for k, c in entry.items()} for j, entry in enumerate(row))
+            for i, row in enumerate(E.entries)
+        )
+        fractions += sum(type(c) is Fraction for row in scaled for entry in row for c in entry.values())
+        for entries in (E.entries, GradedIdempotent(algebra, shifts, scaled).entries):
+            for j, s in enumerate(shifts):
+                column = HomogeneousVector(s, tuple(row[j] for row in entries))
+                for e in range(4):
+                    offsets, _ = _layout(algebra, shifts, s + e)
+                    for idx in range(algebra.dim(e)):
+                        want = _to_qvector(offsets, module_scale(algebra, shifts, column, e, {idx: 1}))
+                        got = _scaled_qvector(algebra, shifts, offsets, column, e, idx)
+                        assert got == want
+                        assert list(map(type, got.values())) == list(map(type, want.values()))
+    assert fractions
 
 
 def test_random_battery():

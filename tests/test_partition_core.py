@@ -110,6 +110,15 @@ def test_nstat_via_cells(mu):
     assert sum(hooks(mu)) == size(mu) + nstat(mu) + nstat(transpose(mu))
 
 
+def test_statistics_accept_any_iterable():
+    # the cached statistics key on the validated tuple, not on the input
+    for mu in ([2, 1], iter((2, 1)), (2, 1)):
+        assert nstat(mu) == 1
+    assert transpose([3, 1]) == (2, 1, 1)
+    assert num_syt([3, 1]) == 3
+    assert hooks([2, 1]) == [3, 1, 1]
+
+
 def test_nstat_examples():
     assert nstat((3,)) == 0
     assert nstat((1, 1, 1)) == 3

@@ -10,6 +10,7 @@ from cherpoi.exact_poly import LaurentPoly, divexact, q_factorial_poly
 from cherpoi.partition_core import enumerate_partitions, enumerate_syt, hooks, nstat, size, transpose
 from cherpoi.errors import ResourceError
 from cherpoi.sn_rep import (
+    MAX_TABLE_N,
     centralizer_order,
     character_table,
     character_value,
@@ -70,6 +71,10 @@ def test_dim_irr_matches_identity_column():
     for n in range(1, 7):
         for mu in enumerate_partitions(n):
             assert dim_irr(mu) == character_value(mu, (1,) * n)
+
+
+def test_dim_irr_accepts_a_list():
+    assert dim_irr([2, 1]) == dim_irr((2, 1)) == 2
 
 
 def test_kronecker_and_tensor():
@@ -152,6 +157,23 @@ def test_fake_degree_matches_the_uncancelled_quotient(n):
             num = num * (one - LaurentPoly.var_power(V, "v", i))
         den = one
         for h in hooks(mu):
+            den = den * (one - LaurentPoly.var_power(V, "v", h))
+        assert fake_degree(mu) == divexact(num, den)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_TABLE_N + 1))
+def test_binomial_hook_quotient_matches_divexact(n):
+    # the shared factors of {1..n} and the hooks cancel as multisets; the
+    # rest, multiplied out, goes through the general divexact
+    one = LaurentPoly.one(V)
+    span = Counter(range(1, n + 1))
+    for mu in enumerate_partitions(n):
+        hook_count = Counter(hooks(mu))
+        num = LaurentPoly.monomial(V, (nstat(mu),))
+        for i in (span - hook_count).elements():
+            num = num * (one - LaurentPoly.var_power(V, "v", i))
+        den = one
+        for h in (hook_count - span).elements():
             den = den * (one - LaurentPoly.var_power(V, "v", h))
         assert fake_degree(mu) == divexact(num, den)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cherpoi.exact_poly import rf_equal, rf_from_json
-from cherpoi.hilbert_series import jbar_closed
+from cherpoi.hilbert_series import _graded_numerator, jbar_closed
 from cherpoi.macdonald import (
     ARGUMENT_ORDERS,
     kostka_fake_degree_identity,
@@ -195,14 +195,16 @@ def test_random_battery_is_seed_deterministic():
         ),
         ("kostka", {"n_max": 4}, [("jbar-chain", {"n_max": 4})]),
         ("fake-degrees", {"n_max": 6}, [("eqpoi", {}), ("appendix-b", {})]),
+        ("eqpoi", {}, [("appendix-b", {}), ("jbar-chain", {})]),
     ],
 )
 def test_reports_do_not_depend_on_process_history(suite, params, others):
     # suites share the process-wide oracle engines, Kostka matrices,
-    # memoized fake degrees and fixed-point ingredients; procesi_fiber and
-    # kostka_fake_degree_identity read the Kostka ones
+    # memoized fake degrees, graded numerators and fixed-point ingredients;
+    # procesi_fiber and kostka_fake_degree_identity read the Kostka ones
     before = run_suite(suite, params).to_json(timings=False)
     shared = {mu: dict(fake_degree(mu).terms) for n in range(1, 7) for mu in enumerate_partitions(n)}
+    numerators = {(n, k): dict(_graded_numerator(n, k).terms) for n in range(2, 6) for k in range(-3, 4)}
     kostka = {n: {key: dict(p.terms) for key, p in kostka_macdonald(n).entries.items()} for n in range(1, 5)}
 
     def fixed_point_ingredients():
@@ -223,8 +225,10 @@ def test_reports_do_not_depend_on_process_history(suite, params, others):
         for mu in enumerate_partitions(n):
             procesi_fiber(mu, argument_order="swapped")
     assert run_suite(suite, params).to_json(timings=False) == before
-    # no caller mutated a shared f_mu, K_{lam mu}, P_mu or Omega(mu) factor
+    # no caller mutated a shared f_mu, graded numerator, K_{lam mu}, P_mu or
+    # Omega(mu) factor
     assert {mu: fake_degree(mu).terms for mu in shared} == shared
+    assert {key: _graded_numerator(*key).terms for key in numerators} == numerators
     assert {n: {key: p.terms for key, p in kostka_macdonald(n).entries.items()} for n in kostka} == kostka
     assert fixed_point_ingredients() == ingredients
 
