@@ -1,5 +1,4 @@
-"""Exact linear algebra: an integer row-echelon span, and one particular
-solution of a linear system read off that span by back-substitution.
+"""Exact linear algebra: an integer row-echelon span.
 
 `EchelonSpan` keeps its rows as primitive integer vectors in row-echelon,
 not reduced, form: a new row is eliminated against the existing pivots and
@@ -113,38 +112,3 @@ def _primitive(v: dict[int, int], pivot: int) -> dict[int, int]:
     if v[pivot] < 0:
         g = -g
     return v if g == 1 else {i: x // g for i, x in v.items()}
-
-
-def solve(columns, target):
-    """One exact solution x of sum_j x_j * columns[j] = target, or None.
-
-    Columns and target are sparse ``{row: int | Fraction}`` dicts. Their
-    transpose, the augmented rows [a_i1 .. a_ik | b_i], goes into an
-    EchelonSpan; the system is inconsistent exactly when column k is a pivot.
-    Otherwise one back-substitution, from the last pivot to the first, clears
-    each pivot column from the rows above it; then x_p = row[k] / row[p] at
-    each pivot p and every free variable is 0: the unique solution supported
-    on the leftmost independent columns. The solution is a list of k
-    Fractions.
-    """
-    k = len(columns)
-    rows: dict[int, dict] = {}
-    for j, col in enumerate([*columns, target]):
-        for i, c in col.items():
-            rows.setdefault(i, {})[j] = c
-    span = EchelonSpan(k + 1)
-    for row in rows.values():
-        span.add(row)
-    if k in span.rows:
-        return None
-    pivots, reduced = span._pivots, span.rows
-    for i in range(len(pivots) - 1, 0, -1):
-        p = pivots[i]
-        for q in pivots[:i]:
-            if p in reduced[q]:
-                _cancel(reduced[q], reduced[p], p)
-                reduced[q] = _primitive(reduced[q], q)
-    x = [Fraction(0)] * k
-    for p, row in reduced.items():
-        x[p] = Fraction(row.get(k, 0), row[p])
-    return x

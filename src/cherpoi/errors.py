@@ -15,7 +15,3 @@ class ResourceError(RuntimeError):
 
 class CertificationError(RuntimeError):
     """A constructive certificate (basis extraction, saturation) failed."""
-
-
-class InvalidSplittingError(ValueError):
-    """A claimed splitting fails to compose to the identity."""

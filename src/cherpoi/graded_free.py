@@ -12,11 +12,10 @@ monomial above a top degree, presented degreewise over Q by its monomials
 up to a cutoff, and multiplied by adding exponent vectors. A homogeneous
 element of degree d is a sparse {basis index: coefficient} map, each
 coefficient in exact_poly's normal form: an int when integral, a Fraction
-otherwise, so integer data stays on integer arithmetic throughout. A
-possibly inhomogeneous entry is a {degree: element} map. Free modules carry
-one shift per basis vector u_i, so the row-i component of a degree-g element
-lives in A_{g - shift_i}, and a degree-zero matrix has entry (i, j)
-homogeneous of degree shift_j - shift_i.
+otherwise, so integer data stays on integer arithmetic throughout. Free
+modules carry one shift per basis vector u_i, so the row-i component of a
+degree-g element lives in A_{g - shift_i}, and a degree-zero matrix has
+entry (i, j) homogeneous of degree shift_j - shift_i.
 
 Everything is certified only up to the reported horizon
 min(cutoff - max(shifts), cutoff + min(shifts)); the tool never claims
@@ -25,16 +24,14 @@ global freeness.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from operator import add
 from random import Random
 
-from ._linalg import EchelonSpan, solve
-from .errors import CertificationError, InvalidSplittingError
+from ._linalg import EchelonSpan
+from .errors import CertificationError
 
 Element = dict[int, int | Fraction]  # homogeneous, indexed into one degree's basis
-Entry = dict[int, Element]  # inhomogeneous: degree -> homogeneous component
 
 
 def _monomials(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
@@ -255,10 +252,6 @@ class GradedIdempotent(_Record):
         if square != self.entries:
             raise ValueError("matrix is not idempotent")
 
-    @property
-    def size(self) -> int:
-        return len(self.shifts)
-
 
 def diagonal_idempotent(algebra, shifts, flags) -> GradedIdempotent:
     """Idempotent projecting onto the rows where flags is truthy."""
@@ -326,19 +319,13 @@ def _layout(algebra, shifts, g: int):
     return offsets, total
 
 
-def _to_qvector(offsets, vec: HomogeneousVector) -> Element:
-    """vec as a sparse {column: coefficient} vector in the Q-basis of F_g,
-    g = vec.degree, whose row blocks start at offsets (from _layout)."""
-    return {
-        offset + idx: c for offset, row in zip(offsets, vec.rows) for idx, c in row.items()
-    }
-
-
 def _scaled_qvector(algebra, shifts, offsets, vec: HomogeneousVector, e: int, idx: int) -> Element:
-    """_to_qvector(offsets, module_scale(algebra, shifts, vec, e, {idx: 1})),
-    written straight into the Q-basis of F_{vec.degree + e} without building
-    the scaled vector: a monomial carries distinct monomials to distinct
-    ones, or above the algebra's top to zero, so each coefficient is copied."""
+    """module_scale(algebra, shifts, vec, e, {idx: 1}) as a sparse {column:
+    coefficient} vector in the Q-basis of F_{vec.degree + e}, whose row
+    blocks start at offsets (from _layout), written straight there without
+    building the scaled vector: a monomial carries distinct monomials to
+    distinct ones, or above the algebra's top to zero, so each coefficient is
+    copied. The tests check it against flattening the scaled vector."""
     g = vec.degree + e
     m = algebra.basis[e][idx]
     out: Element = {}
@@ -350,24 +337,6 @@ def _scaled_qvector(algebra, shifts, offsets, vec: HomogeneousVector, e: int, id
                 if k is not None:
                     out[offset + k] = c
     return out
-
-
-def apply_matrix(algebra, shifts, entries: MatrixEntries, vec: HomogeneousVector) -> HomogeneousVector:
-    g = vec.degree
-    rows = []
-    for i in range(len(shifts)):
-        acc: Element = {}
-        for j in range(len(shifts)):
-            entry = entries[i][j]
-            comp = vec.rows[j]
-            if not entry or not comp:
-                continue
-            prod = algebra.multiply(
-                _entry_degree(shifts, i, j), entry, g - shifts[j], comp
-            )
-            acc = _element_add(acc, prod)
-        rows.append(acc)
-    return HomogeneousVector(g, tuple(rows))
 
 
 def module_scale(algebra, shifts, vec: HomogeneousVector, e: int, a: Element) -> HomogeneousVector:
@@ -450,77 +419,3 @@ def extract_homogeneous_basis(E: GradedIdempotent) -> ExtractionResult:
                 f"image {image_dims[g]}, free count {free_count}"
             )
     return ExtractionResult(tuple(generators), horizon, image_dims)
-
-
-def eilenberg_homogenize(E: GradedIdempotent, splitting, target_degrees=None) -> MatrixEntries:
-    """Extract the degree-matching components of a splitting of im(E).
-
-    The surjection is E itself, onto its image, with homogeneous generators
-    p_i = E u_i of degrees equal to the shifts; target_degrees, when given,
-    must repeat those. Splitting entries may be inhomogeneous, presented as
-    {degree: component} maps; entry (j, i) keeps only its component of
-    degree target_i - shift_j. The output is verified to still split, i.e.
-    E composed with it fixes every generator.
-    """
-    algebra, shifts = E.algebra, E.shifts
-    size = E.size
-    if target_degrees is None:
-        target_degrees = shifts
-    if tuple(target_degrees) != tuple(shifts):
-        raise ValueError("generator degrees are the shifts of the presenting module")
-    if len(splitting) != size or any(len(r) != size for r in splitting):
-        raise ValueError("splitting matrix shape mismatch")
-    homog = []
-    for j in range(size):
-        row = []
-        for i in range(size):
-            wanted = target_degrees[i] - shifts[j]
-            entry: Entry = splitting[j][i]
-            comp = entry.get(wanted, {})
-            row.append({k: _exact(c) for k, c in comp.items() if c})
-        homog.append(tuple(row))
-    homog = tuple(homog)
-    composed = matrix_multiply(algebra, shifts, E.entries, homog)
-    recovered = matrix_multiply(algebra, shifts, composed, E.entries)
-    if recovered != E.entries:
-        raise InvalidSplittingError(
-            "homogenized matrix no longer splits the surjection"
-        )
-    return homog
-
-
-def minimal_expression(algebra, shifts, x: HomogeneousVector, basis) -> list[tuple[int, Element]]:
-    """Smallest-support homogeneous expression x = sum basis[i] * a_i.
-
-    Feasibility of each candidate support is decided by solving the exact
-    linear system over Q, smallest supports first, subsets in index order.
-    Raises ValueError when x is outside the span of the basis.
-    """
-    offsets, _ = _layout(algebra, shifts, x.degree)
-    target = _to_qvector(offsets, x)
-    candidates = [
-        i for i, b in enumerate(basis) if algebra.dim(x.degree - b.degree) > 0
-    ]
-    if not any(target.values()):
-        return []
-    for size in range(1, len(candidates) + 1):
-        for subset in itertools.combinations(candidates, size):
-            columns = []
-            blocks = []
-            for i in subset:
-                e = x.degree - basis[i].degree
-                block = []
-                for idx in range(algebra.dim(e)):
-                    block.append(len(columns))
-                    columns.append(_scaled_qvector(algebra, shifts, offsets, basis[i], e, idx))
-                blocks.append((i, e, block))
-            sol = solve(columns, target)
-            if sol is None:
-                continue
-            out = []
-            for i, e, block in blocks:
-                elem = {idx: _exact(sol[col]) for idx, col in enumerate(block) if sol[col]}
-                if elem:
-                    out.append((i, elem))
-            return out
-    raise ValueError("element is not in the span of the given basis")

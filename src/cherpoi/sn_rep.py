@@ -179,4 +179,4 @@ def fake_degree_maj(mu) -> LaurentPoly:
     total: Counter = Counter()
     for r in _corners(mu):
         total.update(_maj_counts(mu, r))
-    return LaurentPoly(_V, {(m,): c for m, c in total.items()})
+    return LaurentPoly._build(_V, dict(total), max(total, default=0))

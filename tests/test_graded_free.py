@@ -1,34 +1,53 @@
-"""Degreewise idempotent presentations: extraction, splittings, certificates."""
+"""Degreewise idempotent presentations: extraction and certificates."""
 
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from cherpoi.errors import CertificationError, InvalidSplittingError
+from cherpoi.errors import CertificationError
 from cherpoi.graded_free import (
     GradedIdempotent,
     HomogeneousVector,
-    apply_matrix,
     diagonal_idempotent,
-    eilenberg_homogenize,
     extract_homogeneous_basis,
     identity_matrix,
     matrix_multiply,
-    minimal_expression,
     module_scale,
     polynomial_algebra,
     random_unipotent_idempotent,
     truncated_polynomial_algebra,
     unipotent_inverse,
 )
-from cherpoi.graded_free import _exact, _layout, _scaled_qvector, _to_qvector
+from cherpoi.graded_free import _exact, _layout, _scaled_qvector
 
 ONE = Fraction(1)
 
 
 def _vec_eq(u: HomogeneousVector, v: HomogeneousVector) -> bool:
     return u.degree == v.degree and u.rows == v.rows
+
+
+def _to_qvector(offsets, vec: HomogeneousVector) -> dict:
+    """vec as a sparse {column: coefficient} vector in the Q-basis of F_g,
+    g = vec.degree, whose row blocks start at offsets (from _layout)."""
+    return {
+        offset + idx: c for offset, row in zip(offsets, vec.rows) for idx, c in row.items()
+    }
+
+
+def _apply_matrix(algebra, shifts, entries, vec: HomogeneousVector) -> HomogeneousVector:
+    """The degree-zero matrix applied to vec, row by row."""
+    rows = []
+    for i, row in enumerate(entries):
+        acc = {}
+        for j, (entry, comp) in enumerate(zip(row, vec.rows)):
+            if entry and comp:
+                prod = algebra.multiply(shifts[j] - shifts[i], entry, vec.degree - shifts[j], comp)
+                for k, c in prod.items():
+                    acc[k] = acc.get(k, 0) + c
+        rows.append({k: c for k, c in acc.items() if c})
+    return HomogeneousVector(vec.degree, tuple(rows))
 
 
 def test_polynomial_algebra_dimensions():
@@ -257,7 +276,7 @@ def test_random_battery():
         result = extract_homogeneous_basis(E)
         assert len(result) == rank
         for p in result:
-            assert _vec_eq(apply_matrix(alg, shifts, E.entries, p), p)
+            assert _vec_eq(_apply_matrix(alg, shifts, E.entries, p), p)
 
 
 def test_random_idempotent_requires_sorted_shifts():
@@ -274,125 +293,3 @@ def test_certification_fails_when_the_cutoff_is_too_small():
     with pytest.raises(CertificationError, match="cutoff too small"):
         extract_homogeneous_basis(E)
 
-
-def _hand_example():
-    alg = polynomial_algebra(1, 12)
-    x = {0: ONE}
-    E = GradedIdempotent(alg, (1, 0), ((dict(alg.unit()), {}), (dict(x), {})))
-    return alg, E
-
-
-def test_homogenize_drops_off_degree_junk():
-    alg, E = _hand_example()
-    # E itself, presented inhomogeneously with junk components mixed in
-    splitting = [
-        [{0: {0: ONE}, 3: {0: Fraction(5)}}, {}],
-        [{1: {0: ONE}, 2: {0: Fraction(-7)}}, {4: {0: ONE}}],
-    ]
-    homog = eilenberg_homogenize(E, splitting)
-    assert homog == E.entries
-
-
-def test_homogenize_accepts_any_splitting_correction():
-    # T = E + (I - E) R splits the surjection for every R of matching pattern
-    alg, E = _hand_example()
-    eye = identity_matrix(alg, 2)
-    complement = tuple(
-        tuple(
-            {
-                k: v
-                for k in set(eye[i][j]) | set(E.entries[i][j])
-                if (v := eye[i][j].get(k, 0) - E.entries[i][j].get(k, 0))
-            }
-            for j in range(2)
-        )
-        for i in range(2)
-    )
-    R = (({}, {}), ({0: Fraction(3)}, {0: ONE}))
-    T = matrix_multiply(alg, E.shifts, complement, R)
-    T = tuple(
-        tuple(
-            {
-                k: v
-                for k in set(E.entries[i][j]) | set(T[i][j])
-                if (v := E.entries[i][j].get(k, 0) + T[i][j].get(k, 0))
-            }
-            for j in range(2)
-        )
-        for i in range(2)
-    )
-    degrees = ((0, None), (1, 0))
-    splitting = [
-        [({degrees[i][j]: T[i][j]} if T[i][j] else {}) for j in range(2)]
-        for i in range(2)
-    ]
-    homog = eilenberg_homogenize(E, splitting, target_degrees=(1, 0))
-    composed = matrix_multiply(alg, E.shifts, E.entries, homog)
-    assert matrix_multiply(alg, E.shifts, composed, E.entries) == E.entries
-
-
-def test_homogenize_rejects_bad_input():
-    alg, E = _hand_example()
-    zero = [[{}, {}], [{}, {}]]
-    with pytest.raises(InvalidSplittingError):
-        eilenberg_homogenize(E, zero)
-    with pytest.raises(ValueError, match="generator degrees"):
-        eilenberg_homogenize(E, zero, target_degrees=(0, 1))
-    with pytest.raises(ValueError, match="shape"):
-        eilenberg_homogenize(E, [[{}, {}]])
-
-
-def test_minimal_expression_single_generator():
-    alg = polynomial_algebra(1, 10)
-    E = diagonal_idempotent(alg, (0,), (1,))
-    basis = list(extract_homogeneous_basis(E))
-    x_vec = HomogeneousVector(3, ({0: Fraction(2)},))
-    expr = minimal_expression(alg, (0,), x_vec, basis)
-    assert len(expr) == 1
-    idx, coeff = expr[0]
-    assert idx == 0 and coeff == {0: Fraction(2)}
-
-
-def test_minimal_expression_round_trip():
-    alg = polynomial_algebra(2, 10)
-    rng = Random(7)
-    shifts = (1, 1, 0)
-    E = random_unipotent_idempotent(alg, shifts, 2, rng)
-    basis = list(extract_homogeneous_basis(E))
-    for p in basis:
-        target = module_scale(alg, shifts, p, 2, {1: Fraction(3)})
-        expr = minimal_expression(alg, shifts, target, basis)
-        rebuilt = HomogeneousVector(target.degree, ({},) * len(shifts))
-        for idx, coeff in expr:
-            term = module_scale(
-                alg, shifts, basis[idx], target.degree - basis[idx].degree, coeff
-            )
-            rebuilt = HomogeneousVector(
-                target.degree,
-                tuple(
-                    {
-                        k: v
-                        for k in set(a) | set(b)
-                        if (v := a.get(k, 0) + b.get(k, 0))
-                    }
-                    for a, b in zip(rebuilt.rows, term.rows)
-                ),
-            )
-        assert _vec_eq(rebuilt, target)
-
-
-def test_minimal_expression_detects_out_of_span():
-    alg = polynomial_algebra(1, 8)
-    E = diagonal_idempotent(alg, (0, 0), (1, 0))
-    basis = list(extract_homogeneous_basis(E))
-    outside = HomogeneousVector(2, ({}, {0: ONE}))
-    with pytest.raises(ValueError, match="span"):
-        minimal_expression(alg, (0, 0), outside, basis)
-
-
-def test_zero_vector_needs_no_terms():
-    alg = polynomial_algebra(1, 8)
-    E = diagonal_idempotent(alg, (0,), (1,))
-    basis = list(extract_homogeneous_basis(E))
-    zero = HomogeneousVector(4, ({},))
-    assert minimal_expression(alg, (0,), zero, basis) == []

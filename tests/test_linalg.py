@@ -1,5 +1,4 @@
-"""EchelonSpan and solve against sympy: verdicts, normal forms, row
-invariants and particular solutions."""
+"""EchelonSpan against sympy: verdicts, normal forms and row invariants."""
 
 import math
 from fractions import Fraction
@@ -8,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cherpoi._linalg import EchelonSpan, solve
+from cherpoi._linalg import EchelonSpan
 
 SMALL = st.integers(-3, 3)
 RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
@@ -119,35 +118,3 @@ def test_shape_errors():
         span.add({-1: Fraction(1, 2)})
     assert not span.add({0: 0}) and not span.add({})
     assert span.rank == 0
-
-
-@st.composite
-def linear_systems(draw):
-    """(columns, target): k columns of length m, with a consistent target
-    (A times a random vector) about half the time."""
-    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    entries = draw(st.sampled_from([SMALL, RATIONAL]))
-    rows = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(m)]
-    if draw(st.booleans()):
-        x = draw(st.lists(RATIONAL, min_size=k, max_size=k))
-        target = [sum(Fraction(a) * xj for a, xj in zip(row, x)) for row in rows]
-    else:
-        target = draw(st.lists(entries, min_size=m, max_size=m))
-    return [[row[j] for row in rows] for j in range(k)], target
-
-
-@settings(deadline=None, max_examples=80)
-@given(linear_systems())
-def test_solve_matches_sympy(system):
-    columns, target = system
-    rows = [[col[i] for col in columns] for i in range(len(target))]
-    a = _sympy_matrix(rows)
-    augmented = _sympy_matrix([row + [b] for row, b in zip(rows, target)])
-    x = solve([_sparse(col) for col in columns], _sparse(target))
-    if augmented.rank() > a.rank():
-        assert x is None
-        return
-    assert x is not None and all(type(v) is Fraction for v in x)
-    assert all(sum(Fraction(r) * v for r, v in zip(row, x)) == b for row, b in zip(rows, target))
-    _, pivots = a.rref()
-    assert all(v == 0 for j, v in enumerate(x) if j not in pivots)

@@ -17,15 +17,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cherpoi"
 
-# test-only names kept on purpose: they state the paper's formulas or the
-# graded-free lemma's steps, read the CLI's own JSON back, or are the
-# references that tests check faster routes against
+# test-only names kept on purpose: they state the paper's formulas, read the
+# CLI's own JSON back, or are the references that tests check faster routes
+# against
 KEEP = {
-    "apply_matrix",
     "dominance_leq",
-    "eilenberg_homogenize",
     "integral_form_scalar",
-    "minimal_expression",
     "rf_from_json",
     "shift_amount",
     "sign_first_occurrence",
