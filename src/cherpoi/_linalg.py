@@ -7,47 +7,36 @@ nonzero rational does not change its Q-span, so every rank, verdict and
 normal form it reports is exactly the one over Q; there is no modular or
 probabilistic step.
 
-There is one vector format: a sparse ``{column: int | Fraction}`` dict, with
-absent columns zero.
+There is one vector format: a fresh sparse ``{column: int}`` dict of nonzero
+entries, with absent columns zero, which `add` and `normal_form` consume.
+Callers build it that way: the oracle's `to_vec`, and the graded-free
+extractor's `_scaled_qvector`, which clears a rational vector's denominators
+first.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from fractions import Fraction
 
 
 class EchelonSpan:
-    """Incremental row-echelon span of rational vectors of fixed length.
+    """Incremental row-echelon span of integer vectors.
 
     Rows are sparse ``{column: int}`` dicts keyed by their pivot, the row's
     smallest column. Each row is primitive (content 1) and positive at its
     pivot. Rows are not reduced against each other: a row may be nonzero at a
     later pivot, so inserting a row never rewrites the others. Arithmetic
     stays in the integers, and spans and verdicts are exactly those over Q.
-
-    A vector is a sparse ``{column: int | Fraction}`` dict; one that holds a
-    Fraction is cleared to integers by the lcm of its denominators.
     """
 
-    def __init__(self, length: int):
-        self.length = length
+    def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}  # pivot column -> echelon row
         self._pivots: list[int] = []  # the keys of rows, ascending
 
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def _ints(self, vec) -> dict[int, int]:
-        v = {i: x for i, x in vec.items() if x}
-        if v and (min(v) < 0 or max(v) >= self.length):
-            raise ValueError("vector column out of range")
-        if Fraction in map(type, v.values()):
-            lcm = math.lcm(*(x.denominator for x in v.values()))
-            v = {i: x.numerator * (lcm // x.denominator) for i, x in v.items()}
-        return v
 
     def _eliminate(self, v: dict[int, int]) -> int:
         """Clear every pivot column of v in place; returns the factor v gained.
@@ -64,26 +53,21 @@ class EchelonSpan:
                     break
         return scale
 
-    def normal_form(self, vec) -> tuple[dict[int, int], int]:
-        """(ints, scale): ints / scale is the representative of vec modulo the
-        span that is zero at every pivot column."""
-        v = self._ints(vec)
+    def normal_form(self, v: dict[int, int]) -> tuple[dict[int, int], int]:
+        """(v, scale), v reduced in place: v / scale is the representative of
+        the vector modulo the span that is zero at every pivot column."""
         return v, self._eliminate(v)
 
-    def add(self, vec) -> bool:
-        """Insert vec; returns True when it enlarges the span."""
-        return self._insert(self._ints(vec))
-
-    def _insert(self, v: dict[int, int]) -> bool:
-        """Insert v, a fresh dict of nonzero ints at columns in range, which
-        it consumes; returns True when it enlarges the span. Every insert
-        comes here: from `add`, and directly from callers that build such
-        dicts, whose vectors would pass `_ints` unchanged."""
+    def add(self, v: dict[int, int]) -> bool:
+        """Insert v, which it consumes; returns True when it enlarges the span."""
         self._eliminate(v)
-        if not v:
+        g = math.gcd(*v.values())  # 0 for the zero vector
+        if not g:
             return False
         pivot = min(v)
-        self.rows[pivot] = _primitive(v, pivot)
+        if v[pivot] < 0:
+            g = -g
+        self.rows[pivot] = v if g == 1 else {i: x // g for i, x in v.items()}
         bisect.insort(self._pivots, pivot)
         return True
 
@@ -104,11 +88,3 @@ def _cancel(v: dict[int, int], row: dict[int, int], p: int) -> int:
         else:
             del v[i]
     return a
-
-
-def _primitive(v: dict[int, int], pivot: int) -> dict[int, int]:
-    """v divided by its content, signed to be positive at the pivot."""
-    g = math.gcd(*v.values())
-    if v[pivot] < 0:
-        g = -g
-    return v if g == 1 else {i: x // g for i, x in v.items()}

@@ -331,9 +331,9 @@ class _Engine:
         return self._cells[key]
 
     def to_vec(self, poly: Poly, a: int, b: int) -> dict[int, int]:
-        """poly's coordinates in cell (a, b): a fresh dict of nonzero ints at
-        columns in range, as `EchelonSpan._insert` takes it. A monomial
-        outside the cell is a KeyError."""
+        """poly's coordinates in cell (a, b): a fresh dict of nonzero ints,
+        the vector that `EchelonSpan.add` and `normal_form` consume. A
+        monomial outside the cell is a KeyError."""
         index = self.cell(a, b)[1]
         return {index[e]: c for e, c in poly.items()}
 
@@ -352,7 +352,7 @@ class _Engine:
         `images`. A rank that falls short of the count runs through every
         monomial."""
         monos = self.cell(a, b)[0]
-        span = EchelonSpan(len(monos))
+        span = EchelonSpan()
         count = _molien_dim(self.n, d, a, b)
         sign = -1 if d == 1 else 1
         basis: list[Poly] = []
@@ -360,7 +360,7 @@ class _Engine:
             if span.rank == count:
                 break  # every later image lies in the span
             img = images[e] = self.symmetrized({e: 1}, sign)
-            if img and span._insert(self.to_vec(img, a, b)):
+            if img and span.add(self.to_vec(img, a, b)):
                 basis.append(img)
         return basis
 
@@ -398,11 +398,11 @@ class _Engine:
         if d <= 1:
             basis = self._image_span(d, a, b, {})
         else:
-            span = EchelonSpan(len(self.cell(a, b)[0]))
+            span = EchelonSpan()
             basis = [
                 h
                 for h in self._split_products(d, a, b, self.a_basis)
-                if h and span._insert(self.to_vec(h, a, b))
+                if h and span.add(self.to_vec(h, a, b))
             ]
         self._store(self._abasis, key, basis)
         return basis
@@ -411,11 +411,11 @@ class _Engine:
         """(C[h]^W_+ M)(a, b) for the module M whose cell (c, b) `lower(c, b)`
         lists: the span of p_k f, 2 <= k <= n, f in lower(a - k, b), with
         p_k = `_power_sum_poly(n, k)`."""
-        span = EchelonSpan(len(self.cell(a, b)[0]))
+        span = EchelonSpan()
         for k in range(2, self.n + 1):
             pk = _power_sum_poly(self.n, k)
             for f in lower(a - k, b):
-                span._insert(self.to_vec(_mul_packed(pk, f), a, b))
+                span.add(self.to_vec(_mul_packed(pk, f), a, b))
         return span
 
     def _generators(self, d: int, a: int, b: int) -> list[Poly]:
@@ -443,7 +443,7 @@ class _Engine:
         if key in self._jbasis:
             return self._jbasis[key]
         monos = self.cell(a, b)[0]
-        span = EchelonSpan(len(monos))
+        span = EchelonSpan()
         basis: list[Poly] = []
         origins: list[int] = []
         offered: set[int] = set()
@@ -468,7 +468,7 @@ class _Engine:
                 yield _origin(self.width, i), g
 
         for o, p in candidates():
-            if p and span._insert(self.to_vec(p, a, b)):
+            if p and span.add(self.to_vec(p, a, b)):
                 basis.append(p)
                 origins.append(o)
                 if span.rank == len(monos):
@@ -514,12 +514,8 @@ def _molien_dim(n: int, d: int, a: int, b: int) -> int:
 # bigraded dimension tables
 
 
-class BigradedDims(namedtuple("BigradedDims", "amax bmax total table saturated")):
-    """Per-bidegree dimensions over a window, optionally total-degree capped.
-
-    `saturated` is populated only by operations that certify diagonal sums;
-    plain dimension tables leave it empty (a fresh dict per table).
-    """
+class BigradedDims(namedtuple("BigradedDims", "amax bmax total table")):
+    """Per-bidegree dimensions over a window, optionally total-degree capped."""
 
     __slots__ = ()
 
@@ -529,7 +525,6 @@ class BigradedDims(namedtuple("BigradedDims", "amax bmax total table saturated")
         bmax: int,
         total: int | None,
         table: dict[tuple[int, int], int],
-        saturated: dict[int, bool] | None = None,
     ):
         for cell, value in table.items():
             if value < 0:
@@ -537,7 +532,7 @@ class BigradedDims(namedtuple("BigradedDims", "amax bmax total table saturated")
         origin = table.get((0, 0))
         if origin is not None and origin not in (0, 1):
             raise ValueError(f"dimension at (0,0) must be 0 or 1, got {origin}")
-        return super().__new__(cls, amax, bmax, total, table, {} if saturated is None else saturated)
+        return super().__new__(cls, amax, bmax, total, table)
 
     def dim(self, a: int, b: int) -> int:
         return self.table.get((a, b), 0)
@@ -599,11 +594,11 @@ def parity_check(n: int, d: int, window, total=None) -> bool:
             target = len(eng._image_span(d, a, b, images))
         else:
             target = len(eng.a_basis(d, a, b))
-        span = EchelonSpan(len(eng.cell(a, b)[0]))
+        span = EchelonSpan()
         for f in eng.j_basis(d, a, b):
             img = _cell_image(eng, images, f, sign)
             if img:
-                span._insert(eng.to_vec(img, a, b))
+                span.add(eng.to_vec(img, a, b))
         if span.rank != target:
             return False
     return True
@@ -660,7 +655,7 @@ def jbar_dims(n: int, d: int, window, total=None) -> JbarResult:
     sums = {g: base[g] for g in diagonals}
     saturated = {g: base[g] == plus2.get(g, 0) == plus4.get(g, 0) for g in diagonals}
     table = {c: qdim[c] for c in _window_cells(amax, bmax, total)}
-    quotient = BigradedDims(amax, bmax, total, table, dict(saturated))
+    quotient = BigradedDims(amax, bmax, total, table)
     return JbarResult(n, d, quotient, sums, saturated)
 
 

@@ -24,6 +24,7 @@ global freeness.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 from random import Random
@@ -309,23 +310,25 @@ class HomogeneousVector(_Record):
         _set_field(self, "rows", rows)
 
 
-def _layout(algebra, shifts, g: int):
+def _layout(algebra, shifts, g: int) -> list[int]:
     """Offsets of each row block inside the Q-basis of F_g."""
     offsets = []
     total = 0
     for s in shifts:
         offsets.append(total)
         total += algebra.dim(g - s)
-    return offsets, total
+    return offsets
 
 
-def _scaled_qvector(algebra, shifts, offsets, vec: HomogeneousVector, e: int, idx: int) -> Element:
+def _scaled_qvector(algebra, shifts, offsets, vec: HomogeneousVector, e: int, idx: int) -> dict[int, int]:
     """module_scale(algebra, shifts, vec, e, {idx: 1}) as a sparse {column:
-    coefficient} vector in the Q-basis of F_{vec.degree + e}, whose row
-    blocks start at offsets (from _layout), written straight there without
-    building the scaled vector: a monomial carries distinct monomials to
-    distinct ones, or above the algebra's top to zero, so each coefficient is
-    copied. The tests check it against flattening the scaled vector."""
+    int} vector in the Q-basis of F_{vec.degree + e}, whose row blocks start
+    at offsets (from _layout), written straight there without building the
+    scaled vector: a monomial carries distinct monomials to distinct ones, or
+    above the algebra's top to zero, so each coefficient is copied. A vector
+    that holds a Fraction is then cleared by the lcm of its denominators, so
+    the result is a fresh vector as `EchelonSpan.add` takes it, with the
+    same Q-span. The tests check it against flattening the scaled vector."""
     g = vec.degree + e
     m = algebra.basis[e][idx]
     out: Element = {}
@@ -336,6 +339,9 @@ def _scaled_qvector(algebra, shifts, offsets, vec: HomogeneousVector, e: int, id
                 k = index.get(tuple(map(add, left[bi], m)))
                 if k is not None:
                     out[offset + k] = c
+    if Fraction in map(type, out.values()):
+        lcm = math.lcm(*(c.denominator for c in out.values()))
+        out = {i: c.numerator * (lcm // c.denominator) for i, c in out.items()}
     return out
 
 
@@ -391,18 +397,18 @@ def extract_homogeneous_basis(E: GradedIdempotent) -> ExtractionResult:
     generators: list[HomogeneousVector] = []
     image_dims: dict[int, int] = {}
     for g in range(min(shifts), horizon + 1):
-        offsets, total = _layout(algebra, shifts, g)
+        offsets = _layout(algebra, shifts, g)
         image_vectors = []  # (column, e, idx, Q-vector) of each accepted image vector
-        image_span = EchelonSpan(total)
+        image_span = EchelonSpan()
         for column in columns:
             e = g - column.degree
             for idx in range(algebra.dim(e)):
                 qv = _scaled_qvector(algebra, shifts, offsets, column, e, idx)
-                if image_span.add(qv):
+                if image_span.add(dict(qv)):  # qv is kept for the second span
                     image_vectors.append((column, e, idx, qv))
         image_dims[g] = image_span.rank
 
-        span = EchelonSpan(total)
+        span = EchelonSpan()
         for p in generators:
             e = g - p.degree
             for idx in range(algebra.dim(e)):

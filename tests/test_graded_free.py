@@ -1,5 +1,6 @@
 """Degreewise idempotent presentations: extraction and certificates."""
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -239,8 +240,9 @@ def test_rational_input_keeps_fractions():
 @pytest.mark.parametrize("algebra", [polynomial_algebra(2, 7), truncated_polynomial_algebra(2, 7, 3)])
 def test_scaled_qvector_matches_the_scaled_vector(algebra):
     # the extractor's Q-vectors, written directly, against module_scale and
-    # _to_qvector; conjugating by diag(1, 2, 3) puts Fractions in the
-    # entries, as an idempotent read by basis --input may carry them
+    # _to_qvector, up to the positive scalar that clears denominators;
+    # conjugating by diag(1, 2, 3) puts Fractions in the entries, as an
+    # idempotent read by basis --input may carry them
     shifts = (2, 1, 0)
     rng = Random(7)
     fractions = 0
@@ -255,12 +257,13 @@ def test_scaled_qvector_matches_the_scaled_vector(algebra):
             for j, s in enumerate(shifts):
                 column = HomogeneousVector(s, tuple(row[j] for row in entries))
                 for e in range(4):
-                    offsets, _ = _layout(algebra, shifts, s + e)
+                    offsets = _layout(algebra, shifts, s + e)
                     for idx in range(algebra.dim(e)):
                         want = _to_qvector(offsets, module_scale(algebra, shifts, column, e, {idx: 1}))
                         got = _scaled_qvector(algebra, shifts, offsets, column, e, idx)
-                        assert got == want
-                        assert list(map(type, got.values())) == list(map(type, want.values()))
+                        scale = math.lcm(*(Fraction(c).denominator for c in want.values()))
+                        assert got == {i: c * scale for i, c in want.items()}
+                        assert all(type(c) is int for c in got.values())
     assert fractions
 
 

@@ -12,6 +12,8 @@ from cherpoi.exact_poly import (
     ExactRationalFunction,
     LaurentPoly,
     _add_into,
+    _mul_packed,
+    _pack,
     rf_equal,
 )
 from cherpoi.macdonald import (
@@ -33,8 +35,6 @@ from cherpoi.partition_core import (
     transpose,
 )
 from cherpoi.sn_rep import character_table, dim_irr
-
-from _reference import ref_mul
 
 
 QT = ("q", "t")
@@ -65,18 +65,20 @@ def test_kostka_n2_matrix():
 
 # ---------------------------------------------------------------------------
 # K against Macdonald's definition (Symmetric Functions and Hall Polynomials,
-# 2nd ed., VI (8.11)), as identities in Z[q,t] on int dicts
+# 2nd ed., VI (8.11)), as identities in Z[q,t] on int dicts keyed by
+# LaurentPoly's packed exponents; test_exact_poly pins _mul_packed against
+# the tuple reference ref_mul
 # ---------------------------------------------------------------------------
 
 
 def _one_minus(exps):
-    return {(0, 0): 1, exps: -1}
+    return {0: 1, _pack(exps): -1}
 
 
 def _product(factors):
-    acc = {(0, 0): 1}
+    acc = {0: 1}
     for f in factors:
-        acc = ref_mul(acc, f)
+        acc = _mul_packed(acc, f)
     return acc
 
 
@@ -91,7 +93,7 @@ def _power_sum_data(matrix):
             for lam in parts:
                 chi = table.values[(lam, rho)]
                 if chi:
-                    _add_into(acc, matrix.entries[(lam, mu)].terms, chi)
+                    _add_into(acc, matrix.entries[(lam, mu)].packed, chi)
             a[rho, mu] = acc
     w = {rho: factorial(matrix.n) // table.centralizers[rho] for rho in parts}
     return a, w
@@ -104,7 +106,7 @@ def _scaled_j(matrix, a, w):
     p2m = _p_to_m(matrix.n)
     out = {}
     for mu in parts:
-        terms = {rho: ref_mul(_product(_one_minus((0, r)) for r in rho), a[rho, mu]) for rho in parts}
+        terms = {rho: _mul_packed(_product(_one_minus((0, r)) for r in rho), a[rho, mu]) for rho in parts}
         for nu in parts:
             acc = {}
             for rho in parts:
@@ -120,7 +122,10 @@ def _definition_failures(matrix) -> set[str]:
     J_mu = sum_lam K_{lam mu} s_lam[X(1-t)] must be triangular in dominance
     order with [m_mu]J_mu = c_mu, integral in the monomial basis, and
     orthogonal: n! <J_lam, J_mu> = sum_rho w_rho prod_i (1-q^{rho_i})(1-t^{rho_i})
-    A_rho(lam) A_rho(mu) = 0 for lam != mu.
+    A_rho(lam) A_rho(mu) = 0 for lam != mu. Since A_rho(mu) = sum_kappa
+    K_{kappa mu} chi_kappa(rho), that pairing is sum_kappa K_{kappa mu} n!
+    <J_lam, s_kappa[X(1-t)]>, and the second factors are sums over rho with
+    no product: five times fewer term products at n = 7.
     """
     n, parts = matrix.n, matrix.partitions
     a, w = _power_sum_data(matrix)
@@ -132,16 +137,24 @@ def _definition_failures(matrix) -> set[str]:
         if any(c % factorial(n) for c in coeff.values()):
             failures.add("integrality")
     for mu in parts:
-        lead = {e: factorial(n) * c for e, c in integral_form_scalar(mu).terms.items()}
+        lead = {e: factorial(n) * c for e, c in integral_form_scalar(mu).packed.items()}
         if j[mu, mu] != lead:
             failures.add("leading term")
     qt = {rho: _product(_one_minus(e) for r in rho for e in ((r, 0), (0, r))) for rho in parts}
+    chi = character_table(n).values
     for i, lam in enumerate(parts):
-        weighted = {rho: ref_mul(qt[rho], a[rho, lam]) for rho in parts}
+        weighted = {rho: _mul_packed(qt[rho], a[rho, lam]) for rho in parts}
+        against_s = {}  # kappa -> n! <J_lam, s_kappa[X(1-t)]>
+        for kappa in parts:
+            acc = {}
+            for rho in parts:
+                if chi[(kappa, rho)]:
+                    _add_into(acc, weighted[rho], w[rho] * chi[(kappa, rho)])
+            against_s[kappa] = acc
         for mu in parts[i + 1 :]:
             pairing = {}
-            for rho in parts:
-                _add_into(pairing, ref_mul(weighted[rho], a[rho, mu]), w[rho])
+            for kappa in parts:
+                _add_into(pairing, _mul_packed(against_s[kappa], matrix.entries[(kappa, mu)].packed))
             if pairing:
                 failures.add("orthogonality")
     return failures
