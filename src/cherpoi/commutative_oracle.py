@@ -17,8 +17,9 @@ w's by the inverse-transpose matrices. Edeg of the cell (a,b) is a - b.
 A^1 is the space of alternating polynomials, A^0 the invariants, and
 A^d = (A^1)^d for d >= 2; J^d = C[h + h*] A^d. jbar refers to the quotient
 J^d / C[h]^W_+ J^d, whose diagonal sums are certified by the saturation
-protocol: a diagonal is trusted only when two successive window enlargements
-(+2 on every bound) leave its sum unchanged.
+protocol: a diagonal is trusted only when every cell of the +4 ring on the
+diagonal is zero. The +4 ring is the cells of the window enlarged by 4 on
+every bound (total degree cap included) that lie outside the window.
 
 Polynomials. Every polynomial of the engine is a {key: coefficient} dict
 whose key packs a monomial into one int: the exponent of variable r (u_1..u_m,
@@ -33,8 +34,8 @@ the products over the splits of a cell (the J^d generator stage and A^d for
 d >= 2), `_invariant_multiples` spans p_2..p_n times a lower module (jbar_dims
 and coinvariant_multiplicities), and `j_basis` closes a cell under shifts.
 
-Cell bases. Six rules skip candidates that cannot raise a rank; no stored
-basis changes by them:
+Cell bases. Seven rules skip work that cannot change a rank or a verdict;
+no stored basis changes by them:
 
 - `j_basis` offers its candidates lazily and stops once the cell is full,
   so a J^d cell spanned by its neighbours' multiples (every J^0 cell but
@@ -61,7 +62,14 @@ basis changes by them:
   once its rank reaches dim A^d(a,b), which `_molien_dim` counts by Molien's
   theorem: every later image lies in the span already built. A rank that
   falls short of the count runs through every monomial, so the count only
-  ever ends a loop early.
+  ever ends a loop early;
+- `jbar_dims` spans the invariant multiples of a cell only when a sum or a
+  verdict reads its quotient dimension: every cell of the window, then the
+  +4 ring of each of the window's diagonals in ascending total degree, up to
+  the first nonzero cell. A quotient dimension is never negative, since the
+  multiples lie in J^d(a, b), and the +2 window lies between the window and
+  the +4 one, so this verdict is the one that compares the diagonal's sums
+  over the window and its +2 and +4 enlargements.
 
 Resource budget. coinvariant_multiplicities runs for 2 <= n <= 5. The
 bigraded operations run for 2 <= n <= 4 with d <= 3 when n <= 3, and n = 4
@@ -75,7 +83,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import factorial
 from typing import NamedTuple
 
@@ -621,9 +629,11 @@ def jbar_dims(n: int, d: int, window, total=None) -> JbarResult:
     """Edeg-diagonal dimensions of the quotient of J^d by the invariant ideal.
 
     Quotient dimensions are intrinsic per cell; the window only selects which
-    cells enter each diagonal sum. Certification recomputes the sums over two
-    enlarged windows, so the function works on the +4 enlargement throughout.
-    Unsaturated diagonals stay in `sums` but are excluded by saturated_sums().
+    cells enter each diagonal sum. A cell's quotient dimension is computed
+    only when a sum or a verdict reads it: every base-window cell, then the
+    +4 ring of each base diagonal in ascending total degree, up to its first
+    nonzero cell. Unsaturated diagonals stay in `sums` but are excluded by
+    saturated_sums().
     """
     _check_bigraded_budget(n, d, window, total)
     if n > 3:
@@ -633,28 +643,23 @@ def jbar_dims(n: int, d: int, window, total=None) -> JbarResult:
         )
     eng = _engine(n)
     amax, bmax = window
-    big_total = None if total is None else total + 4
-    qdim: dict[tuple[int, int], int] = {}
-    for a, b in _window_cells(amax + 4, bmax + 4, big_total):
-        jdim = len(eng.j_basis(d, a, b))
-        if jdim == 0:
-            qdim[(a, b)] = 0
-            continue
-        span = eng._invariant_multiples(a, b, lambda a, b: eng.j_basis(d, a, b))
-        qdim[(a, b)] = jdim - span.rank
+    lower = partial(eng.j_basis, d)
+    qdims: dict[tuple[int, int], int] = {}
 
-    def window_sums(extra: int) -> dict[int, int]:
-        t = None if total is None else total + extra
-        sums: dict[int, int] = {}
-        for a, b in _window_cells(amax + extra, bmax + extra, t):
-            sums[a - b] = sums.get(a - b, 0) + qdim[(a, b)]
-        return sums
+    def qdim(cell: tuple[int, int]) -> int:
+        if cell not in qdims:
+            jdim = len(lower(*cell))
+            qdims[cell] = jdim and jdim - eng._invariant_multiples(*cell, lower).rank
+        return qdims[cell]
 
-    base, plus2, plus4 = window_sums(0), window_sums(2), window_sums(4)
-    diagonals = sorted(base, reverse=True)
-    sums = {g: base[g] for g in diagonals}
-    saturated = {g: base[g] == plus2.get(g, 0) == plus4.get(g, 0) for g in diagonals}
-    table = {c: qdim[c] for c in _window_cells(amax, bmax, total)}
+    table = {c: qdim(c) for c in _window_cells(amax, bmax, total)}
+    sums: dict[int, int] = {}
+    for (a, b), value in table.items():
+        sums[a - b] = sums.get(a - b, 0) + value
+    sums = dict(sorted(sums.items(), reverse=True))
+    ring = _window_cells(amax + 4, bmax + 4, None if total is None else total + 4)
+    ring = sorted((c for c in ring if c not in table), key=sum)
+    saturated = {g: all(qdim(c) == 0 for c in ring if c[0] - c[1] == g) for g in sums}
     quotient = BigradedDims(amax, bmax, total, table)
     return JbarResult(n, d, quotient, sums, saturated)
 

@@ -4,6 +4,7 @@ import itertools
 import sys
 from fractions import Fraction
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -380,6 +381,102 @@ def test_jbar_dims_frozen_n3(d):
     assert result.sums == dict(zip(range(6, -7, -1), sums))
     assert {g for g, ok in result.saturated.items() if ok} == saturated
     assert set(result.saturated) == set(range(-6, 7))
+
+
+def _jbar_by_window_sums(n, d, window, total):
+    """The full saturation certificate: the quotient dimension of every cell
+    of the +4 window, and a diagonal is saturated when its sums over the
+    base, +2 and +4 windows agree. Returns (sums, saturated, table)."""
+    eng = _engine(n)
+    amax, bmax = window
+    big_total = None if total is None else total + 4
+    qdim = {}
+    for a, b in _window_cells(amax + 4, bmax + 4, big_total):
+        jdim = len(eng.j_basis(d, a, b))
+        if jdim == 0:
+            qdim[(a, b)] = 0
+            continue
+        span = eng._invariant_multiples(a, b, lambda a, b: eng.j_basis(d, a, b))
+        qdim[(a, b)] = jdim - span.rank
+
+    def window_sums(extra):
+        t = None if total is None else total + extra
+        sums = {}
+        for a, b in _window_cells(amax + extra, bmax + extra, t):
+            sums[a - b] = sums.get(a - b, 0) + qdim[(a, b)]
+        return sums
+
+    base, plus2, plus4 = window_sums(0), window_sums(2), window_sums(4)
+    saturated = {g: base[g] == plus2.get(g, 0) == plus4.get(g, 0) for g in base}
+    table = {c: qdim[c] for c in _window_cells(amax, bmax, total)}
+    return base, saturated, table
+
+
+JBAR_GRIDS = [
+    (2, (6, 6), None),
+    (2, (8, 8), None),
+    (3, (3, 3), 5),
+    (3, (4, 4), 6),
+    (3, (6, 6), 8),
+    (3, (5, 2), None),
+]
+
+
+@pytest.mark.parametrize("n, window, total", JBAR_GRIDS)
+def test_jbar_dims_equal_the_full_window_sum_certificate(n, window, total):
+    for d in range(3):
+        result = jbar_dims(n, d, window, total)
+        sums, saturated, table = _jbar_by_window_sums(n, d, window, total)
+        assert result.sums == sums, d
+        assert result.saturated == saturated, d
+        assert result.quotient.table == table, d
+        assert False in saturated.values(), d
+
+
+def _count_invariant_multiples(monkeypatch, eng, override=None):
+    """Record the cells of eng._invariant_multiples's calls; `override`
+    may replace the span a call returns."""
+    calls = []
+    real = eng._invariant_multiples
+
+    def counting(a, b, lower):
+        calls.append((a, b))
+        span = real(a, b, lower)
+        return override(a, b, span) if override else span
+
+    monkeypatch.setattr(eng, "_invariant_multiples", counting)
+    return calls
+
+
+def test_jbar_dims_spans_only_the_cells_a_verdict_reads(monkeypatch):
+    eng = oracle._Engine(3)
+    monkeypatch.setattr(oracle, "_engine", lambda n: eng)
+    calls = _count_invariant_multiples(monkeypatch, eng)
+    jbar_dims(3, 2, (6, 6), 8)
+    assert len(calls) == 38
+    assert all(-6 <= a - b <= 6 for a, b in calls)
+
+
+# (diagonal, cell): a saturated diagonal of jbar_dims(3, 2, (6, 6), 8) and
+# its cell of the +4 window that lies outside the +2 window
+@pytest.mark.parametrize("g, cell", [(2, (7, 5)), (4, (8, 4))])
+def test_a_nonzero_outer_ring_cell_unsaturates_its_diagonal(monkeypatch, g, cell):
+    clean = jbar_dims(3, 2, (6, 6), 8)
+    saturated = {h for h, ok in clean.saturated.items() if ok}
+    assert g in saturated
+    eng = oracle._Engine(3)
+    monkeypatch.setattr(oracle, "_engine", lambda n: eng)
+
+    # a rank one short at `cell`: quotient dimension 1 where it is 0
+    calls = _count_invariant_multiples(
+        monkeypatch,
+        eng,
+        lambda a, b, span: SimpleNamespace(rank=span.rank - 1) if (a, b) == cell else span,
+    )
+    mutant = jbar_dims(3, 2, (6, 6), 8)
+    assert cell in calls
+    assert mutant.sums == clean.sums
+    assert {h for h, ok in mutant.saturated.items() if ok} == saturated - {g}
 
 
 def test_parity_check_frozen_n3():

@@ -36,3 +36,15 @@ def test_report_matches_the_pinned_reference(capsys, invocation):
     checks = json.loads(capsys.readouterr().out)["checks"]
     got = [[c["name"], c["verdict"], _digest(c)] for c in checks]
     assert got == REFERENCE["processes"][invocation]
+
+
+# sha256 of the whole `verify --suite oracle-jbar --no-timings` report at the
+# suite's default grid, n = 2 at (8, 8) and n = 3 at (7, 7) with total 10;
+# the benchmark runs only n = 3 at (6, 6) with total 8
+ORACLE_JBAR_DEFAULT_SHA256 = "046126314b057eb73b25c2f04db0b085f82696d67ea99a4275ae2ba1aac39121"
+
+
+def test_oracle_jbar_default_grid_report_is_pinned(capsys):
+    assert main(["verify", "--suite", "oracle-jbar", "--no-timings"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_JBAR_DEFAULT_SHA256
