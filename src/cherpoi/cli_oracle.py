@@ -41,16 +41,16 @@ def cmd_oracle(args) -> int:
     mismatches = {k: (left[k], right[k]) for k in left if left[k] != right[k]}
     exit_code = 1 if mismatches else 0
 
-    jbar_block = None
     try:
         verdict, jleft, jright = _jbar_comparison(args.n, args.d, window, total)
         jbar_block = {"verdict": verdict, "formula": _ser(jleft), "oracle": _ser(jright)}
-        if verdict == "fail":
-            exit_code = 1
-        elif verdict == "unsaturated" and exit_code == 0:
-            exit_code = 2
     except ResourceError as exc:
-        jbar_block = {"verdict": "skipped", "reason": str(exc)}
+        verdict = "skipped"
+        jbar_block = {"verdict": verdict, "reason": str(exc)}
+    if verdict == "fail":
+        exit_code = 1
+    elif verdict in ("unsaturated", "skipped") and exit_code == 0:
+        exit_code = 2
 
     if args.format == "json":
         doc["compare"] = {

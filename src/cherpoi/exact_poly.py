@@ -14,14 +14,15 @@ balanced 66-bit slots. Exponents stay below 2^63 in absolute value, so a
 product's exponents fit their slots: its key is the sum of its factors' keys,
 int order of keys is lex order of exponents, and negating a key inverts
 every variable. One private kernel works on these dicts, here and in
-macdonald: _mul_packed (multiply, int or Fraction coefficients), _add_into
-(scaled accumulate) and _divexact_int (lex-peeling exact division over Z,
-after divexact clears denominators and the divisor's integer content).
-commutative_oracle calls the first two on keys of its own packing. Beside
-them, _divexact_binomial divides a dense one-variable coefficient list by
-1 - v^h, for the hook quotients in sn_rep. Exponent tuples appear only
-where a caller reads exponents: LaurentPoly.terms, coefficient,
-sorted_terms, rendering, JSON and evaluate.
+macdonald: _mul_packed (multiply, int or Fraction coefficients) and
+_add_into (scaled accumulate); commutative_oracle calls both on keys of its
+own packing. Exponent tuples appear only where a caller reads exponents:
+LaurentPoly.terms, coefficient, sorted_terms, rendering, JSON and evaluate.
+
+The one exact division is _binomial_quotient: prod (1 - v^i) over
+prod (1 - v^h) for multisets of i and h, on a dense one-variable
+coefficient list. It gives the hook quotients of sn_rep's fake degrees and
+q_factorial_poly's [n]_v!.
 
 Window expansion semantics: a direction choice (ascending or descending per
 variable) selects signs for the exponents; after flipping, f is expanded in
@@ -144,60 +145,6 @@ def _add_into(acc: dict, p: dict, scale=1) -> None:
                 acc[e] = s
 
 
-def _clear_denominators(p: dict) -> tuple[dict, int]:
-    """(p times the lcm of its coefficients' denominators, as int coefficients; that lcm)."""
-    lcm = math.lcm(*(c.denominator for c in p.values()))
-    return {e: c.numerator * (lcm // c.denominator) for e, c in p.items()}, lcm
-
-
-def _divexact_int(a: dict, b: dict, k: int) -> dict:
-    """Exact quotient a/b of int-coefficient packed polynomials in k
-    variables, by lex peeling.
-
-    A true quotient lies in the box [min a - min b, max a - max b] (per
-    variable) and lex-above min a - min b; a peeled term outside either, a
-    coefficient that does not divide, or an exhausted step budget raises
-    ExactDivisionError. While every peeled term lies in the box, the
-    remainder stays inside a's box, so no key leaves its slots.
-    """
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not a:
-        return {}
-    (lo_a, hi_a), (lo_b, hi_b) = _box(a, k), _box(b, k)
-    base = [la - lb for la, lb in zip(lo_a, lo_b)]
-    qbase = _pack(base)
-    # (position, width) of each slot of the box, as read off qkey - qbase
-    slots = [(_SLOT * (k - 1 - i), ha - hb - q) for i, (ha, hb, q) in enumerate(zip(hi_a, hi_b, base))]
-    lead_key = max(b)
-    cb = b[lead_key]
-    qlow = min(a) - min(b)
-    rem = dict(a)
-    quotient: dict = {}
-    budget = 4 * (len(a) + len(b)) + 10_000_000 // len(b)
-    while rem:
-        top = max(rem)
-        qkey = top - lead_key
-        cq, r = divmod(rem[top], cb)
-        # qkey - qbase has slots below 2^65 in absolute value, so its plain
-        # base-2^66 digits are its slots exactly when each lies in [0, width]
-        x = qkey - qbase
-        if r or qkey < qlow or x < 0 or x >> (_SLOT * k) or any((x >> at) & _DIGIT > w for at, w in slots):
-            raise ExactDivisionError("not exactly divisible")
-        quotient[qkey] = cq
-        for kb, c in b.items():
-            key = qkey + kb
-            s = rem.get(key, 0) - cq * c
-            if s:
-                rem[key] = s
-            else:
-                del rem[key]
-        budget -= 1
-        if budget < 0:
-            raise ExactDivisionError("division budget exceeded; input likely not divisible")
-    return quotient
-
-
 def _divexact_binomial(a: list, h: int) -> list:
     """Exact quotient of a(v) by 1 - v^h, h >= 1, on dense coefficient lists
     (a[k] the coefficient of v^k), by the recurrence q_k = a_k + q_{k-h} in
@@ -210,6 +157,23 @@ def _divexact_binomial(a: list, h: int) -> list:
     if any(q[cut:]):
         raise ExactDivisionError("not exactly divisible")
     return q[:cut]
+
+
+def _binomial_quotient(top: Iterable[int], bottom: Iterable[int]) -> list[int]:
+    """prod_{i in top} (1 - v^i) / prod_{h in bottom} (1 - v^h), for
+    multisets of positive ints, as a dense coefficient list (entry k the
+    coefficient of v^k). The factors both multisets hold cancel first; the
+    rest of top is multiplied out, and each rest of bottom divided off by
+    _divexact_binomial, which raises ExactDivisionError on a remainder."""
+    top, bottom = Counter(top), Counter(bottom)
+    coeffs = [1]
+    for i in (top - bottom).elements():
+        coeffs += [0] * i
+        for k in range(len(coeffs) - 1, i - 1, -1):
+            coeffs[k] -= coeffs[k - i]
+    for h in (bottom - top).elements():
+        coeffs = _divexact_binomial(coeffs, h)
+    return coeffs
 
 
 class LaurentPoly:
@@ -462,29 +426,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.vars}, {self})"
 
 
-def divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact division a/b of Laurent polynomials, peeling lex-leading terms.
-
-    Raises ExactDivisionError when the division cannot complete. Intended for
-    divisions that are exact by construction (fraction-free elimination).
-    """
-    a._check_same_vars(b)
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return LaurentPoly.zero(a.vars)
-    ai, la = _clear_denominators(a.packed)
-    bi, lb = _clear_denominators(b.packed)
-    # Gauss's lemma: a primitive integer divisor divides over Q exactly when
-    # it divides over Z, so the peeling below stays in the integers
-    g = math.gcd(*bi.values())
-    q = _divexact_int(ai, {e: c // g for e, c in bi.items()}, len(a.vars))
-    scale = Fraction(lb, la * g)
-    q = {e: c * scale for e, c in q.items()} if scale != 1 else q
-    # every quotient exponent lies between differences of a's and b's
-    return LaurentPoly._build(a.vars, q, a.reach + b.reach)
-
-
 class CExponent(NamedTuple):
     """A formal exponent const + c_coeff*c used as a global degree prefix."""
 
@@ -523,9 +464,6 @@ class ExactRationalFunction:
                 raise ValueError(f"mixed variable sets: {f.vars} vs {self.vars}")
             if f.is_zero():
                 raise ZeroDivisionError("zero denominator factor")
-
-    def den_product(self) -> LaurentPoly:
-        return _product(self.vars, self.den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -571,7 +509,7 @@ class ExactRationalFunction:
         other = self._coerce(other)
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        num = self.num * other.den_product()
+        num = self.num * _product(self.vars, other.den)
         return ExactRationalFunction(num, self.den + (other.num,))
 
     def substitute_monomials(self, new_vars, mapping) -> "ExactRationalFunction":
@@ -579,10 +517,6 @@ class ExactRationalFunction:
             self.num.substitute_monomials(new_vars, mapping),
             [f.substitute_monomials(new_vars, mapping) for f in self.den],
         )
-
-    def as_poly(self) -> LaurentPoly:
-        """Clear the denominator by exact division; error if not a polynomial."""
-        return divexact(self.num, self.den_product())
 
     def __str__(self) -> str:
         num = str(self.num)
@@ -661,8 +595,11 @@ def q_factorial(n: int) -> ExactRationalFunction:
 
 
 def q_factorial_poly(n: int) -> LaurentPoly:
-    """[n]_v! in expanded polynomial form."""
-    return q_factorial(n).as_poly()
+    """[n]_v! in expanded polynomial form, the quotient q_factorial states."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    coeffs = _binomial_quotient(range(1, n + 1), [1] * n)
+    return LaurentPoly._build(("v",), {k: c for k, c in enumerate(coeffs) if c}, len(coeffs))
 
 
 # ---------------------------------------------------------------------------

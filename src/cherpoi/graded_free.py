@@ -30,9 +30,13 @@ from operator import add
 from random import Random
 
 from ._linalg import EchelonSpan
-from .errors import CertificationError
+from .errors import CertificationError, ResourceError
 
 Element = dict[int, int | Fraction]  # homogeneous, indexed into one degree's basis
+# basis entries one MonomialAlgebra may hold: its monomials and one row per
+# degree; the largest algebra the suites build, two variables to degree 12,
+# holds 91 monomials
+_MAX_BASIS = 100_000
 
 
 def _monomials(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
@@ -80,6 +84,12 @@ class MonomialAlgebra:
             raise ValueError("cutoff must be nonnegative")
         self.cutoff = cutoff
         last = cutoff if top is None else min(top, cutoff)
+        # C(last + m, m) monomials, at least 2^min(last, m): past 2^64 the
+        # cap is exceeded without the count
+        if min(last, num_vars) >= 64 or math.comb(last + num_vars, num_vars) + cutoff - last > _MAX_BASIS:
+            raise ResourceError(
+                f"{num_vars} variables to degree {cutoff} need more than {_MAX_BASIS} basis entries"
+            )
         self.basis = tuple(
             _monomials(num_vars, d) if d <= last else () for d in range(cutoff + 1)
         )

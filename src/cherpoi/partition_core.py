@@ -77,10 +77,6 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def size(mu) -> int:
-    return sum(check_partition(mu))
-
-
 def transpose(mu) -> Partition:
     return _transpose(check_partition(mu))
 

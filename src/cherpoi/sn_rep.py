@@ -14,7 +14,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .errors import ResourceError
-from .exact_poly import LaurentPoly, _divexact_binomial
+from .exact_poly import LaurentPoly, _binomial_quotient
 from .partition_core import (
     Partition,
     check_partition,
@@ -124,20 +124,9 @@ def fake_degree(mu) -> LaurentPoly:
 
 @cache
 def _fake_degree(mu: Partition) -> LaurentPoly:
-    """The hook quotient with the factors (1 - v^i) that {1..n} and the hook
-    lengths have in common cancelled first, as multisets, on a dense
-    coefficient list: the rest of {1..n} is multiplied out, and each
-    leftover hook binomial 1 - v^h is divided off exactly."""
-    n = sum(mu)
-    hook_count = Counter(hooks(mu))
-    span = Counter(range(1, n + 1))
-    coeffs = [1]
-    for i in (span - hook_count).elements():
-        coeffs += [0] * i
-        for k in range(len(coeffs) - 1, i - 1, -1):
-            coeffs[k] -= coeffs[k - i]
-    for h in (hook_count - span).elements():
-        coeffs = _divexact_binomial(coeffs, h)
+    """The hook quotient, by the binomial kernel with top {1..n} and bottom
+    the hook lengths."""
+    coeffs = _binomial_quotient(range(1, sum(mu) + 1), hooks(mu))
     low = nstat(mu)
     return LaurentPoly._build(_V, {low + k: c for k, c in enumerate(coeffs) if c}, low + len(coeffs))
 

@@ -20,6 +20,7 @@ from cherpoi.exact_poly import (
     LaurentPoly,
     expand_window,
     q_factorial,
+    q_factorial_poly,
     rf_equal,
 )
 from cherpoi.graded_free import (
@@ -59,7 +60,7 @@ def test_ac01_fake_degree_suite():
             assert f == fake_degree_maj(mu)
             assert f.invert_variables().shift((big_n,)) == fake_degree(transpose(mu))
             total = total + f.invert_variables() * dim_irr(mu)
-        qfac = q_factorial(n).as_poly().invert_variables()
+        qfac = q_factorial_poly(n).invert_variables()
         assert total == qfac
 
 

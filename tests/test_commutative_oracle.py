@@ -25,7 +25,7 @@ from cherpoi.commutative_oracle import (
     perm_sign,
 )
 from cherpoi.errors import ResourceError
-from cherpoi.exact_poly import _add_into, expand_window, q_factorial
+from cherpoi.exact_poly import _add_into, expand_window, q_factorial_poly
 from cherpoi.hilbert_series import jbar_closed
 from cherpoi.partition_core import enumerate_partitions
 from cherpoi.sn_rep import dim_irr, fake_degree
@@ -225,7 +225,7 @@ def test_coinvariant_multiplicities_match_fake_degrees():
 def test_coinvariant_degree_totals_match_the_q_factorial():
     for n in range(2, 6):
         mults = coinvariant_multiplicities(n)
-        qfac = q_factorial(n).as_poly()
+        qfac = q_factorial_poly(n)
         for deg, row in mults.items():
             total = sum(dim_irr(mu) * mult for mu, mult in row.items())
             assert total == qfac.coefficient((deg,))

@@ -1,9 +1,11 @@
+import itertools
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cherpoi.exact_poly import (
     CExponent,
@@ -11,7 +13,6 @@ from cherpoi.exact_poly import (
     ExactRationalFunction,
     ExpansionDirectionError,
     LaurentPoly,
-    divexact,
     expand_window,
     poly_terms_from_json,
     poly_terms_to_json,
@@ -22,7 +23,8 @@ from cherpoi.exact_poly import (
     rf_to_json,
 )
 from cherpoi.errors import ResourceError
-from cherpoi.exact_poly import _divexact_binomial
+from cherpoi.exact_poly import _binomial_quotient, _divexact_binomial
+from cherpoi.partition_core import enumerate_partitions, hooks
 
 from _reference import ref_mul
 
@@ -73,26 +75,17 @@ def test_coefficient_and_evaluate():
     assert f.evaluate({"s": Fraction(2), "t": Fraction(3)}) == 4 - 1
 
 
-def test_divexact():
-    one = LaurentPoly.one(V)
-    f = one - vp(4)
-    g = one - vp(2)
-    assert divexact(f, g) == one + vp(2)
-    with pytest.raises(ExactDivisionError):
-        divexact(one - vp(3), g)
-
-
 # -- the sparse kernel against sympy --------------------------------------
 
 XYZ = ("x", "y", "z")
 FRACTION = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 6))
 
 
-def kernel_polys(variables, min_terms=5, max_terms=8):
+def kernel_polys(variables):
     """Polys with Fraction coefficients and negative exponents; five or more
     terms put both operands of a product on the packed path."""
     exps = st.tuples(*(st.integers(-3, 3) for _ in variables))
-    return st.dictionaries(exps, FRACTION, min_size=min_terms, max_size=max_terms).map(
+    return st.dictionaries(exps, FRACTION, min_size=5, max_size=8).map(
         lambda terms: LaurentPoly(variables, terms)
     )
 
@@ -107,9 +100,9 @@ def to_sympy(poly: LaurentPoly):
 
 
 @st.composite
-def kernel_pair(draw, min_terms=5):
+def kernel_pair(draw):
     variables = XYZ[: draw(st.integers(1, 3))]
-    return (draw(kernel_polys(variables, min_terms)), draw(kernel_polys(variables, min_terms)))
+    return (draw(kernel_polys(variables)), draw(kernel_polys(variables)))
 
 
 @settings(deadline=None, max_examples=60)
@@ -119,57 +112,6 @@ def test_packed_product_matches_sympy(pair):
     assert min(len(f.terms), len(g.terms)) > 4
     assert sympy.expand(to_sympy(f * g) - to_sympy(f) * to_sympy(g)) == 0
     assert sympy.expand(to_sympy(f + g) - to_sympy(f) - to_sympy(g)) == 0
-
-
-# divisors with a non-unit rational content, so clearing denominators leaves
-# a non-primitive integer divisor
-CONTENTS = st.sampled_from([Fraction(6, 5), Fraction(-4, 9), Fraction(2), Fraction(3, 7)])
-
-
-@settings(deadline=None, max_examples=60)
-@given(kernel_pair(min_terms=2), CONTENTS)
-@example((LaurentPoly(("x",), {(0,): Fraction(1, 3), (1,): Fraction(1, 3)}),
-          LaurentPoly(("x",), {(0,): Fraction(1), (2,): Fraction(-1)})), Fraction(6, 5))
-def test_divexact_recovers_factor_of_nonprimitive_divisor(pair, content):
-    f, h = pair
-    g = h * content
-    product = f * g
-    assert sympy.expand(to_sympy(product) - to_sympy(f) * to_sympy(g)) == 0
-    assert divexact(product, g) == f
-    assert divexact(product, f) == g
-
-
-def test_divexact_by_a_scaled_monomial():
-    x = LaurentPoly.var_power(("x",), "x", 1)
-    assert divexact(x, x * 2) == LaurentPoly.const(("x",), Fraction(1, 2))
-    assert divexact(x * Fraction(3, 4), x * Fraction(-9, 2)) == LaurentPoly.const(("x",), Fraction(-1, 6))
-
-
-@settings(deadline=None, max_examples=60)
-@given(kernel_pair(min_terms=2))
-def test_divexact_rejects_a_non_divisible_pair(pair):
-    f, g = pair
-    # g has two or more terms, so it is not a unit and cannot divide 1
-    with pytest.raises(ExactDivisionError):
-        divexact(f * g + 1, g)
-
-
-def test_divexact_rejects_quotient_outside_the_degree_box():
-    XY = ("x", "y")
-    x, y = (LaurentPoly.var_power(XY, name, 1) for name in XY)
-    one = LaurentPoly.one(XY)
-    with pytest.raises(ExactDivisionError):
-        divexact(x + y, x - y)
-    with pytest.raises(ExactDivisionError):
-        divexact(one + x * y, one + x)
-    # peeling these leaves the quotient's box, where packed exponents of
-    # distinct tuples collide; an unchecked unpack returns a wrong quotient
-    for a, b in (
-        ({(-1, 2): 2, (1, 0): 1}, {(-2, 1): 2, (-1, 2): 1}),
-        ({(1, 1): 1, (-2, 0): -1}, {(-2, 1): 1, (-2, 2): -1}),
-    ):
-        with pytest.raises(ExactDivisionError):
-            divexact(LaurentPoly(XY, a), LaurentPoly(XY, b))
 
 
 def test_substitute_monomials():
@@ -305,8 +247,6 @@ def test_coefficients_stay_in_normal_form(a, b, c):
         a.substitute_monomials(V, {"s": (1,), "t": (-1,)}),
         poly_terms_from_json(ST, poly_terms_to_json(a)),
     ]
-    if b:
-        results.append(divexact(a * b, b))
     # each factor's lex-lowest term is 1 in its direction: t descending
     # flips s*t to exponent (1, -1)
     up = one - LaurentPoly.monomial(ST, (0, 1), Fraction(1, 2)) + LaurentPoly.monomial(ST, (1, -1), c)
@@ -533,12 +473,6 @@ def test_packed_keys_match_tuple_arithmetic(case):
     agrees(lambda: f.shift(step), {tuple(x + s for x, s in zip(e, step)): c for e, c in a.items()})
     agrees(lambda: f.invert_variables(), {tuple(-x for x in e): c for e, c in a.items()})
     agrees(lambda: f.substitute_monomials(new_vars, dict(zip(variables, images))), ref_substitute(a, images))
-    try:
-        product = ref_clean(ref_mul(a, b))
-    except OverflowError:
-        return
-    if g:
-        agrees(lambda: divexact(LaurentPoly(variables, product), g), a)
 
 
 def test_substitute_monomials_on_wide_slots():
@@ -575,21 +509,21 @@ def _dense(poly, length):
 @settings(deadline=None, max_examples=150)
 @given(st.lists(st.integers(-9, 9), max_size=12), st.integers(1, 6), st.booleans())
 def test_binomial_division_matches_divexact(coeffs, h, multiple):
-    # a multiple of 1 - v^h divides; most other lists do not, and both
-    # routes must then refuse
+    # a multiple of 1 - v^h divides; most other lists do not, and sympy's
+    # remainder must then be nonzero exactly when the kernel refuses
     binom = LaurentPoly.one(V) - vp(h)
     a = LaurentPoly(V, {(k,): c for k, c in enumerate(coeffs)})
     if multiple:
         a = a * binom
     length = len(coeffs) + (h if multiple else 0)
-    try:
-        want = divexact(a, binom)
-    except ExactDivisionError:
+    v = sympy.Symbol("v")
+    quotient, remainder = sympy.div(to_sympy(a), 1 - v**h, v)
+    if remainder != 0:
         with pytest.raises(ExactDivisionError):
             _divexact_binomial(_dense(a, length), h)
         return
     got = _divexact_binomial(_dense(a, length), h)
-    assert LaurentPoly(V, {(k,): c for k, c in enumerate(got)}) == want
+    assert sympy.expand(sum(c * v**k for k, c in enumerate(got)) - quotient) == 0
     assert len(got) == max(length - h, 0)
 
 
@@ -603,6 +537,29 @@ def test_binomial_division_rejects_a_remainder():
             _divexact_binomial(mutant, 2)
     with pytest.raises(ExactDivisionError):
         _divexact_binomial([3], 2)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_q_factorial_counts_permutations_by_inversions(n):
+    inversions = Counter(
+        sum(a > b for a, b in itertools.combinations(sigma, 2)) for sigma in itertools.permutations(range(n))
+    )
+    assert q_factorial_poly(n) == LaurentPoly(V, {(k,): c for k, c in inversions.items()})
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_binomial_quotient_refuses_a_factor_left_uncancelled(n):
+    # a kernel that drops a shared factor from top but leaves it in bottom
+    # divides [n]_v! or a fake degree by one more binomial 1 - v^h; neither
+    # vanishes at v = 1 (n! and dim mu), so neither is divisible
+    cases = [(list(range(1, n + 1)), [1] * n)]
+    cases += [(list(range(1, n + 1)), hooks(mu)) for mu in enumerate_partitions(n)]
+    for top, bottom in cases:
+        for shared in set(top) & set(bottom):
+            short = list(top)
+            short.remove(shared)
+            with pytest.raises(ExactDivisionError):
+                _binomial_quotient(short, bottom)
 
 
 def test_expand_window_budget_stops_a_runaway_expansion():

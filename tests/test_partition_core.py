@@ -16,7 +16,6 @@ from cherpoi.partition_core import (
     hooks,
     nstat,
     num_syt,
-    size,
     transpose,
 )
 
@@ -58,7 +57,7 @@ def test_transpose_examples():
 @given(partitions())
 def test_transpose_involution(mu):
     assert transpose(transpose(mu)) == mu
-    assert size(transpose(mu)) == size(mu)
+    assert sum(transpose(mu)) == sum(mu)
 
 
 def test_cell_data_example():
@@ -95,7 +94,7 @@ def test_hooks_and_syt_count():
 
 @given(partitions(7))
 def test_hook_length_formula_consistency(mu):
-    n = size(mu)
+    n = sum(mu)
     assert num_syt(mu) * hook_product(mu) == factorial(n)
     assert len(enumerate_syt(mu)) == num_syt(mu)
 
@@ -107,7 +106,7 @@ def test_nstat_via_cells(mu):
     legs = sum(cell_data(mu, i, j).leg for i, j in cells(mu))
     assert nstat(mu) == rows == legs
     # hook sum decomposes into size plus both statistics
-    assert sum(hooks(mu)) == size(mu) + nstat(mu) + nstat(transpose(mu))
+    assert sum(hooks(mu)) == sum(mu) + nstat(mu) + nstat(transpose(mu))
 
 
 def test_statistics_accept_any_iterable():
@@ -154,7 +153,7 @@ def test_dominance_extremes_and_revlex_refinement(n):
 
 @given(partitions(6))
 def test_dominance_reverses_under_transpose(lam):
-    n = size(lam)
+    n = sum(lam)
     for mu in enumerate_partitions(n):
         if dominance_leq(lam, mu):
             assert dominance_leq(transpose(mu), transpose(lam))

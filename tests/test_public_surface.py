@@ -7,8 +7,10 @@ somewhere in src/cherpoi or bench/*.py outside its own definition, or sit in
 KEEP (a method as "Class.method"). A name counts as an identifier, an
 attribute, an imported name, or a dot-separated part of a string constant
 other than a docstring: the CLI's suite registry and the bench's trace
-targets name functions by string. Tests do not count, so a public name that
-only its own unit test calls fails here.
+targets name functions by string. An identifier that a function binds, as a
+parameter or an assignment target, does not count inside that function: a
+local variable calls no public function of its name. Tests do not count, so
+a public name that only its own unit test calls fails here.
 """
 
 import ast
@@ -19,8 +21,9 @@ PACKAGE = ROOT / "src" / "cherpoi"
 
 # test-only names kept on purpose: they state the paper's formulas, read the
 # CLI's own JSON back, or are the references that tests check faster routes
-# against
+# against (Tableau.maj for fake_degree_maj)
 KEEP = {
+    "Tableau.maj",
     "dominance_leq",
     "integral_form_scalar",
     "rf_from_json",
@@ -43,14 +46,35 @@ def _docstrings(tree):
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _names(node, docstrings):
+def _bound(func):
+    """The names a function binds in its own scope: its parameters and its
+    Store targets outside nested definitions."""
+    args = func.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a}
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, DEFINITIONS):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _names(node, docstrings, local=frozenset()):
     """Every name that the subtree mentions, less each definition's mentions
-    of its own name: recursion is not a caller."""
+    of its own name, since recursion is not a caller, and less the plain
+    names that a function binds, read inside it: a local is not a caller."""
     names = set()
+    if isinstance(node, FUNCTIONS):
+        local = local | _bound(node)
     if isinstance(node, ast.Name):
-        names.add(node.id)
+        if node.id not in local:
+            names.add(node.id)
     elif isinstance(node, ast.Attribute):
         names.add(node.attr)
     elif isinstance(node, ast.alias):
@@ -62,7 +86,7 @@ def _names(node, docstrings):
     ):
         names.update(node.value.split("."))
     for child in ast.iter_child_nodes(node):
-        names |= _names(child, docstrings)
+        names |= _names(child, docstrings, local)
     if isinstance(node, DEFINITIONS):
         names.discard(node.name)
     return names

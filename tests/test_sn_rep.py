@@ -6,8 +6,8 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from cherpoi.exact_poly import LaurentPoly, divexact, q_factorial_poly
-from cherpoi.partition_core import enumerate_partitions, enumerate_syt, hooks, nstat, size, transpose
+from cherpoi.exact_poly import LaurentPoly, q_factorial_poly
+from cherpoi.partition_core import enumerate_partitions, enumerate_syt, hooks, nstat, transpose
 from cherpoi.errors import ResourceError
 from cherpoi.sn_rep import (
     MAX_TABLE_N,
@@ -148,34 +148,31 @@ def test_fake_degree_matches_sympy_cancel(n):
         assert _coefficients(fake_degree(mu)) == want
 
 
+def _binomials(exponents) -> LaurentPoly:
+    """prod (1 - v^e) over the exponents, multiplied out."""
+    one, out = LaurentPoly.one(V), LaurentPoly.one(V)
+    for e in exponents:
+        out = out * (one - LaurentPoly.var_power(V, "v", e))
+    return out
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_fake_degree_matches_the_uncancelled_quotient(n):
-    one = LaurentPoly.one(V)
+    # multiplied back, no division: f_mu prod_h (1 - v^h) = v^n(mu) prod_i (1 - v^i)
     for mu in enumerate_partitions(n):
-        num = LaurentPoly.monomial(V, (nstat(mu),))
-        for i in range(1, n + 1):
-            num = num * (one - LaurentPoly.var_power(V, "v", i))
-        den = one
-        for h in hooks(mu):
-            den = den * (one - LaurentPoly.var_power(V, "v", h))
-        assert fake_degree(mu) == divexact(num, den)
+        num = LaurentPoly.monomial(V, (nstat(mu),)) * _binomials(range(1, n + 1))
+        assert fake_degree(mu) * _binomials(hooks(mu)) == num
 
 
 @pytest.mark.parametrize("n", range(1, MAX_TABLE_N + 1))
 def test_binomial_hook_quotient_matches_divexact(n):
-    # the shared factors of {1..n} and the hooks cancel as multisets; the
-    # rest, multiplied out, goes through the general divexact
-    one = LaurentPoly.one(V)
+    # the same product with the factors that {1..n} and the hooks share
+    # cancelled as multisets, up to the largest table
     span = Counter(range(1, n + 1))
     for mu in enumerate_partitions(n):
         hook_count = Counter(hooks(mu))
-        num = LaurentPoly.monomial(V, (nstat(mu),))
-        for i in (span - hook_count).elements():
-            num = num * (one - LaurentPoly.var_power(V, "v", i))
-        den = one
-        for h in (hook_count - span).elements():
-            den = den * (one - LaurentPoly.var_power(V, "v", h))
-        assert fake_degree(mu) == divexact(num, den)
+        num = LaurentPoly.monomial(V, (nstat(mu),)) * _binomials((span - hook_count).elements())
+        assert fake_degree(mu) * _binomials((hook_count - span).elements()) == num
 
 
 def test_character_table_bounds():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -432,6 +433,12 @@ def test_oracle_compare_json(capsys):
 def test_oracle_exit_codes(capsys):
     assert main(["oracle", "--n", "5", "--d", "0", "--max-bidegree", "2,2"]) == 2
     assert "resource limit" in capsys.readouterr().err
+    # the window matches, but jbar_dims does not run at n = 4: a skipped
+    # check with nothing failed exits 2
+    args = ["oracle", "--n", "4", "--d", "1", "--max-bidegree", "2,2", "--total", "4", "--compare"]
+    assert main(args) == 2
+    out = capsys.readouterr().out
+    assert "all window cells match" in out and "jbar diagonals: skipped" in out
     assert main(["oracle", "--n", "2", "--d", "0", "--max-bidegree", "junk"]) == 3
     assert "input error" in capsys.readouterr().err
 
@@ -545,6 +552,19 @@ def test_basis_reports_certification_failure(tmp_path, capsys):
     assert main(["basis", "--input", str(path)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert "cutoff too small" in out["error"]
+
+
+@pytest.mark.parametrize("algebra", [
+    {"kind": "polynomial", "variables": 30, "cutoff": 30},  # C(60, 30), about 1.2e17 monomials
+    {"kind": "truncated", "variables": 1, "cutoff": 10**12, "top": 3},  # 10^12 degree rows
+])
+def test_basis_refuses_an_algebra_past_its_budget(tmp_path, capsys, algebra):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"algebra": algebra, "shifts": [0]}))
+    start = time.perf_counter()
+    assert main(["basis", "--input", str(path)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "resource limit" in capsys.readouterr().err
 
 
 def test_basis_missing_file(tmp_path, capsys):
