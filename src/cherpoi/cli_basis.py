@@ -23,8 +23,12 @@ from __future__ import annotations
 
 import json
 
-from .errors import CertificationError
+from .errors import CertificationError, ResourceError
 from .report import BASIS_SCHEMA
+
+# the table is shifts x shifts and the E^2 = E check costs about shifts^3:
+# 100 shifts took 0.12 s and 200 took 2.0 s; the suites use at most 4
+MAX_SHIFTS = 100
 
 
 def _field(doc, key, types=None):
@@ -66,6 +70,8 @@ def _load_idempotent(doc, cutoff=None):
         raise ValueError(f"unknown algebra kind {kind!r}")
     shifts = _ints(doc, "shifts")
     size = len(shifts)
+    if size > MAX_SHIFTS:
+        raise ResourceError(f"idempotent bound is {MAX_SHIFTS} shifts, got {size}")
     entries = [[dict() for _ in range(size)] for _ in range(size)]
     for item in _field(doc, "matrix", (list,)) if "matrix" in doc else ():
         i, j = _field(item, "row", (int,)), _field(item, "col", (int,))

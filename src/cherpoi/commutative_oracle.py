@@ -84,14 +84,13 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
-from math import factorial
 from typing import NamedTuple
 
 from ._linalg import EchelonSpan
 from .errors import ResourceError
 from .exact_poly import _add_into, _mul_packed
-from .partition_core import Partition, check_partition, enumerate_partitions
-from .sn_rep import centralizer_order, character_table
+from .partition_core import Partition, check_partition
+from .sn_rep import character_table, class_average
 
 MAX_ACTION_N = 5  # coinvariant_multiplicities
 MAX_BIGRADED_N = 4
@@ -507,15 +506,12 @@ def _symmetric_power_traces(rho: Partition, top: int) -> tuple[int, ...]:
 def _molien_dim(n: int, d: int, a: int, b: int) -> int:
     """dim A^d(a, b) for d <= 1 by Molien's theorem: the average over S_n
     of eps(sigma)^d t_a(sigma) t_b(sigma)."""
-    total = 0
-    for rho in enumerate_partitions(n):
+
+    def trace(rho):
         t = _symmetric_power_traces(rho, max(a, b))
-        sign = -1 if d and (n - len(rho)) % 2 else 1
-        total += sign * (factorial(n) // centralizer_order(rho)) * t[a] * t[b]
-    count, rest = divmod(total, factorial(n))
-    if rest:
-        raise ArithmeticError(f"Molien count of A^{d}({a}, {b}) is not integral")
-    return count
+        return (-1 if d and (n - len(rho)) % 2 else 1) * t[a] * t[b]
+
+    return class_average(n, trace, f"the Molien count of A^{d}({a}, {b})")
 
 
 # ---------------------------------------------------------------------------
@@ -696,15 +692,10 @@ def coinvariant_multiplicities(n: int) -> dict[int, dict[Partition, int]]:
                 tr += Fraction(reduced.get(i, 0), scale)
             traces[rho] = tr
         row: dict[Partition, int] = {}
-        for mu in enumerate_partitions(n):
-            total = Fraction(0)
-            for rho in table.partitions:
-                total += Fraction(table.chi(mu, rho) * traces[rho], table.centralizers[rho])
-            if total.denominator != 1 or total < 0:
-                raise ArithmeticError(
-                    f"multiplicity of {mu} in degree {degree} is not integral: {total}"
-                )
-            if total:
-                row[mu] = int(total)
+        for mu in table.partitions:
+            what = f"the multiplicity of {mu} in degree {degree}"
+            count = class_average(n, lambda rho: table.chi(mu, rho) * traces[rho], what)
+            if count:
+                row[mu] = count
         out[degree] = row
     return out

@@ -13,10 +13,10 @@ variable most significant (one variable is its own exponent), in signed,
 balanced 66-bit slots. Exponents stay below 2^63 in absolute value, so a
 product's exponents fit their slots: its key is the sum of its factors' keys,
 int order of keys is lex order of exponents, and negating a key inverts
-every variable. One private kernel works on these dicts, here and in
-macdonald: _mul_packed (multiply, int or Fraction coefficients) and
-_add_into (scaled accumulate); commutative_oracle calls both on keys of its
-own packing. Exponent tuples appear only where a caller reads exponents:
+every variable. One private kernel works on these dicts: _mul_packed
+(multiply, int or Fraction coefficients) and _add_into (scaled accumulate);
+outside this module only commutative_oracle calls them, on keys of its own
+packing. Exponent tuples appear only where a caller reads exponents:
 LaurentPoly.terms, coefficient, sorted_terms, rendering, JSON and evaluate.
 
 The one exact division is _binomial_quotient: prod (1 - v^i) over
@@ -78,7 +78,7 @@ def _as_fraction(c) -> int | Fraction:
 
 # ---------------------------------------------------------------------------
 # Packed keys and the sparse kernel on {key: coefficient} dicts, shared by
-# LaurentPoly, the power sums in macdonald and the commutative oracle
+# LaurentPoly and the commutative oracle
 # ---------------------------------------------------------------------------
 
 
@@ -446,10 +446,6 @@ class CExponent(NamedTuple):
         return f"{self.const} {sign} {'' if mag == 1 else str(mag) + '*'}c"
 
 
-def _factor_key(p: LaurentPoly):
-    return tuple(sorted(p.packed.items()))
-
-
 class ExactRationalFunction:
     """numerator / product of denominator factors, all exact, never reduced."""
 
@@ -546,27 +542,23 @@ def _product(variables, factors) -> LaurentPoly:
 
 
 def _split_common_factors(a: tuple[LaurentPoly, ...], b: tuple[LaurentPoly, ...]):
-    """Multiset intersection of factor lists by structural equality (not gcd)."""
-    keys_a = [_factor_key(f) for f in a]
-    keys_b = [_factor_key(f) for f in b]
-    common_keys = Counter(keys_a) & Counter(keys_b)
-    lookup = dict(zip(keys_a, a))
-    common = []
-    for key, mult in common_keys.items():
-        common.extend([lookup[key]] * mult)
-    rest_a, taken = [], Counter(common_keys)
-    for f, k in zip(a, keys_a):
-        if taken[k] > 0:
-            taken[k] -= 1
+    """Multiset intersection of factor lists by structural equality (not gcd):
+    the shared factors in order of first appearance in a, then the rest of a
+    and the rest of b, each in order."""
+    common = Counter(a) & Counter(b)
+    return tuple(common.elements()), _without(a, common), _without(b, common)
+
+
+def _without(factors: tuple[LaurentPoly, ...], drop: Counter) -> tuple[LaurentPoly, ...]:
+    """factors in order, less the first drop[f] copies of each f."""
+    drop = Counter(drop)
+    kept = []
+    for f in factors:
+        if drop[f]:
+            drop[f] -= 1
         else:
-            rest_a.append(f)
-    rest_b, taken = [], Counter(common_keys)
-    for f, k in zip(b, keys_b):
-        if taken[k] > 0:
-            taken[k] -= 1
-        else:
-            rest_b.append(f)
-    return tuple(common), tuple(rest_a), tuple(rest_b)
+            kept.append(f)
+    return tuple(kept)
 
 
 def rf_equal(f: ExactRationalFunction, g: ExactRationalFunction) -> bool:

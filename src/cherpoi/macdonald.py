@@ -22,12 +22,12 @@ those checks in the test suite.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache
+from itertools import product
 from typing import NamedTuple
 
 from .errors import ResourceError
-from .exact_poly import ExactRationalFunction, LaurentPoly, _mul_packed, _pack
+from .exact_poly import ExactRationalFunction, LaurentPoly
 from .partition_core import (
     Partition,
     cells,
@@ -36,7 +36,7 @@ from .partition_core import (
     enumerate_partitions,
     nstat,
 )
-from .sn_rep import character_table, dim_irr, fake_degree
+from .sn_rep import dim_irr, fake_degree
 
 QT = ("q", "t")
 ST = ("s", "t")
@@ -46,51 +46,41 @@ MAX_KOSTKA_N = 7
 
 
 # ---------------------------------------------------------------------------
-# Power sums and Kostka numbers (integer matrices, no (q,t) content)
+# Kostka numbers by horizontal strips (integers, no (q,t) content)
 # ---------------------------------------------------------------------------
 
 
-def _expand_power_sum(n: int, rho: Partition) -> dict[int, int]:
-    """p_rho as an honest polynomial in n variables, on exact_poly's packed keys."""
-    acc = {0: 1}
-    for r in rho:
-        acc = _mul_packed(acc, {_pack([r if j == i else 0 for j in range(n)]): 1 for i in range(n)})
-    return acc
-
-
 @cache
-def _p_to_m(n: int) -> dict[Partition, dict[Partition, int]]:
-    """p_rho = sum_lam _p_to_m(n)[rho][lam] m_lam."""
-    parts = enumerate_partitions(n)
-    out = {}
-    for rho in parts:
-        poly = _expand_power_sum(n, rho)
-        out[rho] = {lam: poly.get(_pack(lam + (0,) * (n - len(lam))), 0) for lam in parts}
-    return out
+def _ssyt_count(lam: Partition, content: tuple[int, ...]) -> int:
+    """The number of semistandard tableaux of shape lam and the given content.
+
+    The cells holding the largest value form a horizontal strip lam/kappa of
+    size content[-1]: lam_{i+1} <= kappa_i <= lam_i, so no two of them share
+    a column. Peeling it off leaves a tableau of shape kappa and content
+    content[:-1].
+    """
+    if not content:
+        return int(not lam)
+    rows = zip(lam[1:] + (0,), lam)
+    kappa_size = sum(lam) - content[-1]
+    return sum(
+        _ssyt_count(tuple(k for k in kappa if k), content[:-1])
+        for kappa in product(*(range(low, high + 1) for low, high in rows))
+        if sum(kappa) == kappa_size
+    )
 
 
 @cache
 def kostka_numbers(n: int) -> dict[Partition, dict[Partition, int]]:
     """s_lam = sum_nu kostka_numbers(n)[lam][nu] m_nu.
 
-    K_{lam nu} counts semistandard tableaux of shape lam and content nu. It is
-    read off s_lam = sum_rho chi_lam(rho)/z_rho p_rho through _p_to_m, and is
+    K_{lam nu} counts the semistandard tableaux of shape lam and content nu
+    (Macdonald, I.5), by peeling horizontal strips in _ssyt_count. It is
     unitriangular in dominance order: K_{lam lam} = 1, and K_{lam nu} = 0
     unless nu <= lam.
     """
     parts = enumerate_partitions(n)
-    table = character_table(n)
-    p2m = _p_to_m(n)
-    out = {}
-    for lam in parts:
-        row = {}
-        for nu in parts:
-            k = sum(Fraction(table.values[(lam, rho)] * p2m[rho][nu], table.centralizers[rho]) for rho in parts)
-            if k.denominator != 1:
-                raise ArithmeticError(f"non-integer Kostka number at ({lam},{nu})")
-            row[nu] = int(k)
-        out[lam] = row
-    return out
+    return {lam: {nu: _ssyt_count(lam, nu) for nu in parts} for lam in parts}
 
 
 def integral_form_scalar(mu) -> LaurentPoly:

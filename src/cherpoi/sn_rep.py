@@ -1,5 +1,6 @@
-"""Symmetric group character theory: exact character tables, Kronecker
-coefficients, and fake degrees by two independent routes.
+"""Symmetric group character theory: exact character tables, the class
+average behind every character multiplicity, Kronecker coefficients, and
+fake degrees by two independent routes.
 
 Irreducibles and conjugacy classes are both labelled by partitions of n;
 (n) labels the trivial character and (1^n) the sign character.
@@ -73,7 +74,6 @@ class CharacterTable(NamedTuple):
     n: int
     partitions: tuple[Partition, ...]
     values: dict[tuple[Partition, Partition], int]
-    centralizers: dict[Partition, int]
 
     def chi(self, mu, rho) -> int:
         return self.values[(check_partition(mu), check_partition(rho))]
@@ -87,8 +87,7 @@ def character_table(n: int) -> CharacterTable:
         raise ResourceError(f"character table bound is n <= {MAX_TABLE_N}, got {n}")
     parts = enumerate_partitions(n)
     values = {(mu, rho): character_value(mu, rho) for mu in parts for rho in parts}
-    zs = {rho: centralizer_order(rho) for rho in parts}
-    return CharacterTable(n, parts, values, zs)
+    return CharacterTable(n, parts, values)
 
 
 def dim_irr(mu) -> int:
@@ -96,21 +95,29 @@ def dim_irr(mu) -> int:
     return num_syt(mu)
 
 
+def class_average(n: int, f, what: str) -> int:
+    """sum_rho f(rho) / z_rho over the cycle types rho of S_n: the average of
+    the class function f over the group, which is a character multiplicity or
+    a Molien count. ArithmeticError, naming what, unless it is a nonnegative
+    integer."""
+    order = factorial(n)
+    total = Fraction(sum(f(rho) * (order // centralizer_order(rho)) for rho in enumerate_partitions(n)), order)
+    if total.denominator != 1 or total < 0:
+        raise ArithmeticError(f"{what} is not a nonnegative integer: {total}")
+    return int(total)
+
+
 def kronecker(lam, mu, nu) -> int:
     """Multiplicity of chi_nu in chi_lam * chi_mu."""
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     if not (sum(lam) == sum(mu) == sum(nu)):
         raise ValueError(f"size mismatch: {lam}, {mu}, {nu}")
-    table = character_table(sum(lam))
-    total = Fraction(0)
-    for rho in table.partitions:
-        total += Fraction(
-            table.values[(lam, rho)] * table.values[(mu, rho)] * table.values[(nu, rho)],
-            table.centralizers[rho],
-        )
-    if total.denominator != 1 or total < 0:
-        raise ArithmeticError(f"kronecker inner product not a nonnegative integer: {total}")
-    return int(total)
+    chi = character_table(sum(lam)).values
+    return class_average(
+        sum(lam),
+        lambda rho: chi[(lam, rho)] * chi[(mu, rho)] * chi[(nu, rho)],
+        f"the Kronecker coefficient of {lam}, {mu}, {nu}",
+    )
 
 
 def fake_degree(mu) -> LaurentPoly:

@@ -23,7 +23,7 @@ from cherpoi.exact_poly import (
     rf_to_json,
 )
 from cherpoi.errors import ResourceError
-from cherpoi.exact_poly import _binomial_quotient, _divexact_binomial
+from cherpoi.exact_poly import _binomial_quotient, _divexact_binomial, _split_common_factors
 from cherpoi.partition_core import enumerate_partitions, hooks
 
 from _reference import ref_mul
@@ -126,6 +126,16 @@ def test_rf_equal_respects_common_scaling(a, b):
     f = ExactRationalFunction(a, [b] if not b.is_zero() else [])
     g = ExactRationalFunction(a * scale, ([b] if not b.is_zero() else []) + [scale])
     assert rf_equal(f, g)
+
+
+def test_split_common_factors_keeps_the_order_of_each_list():
+    one = LaurentPoly.one(V)
+    a, b, c = (one - vp(k) for k in (1, 2, 3))
+    # the second a is a fresh copy: factors match by structure, not identity
+    split = _split_common_factors((a, b, one - vp(1), c), (a, c, c))
+    # the shared factors by first appearance in the first list, then the
+    # rest of each list in its own order
+    assert split == ((a, c), (b, a), (c,))
 
 
 def test_rf_equal_detects_inequality():

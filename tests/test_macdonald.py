@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
 
@@ -21,7 +22,6 @@ from cherpoi.macdonald import (
     MAX_KOSTKA_N,
     KostkaMacdonaldMatrix,
     _hhl_column,
-    _p_to_m,
     integral_form_scalar,
     kostka_fake_degree_identity,
     kostka_macdonald,
@@ -34,7 +34,7 @@ from cherpoi.partition_core import (
     enumerate_partitions,
     transpose,
 )
-from cherpoi.sn_rep import character_table, dim_irr
+from cherpoi.sn_rep import centralizer_order, character_table, dim_irr
 
 
 QT = ("q", "t")
@@ -71,6 +71,20 @@ def test_kostka_n2_matrix():
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _p_to_m(n):
+    """p_rho = sum_lam _p_to_m(n)[rho][lam] m_lam: p_rho expanded as a
+    polynomial in n variables, read at the exponents of each lam."""
+    parts = enumerate_partitions(n)
+    out = {}
+    for rho in parts:
+        poly = {0: 1}
+        for r in rho:
+            poly = _mul_packed(poly, {_pack([r if j == i else 0 for j in range(n)]): 1 for i in range(n)})
+        out[rho] = {lam: poly.get(_pack(lam + (0,) * (n - len(lam))), 0) for lam in parts}
+    return out
+
+
 def _one_minus(exps):
     return {0: 1, _pack(exps): -1}
 
@@ -95,7 +109,7 @@ def _power_sum_data(matrix):
                 if chi:
                     _add_into(acc, matrix.entries[(lam, mu)].packed, chi)
             a[rho, mu] = acc
-    w = {rho: factorial(matrix.n) // table.centralizers[rho] for rho in parts}
+    w = {rho: factorial(matrix.n) // centralizer_order(rho) for rho in parts}
     return a, w
 
 
@@ -327,6 +341,19 @@ def test_kostka_numbers_count_tableaux():
                 assert numbers[lam][nu] == _count_ssyt(lam, nu), (lam, nu)
                 if numbers[lam][nu]:
                     assert dominance_leq(nu, lam)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kostka_numbers_match_the_character_route(n):
+    # s_lam = sum_rho chi_lam(rho) p_rho / z_rho, read in the monomial basis
+    parts = enumerate_partitions(n)
+    chi = character_table(n).values
+    p2m = _p_to_m(n)
+    want = {
+        lam: {nu: sum(Fraction(chi[(lam, rho)] * p2m[rho][nu], centralizer_order(rho)) for rho in parts) for nu in parts}
+        for lam in parts
+    }
+    assert kostka_numbers(n) == want
 
 
 def test_kostka_specializations():

@@ -126,3 +126,24 @@ def test_every_public_name_has_a_caller_or_is_kept():
 def test_the_keep_list_names_only_uncalled_public_names():
     # a kept name that gains a caller, or disappears, leaves the list
     assert KEEP <= set(_uncalled_public_names())
+
+
+# private names that only their owners may name in src/cherpoi: the sparse
+# kernel belongs to exact_poly and the oracle, which packs its own keys, and
+# z_rho is read only through sn_rep's class average
+OWNERS = {
+    "_mul_packed": {"exact_poly.py", "commutative_oracle.py"},
+    "_add_into": {"exact_poly.py", "commutative_oracle.py"},
+    "_pack": {"exact_poly.py", "commutative_oracle.py"},
+    "centralizer_order": {"sn_rep.py"},
+}
+
+
+def test_private_kernels_are_named_only_by_their_owners():
+    strays = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name in _names(tree, _docstrings(tree)) & OWNERS.keys():
+            if path.name not in OWNERS[name]:
+                strays.add(f"{path.name}:{name}")
+    assert strays == set()

@@ -14,6 +14,7 @@ from cherpoi.sn_rep import (
     centralizer_order,
     character_table,
     character_value,
+    class_average,
     dim_irr,
     fake_degree,
     fake_degree_maj,
@@ -61,10 +62,23 @@ def test_character_orthogonality(n):
     for lam in parts:
         for mu in parts:
             inner = sum(
-                Fraction(table.chi(lam, rho) * table.chi(mu, rho), table.centralizers[rho])
+                Fraction(table.chi(lam, rho) * table.chi(mu, rho), centralizer_order(rho))
                 for rho in parts
             )
             assert inner == (1 if lam == mu else 0)
+
+
+def test_class_average_certifies_a_nonnegative_integer():
+    n = 4
+    chi = character_table(n).values
+    assert class_average(n, lambda rho: 1, "the trivial multiplicity") == 1
+    for lam in enumerate_partitions(n):
+        assert class_average(n, lambda rho: chi[(lam, rho)] ** 2, "a norm") == 1
+    # 1 on the identity class alone averages to 1/n!
+    with pytest.raises(ArithmeticError, match="the identity indicator is not a nonnegative integer: 1/24"):
+        class_average(n, lambda rho: int(rho == (1,) * n), "the identity indicator")
+    with pytest.raises(ArithmeticError, match="minus the trivial character .*: -1"):
+        class_average(n, lambda rho: -1, "minus the trivial character")
 
 
 def test_dim_irr_matches_identity_column():

@@ -259,6 +259,14 @@ def test_series_text_output(capsys):
     assert out == "(v^-1 - 2*v + v^3)/((1 - v)(1 - v)(-v^-2 + 1))"
 
 
+@pytest.mark.parametrize("kind", ["Jbar", "Nbar", "Nunder", "Mbar", "Munder"])
+def test_series_refuses_a_numerator_past_its_budget(capsys, kind):
+    start = time.perf_counter()
+    assert main(["series", "--kind", kind, "--n", "60"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "graded numerator bound" in capsys.readouterr().err
+
+
 def test_series_edelta_prefix(capsys):
     assert main(["series", "--kind", "eDelta", "--n", "2", "--mu", "[2]"]) == 0
     out = capsys.readouterr().out.strip()
@@ -565,6 +573,16 @@ def test_basis_refuses_an_algebra_past_its_budget(tmp_path, capsys, algebra):
     assert main(["basis", "--input", str(path)]) == 2
     assert time.perf_counter() - start < 0.5
     assert "resource limit" in capsys.readouterr().err
+
+
+def test_basis_refuses_too_many_shifts_before_building_the_table(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    algebra = {"kind": "polynomial", "variables": 1, "cutoff": 2}
+    path.write_text(json.dumps({"algebra": algebra, "shifts": [0] * 10**6}))
+    start = time.perf_counter()
+    assert main(["basis", "--input", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "idempotent bound" in capsys.readouterr().err
 
 
 def test_basis_missing_file(tmp_path, capsys):
