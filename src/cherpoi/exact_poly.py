@@ -1,8 +1,8 @@
 """Exact Laurent polynomials and rational functions with factored denominators.
 
-Coefficients are exact rationals in one normal form: an int when integral, a
-fractions.Fraction with denominator other than 1 otherwise, never a float.
-Most polynomials here are integral, so most arithmetic runs on ints.
+Coefficients are ints: the paper's series live in Z[q, t] and Z[v^(+-1)],
+and a coefficient or exponent of any other type (bool, float, Fraction,
+str) raises TypeError. Only evaluation leaves Z, at exact rational points.
 Rational functions keep their denominator as a list of unexpanded factors and
 are never reduced by a polynomial gcd, so equality is decided by
 cross-multiplication and series expansion can orient each factor separately.
@@ -14,7 +14,7 @@ balanced 66-bit slots. Exponents stay below 2^63 in absolute value, so a
 product's exponents fit their slots: its key is the sum of its factors' keys,
 int order of keys is lex order of exponents, and negating a key inverts
 every variable. One private kernel works on these dicts: _mul_packed
-(multiply, int or Fraction coefficients) and _add_into (scaled accumulate);
+(multiply) and _add_into (scaled accumulate), both on int coefficients;
 outside this module only commutative_oracle calls them, on keys of its own
 packing. Exponent tuples appear only where a caller reads exponents:
 LaurentPoly.terms, coefficient, sorted_terms, rendering, JSON and evaluate.
@@ -65,17 +65,6 @@ class ExactDivisionError(ArithmeticError):
     """Polynomial division that was expected to be exact failed."""
 
 
-def _as_fraction(c) -> int | Fraction:
-    """c as a coefficient in normal form: int if integral, else Fraction."""
-    if isinstance(c, int):
-        return int(c)
-    if isinstance(c, str):
-        c = Fraction(c)
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    raise TypeError(f"not an exact rational: {c!r}")
-
-
 # ---------------------------------------------------------------------------
 # Packed keys and the sparse kernel on {key: coefficient} dicts, shared by
 # LaurentPoly and the commutative oracle
@@ -111,9 +100,9 @@ def _box(a: dict, k: int) -> tuple[list[int], list[int]]:
 
 
 def _mul_packed(a: dict, b: dict) -> dict:
-    """Product of two sparse polynomials keyed by packed ints, under a
-    packing in which a product's key is the sum of its factors' keys (no
-    exponent overflows its slot)."""
+    """Product of two sparse polynomials with int coefficients keyed by
+    packed ints, under a packing in which a product's key is the sum of its
+    factors' keys (no exponent overflows its slot)."""
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
@@ -130,7 +119,7 @@ def _mul_packed(a: dict, b: dict) -> dict:
 
 
 def _add_into(acc: dict, p: dict, scale=1) -> None:
-    """acc += scale * p, in place; scale is nonzero."""
+    """acc += scale * p, in place, on int coefficients; scale is a nonzero int."""
     for e, c in p.items():
         if scale != 1:
             c = scale * c
@@ -178,22 +167,21 @@ def _binomial_quotient(top: Iterable[int], bottom: Iterable[int]) -> list[int]:
 
 class LaurentPoly:
     """A Laurent polynomial: map from packed exponent keys (see the module
-    docstring) to nonzero coefficients, each an int or a non-integral
-    Fraction. reach bounds the absolute value of every exponent."""
+    docstring) to nonzero int coefficients. reach bounds the absolute value
+    of every exponent."""
 
     __slots__ = ("vars", "packed", "reach")
 
-    def __init__(self, variables: tuple[str, ...], terms: Mapping[tuple[int, ...], int | Fraction | str]):
+    def __init__(self, variables: tuple[str, ...], terms: Mapping[tuple[int, ...], int]):
         self.vars = tuple(variables)
-        clean: dict[int, int | Fraction] = {}
+        clean: dict[int, int] = {}
         reach = 0
         for exps, coeff in terms.items():
-            coeff = _as_fraction(coeff)
+            if type(coeff) is not int:
+                raise TypeError(f"coefficient {coeff!r} is not an int")
             if coeff == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(self.vars):
-                raise ValueError(f"exponent vector {exps} does not match vars {self.vars}")
+            exps = self._exponents(exps)
             reach = max(reach, max(map(abs, exps), default=0))
             if reach >= MAX_EXPONENT:
                 raise OverflowError(f"exponent out of 64-bit range: {exps}")
@@ -204,12 +192,8 @@ class LaurentPoly:
     @classmethod
     def _build(cls, variables: tuple[str, ...], packed: dict, reach: int = 0) -> "LaurentPoly":
         """Wrap a fresh packed dict of nonzero coefficients whose exponents are
-        at most reach (below 2^65) in absolute value; integral Fractions
-        become ints. From MAX_EXPONENT on, reach is checked term by term."""
-        if set(map(type, packed.values())) - {int}:
-            for key, c in packed.items():
-                if type(c) is not int and c.denominator == 1:
-                    packed[key] = c.numerator
+        at most reach (below 2^65) in absolute value. From MAX_EXPONENT on,
+        reach is checked term by term."""
         if reach >= MAX_EXPONENT:
             reach = max(max(map(abs, side)) for side in _box(packed, len(variables))) if packed else 0
             if reach >= MAX_EXPONENT:
@@ -227,17 +211,17 @@ class LaurentPoly:
         return cls._build(tuple(variables), {})
 
     @classmethod
-    def const(cls, variables, c) -> "LaurentPoly":
-        c = _as_fraction(c)
-        return cls._build(tuple(variables), {0: c} if c else {})
+    def const(cls, variables, c: int) -> "LaurentPoly":
+        variables = tuple(variables)
+        return cls(variables, {(0,) * len(variables): c})
 
     @classmethod
     def one(cls, variables) -> "LaurentPoly":
         return cls.const(variables, 1)
 
     @classmethod
-    def monomial(cls, variables, exps, coeff=1) -> "LaurentPoly":
-        return cls(tuple(variables), {tuple(exps): _as_fraction(coeff)})
+    def monomial(cls, variables, exps, coeff: int = 1) -> "LaurentPoly":
+        return cls(tuple(variables), {tuple(exps): coeff})
 
     @classmethod
     def var_power(cls, variables, name: str, power: int, coeff=1) -> "LaurentPoly":
@@ -249,7 +233,7 @@ class LaurentPoly:
     # -- basic structure -------------------------------------------------
 
     @property
-    def terms(self) -> dict[tuple[int, ...], int | Fraction]:
+    def terms(self) -> dict[tuple[int, ...], int]:
         """{exponent tuple: coefficient}, unpacked afresh on every read."""
         k = len(self.vars)
         return {_unpack(key, k): c for key, c in self.packed.items()}
@@ -272,10 +256,20 @@ class LaurentPoly:
         if self.vars != other.vars:
             raise ValueError(f"mixed variable sets: {self.vars} vs {other.vars}")
 
+    def _exponents(self, exps) -> tuple[int, ...]:
+        """exps as a tuple of ints, one per variable: TypeError on a non-int
+        entry, ValueError on a wrong length."""
+        exps = tuple(exps)
+        if any(type(x) is not int for x in exps):
+            raise TypeError(f"exponent vector {exps} has an entry that is not an int")
+        if len(exps) != len(self.vars):
+            raise ValueError(f"exponent vector {exps} does not match vars {self.vars}")
+        return exps
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             other = LaurentPoly.const(self.vars, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -290,19 +284,18 @@ class LaurentPoly:
         return LaurentPoly._build(self.vars, {key: -c for key, c in self.packed.items()}, self.reach)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.vars, other)
-        return self + (-other)
+        if type(other) is int or isinstance(other, LaurentPoly):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
+        if type(other) is int:
+            if other == 0:
                 return LaurentPoly.zero(self.vars)
-            return LaurentPoly._build(self.vars, {key: cc * c for key, cc in self.packed.items()}, self.reach)
+            return LaurentPoly._build(self.vars, {key: c * other for key, c in self.packed.items()}, self.reach)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same_vars(other)
@@ -312,9 +305,7 @@ class LaurentPoly:
 
     def shift(self, exps: tuple[int, ...]) -> "LaurentPoly":
         """Multiply by the monomial with the given exponent vector."""
-        exps = tuple(int(x) for x in exps)
-        if len(exps) != len(self.vars):
-            raise ValueError(f"exponent vector {exps} does not match vars {self.vars}")
+        exps = self._exponents(exps)
         # |shift| >= 2^64 leaves the range from every term; below, exponents stay under 2^65
         top = max(map(abs, exps), default=0)
         if self.packed and top >= 2 * MAX_EXPONENT:
@@ -333,6 +324,8 @@ class LaurentPoly:
             if name not in mapping:
                 raise ValueError(f"no image for variable {name}")
             image = tuple(mapping[name])
+            if any(type(x) is not int for x in image):
+                raise TypeError(f"image {image} of {name} has an entry that is not an int")
             if len(image) > width:
                 raise ValueError(f"image {image} of {name} does not match vars {new_vars}")
             images.append(image + (0,) * (width - len(image)))
@@ -363,10 +356,12 @@ class LaurentPoly:
         """Substitute every variable x by x^(-1)."""
         return LaurentPoly._build(self.vars, {-key: c for key, c in self.packed.items()}, self.reach)
 
-    def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
+    def evaluate(self, values: Mapping[str, int | Fraction]) -> Fraction:
         """Full evaluation at exact rational points (nonzero where exponents are negative)."""
+        if any(type(values[name]) not in (int, Fraction) for name in self.vars):
+            raise TypeError(f"evaluation points must be ints or Fractions: {values!r}")
         # Fraction, not int, so that x**power stays exact for negative powers
-        vals = [Fraction(_as_fraction(values[name])) for name in self.vars]
+        vals = [Fraction(values[name]) for name in self.vars]
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c
@@ -380,13 +375,13 @@ class LaurentPoly:
 
     # -- term access ------------------------------------------------------
 
-    def coefficient(self, exps) -> int | Fraction:
-        exps = tuple(exps)
-        if len(exps) != len(self.vars) or any(abs(x) >= MAX_EXPONENT for x in exps):
+    def coefficient(self, exps) -> int:
+        exps = self._exponents(exps)
+        if any(abs(x) >= MAX_EXPONENT for x in exps):  # no term has such an exponent
             return 0
         return self.packed.get(_pack(exps), 0)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         k = len(self.vars)
         return [(_unpack(key, k), self.packed[key]) for key in sorted(self.packed)]
 
@@ -469,7 +464,7 @@ class ExactRationalFunction:
             return other
         if isinstance(other, LaurentPoly):
             return ExactRationalFunction(other)
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             return ExactRationalFunction(LaurentPoly.const(self.vars, other))
         raise TypeError(f"cannot combine with {other!r}")
 
@@ -493,7 +488,7 @@ class ExactRationalFunction:
         return (-self) + self._coerce(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
+        if type(other) is int or isinstance(other, LaurentPoly):
             other = self._coerce(other)
         if not isinstance(other, ExactRationalFunction):
             return NotImplemented
@@ -768,8 +763,10 @@ def poly_terms_to_json(poly: LaurentPoly) -> list:
 def poly_terms_from_json(variables, data) -> LaurentPoly:
     terms = {}
     for coeff_str, exps in data:
-        e = tuple(int(x) for x in exps)
-        terms[e] = terms.get(e, Fraction(0)) + Fraction(coeff_str)
+        if type(coeff_str) is not str:  # int() would truncate a JSON float
+            raise TypeError(f"coefficient {coeff_str!r} is not a string")
+        e = tuple(exps)
+        terms[e] = terms.get(e, 0) + int(coeff_str)
     return LaurentPoly(tuple(variables), terms)
 
 

@@ -11,10 +11,10 @@ The algebra is a monomial algebra: Q[x_1..x_m], possibly modulo every
 monomial above a top degree, presented degreewise over Q by its monomials
 up to a cutoff, and multiplied by adding exponent vectors. A homogeneous
 element of degree d is a sparse {basis index: coefficient} map, each
-coefficient in exact_poly's normal form: an int when integral, a Fraction
-otherwise, so integer data stays on integer arithmetic throughout. Free
-modules carry one shift per basis vector u_i, so the row-i component of a
-degree-g element lives in A_{g - shift_i}, and a degree-zero matrix has
+coefficient an exact rational in one normal form: an int when integral, a
+Fraction otherwise, so integer data stays on integer arithmetic throughout.
+Free modules carry one shift per basis vector u_i, so the row-i component of
+a degree-g element lives in A_{g - shift_i}, and a degree-zero matrix has
 entry (i, j) homogeneous of degree shift_j - shift_i.
 
 Everything is certified only up to the reported horizon
