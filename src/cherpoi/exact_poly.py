@@ -17,7 +17,8 @@ every variable. One private kernel works on these dicts: _mul_packed
 (multiply) and _add_into (scaled accumulate), both on int coefficients;
 outside this module only commutative_oracle calls them, on keys of its own
 packing. Exponent tuples appear only where a caller reads exponents:
-LaurentPoly.terms, coefficient, sorted_terms, rendering, JSON and evaluate.
+LaurentPoly.terms, coefficient, sorted_terms, rendering, JSON, evaluate,
+expand_window's orientation of its factors, and _build's overflow scan.
 
 The one exact division is _binomial_quotient: prod (1 - v^i) over
 prod (1 - v^h) for multisets of i and h, on a dense one-variable
@@ -34,9 +35,11 @@ Each factor is then 1 - g up to a sign and a monomial, and the numerator is
 multiplied by sum_k g^k one layer g^k at a time. A term that lies past the
 window and cannot come back into it is dropped as soon as it appears, and
 so are all its multiples; the expansion stops at the first empty layer. The
-layers and their sum are {key: coefficient} dicts over the plane (p, q), a
-single variable being p with q = 0, on slots wide enough for every term the
-window keeps; only the result becomes a LaurentPoly.
+numerator and the factors are read once as {(p, q): coefficient} in the
+flipped exponents, a single variable being p with q = 0, and peeled there.
+From the bound on every q the layers meet, the plane's slot is then chosen
+once: the layers and their sum are {p 2^slot + q: coefficient} dicts on it,
+and only the result becomes a LaurentPoly.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .errors import ResourceError
 MAX_EXPONENT = 2**63  # exponents are conceptually signed 64-bit; beyond is a hard error
 _SLOT = 66  # bits per exponent in a packed key
 _HALF = 1 << (_SLOT - 1)
-_DIGIT = (1 << _SLOT) - 1
 # term products one expand_window may make; bigraded_J(4, 0) on (24, 24),
 # the largest comparison the oracle's caps allow, makes about 306,000
 _EXPANSION_BUDGET = 1_000_000
@@ -90,13 +92,6 @@ def _unpack(key: int, k: int, slot: int = _SLOT) -> tuple[int, ...]:
         tail = (key - (rest << slot),) + tail
         key = rest
     return (key,) + tail
-
-
-def _box(a: dict, k: int) -> tuple[list[int], list[int]]:
-    """Per-variable (minima, maxima) of a nonzero packed polynomial's exponents, each |e| < 2^65."""
-    offset = _pack([_HALF] * k)  # every slot's digit becomes its exponent plus 2^65
-    slots = [[((key + offset) >> (_SLOT * i) & _DIGIT) - _HALF for key in a] for i in range(k - 1, -1, -1)]
-    return [min(s) for s in slots], [max(s) for s in slots]
 
 
 def _mul_packed(a: dict, b: dict) -> dict:
@@ -195,7 +190,8 @@ class LaurentPoly:
         at most reach (below 2^65) in absolute value. From MAX_EXPONENT on,
         reach is checked term by term."""
         if reach >= MAX_EXPONENT:
-            reach = max(max(map(abs, side)) for side in _box(packed, len(variables))) if packed else 0
+            k = len(variables)
+            reach = max((abs(x) for key in packed for x in _unpack(key, k)), default=0)
             if reach >= MAX_EXPONENT:
                 raise OverflowError("exponent out of 64-bit range")
         poly = object.__new__(cls)
@@ -607,19 +603,21 @@ def _normalize_direction(variables: tuple[str, ...], direction) -> tuple[int, ..
 
 
 def _normalize_window(variables: tuple[str, ...], window) -> list[tuple[int, int]]:
-    if isinstance(window, Mapping):
-        boxes = [window[name] for name in variables]
-    elif len(variables) == 1 and len(window) == 2 and all(isinstance(x, int) for x in window):
+    """One (lo, hi) pair of ints per variable; one variable's pair may stand
+    alone. TypeError on a bound that is not an int, ValueError on a wrong
+    variable count or lo > hi."""
+    boxes = list(window)
+    if len(variables) == 1 and len(boxes) == 2 and not isinstance(boxes[0], (tuple, list)):
         boxes = [window]
-    else:
-        boxes = list(window)
     if len(boxes) != len(variables):
         raise ValueError("window does not match variable count")
     out = []
     for lo, hi in boxes:
+        if type(lo) is not int or type(hi) is not int:
+            raise TypeError(f"window bounds {(lo, hi)} are not both ints")
         if lo > hi:
             raise ValueError(f"empty window [{lo}..{hi}]")
-        out.append((int(lo), int(hi)))
+        out.append((lo, hi))
     return out
 
 
@@ -641,21 +639,23 @@ def expand_window(f, direction, window) -> LaurentPoly:
     fboxes = [(lo, hi) if s == 1 else (-hi, -lo) for (lo, hi), s in zip(_normalize_window(variables, window), signs)]
     fboxes += [(0, 0)] * (2 - k)
 
-    def plane(poly: LaurentPoly) -> dict:
-        """poly in the flipped exponents, on 66-bit plane keys p 2^66 + q."""
-        s0, s1 = signs
-        keys = ((key << _SLOT * (2 - k), c) for key, c in poly.packed.items())
-        return {s1 * key + (s0 - s1) * (((key + _HALF) >> _SLOT) << _SLOT): c for key, c in keys}
+    s0, s1 = signs
 
-    num = plane(f.num)
+    def flipped(poly: LaurentPoly) -> dict:
+        """poly's terms as {(p, q): c} in the flipped exponents, q = 0 for one variable."""
+        if k == 1:
+            return {(s0 * p, 0): c for (p,), c in poly.terms.items()}
+        return {(s0 * p, s1 * q): c for (p, q), c in poly.terms.items()}
+
+    num = flipped(f.num)
     if not num:
         return LaurentPoly.zero(variables)
     # peel each factor into sign, monomial shift, and tail g with lex(g) > 0
     shift_p = shift_q = 0
     sign_flip = 1
-    tails: list[list] = []  # each g as a list of (key, coefficient)
+    tails: list[dict] = []  # each g as {(p, q): coefficient}
     for factor in f.den:
-        fac = plane(factor)
+        fac = flipped(factor)
         low = min(fac)
         low_c = fac[low]
         if low_c not in (1, -1):
@@ -664,12 +664,13 @@ def expand_window(f, direction, window) -> LaurentPoly:
             )
         if low_c == -1:
             sign_flip = -sign_flip
-        lp = (low + _HALF) >> _SLOT
+        lp, lq = low
         shift_p -= lp
-        shift_q -= low - (lp << _SLOT)
+        shift_q -= lq
         # g = 1 - fac/(low_c * mono): strictly lex-positive support; low_c is
         # +-1, so dividing by it is multiplying by it
-        tails.append([(key - low, -c * low_c) for key, c in fac.items() if key != low])
+        tails.append({(p - lp, q - lq): -c * low_c for (p, q), c in fac.items() if (p, q) != low})
+    num = {(p + shift_p, q + shift_q): sign_flip * c for (p, q), c in num.items()}
 
     # a term (p, q) is kept while p <= p_cap and q <= q_cap + rho (p_cap - p),
     # rho the largest possible future drop of q per unit of p
@@ -677,25 +678,17 @@ def expand_window(f, direction, window) -> LaurentPoly:
     rho = Fraction(0)
     step = 0  # the largest |q| of a tail term
     for tail in tails:
-        for key, _ in tail:
-            p = (key + _HALF) >> _SLOT
-            q = key - (p << _SLOT)
+        for p, q in tail:
             step = max(step, abs(q))
             if p > 0 and q < 0:
                 rho = max(rho, Fraction(-q, p))
     # a kept term's q lies within margin of q_cap and of the numerator's, and
-    # a candidate's within step of a kept one's; past 2^65 (many factors, or
-    # a steep tail and a long window) the plane takes slots that hold both
-    qs = [key - (((key + _HALF) >> _SLOT) << _SLOT) + shift_q for key in num]
-    margin = math.ceil(rho * max(0, p_cap - ((min(num) + _HALF) >> _SLOT) - shift_p))
-    bound = max(abs(min(qs)), abs(max(qs)), abs(q_cap)) + margin + step
-    slot = max(_SLOT, bound.bit_length() + 2)
-    if slot > _SLOT:  # p 2^66 + q becomes p 2^slot + q
-        grow = (1 << slot) - (1 << _SLOT)
-        num = {key + ((key + _HALF) >> _SLOT) * grow: c for key, c in num.items()}
-        tails = [[(key + ((key + _HALF) >> _SLOT) * grow, c) for key, c in tail] for tail in tails]
+    # a candidate's within step of a kept one's, so slots of this width hold
+    # every q the layers decode
+    margin = math.ceil(rho * max(0, p_cap - min(num)[0]))
+    bound = max(abs(q_cap), max(abs(q) for _, q in num)) + margin + step
+    slot = bound.bit_length() + 2
     half = 1 << (slot - 1)
-    shift = (shift_p << slot) + shift_q
     # p <= p_cap is key < limit, and the rho condition is a bound on the
     # weight rho_num p + rho_den q = rho_den key + slope p; both in integers
     limit = (p_cap << slot) + half
@@ -703,11 +696,8 @@ def expand_window(f, direction, window) -> LaurentPoly:
     slope = rho_num - (rho_den << slot)
     cap = rho_num * p_cap + rho_den * q_cap
 
-    result: dict = {}
-    for key, c in num.items():
-        key += shift
-        if key < limit and rho_den * key + slope * ((key + half) >> slot) <= cap:
-            result[key] = sign_flip * c
+    result = {(p << slot) + q: c for (p, q), c in num.items() if p <= p_cap and rho_num * p + rho_den * q <= cap}
+    tails = [[((p << slot) + q, c) for (p, q), c in tail.items()] for tail in tails]
 
     # the layers a factor needs grow with the numerator's distance from the
     # window, not with the window, so the products they make are budgeted

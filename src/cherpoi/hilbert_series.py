@@ -152,7 +152,7 @@ def _fixed_point_term(mu: Partition, d: int, argument_order: str) -> ExactRation
     """P_mu(s,t) s^{d n(mu)} t^{d n(mu^t)} / Omega(mu), over Omega's 2n factors."""
     from .macdonald import omega_factors, procesi_fiber
 
-    num = procesi_fiber(mu, argument_order).num.shift((d * nstat(mu), d * nstat(transpose(mu))))
+    num = procesi_fiber(mu, argument_order).shift((d * nstat(mu), d * nstat(transpose(mu))))
     return ExactRationalFunction(num, omega_factors(mu))
 
 

@@ -27,7 +27,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .errors import ResourceError
-from .exact_poly import ExactRationalFunction, LaurentPoly
+from .exact_poly import LaurentPoly
 from .partition_core import (
     Partition,
     cells,
@@ -213,10 +213,9 @@ def kostka_macdonald(n: int) -> KostkaMacdonaldMatrix:
 ARGUMENT_ORDERS = ("positional", "swapped")
 
 
-def procesi_fiber(mu, argument_order: str = "positional") -> ExactRationalFunction:
-    """P_mu(s,t) = sum_lam s^{n(mu)} K_{lam mu}(q:=t, t:=s^{-1}) dim(lam).
+def procesi_fiber(mu, argument_order: str = "positional") -> LaurentPoly:
+    """The Laurent polynomial P_mu(s,t) = sum_lam s^{n(mu)} K_{lam mu}(q:=t, t:=s^{-1}) dim(lam).
 
-    A Laurent polynomial in (s,t), returned with an empty denominator.
     argument_order="swapped" uses the reading q:=s^{-1}, t:=t instead; see
     the module docstring. The result is shared between callers and must not
     be mutated.
@@ -227,7 +226,7 @@ def procesi_fiber(mu, argument_order: str = "positional") -> ExactRationalFuncti
 
 
 @cache
-def _procesi_fiber(mu: Partition, argument_order: str) -> ExactRationalFunction:
+def _procesi_fiber(mu: Partition, argument_order: str) -> LaurentPoly:
     n = sum(mu)
     matrix = kostka_macdonald(n)
     mapping = {"q": (0, 1), "t": (-1, 0)} if argument_order == "positional" else {"q": (-1, 0), "t": (0, 1)}
@@ -236,7 +235,7 @@ def _procesi_fiber(mu: Partition, argument_order: str) -> ExactRationalFunction:
         entry = matrix.entries[(lam, mu)]
         if not entry.is_zero():
             acc = acc + entry.substitute_monomials(ST, mapping) * dim_irr(lam)
-    return ExactRationalFunction(acc.shift((nstat(mu), 0)))
+    return acc.shift((nstat(mu), 0))
 
 
 def omega_factors(mu) -> tuple[LaurentPoly, ...]:

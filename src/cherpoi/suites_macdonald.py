@@ -17,7 +17,7 @@ ST = ("s", "t")
 
 def _natural_coeffs(poly) -> bool:
     return all(
-        c == int(c) and c >= 0 and all(e >= 0 for e in exps)
+        c >= 0 and all(e >= 0 for e in exps)
         for exps, c in poly.terms.items()
     )
 

@@ -33,7 +33,7 @@ def _compare_window(n: int, d: int, window, total):
     left = {}
     right = {}
     for (a, b), value in sorted(table.table.items()):
-        left[(a, b)] = int(expansion.coefficient((a, b)))
+        left[(a, b)] = expansion.coefficient((a, b))
         right[(a, b)] = value
     return left, right
 
@@ -75,7 +75,7 @@ def _jbar_comparison(n: int, d: int, window, total):
         return "unsaturated", {}, dict(result.sums)
     lo, hi = min(sums), max(sums)
     series = expand_window(jbar_closed(n, d), "descending", (lo, hi))
-    left = {g: int(series.coefficient((g,))) for g in sorted(sums)}
+    left = {g: series.coefficient((g,)) for g in sorted(sums)}
     right = {g: sums[g] for g in sorted(sums)}
     return _verdict(left == right), left, right
 
@@ -101,7 +101,7 @@ def _fake_degree_multiplicities(n: int) -> dict[int, dict]:
     expected: dict[int, dict] = {}
     for mu in enumerate_partitions(n):
         for exps, coeff in fake_degree(mu).terms.items():
-            expected.setdefault(exps[0], {})[mu] = int(coeff)
+            expected.setdefault(exps[0], {})[mu] = coeff
     return expected
 
 

@@ -197,6 +197,32 @@ def test_expand_window_rejects_bad_direction():
         expand_window(f, "ascending", (0, 3))
 
 
+def test_expand_window_refuses_bad_windows():
+    f = ExactRationalFunction(LaurentPoly.one(V), [LaurentPoly.one(V) - vp(1)])
+    for bounds in [(0, 2.9), [(0.5, 2.9)], (False, 3), [(Fraction(0), 3)], ("0", 3)]:
+        with pytest.raises(TypeError):
+            expand_window(f, "ascending", bounds)
+    with pytest.raises(ValueError, match="variable count"):
+        expand_window(f, "ascending", [(0, 3), (0, 3)])
+    g = ExactRationalFunction(LaurentPoly.one(ST))
+    with pytest.raises(ValueError, match="variable count"):
+        expand_window(g, "ascending", [(0, 3)])
+    with pytest.raises(ValueError, match="empty window"):
+        expand_window(f, "ascending", (3, 2))
+    with pytest.raises(ValueError, match="empty window"):
+        expand_window(g, "ascending", ((0, 3), (1, -1)))
+
+
+def test_expand_window_steep_tail_on_narrow_slots():
+    # the plane's slot holds every q a candidate can reach, a tail's step
+    # included: on a 4-bit slot, sized for the window alone, t^17 s^a would
+    # read as s^(a+1) t inside the window
+    one = LaurentPoly.one(ST)
+    f = ExactRationalFunction(one, [one - LaurentPoly.var_power(ST, "s", 1), one - LaurentPoly.var_power(ST, "t", 17)])
+    box = expand_window(f, "ascending", ((0, 3), (0, 3)))
+    assert box.terms == {(a, 0): 1 for a in range(4)}
+
+
 def test_expand_window_finite_numerator_truncation():
     # numerator terms outside the window are dropped, inside kept exactly
     f = ExactRationalFunction(vp(-2) + vp(2))
@@ -513,10 +539,11 @@ def test_packed_keys_match_tuple_arithmetic(case):
 
 
 def test_substitute_monomials_on_wide_slots():
-    # these images take exponents to 4 (2^63 - 1) and past it, where keys need
-    # slots wider than 66 bits, before the result cancels back into range or,
-    # for the last two images, overflows; v = 8 (2^63 - 1) = 2^66 - 8 would
-    # read as v = -8 and u + 1 on 66-bit slots
+    # substitute_monomials folds keys onto slots that hold reach times the
+    # images' weights; these images take exponents to 4 (2^63 - 1) and past
+    # it, so the fold runs on slots wider than 66 bits, and the result cancels
+    # back into range or, for the last two images, overflows. On 66-bit slots
+    # v = 8 (2^63 - 1) = 2^66 - 8 would read as v = -8 and u + 1
     big = 2**63 - 1
     a = {(big, big): 3, (big, big - 1): -1, (1, 2): 2, (-big, 1 - big): 5}
     f = LaurentPoly(("x", "y"), a)
@@ -530,7 +557,8 @@ def test_substitute_monomials_on_wide_slots():
 @pytest.mark.parametrize("order", [0, 1])
 def test_expand_window_keys_past_66_bit_slots(order):
     # 1/((1 - s t^-M)(1 - t^M)): its layers reach q = -6M < -2^65 before
-    # t^M lifts them back into the window
+    # t^M lifts them back into the window, so the plane's slot, chosen once
+    # from the bound on q, is wider than a LaurentPoly key's 66 bits
     m = 2**63 - 1
     one = LaurentPoly.one(ST)
     den = [one - LaurentPoly(ST, {(1, -m): 1}), one - LaurentPoly(ST, {(0, m): 1})]

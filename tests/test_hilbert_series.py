@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -112,6 +113,13 @@ def test_bigraded_jj_relation():
             assert rf_equal(bigraded_JJ(n, d) * cross, bigraded_J(n, d))
     box = expand_window(bigraded_JJ(2, 0), "ascending", ((0, 2), (0, 2)))
     assert box.coefficient((0, 0)) == 1
+
+
+def test_bigraded_j_largest_oracle_window_fits_the_expansion_budget():
+    # bigraded_J(4, 0) on (24, 24) is the largest comparison the oracle's
+    # caps allow; expand_window raises ResourceError past _EXPANSION_BUDGET
+    box = expand_window(bigraded_J(4, 0), "ascending", ((0, 24), (0, 24)))
+    assert box.terms == {(a, b): comb(a + 2, 2) * comb(b + 2, 2) for a in range(25) for b in range(25)}
 
 
 def test_bigraded_j_trivial_target():

@@ -15,7 +15,6 @@ from cherpoi.exact_poly import (
     _add_into,
     _mul_packed,
     _pack,
-    rf_equal,
 )
 from cherpoi.macdonald import (
     ARGUMENT_ORDERS,
@@ -403,11 +402,8 @@ def test_procesi_fiber_dimension_and_orders():
     assert tuple(ARGUMENT_ORDERS) == ("positional", "swapped")
     for mu in enumerate_partitions(3):
         fiber = procesi_fiber(mu)
-        value = fiber.num.evaluate({"s": Fraction(1), "t": Fraction(1)})
-        den = Fraction(1)
-        for f in fiber.den:
-            den *= f.evaluate({"s": Fraction(1), "t": Fraction(1)})
-        assert value / den == 6
+        assert isinstance(fiber, LaurentPoly)
+        assert fiber.evaluate({"s": Fraction(1), "t": Fraction(1)}) == 6
     with pytest.raises(ValueError):
         procesi_fiber((2,), argument_order="sideways")
 
@@ -417,8 +413,8 @@ def test_procesi_fiber_n2_values():
     one = LaurentPoly.one(vars_st)
     s = LaurentPoly.var_power(vars_st, "s", 1)
     t = LaurentPoly.var_power(vars_st, "t", 1)
-    assert rf_equal(procesi_fiber((2,)), ExactRationalFunction(one + t))
-    assert rf_equal(procesi_fiber((1, 1)), ExactRationalFunction(one + s))
+    assert procesi_fiber((2,)) == one + t
+    assert procesi_fiber((1, 1)) == one + s
 
 
 def test_kostka_fake_degree_identity_variants():

@@ -214,8 +214,7 @@ def test_reports_do_not_depend_on_process_history(suite, params, others):
             for mu in enumerate_partitions(n):
                 out[mu] = [f.terms for f in omega_factors(mu)]
                 for order in ARGUMENT_ORDERS:
-                    fiber = procesi_fiber(mu, order)
-                    out[mu, order] = [fiber.num.terms] + [f.terms for f in fiber.den]
+                    out[mu, order] = procesi_fiber(mu, order).terms
         return out
 
     ingredients = fixed_point_ingredients()
