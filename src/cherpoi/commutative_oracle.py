@@ -12,7 +12,9 @@ inside C^n as the span of u_i = x_i - x_{i+1}; the dual copy h* carries the
 dual basis w_1..w_{n-1}. C[h + h*] is the polynomial ring in u_1..u_{n-1},
 w_1..w_{n-1} with deg u_i = (1,0) and deg w_i = (0,1). A permutation acts by
 sigma(u_j) = x_{sigma(j)} - x_{sigma(j+1)} rewritten in the u's, and on the
-w's by the inverse-transpose matrices. Edeg of the cell (a,b) is a - b.
+w's by sigma(w_j) = y_{sigma(1)} + ... + y_{sigma(j)}, the partial sums of the
+permuted y_s = w_s - w_{s-1} (w_0 = w_n = 0), so that the pairing of the u's
+and the w's is invariant. Edeg of the cell (a,b) is a - b.
 
 A^1 is the space of alternating polynomials, A^0 the invariants, and
 A^d = (A^1)^d for d >= 2; J^d = C[h + h*] A^d. jbar refers to the quotient
@@ -103,9 +105,6 @@ _ENTRY_CAP = 4_000_000  # stored basis entries before the engine gives up
 # enlarges the window by 4) and n(n-1)/2 in coinvariant_multiplicities
 _SLOT_BITS = 8
 
-Matrix = tuple[tuple[int, ...], ...]
-
-
 def _check_linear_range(n: int):
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -114,6 +113,8 @@ def _check_linear_range(n: int):
 
 
 def _check_bigraded_budget(n: int, d: int, window, total):
+    if any(type(x) is not int for x in window) or not (total is None or type(total) is int):
+        raise TypeError(f"window bounds and total-degree cap must be ints, got {window}, {total!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if d < 0:
@@ -139,31 +140,13 @@ def _check_bigraded_budget(n: int, d: int, window, total):
 
 
 # ---------------------------------------------------------------------------
-# permutations and their matrices on h and h*
+# permutations
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _perm_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
+    """(-1) to the number of inversions of perm."""
+    inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1 :])
+    return -1 if inversions % 2 else 1
 
 
 def class_representative(rho, n: int) -> tuple[int, ...]:
@@ -178,34 +161,6 @@ def class_representative(rho, n: int) -> tuple[int, ...]:
             perm[start + k] = start + (k + 1) % r
         start += r
     return tuple(perm)
-
-
-def _difference_in_u(a: int, b: int, m: int) -> dict[int, int]:
-    """x_a - x_b (1-based) as {u-index (0-based): coefficient}."""
-    if a == b:
-        return {}
-    if a < b:
-        return {j: 1 for j in range(a - 1, b - 1)}
-    return {j: -1 for j in range(b - 1, a - 1)}
-
-
-def _matrix_on_h(perm: tuple[int, ...], n: int) -> Matrix:
-    """Column j holds the u-coordinates of sigma(u_{j+1})."""
-    m = n - 1
-    cols = []
-    for j in range(m):
-        col = [0] * m
-        for i, c in _difference_in_u(perm[j] + 1, perm[j + 1] + 1, m).items():
-            col[i] = c
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
-
-
-def _matrix_on_h_dual(perm: tuple[int, ...], n: int) -> Matrix:
-    """Inverse-transpose of the h-matrix, i.e. M(sigma^{-1}) transposed."""
-    minv = _matrix_on_h(_perm_inverse(perm), n)
-    m = n - 1
-    return tuple(tuple(minv[j][i] for j in range(m)) for i in range(m))
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +240,21 @@ class _Engine:
         return self._group
 
     def _linear_images(self, perm) -> list[Poly]:
-        """sigma(x_r) for each variable x_r: sigma(u_j), then sigma(w_j)."""
+        """sigma(x_r) for each variable x_r. First sigma(u_j) =
+        x_{sigma(j)} - x_{sigma(j+1)} in the u's, where x_a - x_b = u_a + ...
+        + u_{b-1} for a < b; then sigma(w_j) = y_{sigma(1)} + ... +
+        y_{sigma(j)} in the w's, where y_s = w_s - w_{s-1} and w_0 = w_n = 0."""
         if perm not in self._linear:
             m = self.m
-            forms = []
-            matrices = (_matrix_on_h(perm, self.n), _matrix_on_h_dual(perm, self.n))
-            for side, mat in enumerate(matrices):
-                forms += [
-                    {_origin(side * m + i, 1): mat[i][j] for i in range(m) if mat[i][j]}
-                    for j in range(m)
-                ]
+            forms = [
+                {_origin(i, 1): 1 if p < q else -1 for i in range(min(p, q), max(p, q))}
+                for p, q in zip(perm, perm[1:])
+            ]
+            w = [0] * (self.n + 1)  # the coefficients of w_0..w_n
+            for s in perm[:m]:
+                w[s + 1] += 1  # y_{s+1}, perm being 0-based
+                w[s] -= 1
+                forms.append({_origin(m + i - 1, 1): w[i] for i in range(1, self.n) if w[i]})
             self._linear[perm] = forms
         return self._linear[perm]
 

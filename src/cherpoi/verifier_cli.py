@@ -11,7 +11,7 @@ basis    homogeneous free-basis extraction from a JSON idempotent
 verify   run one identity suite and emit a machine-readable report
 
 Exit codes: 0 pass, 1 check failure, 2 resource limit or skipped checks,
-3 input error.
+3 input error, usage errors included (argparse's own code would be 2).
 
 Reports are deterministic for fixed parameters and engine version; the
 per-check wall-clock fields are the one exception and can be omitted with
@@ -186,8 +186,18 @@ def _parse_pair(text) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3, as bad input does;
+    argparse's own 2 is the resource-limit code here. Subparsers inherit the
+    class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cherpoi",
         description="exact verification of graded series, tables, and bases",
     )

@@ -14,8 +14,6 @@ from cherpoi._linalg import EchelonSpan
 from cherpoi.commutative_oracle import (
     BigradedDims,
     _engine,
-    _matrix_on_h,
-    _matrix_on_h_dual,
     _window_cells,
     class_representative,
     coinvariant_multiplicities,
@@ -66,44 +64,80 @@ def _transpositions(n):
     return out
 
 
+def _side_matrices(perm, n):
+    """The matrices of sigma on h and on h*, read off the linear forms that the
+    engine multiplies: column j holds the u-coordinates of sigma(u_{j+1}),
+    respectively the w-coordinates of sigma(w_{j+1})."""
+    m = n - 1
+    forms = oracle._Engine(n)._linear_images(perm)
+    mats = []
+    for side in range(2):
+        keys = [oracle._origin(side * m + i, 1) for i in range(m)]
+        cols = forms[side * m : (side + 1) * m]
+        assert all(set(col) <= set(keys) for col in cols)  # no side mixes into the other
+        mats.append(tuple(tuple(col.get(k, 0) for col in cols) for k in keys))
+    return tuple(mats)
+
+
 def test_reflection_generators_frozen_n3():
-    s = _transpositions(3)
-    assert tuple(_matrix_on_h(p, 3) for p in s) == (((-1, 1), (0, 1)), ((1, 0), (1, -1)))
-    assert tuple(_matrix_on_h_dual(p, 3) for p in s) == (((-1, 0), (1, 1)), ((1, 1), (0, -1)))
+    on_h, on_h_dual = zip(*(_side_matrices(p, 3) for p in _transpositions(3)))
+    assert on_h == (((-1, 1), (0, 1)), ((1, 0), (1, -1)))
+    assert on_h_dual == (((-1, 0), (1, 1)), ((1, 1), (0, -1)))
 
 
 def test_reflection_generators_are_involutions_with_det_minus_one():
     for n in range(2, 5):
         eye = _identity(n - 1)
         for p in _transpositions(n):
-            for g in (_matrix_on_h(p, n), _matrix_on_h_dual(p, n)):
+            for g in _side_matrices(p, n):
                 assert _matmul(g, g) == eye
                 assert _det(g) == -1
 
 
 def test_coxeter_braid_and_commutation():
-    s = [_matrix_on_h(p, 4) for p in _transpositions(4)]
-    eye = _identity(3)
-    for i in range(2):
-        prod = _matmul(s[i], s[i + 1])
-        assert _matmul(prod, _matmul(prod, prod)) == eye
-    far = _matmul(s[0], s[2])
-    assert _matmul(far, far) == eye
+    for side in range(2):
+        s = [_side_matrices(p, 4)[side] for p in _transpositions(4)]
+        eye = _identity(3)
+        for i in range(2):
+            prod = _matmul(s[i], s[i + 1])
+            assert _matmul(prod, _matmul(prod, prod)) == eye
+        far = _matmul(s[0], s[2])
+        assert _matmul(far, far) == eye
 
 
 def test_action_is_a_homomorphism_and_det_is_the_sign():
-    for sigma in itertools.permutations(range(4)):
-        assert _det(_matrix_on_h(sigma, 4)) == perm_sign(sigma)
-        for tau in [(1, 0, 2, 3), (0, 2, 3, 1)]:
-            comp = tuple(sigma[tau[i]] for i in range(4))
-            assert _matrix_on_h(comp, 4) == _matmul(_matrix_on_h(sigma, 4), _matrix_on_h(tau, 4))
+    for n in range(2, oracle.MAX_ACTION_N + 1):
+        generators = [_side_matrices(tau, n) for tau in _transpositions(n)]
+        for sigma in itertools.permutations(range(n)):
+            mats = _side_matrices(sigma, n)
+            for g in mats:
+                assert _det(g) == perm_sign(sigma)
+            for tau, gens in zip(_transpositions(n), generators):
+                comp = _side_matrices(tuple(sigma[t] for t in tau), n)
+                for side in range(2):
+                    assert comp[side] == _matmul(mats[side], gens[side])
 
 
 def test_dual_action_preserves_the_pairing():
-    eye = _identity(3)
-    for sigma in itertools.permutations(range(4)):
-        dual_t = tuple(zip(*_matrix_on_h_dual(sigma, 4)))
-        assert _matmul(dual_t, _matrix_on_h(sigma, 4)) == eye
+    for n in range(2, oracle.MAX_ACTION_N + 1):
+        eye = _identity(n - 1)
+        for sigma in itertools.permutations(range(n)):
+            on_h, on_h_dual = _side_matrices(sigma, n)
+            assert _matmul(tuple(zip(*on_h_dual)), on_h) == eye
+
+
+def test_u_images_are_the_permuted_differences():
+    """sum_i M[i][j] (x_i - x_{i+1}) = x_{sigma(j)} - x_{sigma(j+1)}; with the
+    pairing this pins both sides of the action."""
+    for n in range(2, oracle.MAX_ACTION_N + 1):
+        for sigma in itertools.permutations(range(n)):
+            on_h = _side_matrices(sigma, n)[0]
+            for j in range(n - 1):
+                x = [0] * n
+                for i in range(n - 1):
+                    x[i] += on_h[i][j]
+                    x[i + 1] -= on_h[i][j]
+                assert x == [(k == sigma[j]) - (k == sigma[j + 1]) for k in range(n)]
 
 
 def test_class_representatives():
@@ -279,6 +313,15 @@ def test_budget_limits():
         jbar_dims(4, 0, (2, 2), total=8)
     with pytest.raises(ResourceError):
         coinvariant_multiplicities(6)
+
+
+@pytest.mark.parametrize("window, total", [
+    ((2, 2), 1.5), ((2, 2), True), ((2, 2), Fraction(2)), ((2.0, 2), None), ((2, False), None),
+])
+@pytest.mark.parametrize("operation", [ideal_power_dims, jbar_dims, parity_check])
+def test_window_bounds_and_totals_must_be_ints(operation, window, total):
+    with pytest.raises(TypeError, match="must be ints"):
+        operation(2, 0, window, total)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -675,7 +718,7 @@ def _reference_image(n: int, perm, poly):
     """sum of c * sigma(u-part) * sigma(w-part), each part a product of the
     images of u_j and w_j read off the reflection matrices."""
     m = n - 1
-    matrices = (_matrix_on_h(perm, n), _matrix_on_h_dual(perm, n))
+    matrices = _side_matrices(perm, n)
     units = [tuple(int(r == i) for r in range(2 * m)) for i in range(2 * m)]
     out = {}
     for e, c in poly.items():

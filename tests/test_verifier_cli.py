@@ -803,3 +803,47 @@ def test_the_smallest_grids_still_select_checks():
     assert len(report.checks) == 3 and report.exit_code == 0
     with pytest.raises(ValueError, match="suite kostka selects no check for --n-max 1$"):
         run_suite("kostka", {"n_max": 1})
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--suite", "nosuch"], 3),
+        (["verify", "--suite", "kostka", "--n-max", "x"], 3),
+        (["nosuch"], 3),
+        ([], 3),
+        (["--help"], 0),
+        (["--version"], 0),
+        (["verify", "--help"], 0),
+    ],
+    ids=["unknown-suite", "non-int-option", "unknown-subcommand", "bare", "help", "version",
+         "verify-help"],
+)
+def test_usage_errors_exit_3(capsys, argv, code):
+    # argparse's own usage-error code is 2, which here means a resource limit
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert ("error:" in captured.err) == (code == 3)
+
+
+def test_fake_degrees_past_the_grid_bound_are_skipped(tmp_path):
+    from cherpoi.suites_closed_forms import MAX_FAKE_DEGREES_N
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["verify", "--suite", "fake-degrees", "--n-max", "30", "--no-timings"]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "cherpoi.verifier_cli", *argv],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert done.returncode == 2, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["status"] == "partial"
+    verdicts = {c["name"]: c["verdict"] for c in doc["checks"]}
+    assert len(verdicts) == 90
+    for name, verdict in verdicts.items():
+        n = int(name.rsplit("-n", 1)[1])
+        assert verdict == ("pass" if n <= MAX_FAKE_DEGREES_N else "skipped"), name
