@@ -106,19 +106,34 @@ _ENTRY_CAP = 4_000_000  # stored basis entries before the engine gives up
 _SLOT_BITS = 8
 
 def _check_linear_range(n: int):
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > MAX_ACTION_N:
         raise ResourceError(f"oracle bound is n <= {MAX_ACTION_N}, got {n}")
 
 
-def _check_bigraded_budget(n: int, d: int, window, total):
+def _check_bigraded_input(n: int, d: int, window, total):
+    """Bad input to a bigraded operation, as TypeError or ValueError; the
+    oracle suites run it on their whole grid before any check."""
+    if type(n) is not int or type(d) is not int:
+        raise TypeError(f"n and d must be ints, got {n!r}, {d!r}")
     if any(type(x) is not int for x in window) or not (total is None or type(total) is int):
         raise TypeError(f"window bounds and total-degree cap must be ints, got {window}, {total!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
+    amax, bmax = window
+    if amax < 0 or bmax < 0:
+        raise ValueError(f"window bounds must be nonnegative: {window}")
+    if total is not None and total < 0:
+        raise ValueError(f"total-degree cap must be nonnegative, got {total}")
+
+
+def _check_bigraded_budget(n: int, d: int, window, total):
+    _check_bigraded_input(n, d, window, total)
     if n > MAX_BIGRADED_N:
         raise ResourceError(f"bigraded oracle bound is n <= {MAX_BIGRADED_N}, got {n}")
     if d > MAX_D:
@@ -130,13 +145,8 @@ def _check_bigraded_budget(n: int, d: int, window, total):
             raise ResourceError(
                 f"n = {n} runs need an explicit total-degree cap <= {N4_TOTAL_CAP}"
             )
-    amax, bmax = window
-    if amax < 0 or bmax < 0:
-        raise ValueError(f"window bounds must be nonnegative: {window}")
-    if amax > MAX_WINDOW_BOUND or bmax > MAX_WINDOW_BOUND:
+    if max(window) > MAX_WINDOW_BOUND:
         raise ResourceError(f"window bound cap is {MAX_WINDOW_BOUND}, got {window}")
-    if total is not None and total < 0:
-        raise ValueError(f"total-degree cap must be nonnegative, got {total}")
 
 
 # ---------------------------------------------------------------------------

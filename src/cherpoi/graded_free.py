@@ -5,7 +5,9 @@ This module turns that statement into an algorithm: given an idempotent
 matrix E with homogeneous entries acting on a shifted free module F, it
 extracts homogeneous elements of the image whose generated submodule matches
 the image degree by degree, and certifies freeness by Hilbert-function
-comparison up to an explicit horizon.
+comparison up to an explicit horizon: in each degree g, the rank generated
+equals the trace of E on F_g, which is dim im(E)_g because E^2 = E is
+verified exactly at construction, and equals the free count.
 
 The algebra is a monomial algebra: Q[x_1..x_m], possibly modulo every
 monomial above a top degree, presented degreewise over Q by its monomials
@@ -389,17 +391,18 @@ class ExtractionResult(_Record):
 def extract_homogeneous_basis(E: GradedIdempotent) -> ExtractionResult:
     """Greedy minimal homogeneous generators of im(E), certified free.
 
-    Degrees are processed in increasing order. At each degree the image of E
-    is compared against the submodule generated so far; image vectors outside
-    that span become new generators. Certification demands, at every degree
-    up to the horizon, that the generated dimension equals both the image
-    dimension and the free count sum(dim A_{g - |p|}); a mismatch raises
-    CertificationError naming the first uncertified degree.
+    Degrees are processed in increasing order. At each degree the image
+    vectors E(u_j x^idx) are offered, in turn, to the span of the generators'
+    multiples; each that enlarges it becomes a new generator, until its rank
+    reaches dim im(E)_g, the trace sum(E_jj dim A_{g - shift_j}) of E on F_g
+    (E_jj is a scalar). Certification demands, at every degree up to the
+    horizon, that the generated dimension equals both the trace and the free
+    count sum(dim A_{g - |p|}); a mismatch raises CertificationError naming
+    the first uncertified degree. E^2 = E is verified at construction, so a
+    trace that is not a nonnegative integer is a program fault: ArithmeticError.
     """
     algebra, shifts = E.algebra, E.shifts
-    horizon = min(
-        algebra.cutoff - max(shifts), algebra.cutoff + min(shifts)
-    )
+    horizon = min(algebra.cutoff - max(shifts), algebra.cutoff + min(shifts))
     if horizon < 0:
         raise CertificationError("first uncertified degree 0: cutoff too small")
     # column j of E is E u_j, of degree shift_j; E (u_j x^idx) is it times x^idx
@@ -407,31 +410,27 @@ def extract_homogeneous_basis(E: GradedIdempotent) -> ExtractionResult:
     generators: list[HomogeneousVector] = []
     image_dims: dict[int, int] = {}
     for g in range(min(shifts), horizon + 1):
+        trace = _exact(sum(E.entries[j][j].get(0, 0) * algebra.dim(g - s) for j, s in enumerate(shifts)))
+        if type(trace) is not int or trace < 0:
+            raise ArithmeticError(f"the trace {trace} of an idempotent on F_{g} is not a rank")
+        image_dims[g] = trace
         offsets = _layout(algebra, shifts, g)
-        image_vectors = []  # (column, e, idx, Q-vector) of each accepted image vector
-        image_span = EchelonSpan()
-        for column in columns:
-            e = g - column.degree
-            for idx in range(algebra.dim(e)):
-                qv = _scaled_qvector(algebra, shifts, offsets, column, e, idx)
-                if image_span.add(dict(qv)):  # qv is kept for the second span
-                    image_vectors.append((column, e, idx, qv))
-        image_dims[g] = image_span.rank
-
         span = EchelonSpan()
         for p in generators:
             e = g - p.degree
             for idx in range(algebra.dim(e)):
                 span.add(_scaled_qvector(algebra, shifts, offsets, p, e, idx))
-        for column, e, idx, qv in image_vectors:
-            if span.rank == image_dims[g]:
-                break
-            if span.add(qv):
-                generators.append(module_scale(algebra, shifts, column, e, {idx: 1}))
+        for column in columns:
+            e = g - column.degree
+            for idx in range(algebra.dim(e)):
+                if span.rank == trace:
+                    break
+                if span.add(_scaled_qvector(algebra, shifts, offsets, column, e, idx)):
+                    generators.append(module_scale(algebra, shifts, column, e, {idx: 1}))
         free_count = sum(algebra.dim(g - p.degree) for p in generators)
-        if not span.rank == image_dims[g] == free_count:
+        if not span.rank == trace == free_count:
             raise CertificationError(
                 f"first uncertified degree {g}: generated {span.rank}, "
-                f"image {image_dims[g]}, free count {free_count}"
+                f"image {trace}, free count {free_count}"
             )
     return ExtractionResult(tuple(generators), horizon, image_dims)

@@ -2,7 +2,9 @@
 
 The brute-force commutative oracle against the closed formulas.
 _compare_window and _jbar_comparison are shared with the oracle subcommand's
---compare.
+--compare. The bigraded suites' builders check their whole grid as input
+before any check runs, so bad input raises out of run_suite instead of
+failing a check; a resource cap stays per check, which reports skipped.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ def _suite_oracle_j(p):
     items = []
     for n, d_max, window, total in _oracle_j_grid(p):
         for d in range(d_max + 1):
+            commutative_oracle._check_bigraded_input(n, d, window, total)
+
             def compare(n=n, d=d, window=window, total=total):
                 left, right = _compare_window(n, d, window, total)
                 return _verdict(left == right), left, right
@@ -87,6 +91,8 @@ def _suite_oracle_jbar(p):
     items = []
     for n, d_max, window, total in _oracle_jbar_grid(p):
         for d in range(d_max + 1):
+            commutative_oracle._check_bigraded_input(n, d, window, total)
+
             def compare(n=n, d=d, window=window, total=total):
                 return _jbar_comparison(n, d, window, total)
 
@@ -123,7 +129,7 @@ def _suite_coinvariants(p):
 
 
 def _suite_parity(p):
-    from .commutative_oracle import parity_check
+    from .commutative_oracle import _check_bigraded_input, parity_check
 
     n_max = p.get("n_max", 3)
     d_max = p.get("d_max", 3)
@@ -132,6 +138,8 @@ def _suite_parity(p):
     items = []
     for n in range(2, n_max + 1):
         for d in range(d_max + 1):
+            _check_bigraded_input(n, d, window, total)
+
             def check(n=n, d=d):
                 ok = parity_check(n, d, window, total)
                 return _verdict(ok), ok, True

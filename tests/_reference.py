@@ -1,7 +1,15 @@
-"""Reference arithmetic on {exponent tuple: coefficient} dicts, shared by the
-tests that check exact_poly's packed-key kernel against it."""
+"""References shared between test files: arithmetic on {exponent tuple:
+coefficient} dicts, which the tests check exact_poly's packed-key kernel
+against, and an image rank by elimination, which they check graded_free's
+trace against."""
 
+import math
+from fractions import Fraction
+from itertools import accumulate
 from operator import add
+
+from cherpoi._linalg import EchelonSpan
+from cherpoi.graded_free import HomogeneousVector, module_scale
 
 
 def ref_mul(a: dict, b: dict) -> dict:
@@ -17,3 +25,23 @@ def ref_mul(a: dict, b: dict) -> dict:
             else:
                 out.pop(e, None)
     return out
+
+
+def image_dims_by_elimination(E, horizon: int) -> dict[int, int]:
+    """dim im(E)_g for min(shifts) <= g <= horizon, as the rank of the image
+    vectors E(u_j x^idx) flattened into F_g's monomial basis, cleared of
+    denominators and eliminated: a route that does not read the trace."""
+    algebra, shifts = E.algebra, E.shifts
+    dims = {}
+    for g in range(min(shifts), horizon + 1):
+        offsets = list(accumulate((algebra.dim(g - s) for s in shifts), initial=0))
+        span = EchelonSpan()
+        for j, s in enumerate(shifts):
+            column = HomogeneousVector(s, tuple(row[j] for row in E.entries))
+            for idx in range(algebra.dim(g - s)):
+                image = module_scale(algebra, shifts, column, g - s, {idx: 1})
+                v = {o + k: c for o, row in zip(offsets, image.rows) for k, c in row.items()}
+                scale = math.lcm(*(Fraction(c).denominator for c in v.values()))
+                span.add({k: int(c * scale) for k, c in v.items()})
+        dims[g] = span.rank
+    return dims

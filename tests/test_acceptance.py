@@ -40,6 +40,8 @@ from cherpoi.macdonald import kostka_fake_degree_identity, kostka_macdonald
 from cherpoi.partition_core import enumerate_partitions, nstat, transpose
 from cherpoi.sn_rep import dim_irr, fake_degree, fake_degree_maj
 
+from _reference import image_dims_by_elimination
+
 V = ("v",)
 ST = ("s", "t")
 
@@ -188,7 +190,8 @@ def test_ac10_graded_free_extractor():
     """Identity and projection idempotents return exact bases; 50 seeded
     random unipotent-conjugated projections over k[x] and k[x,y] at cutoff
     12 extract free bases whose Hilbert function matches the image in every
-    certified degree."""
+    certified degree. The image's Hilbert function is eliminated here, not
+    read off the extractor, whose image_dims are the trace of E."""
     algebra = polynomial_algebra(2, 12)
     identity = diagonal_idempotent(algebra, (2, 1, 0), (1, 1, 1))
     assert sorted(p.degree for p in extract_homogeneous_basis(identity)) == [0, 1, 2]
@@ -209,9 +212,11 @@ def test_ac10_graded_free_extractor():
         result = extract_homogeneous_basis(idem)
         assert len(result) == rank
         degrees = [p.degree for p in result]
+        image = image_dims_by_elimination(idem, result.horizon)
+        assert result.image_dims == image, trial
         for g in range(min(shifts), result.horizon + 1):
             free_count = sum(alg.dim(g - e) for e in degrees)
-            assert result.image_dims[g] == free_count, (trial, g)
+            assert image[g] == free_count, (trial, g)
 
 
 def test_ac11_identity_variants():

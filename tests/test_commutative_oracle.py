@@ -324,6 +324,31 @@ def test_window_bounds_and_totals_must_be_ints(operation, window, total):
         operation(2, 0, window, total)
 
 
+@pytest.mark.parametrize("n, d", [(2.0, 0), (True, 0), (Fraction(2), 0), (2, 1.0), (2, True), (2, "1")])
+@pytest.mark.parametrize("operation", [ideal_power_dims, jbar_dims, parity_check])
+def test_n_and_d_must_be_ints(operation, n, d):
+    # a float equal to an int would otherwise pass for that int, or fail deep
+    # in the engine; True is no int here either
+    with pytest.raises(TypeError, match="n and d must be ints"):
+        operation(n, d, (2, 2))
+
+
+@pytest.mark.parametrize("n", [3.0, True, Fraction(3), "3"])
+def test_the_coinvariant_n_must_be_an_int(n):
+    with pytest.raises(TypeError, match="n must be an int"):
+        coinvariant_multiplicities(n)
+
+
+def test_bad_input_is_told_apart_from_a_budget():
+    # the input check raises no ResourceError, even past a cap, and a value
+    # past a cap that is also bad input is reported as bad input
+    oracle._check_bigraded_input(5, 4, (30, 30), None)
+    with pytest.raises(ValueError, match="window bounds must be nonnegative"):
+        ideal_power_dims(5, 0, (-1, 2))
+    with pytest.raises(ValueError, match="total-degree cap must be nonnegative"):
+        parity_check(4, 2, (2, 2), -1)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_power_sums_are_n_to_the_k_times_the_sum_of_powers(n):
     # the reference writes x_i = sum_j ([j >= i] - j/n) u_j with Fraction

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from cherpoi import _linalg
 from cherpoi.errors import CertificationError
 from cherpoi.graded_free import (
     GradedIdempotent,
@@ -20,7 +21,10 @@ from cherpoi.graded_free import (
     truncated_polynomial_algebra,
     unipotent_inverse,
 )
-from cherpoi.graded_free import _exact, _layout, _scaled_qvector
+from cherpoi.graded_free import _exact, _layout, _scaled_qvector, _set_field
+from cherpoi.verifier_cli import run_suite
+
+from _reference import image_dims_by_elimination
 
 ONE = Fraction(1)
 
@@ -296,3 +300,75 @@ def test_certification_fails_when_the_cutoff_is_too_small():
     with pytest.raises(CertificationError, match="cutoff too small"):
         extract_homogeneous_basis(E)
 
+
+BATTERY_ALGEBRAS = [
+    polynomial_algebra(1, 10),
+    polynomial_algebra(2, 9),
+    polynomial_algebra(3, 6),
+    truncated_polynomial_algebra(1, 10, 3),
+    truncated_polynomial_algebra(2, 8, 2),
+    truncated_polynomial_algebra(2, 9, 4),
+]
+
+
+def test_image_dims_are_the_eliminated_image_rank():
+    # image_dims is the trace of E; eliminating the image vectors, a route
+    # that does not read the trace, must give the same ranks. Each random
+    # idempotent is run as drawn and conjugated by diag(1, ..., size), which
+    # puts Fractions in its entries: 720 idempotents in all
+    rng = Random(20261020)
+    fractions = 0
+    for algebra in BATTERY_ALGEBRAS:
+        for size in range(1, 6):
+            for _ in range(12):
+                shifts = tuple(sorted((rng.randint(0, 3) for _ in range(size)), reverse=True))
+                E = random_unipotent_idempotent(algebra, shifts, rng.randint(0, size), rng)
+                conjugate = tuple(
+                    tuple(
+                        {k: _exact(c * Fraction(i + 1, j + 1)) for k, c in entry.items()}
+                        for j, entry in enumerate(row)
+                    )
+                    for i, row in enumerate(E.entries)
+                )
+                fractions += any(Fraction in map(type, entry.values()) for entry in _entries(conjugate))
+                for idem in (E, GradedIdempotent(algebra, shifts, conjugate)):
+                    result = extract_homogeneous_basis(idem)
+                    assert all(type(v) is int for v in result.image_dims.values())
+                    assert result.image_dims == image_dims_by_elimination(idem, result.horizon)
+                    for g, dim in result.image_dims.items():
+                        assert dim == sum(algebra.dim(g - p.degree) for p in result)
+    assert fractions
+
+
+def test_a_rational_projector_has_an_integral_trace():
+    # [[1/2, 1/2], [1/2, 1/2]] projects onto the diagonal u_1 + u_2: its trace
+    # on F_g is dim A_g / 2 + dim A_g / 2, held as an int
+    alg = polynomial_algebra(1, 6)
+    half = {0: Fraction(1, 2)}
+    E = GradedIdempotent(alg, (0, 0), ((half, half), (half, half)))
+    result = extract_homogeneous_basis(E)
+    assert result.image_dims == image_dims_by_elimination(E, result.horizon) == dict.fromkeys(range(7), 1)
+    assert all(type(v) is int for v in result.image_dims.values())
+    (gen,) = result
+    assert gen.degree == 0 and gen.rows == (half, half)
+
+
+def test_a_trace_that_is_not_a_rank_is_a_program_fault():
+    # no GradedIdempotent holds [[1/2]], since E^2 = E is checked; one built
+    # past that check reaches the trace, which must not certify it
+    alg = polynomial_algebra(1, 4)
+    E = object.__new__(GradedIdempotent)
+    for name, value in (("algebra", alg), ("shifts", (0,)), ("entries", (({0: Fraction(1, 2)},),))):
+        _set_field(E, name, value)
+    with pytest.raises(ArithmeticError, match="trace 1/2"):
+        extract_homogeneous_basis(E)
+
+
+def test_the_graded_free_suite_eliminates_in_one_span_per_degree(monkeypatch):
+    # EchelonSpan.add calls over the default graded-free grid (seed 1729); a
+    # second span that eliminates the whole image in every degree makes 6,728
+    calls = []
+    add = _linalg.EchelonSpan.add
+    monkeypatch.setattr(_linalg.EchelonSpan, "add", lambda span, v: calls.append(1) or add(span, v))
+    assert run_suite("graded-free").status == "pass"
+    assert len(calls) == 2092

@@ -525,6 +525,24 @@ def test_basis_over_a_truncated_algebra(tmp_path, capsys):
     assert out["image_dims"] == {str(g): dim(g) + dim(g - 2) for g in range(7)}
 
 
+def test_basis_prints_a_rational_projector_s_trace_as_integers(tmp_path, capsys):
+    # [[1/2, 1/2], [1/2, 1/2]]: each image dimension is a trace summed from
+    # halves, and prints as a JSON integer
+    half = [{"exponents": [0], "coeff": "1/2"}]
+    doc = {
+        "schema": "cherpoi/idempotent-v1",
+        "algebra": {"kind": "polynomial", "variables": 1, "cutoff": 6},
+        "shifts": [0, 0],
+        "matrix": [{"row": i, "col": j, "terms": half} for i in range(2) for j in range(2)],
+    }
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc))
+    assert main(["basis", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert '"image_dims": {"0": 1, "1": 1, "2": 1, "3": 1, "4": 1, "5": 1, "6": 1}' in out
+    assert json.loads(out)["generators"] == [{"degree": 0, "rows": [half, half]}]
+
+
 def test_basis_cutoff_override(tmp_path, capsys):
     path = tmp_path / "idem.json"
     path.write_text(json.dumps(_hand_idempotent()))
@@ -723,6 +741,29 @@ def test_verify_partial_exit(capsys):
     assert main(["verify", "--suite", "oracle-jbar", "--n", "4"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "partial"
+    # a cap is per check: past it the suite still reports, skipped
+    assert main(["verify", "--suite", "oracle-J", "--n", "5"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert {c["verdict"] for c in doc["checks"]} == {"skipped"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "oracle-J", "--n", "1"], "need n >= 2, got 1"),
+        (["--suite", "oracle-jbar", "--n", "-2"], "need n >= 2, got -2"),
+        (["--suite", "oracle-J", "--n", "2", "--window", "0,-1"], "window bounds must be nonnegative"),
+        (["--suite", "parity", "--n-max", "3", "--total", "-2"], "total-degree cap must be nonnegative"),
+    ],
+    ids=["oracle-J-n", "oracle-jbar-n", "oracle-J-window", "parity-total"],
+)
+def test_bad_input_to_an_oracle_suite_exits_3(capsys, argv, message):
+    # bad input exits 3 before any check runs, as in the oracle subcommand: a
+    # failed check with exit 1 would read as a mathematical mismatch
+    assert main(["verify", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: {message}" in captured.err
 
 
 VERIFY_OPTIONS = {
