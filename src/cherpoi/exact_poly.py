@@ -10,15 +10,17 @@ cross-multiplication and series expansion can orient each factor separately.
 Every polynomial is a {packed key: coefficient} dict in one key format: the
 exponents e of k variables pack to key(e) = sum_i e_i 2^(66(k-1-i)), first
 variable most significant (one variable is its own exponent), in signed,
-balanced 66-bit slots. Exponents stay below 2^63 in absolute value, so a
-product's exponents fit their slots: its key is the sum of its factors' keys,
-int order of keys is lex order of exponents, and negating a key inverts
-every variable. One private kernel works on these dicts: _mul_packed
-(multiply) and _add_into (scaled accumulate), both on int coefficients;
-outside this module only commutative_oracle calls them, on keys of its own
-packing. Exponent tuples appear only where a caller reads exponents:
-LaurentPoly.terms, coefficient, sorted_terms, rendering, JSON, evaluate,
-expand_window's orientation of its factors, and _build's overflow scan.
+balanced 66-bit slots, the one slot width of every key. Exponents stay
+below 2^63 in absolute value, so a product's exponents fit their slots: its
+key is the sum of its factors' keys, int order of keys is lex order of
+exponents, and negating a key inverts every variable. One private kernel
+works on these dicts: _mul_packed (multiply) and _add_into (scaled
+accumulate), both on int coefficients; outside this module only
+commutative_oracle calls them, on keys of its own packing. Exponent tuples
+appear only where a caller reads exponents: LaurentPoly.terms, coefficient,
+sorted_terms, rendering, JSON, evaluate, substitute_monomials,
+expand_window's orientation of its factors, and _build's overflow scan;
+_unpack is the one decoder of a key.
 
 The one exact division is _binomial_quotient: prod (1 - v^i) over
 prod (1 - v^h) for multisets of i and h, on a dense one-variable
@@ -45,6 +47,7 @@ and only the result becomes a LaurentPoly.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
@@ -73,23 +76,24 @@ class ExactDivisionError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def _pack(e, slot: int = _SLOT) -> int:
-    """The key of exponent vector e, on slots of the given width."""
+def _pack(e) -> int:
+    """The key of exponent vector e."""
     key = 0
     for x in e:
-        key = (key << slot) + x
+        key = (key << _SLOT) + x
     return key
 
 
-def _unpack(key: int, k: int, slot: int = _SLOT) -> tuple[int, ...]:
-    """The exponent vector of k variables that packs to key; every slot but
-    the first must lie below 2^(slot-1) in absolute value."""
+def _unpack(key: int, k: int) -> tuple[int, ...]:
+    """The exponent vector of k variables that packs to key, every exponent
+    but the first below 2^65 in absolute value: the one decoder of the key
+    layout, for every reader of exponent tuples."""
     if k < 2:
         return (key,)[:k]
-    half, tail = 1 << (slot - 1), ()
+    tail = ()
     for _ in range(k - 1):
-        rest = (key + half) >> slot  # the key of all but the last variable
-        tail = (key - (rest << slot),) + tail
+        rest = (key + _HALF) >> _SLOT  # the key of all but the last variable
+        tail = (key - (rest << _SLOT),) + tail
         key = rest
     return (key,) + tail
 
@@ -312,7 +316,8 @@ class LaurentPoly:
     # -- substitution and evaluation ------------------------------------
 
     def substitute_monomials(self, new_vars, mapping: Mapping[str, tuple[int, ...]]) -> "LaurentPoly":
-        """Map each variable to a monomial (exponent vector over new_vars)."""
+        """Map each variable to a monomial (exponent vector over new_vars):
+        the terms whose images coincide are summed."""
         new_vars = tuple(new_vars)
         width = len(new_vars)
         images = []
@@ -325,28 +330,15 @@ class LaurentPoly:
             if len(image) > width:
                 raise ValueError(f"image {image} of {name} does not match vars {new_vars}")
             images.append(image + (0,) * (width - len(image)))
-        # no new exponent exceeds reach; from 2^65 on, keys take wider slots
-        reach = self.reach * max((sum(abs(image[j]) for image in images) for j in range(width)), default=0)
-        slot = _SLOT if reach < _HALF else reach.bit_length() + 2
-        steps = [_pack(image, slot) for image in images]
-        # with r_0 = key and r_{j+1} = (r_j + 2^65) >> 66, the key of the
-        # first k-1-j variables, sum_i e_i step_i = sum_j r_j fold_j
-        folds = [steps[-1 - j] - (steps[-j] << _SLOT if j else 0) for j in range(len(steps))]
+        # a term e goes to exponent j = sum_i e_i image_i[j], read off column
+        # j; with no variables the columns are empty and every term goes to 0
+        columns = [tuple(image[j] for image in images) for j in range(width)]
         out: dict = {}
-        for key, coeff in self.packed.items():
-            new = 0
-            for fold in folds:
-                new += key * fold
-                key = (key + _HALF) >> _SLOT
-            acc = out.get(new)
-            tot = coeff if acc is None else acc + coeff
-            if tot == 0:
-                out.pop(new, None)
-            else:
-                out[new] = tot
-        if slot != _SLOT:
-            return LaurentPoly(new_vars, {_unpack(key, width, slot): c for key, c in out.items()})
-        return LaurentPoly._build(new_vars, out, reach)
+        for exps, coeff in self.terms.items():
+            new = tuple(sum(map(operator.mul, exps, column)) for column in columns)
+            out[new] = out.get(new, 0) + coeff
+        # the constructor drops cancelled sums and refuses survivors past 2^63
+        return LaurentPoly(new_vars, out)
 
     def invert_variables(self) -> "LaurentPoly":
         """Substitute every variable x by x^(-1)."""

@@ -244,6 +244,8 @@ class GradedIdempotent(_Record):
         _set_field(self, "shifts", shifts)
         _set_field(self, "entries", entries)
         size = len(self.shifts)
+        if not size:
+            raise ValueError("an idempotent needs at least one shift")
         if len(self.entries) != size or any(len(r) != size for r in self.entries):
             raise ValueError("matrix shape does not match the shifts")
         spread = max(self.shifts) - min(self.shifts)

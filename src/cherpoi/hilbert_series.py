@@ -37,6 +37,10 @@ GRADINGS = ("h", "E")
 # n = 20 and 0.8 s at n = 24 on 2 cores, and a Jbar series 73 s at n = 40;
 # the suites stay at n <= 7
 MAX_NUMERATOR_N = 24
+# a standard series' fake degree grows about 8x in time per doubling of n;
+# at n = 200 one took 0.14 s for mu = (100, 100) and 0.44 s for a 14 x 14
+# square plus a row of 4, in process on 2 cores
+MAX_STANDARD_N = 200
 
 
 def _check_rank(n: int) -> None:
@@ -116,6 +120,8 @@ def e_standard_series(mu) -> PrefixedSeries:
     mu = check_partition(mu)
     n = sum(mu)
     _check_rank(n)
+    if n > MAX_STANDARD_N:
+        raise ResourceError(f"standard series bound is n <= {MAX_STANDARD_N}, got {n}")
     one = LaurentPoly.one(V)
     den = [one - _vp(i) for i in range(2, n + 1)]
     return PrefixedSeries(canonical_weight(mu), ExactRationalFunction(fake_degree(mu), den))

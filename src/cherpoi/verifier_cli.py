@@ -111,6 +111,12 @@ _PARAMETERS = {
     "seed": "seed",
 }
 _OPTIONS = {param: "--" + dest.replace("_", "-") for dest, param in _PARAMETERS.items()}
+# the suite parameters that set how many checks a builder makes, one closure
+# per grid point, and the largest value run_suite accepts for any of them; at
+# 64, jbar-chain --n-max 5 --d 64 took 0.45 s, and eqpoi and appendix-b
+# --n-max 7 --k 64 took 0.56 and 0.66 s
+_RANGES = ("n_max", "d_max", "k_max", "trials")
+MAX_GRID = 64
 
 
 class _Params(dict):
@@ -135,13 +141,18 @@ def run_suite(name: str, params=None) -> SuiteReport:
     Unknown names raise ValueError, and so does a parameter that the suite's
     builder does not read: every builder reads its parameters while it
     builds the checks. A grid that selects no check raises ValueError too,
-    so that an empty report never reads as a pass. Checks that trip a
-    resource bound are recorded as skipped; the report's exit code is then 2
-    unless some other check actually failed.
+    so that an empty report never reads as a pass. A grid parameter past
+    MAX_GRID raises ResourceError before the builder runs. Checks that trip
+    a resource bound are recorded as skipped; the report's exit code is then
+    2 unless some other check actually failed.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}, pick from {sorted(SUITES)}")
-    params = _Params(params or {})
+    params = params or {}
+    for key in _RANGES:
+        if params.get(key, 0) > MAX_GRID:
+            raise ResourceError(f"suite grid bound is {MAX_GRID}, got {_OPTIONS.get(key, key)} {params[key]}")
+    params = _Params(params)
     items = SUITES[name](params)
     unread = [_OPTIONS.get(key, key) for key in params if key not in params.read]
     if unread:
@@ -262,7 +273,7 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
 

@@ -539,11 +539,11 @@ def test_packed_keys_match_tuple_arithmetic(case):
 
 
 def test_substitute_monomials_on_wide_slots():
-    # substitute_monomials folds keys onto slots that hold reach times the
-    # images' weights; these images take exponents to 4 (2^63 - 1) and past
-    # it, so the fold runs on slots wider than 66 bits, and the result cancels
-    # back into range or, for the last two images, overflows. On 66-bit slots
-    # v = 8 (2^63 - 1) = 2^66 - 8 would read as v = -8 and u + 1
+    # these images take the exponents to 4 (2^63 - 1) and past it, beyond
+    # what a 66-bit slot holds; substitute_monomials maps exponent tuples, so
+    # the sums are exact and the result cancels back into range or, for the
+    # last two images, overflows. Read off a 66-bit key, v = 8 (2^63 - 1) =
+    # 2^66 - 8 would be v = -8 and u + 1
     big = 2**63 - 1
     a = {(big, big): 3, (big, big - 1): -1, (1, 2): 2, (-big, 1 - big): 5}
     f = LaurentPoly(("x", "y"), a)
@@ -552,6 +552,29 @@ def test_substitute_monomials_on_wide_slots():
         new_vars = ("u", "v", "w")[: len(images[0])]
         agrees(lambda: f.substitute_monomials(new_vars, dict(zip("xy", images))), ref_substitute(a, images))
     assert f.substitute_monomials(("u",), {"x": (2,), "y": (-2,)}).terms == {(0,): 3, (2,): -1, (-2,): 7}
+
+
+def test_substitute_monomials_from_no_variables():
+    # a polynomial in no variables is a constant, and lands at exponent 0
+    f = LaurentPoly((), {(): 3})
+    assert f.substitute_monomials(("u", "v"), {}).terms == {(0, 0): 3}
+    assert f.substitute_monomials((), {}).terms == {(): 3}
+
+
+def test_substitute_monomials_cancels_past_2_63():
+    # both terms land on u^(2^64 - 2), past the 64-bit range, and cancel
+    big = 2**63 - 1
+    f = LaurentPoly(("x", "y"), {(big, 0): 5, (0, big): -5, (1, 1): 2})
+    assert f.substitute_monomials(("u",), {"x": (2,), "y": (2,)}).terms == {(4,): 2}
+
+
+def test_substitute_monomials_refuses_a_surviving_exponent_past_2_63():
+    big = 2**63 - 1
+    f = LaurentPoly(("x", "y"), {(big, 0): 5, (0, big): -4})
+    with pytest.raises(OverflowError):
+        f.substitute_monomials(("u",), {"x": (2,), "y": (2,)})
+    with pytest.raises(OverflowError):
+        f.substitute_monomials(("u", "v"), {"x": (0, 2), "y": (0, 2)})
 
 
 @pytest.mark.parametrize("order", [0, 1])

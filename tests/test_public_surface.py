@@ -129,12 +129,16 @@ def test_the_keep_list_names_only_uncalled_public_names():
 
 
 # private names that only their owners may name in src/cherpoi: the sparse
-# kernel belongs to exact_poly and the oracle, which packs its own keys, and
-# z_rho is read only through sn_rep's class average
+# kernel belongs to exact_poly and the oracle, which packs its own keys;
+# LaurentPoly's keys are decoded only in exact_poly, and wrapped raw only
+# there and by sn_rep's one-variable fake degrees, whose keys are their
+# exponents; z_rho is read only through sn_rep's class average
 OWNERS = {
     "_mul_packed": {"exact_poly.py", "commutative_oracle.py"},
     "_add_into": {"exact_poly.py", "commutative_oracle.py"},
     "_pack": {"exact_poly.py", "commutative_oracle.py"},
+    "_unpack": {"exact_poly.py"},
+    "_build": {"exact_poly.py", "sn_rep.py"},
     "centralizer_order": {"sn_rep.py"},
 }
 

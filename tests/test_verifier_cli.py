@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from cherpoi.errors import ResourceError
 from cherpoi.exact_poly import rf_equal, rf_from_json
 from cherpoi.hilbert_series import _graded_numerator, jbar_closed
 from cherpoi.macdonald import (
@@ -22,7 +24,7 @@ from cherpoi.macdonald import (
 from cherpoi.partition_core import enumerate_partitions
 from cherpoi.sn_rep import fake_degree
 from cherpoi.cli_table import emit_table
-from cherpoi.verifier_cli import SUITES, _parse_pair, main, run_suite
+from cherpoi.verifier_cli import MAX_GRID, SUITES, _parse_pair, main, run_suite
 
 SMALL_GRIDS = {
     "fake-degrees": {"n_max": 4},
@@ -264,6 +266,27 @@ def test_series_refuses_a_numerator_past_its_budget(capsys, kind):
     assert main(["series", "--kind", kind, "--n", "60"]) == 2
     assert time.perf_counter() - start < 0.5
     assert "graded numerator bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, option", [("Jbar", "--d"), ("Nbar", "--k"), ("J", "--d")])
+def test_series_exponent_past_64_bits_is_an_input_error(capsys, kind, option):
+    # the shift v^(d n(n-1)/2) or s^(d n(mu)) leaves the 64-bit exponent range
+    assert main(["series", "--kind", kind, "--n", "2", option, str(10**19)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: exponent out of 64-bit range" in captured.err
+
+
+def test_series_edelta_refuses_n_past_its_bound(capsys):
+    from cherpoi.hilbert_series import MAX_STANDARD_N
+
+    n = 2 * MAX_STANDARD_N
+    start = time.perf_counter()
+    assert main(["series", "--kind", "eDelta", "--n", str(n), "--mu", f"[{n // 2},{n // 2}]"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"resource limit: standard series bound is n <= {MAX_STANDARD_N}, got {n}" in captured.err
 
 
 def test_series_edelta_prefix(capsys):
@@ -602,6 +625,17 @@ def test_basis_refuses_too_many_shifts_before_building_the_table(tmp_path, capsy
     assert "idempotent bound" in capsys.readouterr().err
 
 
+def test_basis_refuses_an_empty_shift_list(tmp_path, capsys):
+    # max() of the shifts once failed with "max() arg is an empty sequence"
+    path = tmp_path / "empty.json"
+    algebra = {"kind": "polynomial", "variables": 1, "cutoff": 2}
+    path.write_text(json.dumps({"algebra": algebra, "shifts": [], "matrix": []}))
+    assert main(["basis", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: an idempotent needs at least one shift" in captured.err
+
+
 def test_basis_missing_file(tmp_path, capsys):
     assert main(["basis", "--input", str(tmp_path / "absent.json")]) == 3
     assert "input error" in capsys.readouterr().err
@@ -888,3 +922,47 @@ def test_fake_degrees_past_the_grid_bound_are_skipped(tmp_path):
     for name, verdict in verdicts.items():
         n = int(name.rsplit("-n", 1)[1])
         assert verdict == ("pass" if n <= MAX_FAKE_DEGREES_N else "skipped"), name
+
+
+@pytest.mark.parametrize("suite, param", [
+    ("fake-degrees", "n_max"), ("jbar-chain", "d_max"), ("eqpoi", "k_max"), ("graded-free", "trials"),
+])
+def test_run_suite_refuses_a_grid_past_its_bound(monkeypatch, suite, param):
+    # every builder makes one check per grid point, so a 10^20 grid once ran
+    # out of memory before the first check; it is refused before the builder
+    # runs, and a builder that runs fails the test instead of the machine
+    def builder(params):
+        raise AssertionError(f"{suite} built a grid of {params}")
+
+    monkeypatch.setitem(SUITES, suite, builder)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=f"suite grid bound is {MAX_GRID}"):
+        run_suite(suite, {param: 10**20})
+    assert time.perf_counter() - start < 0.5
+
+
+def test_run_suite_accepts_a_grid_at_its_bound():
+    report = run_suite("eqpoi", {"n_max": 2, "k_max": MAX_GRID})
+    assert report.exit_code == 0
+    assert len(report.checks) == MAX_GRID + 1
+
+
+def _limit_address_space():
+    # a regression that builds the grid again fails with MemoryError in the
+    # child instead of taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_verify_refuses_a_huge_grid_before_building_it(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["verify", "--suite", "jbar-chain", "--n-max", "2", "--d", str(10**20)]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "cherpoi.verifier_cli", *argv],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == f"resource limit: suite grid bound is {MAX_GRID}, got --d {10**20}\n"
