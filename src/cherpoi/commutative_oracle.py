@@ -91,7 +91,7 @@ from typing import NamedTuple
 from ._linalg import EchelonSpan
 from .errors import ResourceError
 from .exact_poly import _add_into, _mul_packed
-from .partition_core import Partition, check_partition
+from .partition_core import Partition, check_ints, check_partition
 from .sn_rep import character_table, class_average
 
 MAX_ACTION_N = 5  # coinvariant_multiplicities
@@ -106,8 +106,7 @@ _ENTRY_CAP = 4_000_000  # stored basis entries before the engine gives up
 _SLOT_BITS = 8
 
 def _check_linear_range(n: int):
-    if type(n) is not int:
-        raise TypeError(f"n must be an int, got {n!r}")
+    check_ints("n", n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > MAX_ACTION_N:
@@ -117,10 +116,8 @@ def _check_linear_range(n: int):
 def _check_bigraded_input(n: int, d: int, window, total):
     """Bad input to a bigraded operation, as TypeError or ValueError; the
     oracle suites run it on their whole grid before any check."""
-    if type(n) is not int or type(d) is not int:
-        raise TypeError(f"n and d must be ints, got {n!r}, {d!r}")
-    if any(type(x) is not int for x in window) or not (total is None or type(total) is int):
-        raise TypeError(f"window bounds and total-degree cap must be ints, got {window}, {total!r}")
+    check_ints("n and d", n, d)
+    check_ints("window bounds and total-degree cap", *window, *([] if total is None else [total]))
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if d < 0:

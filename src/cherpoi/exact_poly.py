@@ -53,6 +53,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ResourceError
+from .partition_core import check_ints
 
 MAX_EXPONENT = 2**63  # exponents are conceptually signed 64-bit; beyond is a hard error
 _SLOT = 66  # bits per exponent in a packed key
@@ -558,6 +559,7 @@ def rf_equal(f: ExactRationalFunction, g: ExactRationalFunction) -> bool:
 
 def q_factorial(n: int) -> ExactRationalFunction:
     """[n]_v! as prod_{i=1..n}(1 - v^i) over (1 - v)^n."""
+    check_ints("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     v = ("v",)
@@ -571,6 +573,7 @@ def q_factorial(n: int) -> ExactRationalFunction:
 
 def q_factorial_poly(n: int) -> LaurentPoly:
     """[n]_v! in expanded polynomial form, the quotient q_factorial states."""
+    check_ints("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     coeffs = _binomial_quotient(range(1, n + 1), [1] * n)

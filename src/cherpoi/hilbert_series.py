@@ -4,8 +4,9 @@ series Nbar, Nunder, Mbar, Munder with their h- and E-gradings.
 
 Everything stays in factored rational-function form; expansion happens only
 through exact_poly.expand_window. The degenerate rank n=1 is rejected across
-the module. Formal coupling parameters ride along as CExponent prefixes where
-a series has one; concrete integers d, k enter the bodies as monomial shifts.
+the module, and n, d and k must be ints proper (partition_core.check_ints).
+Formal coupling parameters ride along as CExponent prefixes where a series
+has one; concrete integers d, k enter the bodies as monomial shifts.
 
 Only _fixed_point_term uses macdonald, and it imports it itself, so the
 series that do not sum over fixed points load without it; bigraded_JJ,
@@ -20,14 +21,8 @@ from typing import NamedTuple
 
 from .errors import ResourceError
 from .exact_poly import CExponent, ExactRationalFunction, LaurentPoly
-from .partition_core import (
-    Partition,
-    check_partition,
-    enumerate_partitions,
-    nstat,
-    transpose,
-)
-from .sn_rep import dim_irr, fake_degree, kronecker
+from .partition_core import Partition, check_ints, check_partition, enumerate_partitions, nstat, num_syt, transpose
+from .sn_rep import fake_degree, kronecker
 
 V = ("v",)
 ST = ("s", "t")
@@ -46,6 +41,14 @@ MAX_STANDARD_N = 200
 def _check_rank(n: int) -> None:
     if n < 2:
         raise ValueError(f"series are defined for n >= 2, got n={n}")
+
+
+def _check_series_input(n: int, name: str, value: int, least: int) -> None:
+    """n an int >= 2, and the power or twist called name an int >= least."""
+    check_ints(f"n and {name}", n, value)
+    _check_rank(n)
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
 
 
 def _check_grading(grading: str) -> None:
@@ -165,9 +168,7 @@ def _fixed_point_term(mu: Partition, d: int, argument_order: str) -> ExactRation
 def bigraded_JJ(n: int, d: int, argument_order: str = "positional") -> ExactRationalFunction:
     """Bigraded series of the big ideal power, P_mu read in argument_order:
     sum_mu P_mu(s,t) s^{d n(mu)} t^{d n(mu^t)} / Omega(mu)."""
-    _check_rank(n)
-    if d < 0:
-        raise ValueError(f"need d >= 0, got {d}")
+    _check_series_input(n, "d", d, 0)
     total = ExactRationalFunction(LaurentPoly.zero(ST))
     for mu in enumerate_partitions(n):
         total = total + _fixed_point_term(mu, d, argument_order)
@@ -191,9 +192,7 @@ def bigraded_J(n: int, d: int, argument_order: str = "positional") -> ExactRatio
 def jbar_closed(n: int, d: int) -> ExactRationalFunction:
     """Graded series of the quotient of the ideal power by the invariants:
     sum_mu f_mu(1) f_mu(1/v) v^{-d(n(mu)-n(mu^t))} [n]_v! / prod_{i=2}^n (1-v^-i)."""
-    _check_rank(n)
-    if d < 0:
-        raise ValueError(f"need d >= 0, got {d}")
+    _check_series_input(n, "d", d, 0)
     one = LaurentPoly.one(V)
     num = _graded_numerator(n, d).invert_variables()
     for i in range(1, n + 1):
@@ -211,9 +210,7 @@ def jbar_via_specialization(n: int, d: int) -> ExactRationalFunction:
     Its equality with jbar_closed is the derivation-chain check that the
     acceptance suite performs; nothing here assumes it.
     """
-    _check_rank(n)
-    if d < 0:
-        raise ValueError(f"need d >= 0, got {d}")
+    _check_series_input(n, "d", d, 0)
     one = LaurentPoly.one(V)
     cut = one - _vp(-1)
     for i in range(1, n + 1):
@@ -238,7 +235,7 @@ def _graded_numerator(n: int, shift_mult: int) -> LaurentPoly:
         raise ResourceError(f"graded numerator bound is n <= {MAX_NUMERATOR_N}, got {n}")
     num = LaurentPoly.zero(V)
     for mu in enumerate_partitions(n):
-        num = num + fake_degree(mu).shift((shift_mult * _wshift(mu),)) * dim_irr(mu)
+        num = num + fake_degree(mu).shift((shift_mult * _wshift(mu),)) * num_syt(mu)
     return num
 
 
@@ -257,9 +254,7 @@ def nbar_series(n: int, k: int, grading: str = "h") -> ExactRationalFunction:
     / (1-1/v)^{n-1}; the printed form with f_mu(1/v) and [n]_v! is checked
     against this one by the test suite.
     """
-    _check_rank(n)
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    _check_series_input(n, "k", k, 0)
     one = LaurentPoly.one(V)
     body = ExactRationalFunction(_graded_numerator(n, k), [one - _vp(-1)] * (n - 1))
     return _with_grading(body, n, k, grading)
@@ -268,9 +263,7 @@ def nbar_series(n: int, k: int, grading: str = "h") -> ExactRationalFunction:
 def nunder_series(n: int, k: int, grading: str = "h") -> ExactRationalFunction:
     """Series of the submodule N(k)under:
     sum_mu f_mu(1) f_mu(v) v^{k(n(mu)-n(mu^t))} / prod_{i=2}^n (1-v^i)."""
-    _check_rank(n)
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    _check_series_input(n, "k", k, 0)
     one = LaurentPoly.one(V)
     body = ExactRationalFunction(_graded_numerator(n, k), [one - _vp(i) for i in range(2, n + 1)])
     return _with_grading(body, n, k, grading)
@@ -283,9 +276,7 @@ def mbar_series(n: int, k: int, grading: str = "h") -> ExactRationalFunction:
     v^{(k-1)(n(mu)-n(mu^t))} / prod_{i=2}^n (1-v^-i); the printed form with
     f_mu(1/v) and shift -(k-1) is checked against this one by the test suite.
     """
-    _check_rank(n)
-    if k < 1:
-        raise ValueError(f"the module M(k) needs k >= 1, got {k}")
+    _check_series_input(n, "k", k, 1)
     one = LaurentPoly.one(V)
     num = _graded_numerator(n, k - 1).shift((-(n * (n - 1) // 2),))
     body = ExactRationalFunction(num, [one - _vp(-i) for i in range(2, n + 1)])
@@ -295,9 +286,7 @@ def mbar_series(n: int, k: int, grading: str = "h") -> ExactRationalFunction:
 def munder_series(n: int, k: int, grading: str = "h") -> ExactRationalFunction:
     """Series of the submodule M(k)under, k >= 1:
     sum_mu f_mu(1) f_mu(1/v) v^{k(n(mu)-n(mu^t))} / (1-v)^{n-1}."""
-    _check_rank(n)
-    if k < 1:
-        raise ValueError(f"the module M(k) needs k >= 1, got {k}")
+    _check_series_input(n, "k", k, 1)
     one = LaurentPoly.one(V)
     body = ExactRationalFunction(_graded_numerator(n, -k).invert_variables(), [one - _vp(1)] * (n - 1))
     return _with_grading(body, n, k, grading)

@@ -28,15 +28,9 @@ from typing import NamedTuple
 
 from .errors import ResourceError
 from .exact_poly import LaurentPoly
-from .partition_core import (
-    Partition,
-    cells,
-    cell_data,
-    check_partition,
-    enumerate_partitions,
-    nstat,
-)
-from .sn_rep import dim_irr, fake_degree
+from .partition_core import Partition, cells, cell_data, check_partition, enumerate_partitions, nstat, num_syt
+from .partition_core import memo, memo_n, memo_partition
+from .sn_rep import fake_degree
 
 QT = ("q", "t")
 ST = ("s", "t")
@@ -70,7 +64,7 @@ def _ssyt_count(lam: Partition, content: tuple[int, ...]) -> int:
     )
 
 
-@cache
+@memo_n
 def kostka_numbers(n: int) -> dict[Partition, dict[Partition, int]]:
     """s_lam = sum_nu kostka_numbers(n)[lam][nu] m_nu.
 
@@ -187,7 +181,7 @@ def _hhl_column(mu: Partition) -> dict[Partition, LaurentPoly]:
     }
 
 
-@cache
+@memo_n
 def kostka_macdonald(n: int) -> KostkaMacdonaldMatrix:
     """The full K_{lam mu}(q,t) matrix, built once per process and kept in memory.
 
@@ -213,20 +207,20 @@ def kostka_macdonald(n: int) -> KostkaMacdonaldMatrix:
 ARGUMENT_ORDERS = ("positional", "swapped")
 
 
-def procesi_fiber(mu, argument_order: str = "positional") -> LaurentPoly:
+def _fiber_door(mu, argument_order: str = "positional") -> tuple[Partition, str]:
+    if argument_order not in ARGUMENT_ORDERS:
+        raise ValueError(f"argument_order must be one of {ARGUMENT_ORDERS}")
+    return check_partition(mu), argument_order
+
+
+@memo(_fiber_door)
+def procesi_fiber(mu: Partition, argument_order: str = "positional") -> LaurentPoly:
     """The Laurent polynomial P_mu(s,t) = sum_lam s^{n(mu)} K_{lam mu}(q:=t, t:=s^{-1}) dim(lam).
 
     argument_order="swapped" uses the reading q:=s^{-1}, t:=t instead; see
     the module docstring. The result is shared between callers and must not
     be mutated.
     """
-    if argument_order not in ARGUMENT_ORDERS:
-        raise ValueError(f"argument_order must be one of {ARGUMENT_ORDERS}")
-    return _procesi_fiber(check_partition(mu), argument_order)
-
-
-@cache
-def _procesi_fiber(mu: Partition, argument_order: str) -> LaurentPoly:
     n = sum(mu)
     matrix = kostka_macdonald(n)
     mapping = {"q": (0, 1), "t": (-1, 0)} if argument_order == "positional" else {"q": (-1, 0), "t": (0, 1)}
@@ -234,18 +228,14 @@ def _procesi_fiber(mu: Partition, argument_order: str) -> LaurentPoly:
     for lam in matrix.partitions:
         entry = matrix.entries[(lam, mu)]
         if not entry.is_zero():
-            acc = acc + entry.substitute_monomials(ST, mapping) * dim_irr(lam)
+            acc = acc + entry.substitute_monomials(ST, mapping) * num_syt(lam)
     return acc.shift((nstat(mu), 0))
 
 
-def omega_factors(mu) -> tuple[LaurentPoly, ...]:
+@memo_partition
+def omega_factors(mu: Partition) -> tuple[LaurentPoly, ...]:
     """The 2n binomials (1-s^{1+l}t^{-a})(1-s^{-l}t^{1+a}) over the cells of
     mu, shared between callers."""
-    return _omega_factors(check_partition(mu))
-
-
-@cache
-def _omega_factors(mu: Partition) -> tuple[LaurentPoly, ...]:
     one = LaurentPoly.one(ST)
     factors = []
     for i, j in cells(mu):
@@ -274,15 +264,15 @@ def kostka_fake_degree_identity(n: int, variant: str = "printed") -> dict[Partit
     fk = {lam: fake_degree(lam).invert_variables() for lam in matrix.partitions}
     rhs_sum = LaurentPoly.zero(v)
     for lam in matrix.partitions:
-        rhs_sum = rhs_sum + fk[lam] * dim_irr(lam)
+        rhs_sum = rhs_sum + fk[lam] * num_syt(lam)
     for mu in matrix.partitions:
         lhs = LaurentPoly.zero(v)
         for lam in matrix.partitions:
             entry = matrix.entries[(lam, mu)]
             kv = entry.substitute_monomials(v, {"q": (-1,), "t": (-1,)})
             fstar = fk[mu] if variant == "printed" else fk[lam]
-            lhs = lhs + kv * fstar * dim_irr(lam)
+            lhs = lhs + kv * fstar * num_syt(lam)
         lhs = lhs.shift((nstat(mu),))
-        rhs = rhs_sum * dim_irr(mu)
+        rhs = rhs_sum * num_syt(mu)
         results[mu] = lhs == rhs
     return results

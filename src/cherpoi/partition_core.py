@@ -1,4 +1,7 @@
-"""Integer partitions, cell geometry, dominance, and standard Young tableaux.
+"""Integer partitions, cell geometry, dominance, and standard Young tableaux,
+and the one door to every memoized public function of cherpoi: memo checks a
+function's arguments before its memo is consulted, so a partition goes
+through check_partition and an n through check_ints.
 
 Conventions. A partition is a tuple of weakly decreasing positive integers.
 Diagrams are French: d(mu) = {(i, j) : 0 <= i, 0 <= j < mu_{i+1}}, with row 0
@@ -10,7 +13,7 @@ The empty partition is rejected everywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 from math import factorial
 from typing import NamedTuple
 
@@ -55,7 +58,40 @@ def check_partition(mu) -> Partition:
     return parts
 
 
-@cache
+def check_ints(what: str, *values) -> tuple[int, ...]:
+    """The one int rule: TypeError unless every value is an int proper, so
+    neither a bool nor a float equal to an int passes for one."""
+    if any(type(v) is not int for v in values):
+        got = ", ".join(map(repr, values))
+        raise TypeError(f"{what} must be {'ints' if len(values) > 1 else 'an int'}, got {got}")
+    return values
+
+
+def memo(door):
+    """Memoize a public function behind door, which takes its arguments,
+    refuses bad ones and returns them canonical, as a tuple. The door comes
+    first: a memo asked first would answer (True,) from the entry of (1,),
+    which it hashes and compares equal to. The function's raw is the memo
+    without the door. Results are shared and must not be mutated."""
+
+    def decorate(fn):
+        raw = cache(fn)
+
+        @wraps(fn)
+        def door_then_memo(*args, **kwargs):
+            return raw(*door(*args, **kwargs))
+
+        door_then_memo.raw = raw
+        return door_then_memo
+
+    return decorate
+
+
+memo_partition = memo(lambda mu: (check_partition(mu),))
+memo_n = memo(lambda n: check_ints("n", n))
+
+
+@memo_n
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order, largest first.
 
@@ -77,12 +113,8 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def transpose(mu) -> Partition:
-    return _transpose(check_partition(mu))
-
-
-@cache
-def _transpose(mu: Partition) -> Partition:
+@memo_partition
+def transpose(mu: Partition) -> Partition:
     return tuple(sum(1 for p in mu if p >= j) for j in range(1, mu[0] + 1))
 
 
@@ -130,23 +162,16 @@ def dominance_leq(lam, mu) -> bool:
     return True
 
 
-def nstat(mu) -> int:
+@memo_partition
+def nstat(mu: Partition) -> int:
     """n(mu) = sum_i mu_i (i-1) with rows indexed from 1."""
-    return _nstat(check_partition(mu))
-
-
-@cache
-def _nstat(mu: Partition) -> int:
     return sum(i * p for i, p in enumerate(mu))
 
 
-def num_syt(mu) -> int:
-    """Number of standard Young tableaux of shape mu, by the hook-length formula."""
-    return _num_syt(check_partition(mu))
-
-
-@cache
-def _num_syt(mu: Partition) -> int:
+@memo_partition
+def num_syt(mu: Partition) -> int:
+    """Number of standard Young tableaux of shape mu, by the hook-length
+    formula: the dimension of the irreducible of S_n labelled mu."""
     count = Fraction(factorial(sum(mu)), hook_product(mu))
     if count.denominator != 1:
         raise ArithmeticError(f"hook-length formula gave a non-integer for {mu}")

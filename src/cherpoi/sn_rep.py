@@ -1,6 +1,7 @@
 """Symmetric group character theory: exact character tables, the class
 average behind every character multiplicity, Kronecker coefficients, and
-fake degrees by two independent routes.
+fake degrees by two independent routes. The dimension of an irreducible is
+partition_core.num_syt, by the hook-length formula.
 
 Irreducibles and conjugacy classes are both labelled by partitions of n;
 (n) labels the trivial character and (1^n) the sign character.
@@ -16,14 +17,8 @@ from typing import NamedTuple
 
 from .errors import ResourceError
 from .exact_poly import LaurentPoly, _binomial_quotient
-from .partition_core import (
-    Partition,
-    check_partition,
-    enumerate_partitions,
-    hooks,
-    nstat,
-    num_syt,
-)
+from .partition_core import Partition, check_partition, enumerate_partitions, hooks, nstat
+from .partition_core import memo, memo_n, memo_partition
 
 MAX_TABLE_N = 12  # p(12) = 77 classes; far beyond anything the suites need
 
@@ -42,9 +37,17 @@ def _partition_from_beta(beta: list[int]) -> Partition:
     return tuple(p for p in parts if p > 0)
 
 
-@cache
+def _character_door(lam, rho) -> tuple[Partition, Partition]:
+    lam, rho = check_partition(lam), check_partition(rho)
+    if sum(lam) != sum(rho):
+        raise ValueError(f"a character value needs partitions of one n: {lam}, {rho}")
+    return lam, rho
+
+
+@memo(_character_door)
 def character_value(lam: Partition, rho: Partition) -> int:
-    """chi_lam(rho) by the Murnaghan-Nakayama rule on beta-numbers."""
+    """chi_lam(rho) by the Murnaghan-Nakayama rule on beta-numbers. The
+    recursion strips rim hooks on the raw memo, since its lam may reach ()."""
     if not rho:
         return 1 if not lam else 0
     r, rest = rho[0], rho[1:]
@@ -56,7 +59,7 @@ def character_value(lam: Partition, rho: Partition) -> int:
         if b - r >= 0 and (b - r) not in present:
             height = sum(1 for x in beta if b - r < x < b)
             new_beta = [x for x in beta if x != b] + [b - r]
-            sub = character_value(_partition_from_beta(new_beta), rest)
+            sub = character_value.raw(_partition_from_beta(new_beta), rest)
             total += (-1) ** height * sub
     return total
 
@@ -79,7 +82,7 @@ class CharacterTable(NamedTuple):
         return self.values[(check_partition(mu), check_partition(rho))]
 
 
-@cache
+@memo_n
 def character_table(n: int) -> CharacterTable:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -88,11 +91,6 @@ def character_table(n: int) -> CharacterTable:
     parts = enumerate_partitions(n)
     values = {(mu, rho): character_value(mu, rho) for mu in parts for rho in parts}
     return CharacterTable(n, parts, values)
-
-
-def dim_irr(mu) -> int:
-    """dim of the irreducible labelled mu, by the hook-length formula."""
-    return num_syt(mu)
 
 
 def class_average(n: int, f, what: str) -> int:
@@ -120,19 +118,14 @@ def kronecker(lam, mu, nu) -> int:
     )
 
 
-def fake_degree(mu) -> LaurentPoly:
-    """f_mu(v) = v^n(mu) prod_{i<=n}(1 - v^i) / prod_{cells}(1 - v^h), expanded.
+@memo_partition
+def fake_degree(mu: Partition) -> LaurentPoly:
+    """f_mu(v) = v^n(mu) prod_{i<=n}(1 - v^i) / prod_{cells}(1 - v^h), expanded
+    by the binomial kernel with top {1..n} and bottom the hook lengths.
 
     Always a polynomial with nonnegative integer coefficients; f_mu(1) = dim mu.
     The result is shared between callers and must not be mutated.
     """
-    return _fake_degree(check_partition(mu))
-
-
-@cache
-def _fake_degree(mu: Partition) -> LaurentPoly:
-    """The hook quotient, by the binomial kernel with top {1..n} and bottom
-    the hook lengths."""
     coeffs = _binomial_quotient(range(1, sum(mu) + 1), hooks(mu))
     low = nstat(mu)
     return LaurentPoly._build(_V, {low + k: c for k, c in enumerate(coeffs) if c}, low + len(coeffs))

@@ -19,8 +19,8 @@ MAX_FAKE_DEGREES_N = 16
 
 def _suite_fake_degrees(p):
     from .exact_poly import LaurentPoly, q_factorial_poly
-    from .partition_core import enumerate_partitions, transpose
-    from .sn_rep import dim_irr, fake_degree, fake_degree_maj
+    from .partition_core import enumerate_partitions, num_syt, transpose
+    from .sn_rep import fake_degree, fake_degree_maj
 
     def hook_degrees(n):
         if n > MAX_FAKE_DEGREES_N:
@@ -48,7 +48,7 @@ def _suite_fake_degrees(p):
         def factorial_check(n=n):
             total = LaurentPoly.zero(V)
             for mu, degree in hook_degrees(n).items():
-                total = total + degree.invert_variables() * LaurentPoly.const(V, dim_irr(mu))
+                total = total + degree.invert_variables() * LaurentPoly.const(V, num_syt(mu))
             target = q_factorial_poly(n).invert_variables()
             return _verdict(total == target), total, target
 

@@ -25,7 +25,7 @@ def _natural_coeffs(poly) -> bool:
 def _suite_kostka(p):
     from .exact_poly import LaurentPoly
     from .macdonald import kostka_fake_degree_identity, kostka_macdonald
-    from .sn_rep import dim_irr
+    from .partition_core import num_syt
 
     n_max = p.get("n_max", 5)
     items = []
@@ -46,10 +46,10 @@ def _suite_kostka(p):
             right = {}
             for (lam, mu), poly in matrix.entries.items():
                 left[(_plabel(lam), _plabel(mu))] = poly.evaluate(one)
-                right[(_plabel(lam), _plabel(mu))] = Fraction(dim_irr(lam))
+                right[(_plabel(lam), _plabel(mu))] = Fraction(num_syt(lam))
             for mu in matrix.partitions:
                 column = sum(
-                    matrix.entry(lam, mu).evaluate(one) * dim_irr(lam)
+                    matrix.entry(lam, mu).evaluate(one) * num_syt(lam)
                     for lam in matrix.partitions
                 )
                 left[("column-sum", _plabel(mu))] = column

@@ -37,8 +37,8 @@ from cherpoi.hilbert_series import (
     nbar_series,
 )
 from cherpoi.macdonald import kostka_fake_degree_identity, kostka_macdonald
-from cherpoi.partition_core import enumerate_partitions, nstat, transpose
-from cherpoi.sn_rep import dim_irr, fake_degree, fake_degree_maj
+from cherpoi.partition_core import enumerate_partitions, nstat, num_syt, transpose
+from cherpoi.sn_rep import fake_degree, fake_degree_maj
 
 from _reference import image_dims_by_elimination
 
@@ -61,7 +61,7 @@ def test_ac01_fake_degree_suite():
             f = fake_degree(mu)
             assert f == fake_degree_maj(mu)
             assert f.invert_variables().shift((big_n,)) == fake_degree(transpose(mu))
-            total = total + f.invert_variables() * dim_irr(mu)
+            total = total + f.invert_variables() * num_syt(mu)
         qfac = q_factorial_poly(n).invert_variables()
         assert total == qfac
 
@@ -95,8 +95,8 @@ def test_ac03_kostka_macdonald_sanity():
                     for exps, coeff in poly.terms.items()
                 ), f"K[{lam},{mu}] is not in N[q,t]: {poly}"
                 value = poly.evaluate(one)
-                assert value == dim_irr(lam)
-                column_sum += value * dim_irr(lam)
+                assert value == num_syt(lam)
+                column_sum += value * num_syt(lam)
             assert column_sum == factorial(n)
     m2 = kostka_macdonald(2)
     q = LaurentPoly.var_power(("q", "t"), "q", 1)

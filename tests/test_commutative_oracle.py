@@ -25,8 +25,8 @@ from cherpoi.commutative_oracle import (
 from cherpoi.errors import ResourceError
 from cherpoi.exact_poly import _add_into, expand_window, q_factorial_poly
 from cherpoi.hilbert_series import jbar_closed
-from cherpoi.partition_core import enumerate_partitions
-from cherpoi.sn_rep import dim_irr, fake_degree
+from cherpoi.partition_core import enumerate_partitions, num_syt
+from cherpoi.sn_rep import fake_degree
 
 from _reference import ref_mul
 
@@ -261,10 +261,10 @@ def test_coinvariant_degree_totals_match_the_q_factorial():
         mults = coinvariant_multiplicities(n)
         qfac = q_factorial_poly(n)
         for deg, row in mults.items():
-            total = sum(dim_irr(mu) * mult for mu, mult in row.items())
+            total = sum(num_syt(mu) * mult for mu, mult in row.items())
             assert total == qfac.coefficient((deg,))
         assert sum(
-            dim_irr(mu) * m for row in mults.values() for mu, m in row.items()
+            num_syt(mu) * m for row in mults.values() for mu, m in row.items()
         ) == factorial(n)
 
 

@@ -28,8 +28,8 @@ from cherpoi.hilbert_series import (
     standard_series_W,
     triv_first_occurrence,
 )
-from cherpoi.partition_core import enumerate_partitions, nstat, transpose
-from cherpoi.sn_rep import dim_irr, fake_degree
+from cherpoi.partition_core import enumerate_partitions, nstat, num_syt, transpose
+from cherpoi.sn_rep import fake_degree
 from cherpoi.suites_macdonald import _collapse_target
 
 V = ("v",)
@@ -86,9 +86,9 @@ def test_standard_series_total_dimension():
             series = standard_series_W(mu)
             total = ExactRationalFunction(LaurentPoly.zero(V))
             for lam, component in series.components.items():
-                total = total + component * dim_irr(lam)
+                total = total + component * num_syt(lam)
             want = ExactRationalFunction(
-                LaurentPoly.const(V, dim_irr(mu)),
+                LaurentPoly.const(V, num_syt(mu)),
                 [ONE_V - vp(1)] * (n - 1),
             )
             assert rf_equal(total, want)
@@ -164,6 +164,21 @@ def test_rank_one_rejected():
         bigraded_J(1, 0)
 
 
+TWISTED_SERIES = [
+    jbar_closed, jbar_via_specialization, bigraded_JJ, bigraded_J,
+    nbar_series, nunder_series, mbar_series, munder_series,
+]
+
+
+@pytest.mark.parametrize("series", TWISTED_SERIES)
+@pytest.mark.parametrize("n, k", [(2, True), (2, 1.0), (2, 1.5), (True, 1), (2.0, 1), (Fraction(2), 1)])
+def test_series_refuse_a_bool_or_float_for_an_int(series, n, k):
+    # True once passed for k = 1, and 1.0 failed deep in the exponent check
+    series(2, 1)
+    with pytest.raises(TypeError, match="must be ints"):
+        series(n, k)
+
+
 def test_gradings():
     assert GRADINGS == ("h", "E")
     with pytest.raises(ValueError):
@@ -196,7 +211,7 @@ def test_nunder_series():
     # numerator counts group elements at v = 1 (denominators vanish there,
     # so only the numerator is evaluated)
     for n in range(2, 6):
-        total = sum(dim_irr(mu) ** 2 for mu in enumerate_partitions(n))
+        total = sum(num_syt(mu) ** 2 for mu in enumerate_partitions(n))
         series = nunder_series(n, 0)
         assert series.num.evaluate({"v": Fraction(1)}) == total
 
@@ -210,7 +225,7 @@ def test_nbar_rearrangement_identity():
             den = [ONE_V - vp(-1)] * (n - 1)
             for mu in enumerate_partitions(n):
                 shift = k * (nstat(mu) - nstat(transpose(mu)))
-                num = fake_degree(mu) * LaurentPoly.const(V, dim_irr(mu)) * vp(shift)
+                num = fake_degree(mu) * LaurentPoly.const(V, num_syt(mu)) * vp(shift)
                 total = total + ExactRationalFunction(num, den)
             assert rf_equal(direct, total)
 

@@ -31,9 +31,10 @@ from cherpoi.macdonald import (
 from cherpoi.partition_core import (
     dominance_leq,
     enumerate_partitions,
+    num_syt,
     transpose,
 )
-from cherpoi.sn_rep import centralizer_order, character_table, dim_irr
+from cherpoi.sn_rep import centralizer_order, character_table
 
 
 QT = ("q", "t")
@@ -368,8 +369,8 @@ def test_kostka_specializations():
                     for exps, c in entry.terms.items()
                 )
                 value = entry.evaluate(one)
-                assert value == dim_irr(lam)
-                col += value * dim_irr(lam)
+                assert value == num_syt(lam)
+                col += value * num_syt(lam)
             assert col == factorial(n)
 
 

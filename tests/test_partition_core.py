@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 from math import factorial
 
+from cherpoi.exact_poly import q_factorial, q_factorial_poly
+from cherpoi.macdonald import kostka_fake_degree_identity, kostka_macdonald, kostka_numbers, omega_factors, procesi_fiber
 from cherpoi.partition_core import (
     Tableau,
     cell_data,
@@ -18,6 +20,7 @@ from cherpoi.partition_core import (
     num_syt,
     transpose,
 )
+from cherpoi.sn_rep import character_table, character_value, fake_degree
 
 
 def partitions(max_n=8):
@@ -40,6 +43,65 @@ def test_check_partition_rejects_bad_input():
 def test_check_partition_rejects_parts_that_are_not_ints(mu):
     with pytest.raises(ValueError, match="must be integers"):
         check_partition(mu)
+
+
+# every public memo behind partition_core.memo, with the partition argument
+# first; character_value's second partition is its class
+PARTITION_KEYED = {
+    "transpose": transpose,
+    "nstat": nstat,
+    "num_syt": num_syt,
+    "fake_degree": fake_degree,
+    "procesi_fiber": procesi_fiber,
+    "omega_factors": omega_factors,
+    "character_value": lambda mu: character_value(mu, (1,) * int(sum(mu))),
+}
+# the memos keyed on n, then the closed forms that take n alone and run the
+# same int rule
+N_KEYED = {
+    "enumerate_partitions": enumerate_partitions,
+    "kostka_numbers": kostka_numbers,
+    "kostka_macdonald": kostka_macdonald,
+    "character_table": character_table,
+    "q_factorial": q_factorial,
+    "q_factorial_poly": q_factorial_poly,
+    "kostka_fake_degree_identity": kostka_fake_degree_identity,
+}
+
+
+@pytest.mark.parametrize("name", PARTITION_KEYED)
+def test_a_list_and_a_tuple_share_one_memo_entry(name):
+    # character_value once raised TypeError on a list: unhashable
+    function = PARTITION_KEYED[name]
+    assert function([2, 1]) is function((2, 1))
+
+
+@pytest.mark.parametrize("mu", [(1, 2), (0, 3), (), (2.0,), (True,)])
+@pytest.mark.parametrize("name", PARTITION_KEYED)
+def test_the_memo_door_refuses_a_non_partition(name, mu):
+    # with (1,) cached, a memo asked first would answer (True,) from it
+    PARTITION_KEYED[name]((1,))
+    with pytest.raises(ValueError):
+        PARTITION_KEYED[name](mu)
+
+
+@pytest.mark.parametrize("lam, rho", [((2, 1), (0, 3)), ((2, 1), (1, 2)), ((3,), (1, 1)), ((2,), ())])
+def test_character_value_refuses_a_bad_class_or_a_size_mismatch(lam, rho):
+    # each once answered 0
+    with pytest.raises(ValueError):
+        character_value(lam, rho)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, Fraction(2)])
+@pytest.mark.parametrize("name", N_KEYED)
+def test_a_bool_or_float_n_is_refused_after_the_int_is_cached(name, n):
+    # True, 2.0 and Fraction(2) hash and compare equal to 1 and 2, so a memo
+    # asked first answers them from the int's entry; q_factorial_poly(True)
+    # was 1 and kostka_fake_degree_identity(True) was {(1,): True}
+    N_KEYED[name](1)
+    N_KEYED[name](2)
+    with pytest.raises(TypeError, match="n must be an int"):
+        N_KEYED[name](n)
 
 
 def test_enumerate_partitions_revlex():

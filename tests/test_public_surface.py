@@ -151,3 +151,27 @@ def test_private_kernels_are_named_only_by_their_owners():
             if path.name not in OWNERS[name]:
                 strays.add(f"{path.name}:{name}")
     assert strays == set()
+
+
+# a public memo keys on its raw arguments unless partition_core.memo checks
+# them first: bare, character_value answered 0 for (1, 2) and hit the entry
+# of (1,) for (True,); private memos (_engine, _ssyt_count, ...) are fed
+# checked arguments by their owners
+BARE_MEMOS = {"cache", "lru_cache"}
+
+
+def _bare_memo(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", None)
+    return name in BARE_MEMOS
+
+
+def test_no_public_function_carries_a_bare_cache():
+    bare = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, FUNCTIONS) and not node.name.startswith("_"):
+                if any(_bare_memo(d) for d in node.decorator_list):
+                    bare.append(f"{path.name}:{node.name}")
+    assert bare == []

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from cherpoi.exact_poly import LaurentPoly, q_factorial_poly
-from cherpoi.partition_core import enumerate_partitions, enumerate_syt, hooks, nstat, transpose
+from cherpoi.partition_core import enumerate_partitions, enumerate_syt, hooks, nstat, num_syt, transpose
 from cherpoi.errors import ResourceError
 from cherpoi.sn_rep import (
     MAX_TABLE_N,
@@ -15,7 +15,6 @@ from cherpoi.sn_rep import (
     character_table,
     character_value,
     class_average,
-    dim_irr,
     fake_degree,
     fake_degree_maj,
     kronecker,
@@ -81,14 +80,11 @@ def test_class_average_certifies_a_nonnegative_integer():
         class_average(n, lambda rho: -1, "minus the trivial character")
 
 
-def test_dim_irr_matches_identity_column():
+def test_num_syt_matches_identity_column():
+    # the number of standard tableaux is the dimension of the irreducible
     for n in range(1, 7):
         for mu in enumerate_partitions(n):
-            assert dim_irr(mu) == character_value(mu, (1,) * n)
-
-
-def test_dim_irr_accepts_a_list():
-    assert dim_irr([2, 1]) == dim_irr((2, 1)) == 2
+            assert num_syt(mu) == character_value(mu, (1,) * n)
 
 
 def test_kronecker_and_tensor():
@@ -124,8 +120,8 @@ def test_fake_degree_properties(n):
         assert f == fake_degree_maj(mu)
         # lowest exponent is n(mu), total evaluation counts tableaux
         assert min(f.terms) == (nstat(mu),)
-        assert f.evaluate({"v": Fraction(1)}) == dim_irr(mu)
-        total = total + f * LaurentPoly.const(V, dim_irr(mu))
+        assert f.evaluate({"v": Fraction(1)}) == num_syt(mu)
+        total = total + f * LaurentPoly.const(V, num_syt(mu))
     # graded dimension of the coinvariant algebra
     assert total == q_factorial_poly(n)
 
