@@ -55,7 +55,7 @@ def _ints(doc, key) -> tuple[int, ...]:
 def _load_idempotent(doc, cutoff=None):
     """The idempotent a JSON document describes; cutoff, when given,
     overrides the document's."""
-    from .graded_free import GradedIdempotent, _exact, polynomial_algebra, truncated_polynomial_algebra
+    from .graded_free import GradedIdempotent, MonomialAlgebra, _exact
 
     algebra_doc = _field(doc, "algebra")
     kind = _field(algebra_doc, "kind")
@@ -63,9 +63,9 @@ def _load_idempotent(doc, cutoff=None):
         cutoff = _field(algebra_doc, "cutoff", (int,))
     variables = _field(algebra_doc, "variables", (int,))
     if kind == "polynomial":
-        algebra = polynomial_algebra(variables, cutoff)
+        algebra = MonomialAlgebra(variables, cutoff)
     elif kind == "truncated":
-        algebra = truncated_polynomial_algebra(variables, cutoff, _field(algebra_doc, "top", (int,)))
+        algebra = MonomialAlgebra(variables, cutoff, _field(algebra_doc, "top", (int,)))
     else:
         raise ValueError(f"unknown algebra kind {kind!r}")
     shifts = _ints(doc, "shifts")

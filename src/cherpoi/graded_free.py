@@ -27,9 +27,11 @@ global freeness.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from operator import add
 from random import Random
+from typing import NamedTuple
 
 from ._linalg import EchelonSpan
 from .errors import CertificationError, ResourceError
@@ -120,16 +122,6 @@ class MonomialAlgebra:
         return out
 
 
-def polynomial_algebra(num_vars: int, cutoff: int) -> MonomialAlgebra:
-    """Q[x_1..x_m] presented degree by degree up to the cutoff."""
-    return MonomialAlgebra(num_vars, cutoff)
-
-
-def truncated_polynomial_algebra(num_vars: int, cutoff: int, top: int) -> MonomialAlgebra:
-    """Q[x_1..x_m] / (all monomials of total degree > top)."""
-    return MonomialAlgebra(num_vars, cutoff, top)
-
-
 # ---------------------------------------------------------------------------
 # shifted free modules and homogeneous matrices
 
@@ -209,27 +201,7 @@ def _element_add(a: Element, b: Element, scale=1) -> Element:
     return out
 
 
-class _Record:
-    """Base of this module's records: each field is a slot that __init__
-    sets once, read-only afterwards. Equality is identity, as for any object."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-
-_set_field = object.__setattr__
-
-
-class GradedIdempotent(_Record):
+class GradedIdempotent(namedtuple("GradedIdempotent", "algebra shifts entries")):
     """Idempotent degree-zero matrix acting on the shifted free module.
 
     Entry (i, j) is a homogeneous element of degree shift_j - shift_i, empty
@@ -237,35 +209,33 @@ class GradedIdempotent(_Record):
     construction, entry by entry within the cutoff.
     """
 
-    __slots__ = ("algebra", "shifts", "entries")
+    __slots__ = ()
 
-    def __init__(self, algebra: MonomialAlgebra, shifts: tuple[int, ...], entries: MatrixEntries):
-        _set_field(self, "algebra", algebra)
-        _set_field(self, "shifts", shifts)
-        _set_field(self, "entries", entries)
-        size = len(self.shifts)
+    def __new__(cls, algebra: MonomialAlgebra, shifts: tuple[int, ...], entries: MatrixEntries):
+        size = len(shifts)
         if not size:
             raise ValueError("an idempotent needs at least one shift")
-        if len(self.entries) != size or any(len(r) != size for r in self.entries):
+        if len(entries) != size or any(len(r) != size for r in entries):
             raise ValueError("matrix shape does not match the shifts")
-        spread = max(self.shifts) - min(self.shifts)
-        if spread > self.algebra.cutoff:
+        spread = max(shifts) - min(shifts)
+        if spread > algebra.cutoff:
             raise ValueError("shift spread exceeds the algebra cutoff")
         for i in range(size):
             for j in range(size):
-                deg = _entry_degree(self.shifts, i, j)
-                entry = self.entries[i][j]
-                if entry and not 0 <= deg <= self.algebra.cutoff:
+                deg = _entry_degree(shifts, i, j)
+                entry = entries[i][j]
+                if entry and not 0 <= deg <= algebra.cutoff:
                     raise ValueError(
                         f"entry ({i},{j}) must vanish, its degree {deg} is out of range"
                     )
                 if any(
-                    not 0 <= idx < self.algebra.dim(deg) for idx in entry
+                    not 0 <= idx < algebra.dim(deg) for idx in entry
                 ):
                     raise ValueError(f"entry ({i},{j}) indexes outside A_{deg}")
-        square = matrix_multiply(self.algebra, self.shifts, self.entries, self.entries)
-        if square != self.entries:
+        square = matrix_multiply(algebra, shifts, entries, entries)
+        if square != entries:
             raise ValueError("matrix is not idempotent")
+        return super().__new__(cls, algebra, shifts, entries)
 
 
 def diagonal_idempotent(algebra, shifts, flags) -> GradedIdempotent:
@@ -314,14 +284,11 @@ def random_unipotent_idempotent(algebra, shifts, rank: int, rng: Random) -> Grad
 # ---------------------------------------------------------------------------
 # degreewise linear algebra on F_g
 
-class HomogeneousVector(_Record):
+class HomogeneousVector(NamedTuple):
     """Element of the shifted free module, homogeneous of the given degree."""
 
-    __slots__ = ("degree", "rows")
-
-    def __init__(self, degree: int, rows: tuple[Element, ...]):
-        _set_field(self, "degree", degree)
-        _set_field(self, "rows", rows)
+    degree: int
+    rows: tuple[Element, ...]
 
 
 def _layout(algebra, shifts, g: int) -> list[int]:
@@ -373,21 +340,12 @@ def module_scale(algebra, shifts, vec: HomogeneousVector, e: int, a: Element) ->
 # ---------------------------------------------------------------------------
 # the extractor
 
-class ExtractionResult(_Record):
+class ExtractionResult(NamedTuple):
     """Homogeneous generators plus the certification horizon."""
 
-    __slots__ = ("generators", "horizon", "image_dims")
-
-    def __init__(self, generators: tuple[HomogeneousVector, ...], horizon: int, image_dims: dict[int, int]):
-        _set_field(self, "generators", generators)
-        _set_field(self, "horizon", horizon)
-        _set_field(self, "image_dims", image_dims)
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
+    generators: tuple[HomogeneousVector, ...]
+    horizon: int
+    image_dims: dict[int, int]
 
 
 def extract_homogeneous_basis(E: GradedIdempotent) -> ExtractionResult:

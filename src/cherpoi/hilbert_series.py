@@ -146,6 +146,7 @@ def triv_first_occurrence(mu) -> CExponent:
 def shift_amount(i: int, j: int, mu) -> int:
     """Grading shift (i-j)*(n(mu)-n(mu^t)) between spherical standard modules
     at couplings c+i and c+j."""
+    check_ints("i and j", i, j)
     if j < 0 or i < j:
         raise ValueError(f"need i >= j >= 0, got i={i}, j={j}")
     mu = check_partition(mu)

@@ -10,7 +10,6 @@ per-check wall_ms, which to_json(timings=False) leaves out.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import __version__
@@ -31,8 +30,6 @@ def _ser(obj):
         return obj
     if isinstance(obj, float):
         return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, dict):
         return {_key(k): _ser(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -50,7 +47,7 @@ def _key(k) -> str:
     if isinstance(k, str):
         return k
     if isinstance(k, tuple):
-        return "[" + " ".join(str(x) for x in k) + "]"
+        return _plabel(k)
     return str(k)
 
 

@@ -19,7 +19,7 @@ def _random_battery(algebra, trials: int, rng):
         rank = rng.randint(0, size)
         idem = random_unipotent_idempotent(algebra, shifts, rank, rng)
         result = extract_homogeneous_basis(idem)
-        if len(result) == rank:
+        if len(result.generators) == rank:
             passes += 1
         else:
             failures.append({"trial": trial, "shifts": list(shifts), "rank": rank})
@@ -29,36 +29,36 @@ def _random_battery(algebra, trials: int, rng):
 def _suite_graded_free(p):
     from random import Random
 
-    from .graded_free import diagonal_idempotent, extract_homogeneous_basis, polynomial_algebra
+    from .graded_free import MonomialAlgebra, diagonal_idempotent, extract_homogeneous_basis
 
     seed = p.get("seed", DEFAULT_SEED)
     trials = p.get("trials", 50)
     items = []
 
     def identity_case():
-        algebra = polynomial_algebra(2, 12)
+        algebra = MonomialAlgebra(2, 12)
         shifts = (2, 1, 0)
         idem = diagonal_idempotent(algebra, shifts, (True, True, True))
         result = extract_homogeneous_basis(idem)
-        got = sorted(g.degree for g in result)
+        got = sorted(g.degree for g in result.generators)
         return _verdict(got == [0, 1, 2]), got, [0, 1, 2]
 
     def projection_case():
-        algebra = polynomial_algebra(1, 12)
+        algebra = MonomialAlgebra(1, 12)
         idem = diagonal_idempotent(algebra, (1, 0, 0), (True, False, False))
         result = extract_homogeneous_basis(idem)
         # Fraction rows, so that _ser renders each coefficient as a string
-        rows = [{k: Fraction(c) for k, c in r.items()} for g in result for r in g.rows]
+        rows = [{k: Fraction(c) for k, c in r.items()} for g in result.generators for r in g.rows]
         want = [{0: Fraction(1)}, {}, {}]
-        return _verdict(len(result) == 1 and rows == want), rows, want
+        return _verdict(len(result.generators) == 1 and rows == want), rows, want
 
     def battery_one():
-        algebra = polynomial_algebra(1, 12)
+        algebra = MonomialAlgebra(1, 12)
         passes, failures = _random_battery(algebra, trials // 2, Random(seed))
         return _verdict(not failures), {"passes": passes}, {"trials": trials // 2}
 
     def battery_two():
-        algebra = polynomial_algebra(2, 12)
+        algebra = MonomialAlgebra(2, 12)
         passes, failures = _random_battery(algebra, trials - trials // 2, Random(seed + 1))
         return _verdict(not failures), {"passes": passes}, {"trials": trials - trials // 2}
 

@@ -551,6 +551,49 @@ def test_parity_check_frozen_n3():
     assert [parity_check(3, d, (6, 6), 8) for d in range(4)] == [True] * 4
 
 
+def test_parity_check_refuses_the_wrong_parity(monkeypatch):
+    # a symmetrizer of the wrong parity puts the other isotypic part of J^d
+    # against A^d, which has other dimensions; the mutant keeps its images
+    # apart from the ones A^d is spanned from
+    eng = oracle._Engine(2)
+    monkeypatch.setattr(oracle, "_engine", lambda n: eng)
+    image = oracle._cell_image
+    monkeypatch.setattr(oracle, "_cell_image", lambda eng, images, f, sign: image(eng, {}, f, -sign))
+    assert [parity_check(2, d, (4, 4)) for d in range(3)] == [False] * 3
+
+
+def _capped_engine(monkeypatch, cap):
+    """A fresh n = 2 engine behind _engine, storing at most cap basis entries."""
+    eng = oracle._Engine(2)
+    monkeypatch.setattr(oracle, "_engine", lambda n: eng)
+    monkeypatch.setattr(oracle, "_ENTRY_CAP", cap)
+    return eng
+
+
+def test_the_entry_budget_keeps_the_finished_cells(monkeypatch):
+    # J^1 at n = 2 on (5, 5) stores 37 basis entries; a cap of 15 stops the
+    # closure partway, and the cells finished before it are the uncapped ones
+    uncapped = _capped_engine(monkeypatch, oracle._ENTRY_CAP)
+    full = ideal_power_dims(2, 1, (5, 5)).table
+    assert uncapped._entries == 37
+    _capped_engine(monkeypatch, 15)
+    with pytest.raises(ResourceError, match="exceeded 15 entries") as caught:
+        ideal_power_dims(2, 1, (5, 5))
+    partial = caught.value.partial
+    assert partial and len(partial) < len(full)
+    assert partial == {cell: full[cell] for cell in partial}
+
+
+def test_a_tripped_entry_budget_skips_the_oracle_checks(monkeypatch):
+    from cherpoi.verifier_cli import run_suite
+
+    _capped_engine(monkeypatch, 0)
+    report = run_suite("oracle-J", {"n": 2, "d_max": 1, "window": (5, 5)})
+    assert [c.verdict for c in report.checks] == ["skipped", "skipped"]
+    assert all("oracle basis store exceeded 0 entries" in c.left for c in report.checks)
+    assert report.status == "partial" and report.exit_code == 2
+
+
 # -- the engine's candidate rules, each on a fresh _Engine(3), so that no
 #    result depends on what ran before in the process
 

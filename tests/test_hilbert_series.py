@@ -64,6 +64,11 @@ def test_shift_amount():
     assert shift_amount(1, 0, (2, 1)) == 0
     with pytest.raises(ValueError):
         shift_amount(0, 1, (2, 1))
+    # couplings are ints proper: a float or a bool once passed as one
+    with pytest.raises(TypeError, match="i and j"):
+        shift_amount(1.5, 0.5, (3,))
+    with pytest.raises(TypeError, match="i and j"):
+        shift_amount(True, 0, (2, 1))
 
 
 def test_standard_series_first_occurrences():

@@ -290,9 +290,16 @@ def test_series_edelta_refuses_n_past_its_bound(capsys):
 
 
 def test_series_edelta_prefix(capsys):
-    assert main(["series", "--kind", "eDelta", "--n", "2", "--mu", "[2]"]) == 0
+    argv = ["series", "--kind", "eDelta", "--n", "2", "--mu", "[2]"]
+    assert main(argv) == 0
     out = capsys.readouterr().out.strip()
     assert out == "v^(1/2 - c) * 1/(1 - v^2)"
+    argv.append("--format")
+    assert main(argv + ["csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["part,coeff,exponents", 'prefix,"1/2 - c",']
+    assert main(argv + ["json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mu"] == [2] and doc["prefix"] == "1/2 - c"
 
 
 def test_series_edelta_requires_mu(capsys):
@@ -439,6 +446,33 @@ def test_oracle_csv(capsys):
     assert lines[0] == "a,b,dim"
     assert lines[1] == "0,0,1"
     assert len(lines) == 10
+
+
+def test_oracle_json_without_compare(capsys):
+    argv = ["oracle", "--n", "2", "--d", "0", "--max-bidegree", "2,2"]
+    assert main(argv) == 0
+    csv = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == "cherpoi/oracle-v1" and "compare" not in doc
+    assert doc["cells"] == [[int(x) for x in row] for row in csv]
+
+
+def test_oracle_compare_failures_exit_1(capsys, monkeypatch):
+    # one cell where the formula and the oracle disagree
+    def compare_window(n, d, window, total):
+        return {(0, 0): 1, (1, 0): 2}, {(0, 0): 1, (1, 0): 3}
+
+    monkeypatch.setattr("cherpoi.cli_oracle._compare_window", compare_window)
+    argv = ["oracle", "--n", "2", "--d", "0", "--max-bidegree", "2,2", "--compare"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == ["mismatch cells (formula, oracle):", "  (1, 0): 2 != 3", "jbar diagonals: pass"]
+    # a matching window with a failed diagonal comparison fails too
+    monkeypatch.undo()
+    monkeypatch.setattr("cherpoi.cli_oracle._jbar_comparison", lambda n, d, window, total: ("fail", {0: 1}, {0: 2}))
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == ["all window cells match the formula expansion", "jbar diagonals: fail"]
 
 
 def test_oracle_compare_json(capsys):
@@ -760,6 +794,33 @@ def test_verify_json_is_reproducible(capsys):
     doc = json.loads(first)
     assert doc["schema"] == "cherpoi/report-v1"
     assert doc["status"] == "pass"
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize(
+    "check, row, status, code",
+    [
+        (lambda: ("fail", 1, 2), ("fail", 1, 2), "fail", 1),
+        (lambda: len(5), ("fail", "TypeError: object of type 'int' has no len()", None), "fail", 1),
+        (lambda: _raise(ResourceError("budget")), ("skipped", "budget", None), "partial", 2),
+    ],
+    ids=["mismatch", "crash", "budget"],
+)
+def test_verify_records_a_failing_check_and_runs_the_next(capsys, monkeypatch, check, row, status, code):
+    # a check that fails, crashes or trips a budget is recorded as such, and
+    # the checks after it still run
+    items = [("first", check), ("second", lambda: ("pass", 0, 0))]
+    monkeypatch.setitem(SUITES, "graded-free", lambda p: items)
+    assert main(["verify", "--suite", "graded-free", "--no-timings"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == status
+    assert [(c["name"], c["verdict"], c["left"], c["right"]) for c in doc["checks"]] == [
+        ("first", *row),
+        ("second", "pass", 0, 0),
+    ]
 
 
 def test_coordinate_projection_renders_fraction_strings(capsys):
