@@ -185,7 +185,9 @@ def _origin(slot: int, count: int) -> int:
     return count << (_SLOT_BITS * slot)
 
 
-def _pack(e: tuple[int, ...]) -> int:
+def _key(e: tuple[int, ...]) -> int:
+    """The key of x^e, slot r holding e_r with slot 0 least significant;
+    unrelated to exact_poly's LaurentPoly keys."""
     return sum(_origin(r, c) for r, c in enumerate(e))
 
 
@@ -299,8 +301,8 @@ class _Engine:
         """(the keys of the cell's monomials, the index of each key)."""
         key = (a, b)
         if key not in self._cells:
-            ws = [_pack(e) << (_SLOT_BITS * self.m) for e in _compositions(b, self.m)]
-            monos = tuple(_pack(e) + w for e in _compositions(a, self.m) for w in ws)
+            ws = [_key(e) << (_SLOT_BITS * self.m) for e in _compositions(b, self.m)]
+            monos = tuple(_key(e) + w for e in _compositions(a, self.m) for w in ws)
             self._cells[key] = (monos, {e: i for i, e in enumerate(monos)})
         return self._cells[key]
 

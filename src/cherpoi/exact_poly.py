@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ResourceError
-from .partition_core import check_ints
+from .partition_core import memo_n
 
 MAX_EXPONENT = 2**63  # exponents are conceptually signed 64-bit; beyond is a hard error
 _SLOT = 66  # bits per exponent in a packed key
@@ -545,23 +545,16 @@ def _without(factors: tuple[LaurentPoly, ...], drop: Counter) -> tuple[LaurentPo
     return tuple(kept)
 
 
-def rf_equal(f: ExactRationalFunction, g: ExactRationalFunction) -> bool:
-    """Equality by cross-multiplication after cancelling structurally equal factors."""
-    if isinstance(f, LaurentPoly):
-        f = ExactRationalFunction(f)
-    if isinstance(g, LaurentPoly):
-        g = ExactRationalFunction(g)
-    if f.vars != g.vars:
-        raise ValueError(f"mixed variable sets: {f.vars} vs {g.vars}")
-    _, mine, theirs = _split_common_factors(f.den, g.den)
-    return f.num * _product(f.vars, theirs) == g.num * _product(g.vars, mine)
+def rf_equal(f: ExactRationalFunction | LaurentPoly, g: ExactRationalFunction | LaurentPoly) -> bool:
+    """Equality of two rational functions or Laurent polynomials in one set of
+    variables: their difference is zero. Subtraction cancels the shared
+    denominator factors and cross-multiplies the rest."""
+    return (f - g).is_zero()
 
 
+@memo_n
 def q_factorial(n: int) -> ExactRationalFunction:
     """[n]_v! as prod_{i=1..n}(1 - v^i) over (1 - v)^n."""
-    check_ints("n", n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     v = ("v",)
     one = LaurentPoly.one(v)
     num = LaurentPoly.one(v)
@@ -571,11 +564,9 @@ def q_factorial(n: int) -> ExactRationalFunction:
     return ExactRationalFunction(num, den)
 
 
+@memo_n
 def q_factorial_poly(n: int) -> LaurentPoly:
     """[n]_v! in expanded polynomial form, the quotient q_factorial states."""
-    check_ints("n", n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     coeffs = _binomial_quotient(range(1, n + 1), [1] * n)
     return LaurentPoly._build(("v",), {k: c for k, c in enumerate(coeffs) if c}, len(coeffs))
 

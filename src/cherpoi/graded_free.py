@@ -168,37 +168,28 @@ def identity_matrix(algebra, size: int) -> MatrixEntries:
 
 
 def unipotent_inverse(algebra, shifts, U: MatrixEntries) -> MatrixEntries:
-    """Inverse of I + N with N strictly lower triangular, by Neumann series."""
+    """Inverse V of U = I + N with N strictly lower triangular: the fixed
+    point of V <- I - N V from V = I, reached after size - 1 steps since
+    N^size = 0. N V is strictly lower triangular, so each step is (-N) V
+    with the unit put back on the diagonal."""
     size = len(shifts)
-    N = tuple(
-        tuple({} if i == j else dict(U[i][j]) for j in range(size)) for i in range(size)
-    )
     for i in range(size):
         if U[i][i] != algebra.unit():
             raise ValueError("matrix is not unipotent")
         for j in range(i + 1, size):
             if U[i][j]:
                 raise ValueError("matrix is not lower triangular")
-    acc = identity_matrix(algebra, size)
-    power = identity_matrix(algebra, size)
-    sign = 1
+    minus_n = tuple(
+        tuple({} if i == j else {k: -c for k, c in U[i][j].items()} for j in range(size))
+        for i in range(size)
+    )
+    V = identity_matrix(algebra, size)
     for _ in range(size - 1):
-        power = matrix_multiply(algebra, shifts, power, N)
-        sign = -sign
-        acc = tuple(
-            tuple(
-                _element_add(acc[i][j], power[i][j], sign) for j in range(size)
-            )
-            for i in range(size)
+        V = tuple(
+            tuple(algebra.unit() if i == j else entry for j, entry in enumerate(row))
+            for i, row in enumerate(matrix_multiply(algebra, shifts, minus_n, V))
         )
-    return acc
-
-
-def _element_add(a: Element, b: Element, scale=1) -> Element:
-    out = dict(a)
-    for k, c in b.items():
-        _accumulate(out, k, scale * c)
-    return out
+    return V
 
 
 class GradedIdempotent(namedtuple("GradedIdempotent", "algebra shifts entries")):
@@ -274,10 +265,8 @@ def random_unipotent_idempotent(algebra, shifts, rank: int, rng: Random) -> Grad
     flags = [False] * size
     for p in positions[:rank]:
         flags[p] = True
-    Uinv = unipotent_inverse(algebra, shifts, U)
-    E = matrix_multiply(
-        algebra, shifts, matrix_multiply(algebra, shifts, U, _diagonal(algebra, flags)), Uinv
-    )
+    flagged = tuple(tuple(e if flags[j] else {} for j, e in enumerate(row)) for row in U)
+    E = matrix_multiply(algebra, shifts, flagged, unipotent_inverse(algebra, shifts, U))
     return GradedIdempotent(algebra, shifts, E)
 
 

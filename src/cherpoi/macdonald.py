@@ -190,8 +190,6 @@ def kostka_macdonald(n: int) -> KostkaMacdonaldMatrix:
     Math. Soc. 18 (2005), through the modified Kostka-Macdonald
     coefficients; see _hhl_column.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     if n > MAX_KOSTKA_N:
         raise ResourceError(f"kostka bound is n <= {MAX_KOSTKA_N}, got {n}")
     parts = enumerate_partitions(n)

@@ -1,7 +1,8 @@
 """Integer partitions, cell geometry, dominance, and standard Young tableaux,
 and the one door to every memoized public function of cherpoi: memo checks a
-function's arguments before its memo is consulted, so a partition goes
-through check_partition and an n through check_ints.
+function's arguments before its memo is consulted, and the memo has no other
+way in. A partition goes through check_partition; an n goes through
+check_ints and then the rule n >= 1, which memo_n's door alone states.
 
 Conventions. A partition is a tuple of weakly decreasing positive integers.
 Diagrams are French: d(mu) = {(i, j) : 0 <= i, 0 <= j < mu_{i+1}}, with row 0
@@ -71,24 +72,32 @@ def memo(door):
     """Memoize a public function behind door, which takes its arguments,
     refuses bad ones and returns them canonical, as a tuple. The door comes
     first: a memo asked first would answer (True,) from the entry of (1,),
-    which it hashes and compares equal to. The function's raw is the memo
-    without the door. Results are shared and must not be mutated."""
+    which it hashes and compares equal to. The memo is reached only through
+    the door; a recursion that must pass through arguments the door refuses
+    keeps a private memo of its own. Results are shared and must not be
+    mutated."""
 
     def decorate(fn):
-        raw = cache(fn)
+        memoized = cache(fn)
 
         @wraps(fn)
         def door_then_memo(*args, **kwargs):
-            return raw(*door(*args, **kwargs))
+            return memoized(*door(*args, **kwargs))
 
-        door_then_memo.raw = raw
         return door_then_memo
 
     return decorate
 
 
+def _n_door(n) -> tuple[int]:
+    check_ints("n", n)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return (n,)
+
+
 memo_partition = memo(lambda mu: (check_partition(mu),))
-memo_n = memo(lambda n: check_ints("n", n))
+memo_n = memo(_n_door)
 
 
 @memo_n
@@ -98,8 +107,6 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     Reverse-lex refines dominance: lam > mu in dominance implies lam
     appears first.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
 
     def gen(remaining: int, maxpart: int, prefix: Partition):
         if remaining == 0:

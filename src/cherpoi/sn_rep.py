@@ -1,7 +1,9 @@
 """Symmetric group character theory: exact character tables, the class
 average behind every character multiplicity, Kronecker coefficients, and
 fake degrees by two independent routes. The dimension of an irreducible is
-partition_core.num_syt, by the hook-length formula.
+partition_core.num_syt, by the hook-length formula. A character value is
+read by the Murnaghan-Nakayama rule, which strips rim hooks as bead moves
+on the beta-set of lam, behind its memo door.
 
 Irreducibles and conjugacy classes are both labelled by partitions of n;
 (n) labels the trivial character and (1^n) the sign character.
@@ -25,18 +27,6 @@ MAX_TABLE_N = 12  # p(12) = 77 classes; far beyond anything the suites need
 _V = ("v",)
 
 
-def _beta_set(lam: Partition, length: int) -> list[int]:
-    padded = list(lam) + [0] * (length - len(lam))
-    return [padded[j] + (length - 1 - j) for j in range(length)]
-
-
-def _partition_from_beta(beta: list[int]) -> Partition:
-    beta = sorted(beta, reverse=True)
-    ell = len(beta)
-    parts = tuple(b - (ell - 1 - j) for j, b in enumerate(beta))
-    return tuple(p for p in parts if p > 0)
-
-
 def _character_door(lam, rho) -> tuple[Partition, Partition]:
     lam, rho = check_partition(lam), check_partition(rho)
     if sum(lam) != sum(rho):
@@ -46,21 +36,26 @@ def _character_door(lam, rho) -> tuple[Partition, Partition]:
 
 @memo(_character_door)
 def character_value(lam: Partition, rho: Partition) -> int:
-    """chi_lam(rho) by the Murnaghan-Nakayama rule on beta-numbers. The
-    recursion strips rim hooks on the raw memo, since its lam may reach ()."""
+    """chi_lam(rho) by the Murnaghan-Nakayama rule on the beta-set of lam."""
+    ell = len(lam)
+    return _murnaghan_nakayama(frozenset(p + ell - 1 - j for j, p in enumerate(lam)), rho)
+
+
+@cache
+def _murnaghan_nakayama(beta: frozenset[int], rho: Partition) -> int:
+    """The character of the partition with beta-set beta at the class rho of
+    the same size. Removing a rim hook of length r moves a bead b to the free
+    position b - r, with sign (-1)^(beads passed). The sizes agree, so once
+    rho is used up the beads sit at {0, ..., len(beta) - 1}, the beta-set of
+    the empty partition, whose character is 1."""
     if not rho:
-        return 1 if not lam else 0
+        return 1
     r, rest = rho[0], rho[1:]
-    ell = max(len(lam), 1)
-    beta = _beta_set(lam, ell)
-    present = set(beta)
     total = 0
     for b in beta:
-        if b - r >= 0 and (b - r) not in present:
-            height = sum(1 for x in beta if b - r < x < b)
-            new_beta = [x for x in beta if x != b] + [b - r]
-            sub = character_value.raw(_partition_from_beta(new_beta), rest)
-            total += (-1) ** height * sub
+        if b >= r and b - r not in beta:
+            passed = sum(1 for x in beta if b - r < x < b)
+            total += (-1) ** passed * _murnaghan_nakayama((beta - {b}) | {b - r}, rest)
     return total
 
 
@@ -84,8 +79,6 @@ class CharacterTable(NamedTuple):
 
 @memo_n
 def character_table(n: int) -> CharacterTable:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     if n > MAX_TABLE_N:
         raise ResourceError(f"character table bound is n <= {MAX_TABLE_N}, got {n}")
     parts = enumerate_partitions(n)

@@ -1,10 +1,12 @@
 """References shared between test files: arithmetic on {exponent tuple:
 coefficient} dicts, which the tests check exact_poly's packed-key kernel
-against, and an image rank by elimination, which they check graded_free's
-trace against."""
+against, an image rank by elimination, which they check graded_free's
+trace against, and a Murnaghan-Nakayama recursion from partition to
+partition, which they check sn_rep's recursion on beta-sets against."""
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from operator import add
 
@@ -45,3 +47,25 @@ def image_dims_by_elimination(E, horizon: int) -> dict[int, int]:
                 span.add({k: int(c * scale) for k, c in v.items()})
         dims[g] = span.rank
     return dims
+
+
+@cache
+def character_by_partitions(lam: tuple, rho: tuple) -> int:
+    """chi_lam(rho) for partitions of one size, lam possibly (): each rim hook
+    of length rho[0] is stripped by moving a bead of lam's beta-set and
+    reading the smaller partition back off the beads, so every step of the
+    recursion is keyed on a partition."""
+    if not rho:
+        return 1 if not lam else 0
+    r, rest = rho[0], rho[1:]
+    ell = max(len(lam), 1)
+    padded = list(lam) + [0] * (ell - len(lam))
+    beta = [padded[j] + ell - 1 - j for j in range(ell)]
+    total = 0
+    for b in beta:
+        if b - r >= 0 and b - r not in beta:
+            height = sum(1 for x in beta if b - r < x < b)
+            moved = sorted([x for x in beta if x != b] + [b - r], reverse=True)
+            parts = tuple(x - (ell - 1 - j) for j, x in enumerate(moved))
+            total += (-1) ** height * character_by_partitions(tuple(p for p in parts if p > 0), rest)
+    return total

@@ -146,6 +146,26 @@ def test_rf_equal_detects_inequality():
     assert not rf_equal(f, ExactRationalFunction(one - vp(1)))
 
 
+def test_rf_equal_takes_laurent_polynomials_on_either_side():
+    one = LaurentPoly.one(V)
+    f = ExactRationalFunction(one - vp(2), [one - vp(1)])
+    assert rf_equal(one + vp(1), vp(1) + one)
+    assert not rf_equal(one + vp(1), one - vp(1))
+    assert rf_equal(one + vp(1), f) and rf_equal(f, one + vp(1))
+    assert not rf_equal(one, f) and not rf_equal(f, one)
+
+
+@pytest.mark.parametrize("f, g", [
+    (LaurentPoly.one(V), LaurentPoly.one(ST)),
+    (LaurentPoly.one(V), ExactRationalFunction(LaurentPoly.one(ST))),
+    (ExactRationalFunction(LaurentPoly.one(V)), LaurentPoly.one(ST)),
+    (ExactRationalFunction(LaurentPoly.one(V)), ExactRationalFunction(LaurentPoly.one(ST))),
+])
+def test_rf_equal_refuses_mixed_variable_sets(f, g):
+    with pytest.raises(ValueError, match="mixed variable sets"):
+        rf_equal(f, g)
+
+
 def test_rational_arithmetic():
     one = LaurentPoly.one(V)
     half = ExactRationalFunction(one, [one - vp(1)])

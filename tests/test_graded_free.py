@@ -129,6 +129,25 @@ def test_unipotent_inverse():
         unipotent_inverse(alg, (0, 1), ((dict(unit), dict(x)), ({}, dict(unit))))
 
 
+def test_unipotent_inverse_reaches_the_last_power_of_n():
+    # every entry below the diagonal is nonzero, one, two, three and four
+    # steps down; N^4 at (4, 0) is N_43 N_32 N_21 N_10, a product of nonzero
+    # polynomials, so an inverse stopped one step early fails both products
+    alg = MonomialAlgebra(2, 8)
+    shifts = (4, 3, 2, 1, 0)
+    rng = Random(3)
+    U = tuple(
+        tuple(
+            alg.unit() if i == j else {k: rng.choice((-2, -1, 1, 2)) for k in range(alg.dim(i - j))} if i > j else {}
+            for j in range(5)
+        )
+        for i in range(5)
+    )
+    V = unipotent_inverse(alg, shifts, U)
+    assert matrix_multiply(alg, shifts, U, V) == identity_matrix(alg, 5)
+    assert matrix_multiply(alg, shifts, V, U) == identity_matrix(alg, 5)
+
+
 def test_hand_worked_rank_one_projection():
     # U = [[1, 0], [x, 1]] conjugating diag(1, 0) gives E = [[1, 0], [x, 0]]
     alg = MonomialAlgebra(1, 12)

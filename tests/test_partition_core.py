@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,8 +58,8 @@ PARTITION_KEYED = {
     "omega_factors": omega_factors,
     "character_value": lambda mu: character_value(mu, (1,) * int(sum(mu))),
 }
-# the memos keyed on n, then the closed forms that take n alone and run the
-# same int rule
+# every memo behind memo_n's door, then kostka_fake_degree_identity, which
+# takes its n through kostka_macdonald's
 N_KEYED = {
     "enumerate_partitions": enumerate_partitions,
     "kostka_numbers": kostka_numbers,
@@ -102,6 +104,25 @@ def test_a_bool_or_float_n_is_refused_after_the_int_is_cached(name, n):
     N_KEYED[name](2)
     with pytest.raises(TypeError, match="n must be an int"):
         N_KEYED[name](n)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("name", N_KEYED)
+def test_the_door_refuses_an_n_below_one(name, n):
+    with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+        N_KEYED[name](n)
+
+
+def test_every_memo_n_function_is_n_keyed():
+    package = Path(__file__).resolve().parent.parent / "src" / "cherpoi"
+    behind_memo_n = {
+        node.name
+        for path in package.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(d, ast.Name) and d.id == "memo_n" for d in node.decorator_list)
+    }
+    assert behind_memo_n <= N_KEYED.keys()
 
 
 def test_enumerate_partitions_revlex():

@@ -129,14 +129,15 @@ def test_the_keep_list_names_only_uncalled_public_names():
 
 
 # private names that only their owners may name in src/cherpoi: the sparse
-# kernel belongs to exact_poly and the oracle, which packs its own keys;
-# LaurentPoly's keys are decoded only in exact_poly, and wrapped raw only
-# there and by sn_rep's one-variable fake degrees, whose keys are their
-# exponents; z_rho is read only through sn_rep's class average
+# kernel belongs to exact_poly and the oracle, which packs its own keys
+# with _key; LaurentPoly's keys are packed and decoded only in exact_poly,
+# and wrapped raw only there and by sn_rep's one-variable fake degrees,
+# whose keys are their exponents; z_rho is read only through sn_rep's class
+# average
 OWNERS = {
     "_mul_packed": {"exact_poly.py", "commutative_oracle.py"},
     "_add_into": {"exact_poly.py", "commutative_oracle.py"},
-    "_pack": {"exact_poly.py", "commutative_oracle.py"},
+    "_pack": {"exact_poly.py"},
     "_unpack": {"exact_poly.py"},
     "_build": {"exact_poly.py", "sn_rep.py"},
     "centralizer_order": {"sn_rep.py"},
@@ -175,3 +176,19 @@ def test_no_public_function_carries_a_bare_cache():
                 if any(_bare_memo(d) for d in node.decorator_list):
                     bare.append(f"{path.name}:{node.name}")
     assert bare == []
+
+
+def test_a_memo_is_reached_only_through_its_door():
+    # character_value once recursed on character_value.raw, the memo without
+    # the door; a recursion past the door keeps a private memo of its own
+    from cherpoi.partition_core import memo
+    from cherpoi.sn_rep import character_value
+
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "raw":
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
+    assert not hasattr(character_value, "raw")
+    assert not hasattr(memo(lambda n: (n,))(abs), "raw")

@@ -20,6 +20,8 @@ from cherpoi.sn_rep import (
     kronecker,
 )
 
+from _reference import character_by_partitions
+
 V = ("v",)
 
 
@@ -41,6 +43,16 @@ def test_character_value_murnaghan_nakayama():
     assert character_value((4, 1), (5,)) == -1
     assert character_value((3, 2), (1, 1, 1, 1, 1)) == 5
     assert character_value((2, 2), (2, 2)) == 2
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_character_value_matches_the_recursion_on_partitions(n):
+    # a sign slip or a wrong bead move in the beta-set recursion changes
+    # some value against the route that reads a partition back at each step
+    parts = enumerate_partitions(n)
+    for lam in parts:
+        for rho in parts:
+            assert character_value(lam, rho) == character_by_partitions(lam, rho), (lam, rho)
 
 
 def test_centralizers_and_signs():
