@@ -7,8 +7,8 @@ from __future__ import annotations
 import json
 
 from .errors import ResourceError
-from .report import ORACLE_SCHEMA, _key, _ser
-from .suites_oracle import _compare_window, _jbar_comparison
+from .report import ORACLE_SCHEMA, _label, _ser
+from .suites_oracle import _jbar_check, _window_check
 from .verifier_cli import _parse_pair
 
 
@@ -37,12 +37,12 @@ def cmd_oracle(args) -> int:
             print(json.dumps(doc, sort_keys=True))
         return 0
 
-    left, right = _compare_window(args.n, args.d, window, total)
+    window_verdict, left, right = _window_check(args.n, args.d, window, total)
     mismatches = {k: (left[k], right[k]) for k in left if left[k] != right[k]}
-    exit_code = 1 if mismatches else 0
+    exit_code = 1 if window_verdict == "fail" else 0
 
     try:
-        verdict, jleft, jright = _jbar_comparison(args.n, args.d, window, total)
+        verdict, jleft, jright = _jbar_check(args.n, args.d, window, total)
         jbar_block = {"verdict": verdict, "formula": _ser(jleft), "oracle": _ser(jright)}
     except ResourceError as exc:
         verdict = "skipped"
@@ -54,7 +54,7 @@ def cmd_oracle(args) -> int:
 
     if args.format == "json":
         doc["compare"] = {
-            "mismatches": {_key(k): list(v) for k, v in sorted(mismatches.items())},
+            "mismatches": {_label(k): list(v) for k, v in sorted(mismatches.items())},
             "jbar": jbar_block,
         }
         print(json.dumps(doc, sort_keys=True))

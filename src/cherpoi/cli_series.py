@@ -34,10 +34,10 @@ def _series_csv(f, prefix) -> str:
     lines = ["part,coeff,exponents"]
     if prefix is not None:
         lines.append(f'prefix,"{prefix}",')
-    for exps, coeff in sorted(f.num.terms.items()):
+    for exps, coeff in f.num.sorted_terms():
         lines.append(f'num,{coeff},"{";".join(map(str, exps))}"')
     for i, factor in enumerate(f.den):
-        for exps, coeff in sorted(factor.terms.items()):
+        for exps, coeff in factor.sorted_terms():
             lines.append(f'den{i},{coeff},"{";".join(map(str, exps))}"')
     return "\n".join(lines) + "\n"
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .report import TABLE_SCHEMA, _plabel
+from .report import TABLE_SCHEMA, _label
 
 
 def _table_data(kind: str, n: int):
@@ -13,9 +13,9 @@ def _table_data(kind: str, n: int):
         from .sn_rep import character_table
 
         table = character_table(n)
-        columns = [_plabel(r) for r in table.partitions]
+        columns = [_label(r) for r in table.partitions]
         rows = [
-            (_plabel(mu), [str(table.values[(mu, r)]) for r in table.partitions])
+            (_label(mu), [str(table.values[(mu, r)]) for r in table.partitions])
             for mu in table.partitions
         ]
         return "irr\\class", columns, rows
@@ -23,9 +23,9 @@ def _table_data(kind: str, n: int):
         from .macdonald import kostka_macdonald
 
         matrix = kostka_macdonald(n)
-        columns = [_plabel(lam) for lam in matrix.partitions]
+        columns = [_label(lam) for lam in matrix.partitions]
         rows = [
-            (_plabel(mu), [str(matrix.entry(lam, mu)) for lam in matrix.partitions])
+            (_label(mu), [str(matrix.entry(lam, mu)) for lam in matrix.partitions])
             for mu in matrix.partitions
         ]
         return "mu\\lam", columns, rows

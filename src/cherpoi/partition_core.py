@@ -84,6 +84,7 @@ def memo(door):
         def door_then_memo(*args, **kwargs):
             return memoized(*door(*args, **kwargs))
 
+        del door_then_memo.__wrapped__  # wraps' own side entrance, past the door
         return door_then_memo
 
     return decorate

@@ -5,6 +5,10 @@ A suite is a list of (check name, thunk) pairs; each thunk returns
 a failed check and a tripped resource bound as a skipped one. Reports are
 deterministic for fixed parameters and engine version except for the
 per-check wall_ms, which to_json(timings=False) leaves out.
+
+Suites hand over raw data and this module renders it: _label is the one
+renderer of partition labels, for the dict keys of every report and for the
+rows and columns of the table and oracle subcommands.
 """
 
 from __future__ import annotations
@@ -26,12 +30,10 @@ _SER_CAP = 4000
 
 def _ser(obj):
     """JSON-able rendering of compared objects, deterministic and bounded."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (int, float, str)):
         return obj
     if isinstance(obj, dict):
-        return {_key(k): _ser(v) for k, v in obj.items()}
+        return {_label(k): _ser(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_ser(x) for x in obj]
     text = str(obj)
@@ -43,16 +45,13 @@ def _ser(obj):
     return text
 
 
-def _key(k) -> str:
-    if isinstance(k, str):
-        return k
+def _label(k) -> str:
+    """A key as text, a tuple bracketed with its entries rendered the same
+    way: (2, 1) is [2 1], ((2,), (1, 1)) is [[2] [1 1]] and
+    ("column-sum", (2, 1)) is [column-sum [2 1]]."""
     if isinstance(k, tuple):
-        return _plabel(k)
+        return "[" + " ".join(map(_label, k)) + "]"
     return str(k)
-
-
-def _plabel(p) -> str:
-    return "[" + " ".join(map(str, p)) + "]"
 
 
 class CheckResult(NamedTuple):

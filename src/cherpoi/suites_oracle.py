@@ -1,28 +1,60 @@
 """Oracle suites: oracle-J, oracle-jbar, coinvariants, parity.
 
-The brute-force commutative oracle against the closed formulas.
-_compare_window and _jbar_comparison are shared with the oracle subcommand's
---compare. The bigraded suites' builders check their whole grid as input
-before any check runs, so bad input raises out of run_suite instead of
-failing a check; a resource cap stays per check, which reports skipped.
+The brute-force commutative oracle against the closed formulas. The three
+bigraded suites are built by one builder, _bigraded_items, from a grid
+{n: (d_max, window, total)}: it checks the whole grid as input before any
+check runs, so bad input raises out of run_suite instead of failing a check,
+and then makes one check per (n, d); a resource cap stays per check, which
+reports skipped. _window_check and _jbar_check are shared with the oracle
+subcommand's --compare.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from .report import _verdict
 
-
-def _oracle_j_grid(p):
-    if p.get("n") is not None:
-        n = p["n"]
-        d_max = p.get("d_max", 3 if n == 2 else 2)
-        window = p.get("window", (10, 10) if n == 2 else (8, 8))
-        total = p.get("total", None if n == 2 else 8)
-        return [(n, d_max, window, total)]
-    return [(2, 3, (10, 10), None), (3, 2, (8, 8), 8)]
+# the default grids of oracle-J and oracle-jbar, {n: (d_max, window, total)};
+# a given --n takes the n = 2 row when it is 2 and the n = 3 row otherwise,
+# under its own --d, --window and --total
+_GRIDS = {
+    "oracle-J": {2: (3, (10, 10), None), 3: (2, (8, 8), 8)},
+    "oracle-jbar": {2: (2, (8, 8), None), 3: (2, (7, 7), 10)},
+}
 
 
-def _compare_window(n: int, d: int, window, total):
+def _grid(suite: str, p) -> dict:
+    """The suite's grid; --d, --window and --total are read only beside --n,
+    so that run_suite refuses them alone."""
+    rows = _GRIDS[suite]
+    n = p.get("n")
+    if n is None:
+        return rows
+    d_max, window, total = rows[2 if n == 2 else 3]
+    return {n: (p.get("d_max", d_max), p.get("window", window), p.get("total", total))}
+
+
+def _bigraded_items(grid: dict, name: str, check) -> list:
+    """One (name-n{n}-d{d}, check(n, d, window, total)) item for each n of
+    grid {n: (d_max, window, total)} and d = 0..d_max, once every point has
+    passed the oracle's input check."""
+    from .commutative_oracle import _check_bigraded_input
+
+    points = [
+        (n, d, window, total)
+        for n, (d_max, window, total) in grid.items()
+        for d in range(d_max + 1)
+    ]
+    for point in points:
+        _check_bigraded_input(*point)
+    return [
+        (f"{name}-n{n}-d{d}", partial(check, n, d, window, total))
+        for n, d, window, total in points
+    ]
+
+
+def _window_check(n: int, d: int, window, total):
     """Formula coefficients vs oracle dimensions, per window cell."""
     from .commutative_oracle import ideal_power_dims
     from .exact_poly import expand_window
@@ -37,37 +69,17 @@ def _compare_window(n: int, d: int, window, total):
     for (a, b), value in sorted(table.table.items()):
         left[(a, b)] = expansion.coefficient((a, b))
         right[(a, b)] = value
-    return left, right
+    return _verdict(left == right), left, right
 
 
 def _suite_oracle_j(p):
-    # _compare_window's modules, loaded before any check's clock
-    from . import commutative_oracle, exact_poly, hilbert_series, macdonald  # noqa: F401
+    # _window_check's modules, loaded before any check's clock
+    from . import exact_poly, hilbert_series, macdonald  # noqa: F401
 
-    items = []
-    for n, d_max, window, total in _oracle_j_grid(p):
-        for d in range(d_max + 1):
-            commutative_oracle._check_bigraded_input(n, d, window, total)
-
-            def compare(n=n, d=d, window=window, total=total):
-                left, right = _compare_window(n, d, window, total)
-                return _verdict(left == right), left, right
-
-            items.append((f"window-match-n{n}-d{d}", compare))
-    return items
+    return _bigraded_items(_grid("oracle-J", p), "window-match", _window_check)
 
 
-def _oracle_jbar_grid(p):
-    if p.get("n") is not None:
-        n = p["n"]
-        d_max = p.get("d_max", 2)
-        window = p.get("window", (8, 8) if n == 2 else (7, 7))
-        total = p.get("total", None if n == 2 else 10)
-        return [(n, d_max, window, total)]
-    return [(2, 2, (8, 8), None), (3, 2, (7, 7), 10)]
-
-
-def _jbar_comparison(n: int, d: int, window, total):
+def _jbar_check(n: int, d: int, window, total):
     """Saturated diagonal sums vs the closed-form coefficients."""
     from .commutative_oracle import jbar_dims
     from .exact_poly import expand_window
@@ -85,19 +97,10 @@ def _jbar_comparison(n: int, d: int, window, total):
 
 
 def _suite_oracle_jbar(p):
-    # _jbar_comparison's modules, loaded before any check's clock
-    from . import commutative_oracle, exact_poly, hilbert_series  # noqa: F401
+    # _jbar_check's modules, loaded before any check's clock
+    from . import exact_poly, hilbert_series  # noqa: F401
 
-    items = []
-    for n, d_max, window, total in _oracle_jbar_grid(p):
-        for d in range(d_max + 1):
-            commutative_oracle._check_bigraded_input(n, d, window, total)
-
-            def compare(n=n, d=d, window=window, total=total):
-                return _jbar_comparison(n, d, window, total)
-
-            items.append((f"saturated-diagonals-n{n}-d{d}", compare))
-    return items
+    return _bigraded_items(_grid("oracle-jbar", p), "saturated-diagonals", _jbar_check)
 
 
 def _fake_degree_multiplicities(n: int) -> dict[int, dict]:
@@ -128,21 +131,15 @@ def _suite_coinvariants(p):
     return items
 
 
+def _alternation_check(n: int, d: int, window, total):
+    """parity_check at one grid point: J^d and A^d agree in correct parity."""
+    from .commutative_oracle import parity_check
+
+    ok = parity_check(n, d, window, total)
+    return _verdict(ok), ok, True
+
+
 def _suite_parity(p):
-    from .commutative_oracle import _check_bigraded_input, parity_check
-
     n_max = p.get("n_max", 3)
-    d_max = p.get("d_max", 3)
-    window = p.get("window", (6, 6))
-    total = p.get("total", 8)
-    items = []
-    for n in range(2, n_max + 1):
-        for d in range(d_max + 1):
-            _check_bigraded_input(n, d, window, total)
-
-            def check(n=n, d=d):
-                ok = parity_check(n, d, window, total)
-                return _verdict(ok), ok, True
-
-            items.append((f"alternation-n{n}-d{d}", check))
-    return items
+    row = (p.get("d_max", 3), p.get("window", (6, 6)), p.get("total", 8))
+    return _bigraded_items({n: row for n in range(2, n_max + 1)}, "alternation", _alternation_check)

@@ -24,8 +24,8 @@ A process loads and compiles only the modules its subcommand uses. This
 module keeps argument parsing, the series kind table SERIES_KINDS, the suite
 registry SUITES, run_suite and the verify handler. At the top level it
 imports only the standard library it needs, __version__, the error types and
-report, which holds CheckResult, SuiteReport, the check runner and the
-schemas.
+report, which holds CheckResult, SuiteReport, the check runner, the
+schemas and the label renderer.
 
 - Each other subcommand's handler lives in its own module (cli_series,
   cli_table, cli_oracle, cli_basis), imported when that subcommand runs.
@@ -36,7 +36,7 @@ schemas.
   SUITES entry imports its family when called.
 - Each builder imports what its checks call inside the function, so a family
   module loads only the modules of the suite that runs. A builder whose
-  checks go through a helper (_compare_window, _jbar_comparison) or through
+  checks go through a helper (_window_check, _jbar_check) or through
   a function that loads a module on its first call (hilbert_series loads
   macdonald in _fixed_point_term, under bigraded_J and
   jbar_via_specialization) names those modules with `from . import ...` too.

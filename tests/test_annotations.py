@@ -10,6 +10,7 @@ defined there.
 import importlib
 import inspect
 import pkgutil
+import sys
 import typing
 
 import cherpoi
@@ -41,7 +42,10 @@ def test_every_annotation_resolves():
     unresolved = []
     for function in functions:
         try:
-            typing.get_type_hints(function)
+            # the module's namespace, not __globals__: a memoized function's
+            # wrapper carries the annotations of the function it wraps, not
+            # its globals, nor a __wrapped__ for get_type_hints to follow
+            typing.get_type_hints(function, vars(sys.modules[function.__module__]))
         except NameError as exc:
             unresolved.append(f"{function.__module__}.{function.__qualname__}: {exc}")
     assert unresolved == []

@@ -24,7 +24,8 @@ from cherpoi.macdonald import (
 from cherpoi.partition_core import enumerate_partitions
 from cherpoi.sn_rep import fake_degree
 from cherpoi.cli_table import emit_table
-from cherpoi.verifier_cli import MAX_GRID, SUITES, _parse_pair, main, run_suite
+from cherpoi.report import _label, _ser
+from cherpoi.verifier_cli import MAX_GRID, SUITES, _Params, _parse_pair, main, run_suite
 
 SMALL_GRIDS = {
     "fake-degrees": {"n_max": 4},
@@ -250,6 +251,47 @@ def test_check_names_follow_the_grid():
     ]
 
 
+@pytest.mark.parametrize(
+    "suite,params,row",
+    [
+        ("oracle-J", {"n": 4, "d_max": 1}, (4, (8, 8), 8)),
+        ("oracle-J", {"n": 2, "d_max": 1}, (2, (10, 10), None)),
+        ("oracle-jbar", {"n": 5, "d_max": 1}, (5, (7, 7), 10)),
+        ("oracle-jbar", {"n": 2, "d_max": 1, "total": 6}, (2, (8, 8), 6)),
+    ],
+)
+def test_a_given_n_takes_the_default_row_of_n_2_or_n_3(suite, params, row):
+    # n = 2 takes the n = 2 row and every other n the n = 3 row, under the
+    # options given beside it
+    items = SUITES[suite](_Params(params))
+    assert [thunk.args for _, thunk in items] == [(row[0], d, *row[1:]) for d in (0, 1)]
+
+
+def test_the_bigraded_builder_checks_every_point_before_making_a_check():
+    # the bad point comes last; --d without --n is refused by
+    # test_verify_rejects_an_option_its_suite_does_not_read
+    from cherpoi.suites_oracle import _bigraded_items
+
+    with pytest.raises(ValueError, match="need n >= 2, got 1"):
+        _bigraded_items({2: (1, (4, 4), None), 1: (0, (4, 4), None)}, "x", None)
+
+
+@pytest.mark.parametrize(
+    "key,label",
+    [
+        ((2, 1), "[2 1]"),
+        (((2,), (1, 1)), "[[2] [1 1]]"),
+        (("column-sum", (2, 1)), "[column-sum [2 1]]"),
+        ((-1, 3), "[-1 3]"),
+        (7, "7"),
+        ("printed", "printed"),
+    ],
+)
+def test_one_renderer_labels_every_key(key, label):
+    assert _label(key) == label
+    assert _ser({key: (key,)}) == {label: [_ser(key)]}
+
+
 # ---------------------------------------------------------------------------
 # series command
 
@@ -460,17 +502,17 @@ def test_oracle_json_without_compare(capsys):
 
 def test_oracle_compare_failures_exit_1(capsys, monkeypatch):
     # one cell where the formula and the oracle disagree
-    def compare_window(n, d, window, total):
-        return {(0, 0): 1, (1, 0): 2}, {(0, 0): 1, (1, 0): 3}
+    def window_check(n, d, window, total):
+        return "fail", {(0, 0): 1, (1, 0): 2}, {(0, 0): 1, (1, 0): 3}
 
-    monkeypatch.setattr("cherpoi.cli_oracle._compare_window", compare_window)
+    monkeypatch.setattr("cherpoi.cli_oracle._window_check", window_check)
     argv = ["oracle", "--n", "2", "--d", "0", "--max-bidegree", "2,2", "--compare"]
     assert main(argv) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[-3:] == ["mismatch cells (formula, oracle):", "  (1, 0): 2 != 3", "jbar diagonals: pass"]
     # a matching window with a failed diagonal comparison fails too
     monkeypatch.undo()
-    monkeypatch.setattr("cherpoi.cli_oracle._jbar_comparison", lambda n, d, window, total: ("fail", {0: 1}, {0: 2}))
+    monkeypatch.setattr("cherpoi.cli_oracle._jbar_check", lambda n, d, window, total: ("fail", {0: 1}, {0: 2}))
     assert main(argv) == 1
     assert capsys.readouterr().out.splitlines()[-2:] == ["all window cells match the formula expansion", "jbar diagonals: fail"]
 
