@@ -461,9 +461,9 @@ class ExactRationalFunction:
         other = self._coerce(other)
         if self.vars != other.vars:
             raise ValueError(f"mixed variable sets: {self.vars} vs {other.vars}")
-        common, mine, theirs = _split_common_factors(self.den, other.den)
+        den, mine, theirs = _sum_denominator(self.den, other.den)
         num = self.num * _product(self.vars, theirs) + other.num * _product(self.vars, mine)
-        return ExactRationalFunction(num, common + mine + theirs)
+        return ExactRationalFunction(num, den)
 
     __radd__ = __add__
 
@@ -525,12 +525,16 @@ def _product(variables, factors) -> LaurentPoly:
     return prod
 
 
-def _split_common_factors(a: tuple[LaurentPoly, ...], b: tuple[LaurentPoly, ...]):
-    """Multiset intersection of factor lists by structural equality (not gcd):
-    the shared factors in order of first appearance in a, then the rest of a
-    and the rest of b, each in order."""
+def _sum_denominator(a: tuple[LaurentPoly, ...], b: tuple[LaurentPoly, ...]):
+    """The denominator factors of a sum of a term over a and a term over b,
+    in the one order every such sum uses: the factors a and b share (a
+    multiset intersection by structural equality, not gcd) in order of first
+    appearance in a, then the rest of a and the rest of b, each in order.
+    Returned with the rest of a and the rest of b, whose products scale the
+    other term's numerator."""
     common = Counter(a) & Counter(b)
-    return tuple(common.elements()), _without(a, common), _without(b, common)
+    mine, theirs = _without(a, common), _without(b, common)
+    return tuple(common.elements()) + mine + theirs, mine, theirs
 
 
 def _without(factors: tuple[LaurentPoly, ...], drop: Counter) -> tuple[LaurentPoly, ...]:

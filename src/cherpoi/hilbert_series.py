@@ -9,18 +9,21 @@ Formal coupling parameters ride along as CExponent prefixes where a series
 has one; concrete integers d, k enter the bodies as monomial shifts.
 
 Only _fixed_point_term uses macdonald, and it imports it itself, so the
-series that do not sum over fixed points load without it; bigraded_JJ,
-bigraded_J and jbar_via_specialization all sum that one term.
+series that do not sum over fixed points load without it. bigraded_JJ and
+bigraded_J add that term up over mu for each d. jbar_via_specialization
+specializes it once per n, over one common denominator (_specialized_sum),
+and reads every d off those numerators by shifts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
 from .errors import ResourceError
-from .exact_poly import CExponent, ExactRationalFunction, LaurentPoly
+from .exact_poly import CExponent, ExactRationalFunction, LaurentPoly, _product, _sum_denominator, _without
 from .partition_core import Partition, check_ints, check_partition, enumerate_partitions, nstat, num_syt, transpose
 from .sn_rep import fake_degree, kronecker
 
@@ -62,10 +65,6 @@ def _vp(k: int) -> LaurentPoly:
 
 def _wshift(mu: Partition) -> int:
     return nstat(mu) - nstat(transpose(mu))
-
-
-def _zero_v() -> ExactRationalFunction:
-    return ExactRationalFunction(LaurentPoly.zero(V))
 
 
 # ---------------------------------------------------------------------------
@@ -202,25 +201,57 @@ def jbar_closed(n: int, d: int) -> ExactRationalFunction:
     return ExactRationalFunction(num, den)
 
 
+class _SpecializedSum(NamedTuple):
+    """The pieces of jbar_via_specialization's sum that do not depend on d."""
+
+    den: tuple[LaurentPoly, ...]  # the common denominator of the mu-terms
+    parts: tuple[tuple[int, LaurentPoly], ...]  # (n(mu) - n(mu^t), numerator over den) per mu
+
+
+@cache
+def _specialized_sum(n: int) -> _SpecializedSum:
+    """Each mu-term P_mu(s,t) / Omega(mu) specialized at s=v, t=1/v, times the
+    cut (1 - 1/v) prod_{i=1}^n (1-v^i), over one common denominator, built
+    once per n. The denominator is folded term by term with the rule of a
+    sequential sum (exact_poly._sum_denominator), so it is the one such a sum
+    would give, factor for factor; each mu's numerator carries its cofactor,
+    the product of the factors its own denominator lacks. The result is
+    shared and must not be mutated."""
+    one = LaurentPoly.one(V)
+    cut = one - _vp(-1)
+    for i in range(1, n + 1):
+        cut = cut * (one - _vp(i))
+    parts = enumerate_partitions(n)
+    terms = [_fixed_point_term(mu, 0, "positional").substitute_monomials(V, {"s": (1,), "t": (-1,)}) for mu in parts]
+    den: tuple[LaurentPoly, ...] = ()
+    for term in terms:
+        den = _sum_denominator(den, term.den)[0]
+    return _SpecializedSum(
+        den,
+        tuple(
+            (_wshift(mu), term.num * cut * _product(V, _without(den, Counter(term.den))))
+            for mu, term in zip(parts, terms)
+        ),
+    )
+
+
 def jbar_via_specialization(n: int, d: int) -> ExactRationalFunction:
     """The same series assembled through the Macdonald pipeline: each mu-term
     of the bigraded series is specialized s=v, t=1/v factor by factor (every
     Omega factor lands on (1-v^h) or (1-v^-h), never on zero), multiplied by
-    (1 - 1/v) prod_{i=1}^n (1-v^i).
+    (1 - 1/v) prod_{i=1}^n (1-v^i), and summed. s^{d n(mu)} t^{d n(mu^t)}
+    specializes to a shift by d (n(mu) - n(mu^t)), so every d sums the
+    shifted numerators of _specialized_sum over its denominator.
 
     Its equality with jbar_closed is the derivation-chain check that the
     acceptance suite performs; nothing here assumes it.
     """
     _check_series_input(n, "d", d, 0)
-    one = LaurentPoly.one(V)
-    cut = one - _vp(-1)
-    for i in range(1, n + 1):
-        cut = cut * (one - _vp(i))
-    total = _zero_v()
-    for mu in enumerate_partitions(n):
-        term = _fixed_point_term(mu, d, "positional").substitute_monomials(V, {"s": (1,), "t": (-1,)})
-        total = total + term * cut
-    return total
+    spec = _specialized_sum(n)
+    num = LaurentPoly.zero(V)
+    for w, part in spec.parts:
+        num = num + part.shift((d * w,))
+    return ExactRationalFunction(num, spec.den)
 
 
 # ---------------------------------------------------------------------------

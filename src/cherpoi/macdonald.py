@@ -3,11 +3,17 @@ the factors of Omega(mu) and the fiber series P_mu(s,t) read off K.
 
 The Kostka-Macdonald matrix is built from the Haglund-Haiman-Loehr
 combinatorial formula for the modified Macdonald polynomials, in integer
-arithmetic only. The tests certify K against Macdonald's definition of the
-integral forms that it expands in the plethystic Schur basis s_lam[X(1-t)]
-(Macdonald, VI (8.11)): triangular in dominance order, leading coefficient
-c_mu (integral_form_scalar), integral, and orthogonal under
+arithmetic only. The fillings are counted by a transfer over the rows, and
+only one shape of each conjugate pair is counted: the other column is read
+off through H~_{mu'}(X;q,t) = H~_mu(X;t,q). The tests certify K against
+Macdonald's definition of the integral forms that it expands in the
+plethystic Schur basis s_lam[X(1-t)] (Macdonald, VI (8.11)): triangular in
+dominance order, leading coefficient c_mu (integral_form_scalar), integral,
+and orthogonal under
 <p_lam, p_mu> = delta * z_lam * prod_i (1-q^{lam_i})/(1-t^{lam_i}).
+They also check K(0,t) against the charge of semistandard tableaux, and
+both columns of every conjugate pair against the fillings enumerated one
+by one.
 
 Argument-order note. The fixed-point series P_mu(s,t) evaluates the
 Kostka-Macdonald entries at a point written (t, s^{-1}); two readings of the
@@ -23,20 +29,22 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
 from typing import NamedTuple
 
 from .errors import ResourceError
 from .exact_poly import LaurentPoly
 from .partition_core import Partition, cells, cell_data, check_partition, enumerate_partitions, nstat, num_syt
-from .partition_core import memo, memo_n, memo_partition
+from .partition_core import memo, memo_n, memo_partition, transpose
 from .sn_rep import fake_degree
 
 QT = ("q", "t")
 ST = ("s", "t")
-# every HHL column, cold, on 2 cores: 0.68 s at n = 7, 6.9 s at n = 8; the
-# acceptance battery requires >= 5
-MAX_KOSTKA_N = 7
+# the whole matrix by row transfer and conjugate symmetry, cold, in process
+# on 2 cores: 0.06 s at n = 7, 0.3 s at n = 8, 1.3 s at n = 9; its Tier-1
+# certificate by the definition takes about 3 s more at n = 8 and 14 s at
+# n = 9; the acceptance battery requires >= 5
+MAX_KOSTKA_N = 8
 
 
 # ---------------------------------------------------------------------------
@@ -102,98 +110,154 @@ class KostkaMacdonaldMatrix(NamedTuple):
         return self.entries[(check_partition(lam), check_partition(mu))]
 
 
-def _hhl_weights(mu: Partition, content: Partition) -> Counter:
-    """Count the fillings of mu with the given content by (inv, maj).
+def _filling_counts(mu: Partition):
+    """The Haglund-Haiman-Loehr fillings of mu counted by (inv, maj), as a
+    function of the content; every content shares one memo.
 
-    Haglund-Haiman-Loehr statistics on the French diagram, read in reading
-    order (rows top to bottom, each left to right). A descent is a cell whose
-    entry exceeds the entry directly below it; maj sums leg+1 over the
-    descents. Two cells attack when they share a row, or sit in adjacent
-    rows with the upper cell strictly right of the lower one; inv counts the
-    attacking pairs whose earlier entry in reading order is larger, minus the
-    arms of the descents. Both are updated cell by cell as the filling grows.
+    The statistics live on the French diagram, read in reading order (rows
+    top to bottom, each left to right). A descent is a cell whose entry
+    exceeds the entry directly below it; maj sums leg+1 over the descents.
+    Two cells attack when they share a row, or sit in adjacent rows with the
+    upper cell strictly right of the lower one; inv counts the attacking
+    pairs whose earlier entry in reading order is larger, minus the arms of
+    the descents.
+
+    Every term of inv and maj lies within one row or between two adjacent
+    rows, so the count is a transfer over the rows from the top down. The
+    memo sits at row boundaries, keyed on the row index, the row just filled
+    and the remaining multiplicities. That row is written relative to the
+    remaining values: an entry becomes the number of distinct remaining
+    values below it, which decides its every strict comparison with the row
+    under it. The values themselves leave the key, so contents that agree on
+    what is left share its entries. The counts returned are shared and must
+    not be mutated.
     """
-    order = [(i, j) for i in reversed(range(len(mu))) for j in range(mu[i])]
-    pos = {c: k for k, c in enumerate(order)}
-    attackers = []  # earlier positions in reading order that attack position k
-    above = []  # (position, arm, leg+1) of the cell directly above, or None
-    for i, j in order:
-        earlier = [pos[(i, jj)] for jj in range(j)]
-        if i + 1 < len(mu):
-            earlier += [pos[(i + 1, jj)] for jj in range(j + 1, mu[i + 1])]
-        attackers.append(earlier)
-        if i + 1 < len(mu) and j < mu[i + 1]:
-            cell = cell_data(mu, i + 1, j)
-            above.append((pos[(i + 1, j)], cell.arm, cell.leg + 1))
-        else:
-            above.append(None)
-    n = len(order)
-    remaining = list(content)
-    filling = [0] * n
-    weights: Counter = Counter()
+    rows = mu[::-1]  # top row first
+    depth = len(mu)
+    # (arm, leg+1) of each cell of the row above row p
+    above = [()] + [
+        tuple((cell.arm, cell.leg + 1) for cell in (cell_data(mu, depth - p, j) for j in range(rows[p - 1])))
+        for p in range(1, depth)
+    ]
+    memo: dict = {}
 
-    def grow(k: int, inv: int, maj: int) -> None:
-        if k == n:
-            weights[(inv, maj)] += 1
-            return
-        for a, left in enumerate(remaining):
-            if not left:
-                continue
-            remaining[a] -= 1
-            filling[k] = a
-            inv_k = inv + sum(1 for b in attackers[k] if filling[b] > a)
-            maj_k = maj
-            if above[k] is not None and filling[above[k][0]] > a:
-                inv_k -= above[k][1]
-                maj_k += above[k][2]
-            grow(k + 1, inv_k, maj_k)
-            remaining[a] += 1
+    def fill(p: int, up: tuple[int, ...], mult: tuple[int, ...]) -> dict:
+        """Fillings of rows p, p+1, ... with the multiplicities mult, under
+        the row up, which is written relative to mult."""
+        if p == depth:
+            return {(0, 0): 1}
+        key = (p, up, mult)
+        if key in memo:
+            return memo[key]
+        length, width = rows[p], len(mult)
+        # owed[j][x]: the (inv, maj) that an x in column j owes the row up,
+        # through the entries of up right of column j that exceed x and a
+        # descent onto x
+        owed = []
+        for j in range(length):
+            over = [sum(u > x for u in up[j + 1 :]) for x in range(width)]
+            if j < len(up):
+                arm, leg1 = above[p][j]
+                over = [(k - arm, leg1) if up[j] > x else (k, 0) for x, k in enumerate(over)]
+            else:
+                over = [(k, 0) for k in over]
+            owed.append(over)
+        left = list(mult)
+        row: list[int] = []
+        heads: dict = {}  # (row relative to what is left, what is left) -> {(inv, maj): count}
 
-    grow(0, 0, 0)
-    return weights
+        def place(j: int, inv: int, maj: int) -> None:
+            if j == length:
+                rank = list(accumulate((m > 0 for m in left), initial=0))
+                head = heads.setdefault((tuple(rank[x] for x in row), tuple(m for m in left if m)), {})
+                head[inv, maj] = head.get((inv, maj), 0) + 1
+                return
+            for x, (dinv, dmaj) in enumerate(owed[j]):
+                if not left[x]:
+                    continue
+                for y in row:
+                    dinv += y > x
+                left[x] -= 1
+                row.append(x)
+                place(j + 1, inv + dinv, maj + dmaj)
+                row.pop()
+                left[x] += 1
+
+        place(0, 0, 0)
+        out: dict = {}
+        for (rel, rest), head in heads.items():
+            tail = fill(p + 1, rel, rest)
+            for (inv, maj), c in head.items():
+                for (inv2, maj2), c2 in tail.items():
+                    e = (inv + inv2, maj + maj2)
+                    out[e] = out.get(e, 0) + c * c2
+        memo[key] = out
+        return out
+
+    return lambda content: fill(0, (), content)
 
 
-def _hhl_column(mu: Partition) -> dict[Partition, LaurentPoly]:
-    """Entries K_{. , mu} from the Haglund-Haiman-Loehr formula, in integers.
+def _hhl_columns(mu: Partition) -> dict[Partition, dict[Partition, LaurentPoly]]:
+    """The columns K_{. , mu} and K_{. , mu'} from the Haglund-Haiman-Loehr
+    formula, in integers. Only the fillings of mu are counted.
 
     The coefficient of m_lam in the modified Macdonald polynomial
-    H~_mu = sum_sigma q^inv t^maj x^sigma is the weighted count of fillings
-    with content lam. Schur coefficients K~_{lam mu} are peeled off
+    H~_mu = sum_sigma q^inv t^maj x^sigma counts the fillings with content
+    lam (_filling_counts). Schur coefficients K~_{lam mu} are peeled off
     largest-first with the unitriangular Kostka numbers, and
-    K_{lam mu}(q,t) = t^{n(mu)} K~_{lam mu}(q, 1/t).
+    K_{lam mu}(q,t) = t^{n(mu)} K~_{lam mu}(q, 1/t). The column of mu' is
+    read off through K~_{lam mu'}(q,t) = K~_{lam mu}(t,q) (see
+    kostka_macdonald); the column of mu itself owes nothing to the symmetry.
     """
     n = sum(mu)
-    parts = enumerate_partitions(n)
     kostka = kostka_numbers(n)
-    shift = nstat(mu)
+    counts = _filling_counts(mu)
     modified: dict[Partition, Counter] = {}
-    for lam in parts:  # largest first, which refines dominance
-        coeff = _hhl_weights(mu, lam)
+    for lam in enumerate_partitions(n):  # largest first, which refines dominance
+        coeff = Counter(counts(lam))
         for kappa, larger in modified.items():
             k = kostka[kappa][lam]
             if k:
                 for e, c in larger.items():
                     coeff[e] -= k * c
         modified[lam] = coeff
-    return {
-        lam: LaurentPoly(QT, {(inv, shift - maj): c for (inv, maj), c in coeff.items()})
-        for lam, coeff in modified.items()
-    }
+    columns = {}
+    # a self-conjugate mu keeps only its own reading, the later key
+    for shape, swap in {transpose(mu): True, mu: False}.items():
+        shift = nstat(shape)
+        columns[shape] = {
+            lam: LaurentPoly(
+                QT, {((maj, shift - inv) if swap else (inv, shift - maj)): c for (inv, maj), c in coeff.items()}
+            )
+            for lam, coeff in modified.items()
+        }
+    return columns
 
 
 @memo_n
 def kostka_macdonald(n: int) -> KostkaMacdonaldMatrix:
     """The full K_{lam mu}(q,t) matrix, built once per process and kept in memory.
 
-    Each column comes from the combinatorial formula of Haglund, Haiman and
+    Columns come from the combinatorial formula of Haglund, Haiman and
     Loehr, "A combinatorial formula for Macdonald polynomials", J. Amer.
     Math. Soc. 18 (2005), through the modified Kostka-Macdonald
-    coefficients; see _hhl_column.
+    coefficients; see _hhl_columns. Only one shape mu of each conjugate
+    pair is counted: its conjugate's column is read off through
+    H~_{mu'}(X;q,t) = H~_mu(X;t,q), that is K~_{lam mu'}(q,t) =
+    K~_{lam mu}(t,q) (Haglund, "The q,t-Catalan numbers and the space of
+    diagonal harmonics", AMS University Lecture Series 41 (2008), Ch. 2).
+    H~_mu is fixed by H~_mu[X(1-q)] lying in the span of the s_lam with
+    lam >= mu, H~_mu[X(1-t)] in that of the s_lam with lam >= mu', and
+    <H~_mu, s_(n)> = 1; exchanging q with t and mu with mu' exchanges the
+    two spans, whence the symmetry.
     """
     if n > MAX_KOSTKA_N:
         raise ResourceError(f"kostka bound is n <= {MAX_KOSTKA_N}, got {n}")
     parts = enumerate_partitions(n)
-    columns = {mu: _hhl_column(mu) for mu in parts}
+    columns = {}
+    for mu in parts:
+        if mu <= transpose(mu):  # the taller of the pair when their heights differ
+            columns.update(_hhl_columns(mu))
     entries = {(lam, mu): columns[mu][lam] for lam in parts for mu in parts}
     return KostkaMacdonaldMatrix(n, parts, entries)
 

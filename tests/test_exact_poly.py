@@ -24,7 +24,7 @@ from cherpoi.exact_poly import (
     rf_to_json,
 )
 from cherpoi.errors import ResourceError
-from cherpoi.exact_poly import _binomial_quotient, _divexact_binomial, _split_common_factors
+from cherpoi.exact_poly import _binomial_quotient, _divexact_binomial, _sum_denominator
 from cherpoi.partition_core import enumerate_partitions, hooks
 
 from _reference import ref_mul
@@ -129,14 +129,17 @@ def test_rf_equal_respects_common_scaling(a, b):
     assert rf_equal(f, g)
 
 
-def test_split_common_factors_keeps_the_order_of_each_list():
+def test_sum_denominator_keeps_the_order_of_each_list():
     one = LaurentPoly.one(V)
     a, b, c = (one - vp(k) for k in (1, 2, 3))
     # the second a is a fresh copy: factors match by structure, not identity
-    split = _split_common_factors((a, b, one - vp(1), c), (a, c, c))
+    den, mine, theirs = _sum_denominator((a, b, one - vp(1), c), (a, c, c))
     # the shared factors by first appearance in the first list, then the
     # rest of each list in its own order
-    assert split == ((a, c), (b, a), (c,))
+    assert (mine, theirs) == ((b, a), (c,))
+    assert den == (a, c, b, a, c)
+    f = ExactRationalFunction(one, (a, b, one - vp(1), c))
+    assert (f + ExactRationalFunction(one, (a, c, c))).den == den
 
 
 def test_rf_equal_detects_inequality():

@@ -13,6 +13,7 @@ from cherpoi.exact_poly import (
 )
 from cherpoi.hilbert_series import (
     GRADINGS,
+    _specialized_sum,
     bigraded_J,
     bigraded_JJ,
     canonical_weight,
@@ -31,6 +32,8 @@ from cherpoi.hilbert_series import (
 from cherpoi.partition_core import enumerate_partitions, nstat, num_syt, transpose
 from cherpoi.sn_rep import fake_degree
 from cherpoi.suites_macdonald import _collapse_target
+
+from _reference import jbar_by_sequential_sum
 
 V = ("v",)
 ST = ("s", "t")
@@ -158,6 +161,18 @@ def test_jbar_chain():
     for n in range(2, 6):
         for d in range(4):
             assert rf_equal(jbar_closed(n, d), jbar_via_specialization(n, d))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_specialized_sum_per_n_is_the_sequential_sum(n):
+    # the cache is built by the first d asked for, the largest, and serves
+    # the rest; numerator and denominator factors must be those of the
+    # term-by-term sum, in the same order, or reports would change
+    _specialized_sum.cache_clear()
+    for d in (3, 2, 1, 0):
+        got, want = jbar_via_specialization(n, d), jbar_by_sequential_sum(n, d)
+        assert got.num == want.num, d
+        assert got.den == want.den, d
 
 
 def test_rank_one_rejected():

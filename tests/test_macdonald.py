@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -20,7 +21,7 @@ from cherpoi.macdonald import (
     ARGUMENT_ORDERS,
     MAX_KOSTKA_N,
     KostkaMacdonaldMatrix,
-    _hhl_column,
+    _hhl_columns,
     integral_form_scalar,
     kostka_fake_degree_identity,
     kostka_macdonald,
@@ -35,6 +36,8 @@ from cherpoi.partition_core import (
     transpose,
 )
 from cherpoi.sn_rep import centralizer_order, character_table
+
+from _reference import charge, hhl_column_by_enumeration, reading_word, semistandard_tableaux
 
 
 QT = ("q", "t")
@@ -268,7 +271,8 @@ def _rf_to_sympy(rf):
 
 
 def test_hhl_column_matches_gram_schmidt():
-    # HHL is called directly, bypassing kostka_macdonald's in-process memo.
+    # HHL is called directly, bypassing kostka_macdonald's in-process memo,
+    # and each column is read off its own fillings, not its conjugate's.
     # K is read off the sympy reference: with J_mu = c_mu P_mu,
     # K_{lam mu} = sum_rho chi_lam(rho) [p_rho]J_mu / prod_i (1-t^{rho_i})
     q, t = sympy.symbols("q t")
@@ -283,7 +287,7 @@ def test_hhl_column_matches_gram_schmidt():
                 sum((field.convert(m_in_p[parts.index(nu), r]) * c_mu * c for nu, c in p_mu.items()), field.zero)
                 for r in range(len(parts))
             ]
-            hhl = _hhl_column(mu)
+            hhl = _hhl_columns(mu)[mu]
             for lam in parts:
                 want = field.zero
                 for r, rho in enumerate(parts):
@@ -292,8 +296,21 @@ def test_hhl_column_matches_gram_schmidt():
                 assert field.from_sympy(_rf_to_sympy(ExactRationalFunction(hhl[lam]))) == want, (lam, mu)
 
 
+def test_both_columns_of_every_conjugate_pair_match_the_enumeration():
+    # kostka_macdonald counts only one shape of each pair, by row
+    # transfer, and reads its conjugate's column off it; the reference
+    # enumerates every filling of both shapes on its own
+    for n in range(1, 8):
+        matrix = kostka_macdonald(n)
+        for mu in matrix.partitions:
+            column = hhl_column_by_enumeration(mu)
+            assert {lam: matrix.entries[(lam, mu)] for lam in matrix.partitions} == column, mu
+
+
 def test_kostka_transpose_duality():
-    # K_{lam mu}(q,t) = K_{lam^t mu^t}(t,q); every column is built on its own
+    # K_{lam mu}(q,t) = K_{lam^t mu^t}(t,q); the build reads each column of a
+    # conjugate pair off the other through K~_{lam mu^t}(q,t) = K~_{lam mu}(t,q),
+    # so this tests how the two symmetries fit together, not either alone
     swap = {"q": (0, 1), "t": (1, 0)}
     for n in range(1, MAX_KOSTKA_N + 1):
         matrix = kostka_macdonald(n)
@@ -304,9 +321,46 @@ def test_kostka_transpose_duality():
 
 
 def test_kostka_bound():
-    assert MAX_KOSTKA_N == 7
+    assert MAX_KOSTKA_N == 8
     with pytest.raises(ResourceError):
         kostka_macdonald(MAX_KOSTKA_N + 1)
+
+
+def _charge_failures(matrix, top_first=True):
+    """The (lam, mu) at which K_{lam mu}(0,t) is not the sum of t^charge(T)
+    over the semistandard tableaux T of shape lam and content mu, which is
+    the Kostka-Foulkes polynomial K_{lam mu}(t) (Lascoux-Schutzenberger;
+    Macdonald, III.6 and VI.8): a route that shares nothing with the
+    filling counts."""
+    failures = set()
+    for lam in matrix.partitions:
+        for mu in matrix.partitions:
+            tableaux = semistandard_tableaux(lam, mu)
+            want = Counter(charge(reading_word(tableau, top_first)) for tableau in tableaux)
+            at_q_zero = {b: c for (a, b), c in matrix.entries[(lam, mu)].terms.items() if a == 0}
+            if at_q_zero != dict(want):
+                failures.add((lam, mu))
+    return failures
+
+
+@pytest.mark.parametrize("n", range(1, MAX_KOSTKA_N + 1))
+def test_kostka_at_q_zero_is_the_charge_generating_function(n):
+    assert _charge_failures(kostka_macdonald(n)) == set()
+
+
+def test_the_charge_check_rejects_corrupted_kostka():
+    matrix = kostka_macdonald(4)
+    parts = matrix.partitions
+    mu = (2, 1, 1)
+    swap = {"q": (0, 1), "t": (1, 0)}
+    flipped = _mutant(matrix, {(lam, mu): matrix.entries[(lam, mu)].substitute_monomials(QT, swap) for lam in parts})
+    bumped = _mutant(matrix, {((3, 1), mu): matrix.entries[((3, 1), mu)] + tp(2)})
+    # the column reads t^3, t + t^2 + q t^3, t + q t^2, 1 + q t + q t^2, q
+    # down lam = (4), ..., (1,1,1,1); swapped, only (2,1,1) keeps its q-free part
+    assert _charge_failures(flipped) == {(lam, mu) for lam in parts if lam != mu}
+    assert _charge_failures(bumped) == {((3, 1), mu)}
+    assert _charge_failures(matrix, top_first=False) != set()
+    assert _charge_failures(matrix) == set()
 
 
 def _count_ssyt(shape, content):

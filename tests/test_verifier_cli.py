@@ -13,7 +13,7 @@ import pytest
 
 from cherpoi.errors import ResourceError
 from cherpoi.exact_poly import rf_equal, rf_from_json
-from cherpoi.hilbert_series import _graded_numerator, jbar_closed
+from cherpoi.hilbert_series import _graded_numerator, _specialized_sum, jbar_closed
 from cherpoi.macdonald import (
     ARGUMENT_ORDERS,
     kostka_fake_degree_identity,
@@ -204,7 +204,8 @@ def test_random_battery_is_seed_deterministic():
 )
 def test_reports_do_not_depend_on_process_history(suite, params, others):
     # suites share the process-wide oracle engines, Kostka matrices,
-    # memoized fake degrees, graded numerators and fixed-point ingredients;
+    # memoized fake degrees, graded numerators, fixed-point ingredients and
+    # specialized fixed-point sums;
     # procesi_fiber and kostka_fake_degree_identity read the Kostka ones
     before = run_suite(suite, params).to_json(timings=False)
     shared = {mu: dict(fake_degree(mu).terms) for n in range(1, 7) for mu in enumerate_partitions(n)}
@@ -218,6 +219,9 @@ def test_reports_do_not_depend_on_process_history(suite, params, others):
                 out[mu] = [f.terms for f in omega_factors(mu)]
                 for order in ARGUMENT_ORDERS:
                     out[mu, order] = procesi_fiber(mu, order).terms
+            if n >= 2:
+                spec = _specialized_sum(n)
+                out[n] = [f.terms for f in spec.den], [(w, part.terms) for w, part in spec.parts]
         return out
 
     ingredients = fixed_point_ingredients()
@@ -228,8 +232,8 @@ def test_reports_do_not_depend_on_process_history(suite, params, others):
         for mu in enumerate_partitions(n):
             procesi_fiber(mu, argument_order="swapped")
     assert run_suite(suite, params).to_json(timings=False) == before
-    # no caller mutated a shared f_mu, graded numerator, K_{lam mu}, P_mu or
-    # Omega(mu) factor
+    # no caller mutated a shared f_mu, graded numerator, K_{lam mu}, P_mu,
+    # Omega(mu) factor or specialized fixed-point sum
     assert {mu: fake_degree(mu).terms for mu in shared} == shared
     assert {key: _graded_numerator(*key).terms for key in numerators} == numerators
     assert {n: {key: p.terms for key, p in kostka_macdonald(n).entries.items()} for n in kostka} == kostka
