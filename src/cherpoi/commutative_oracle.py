@@ -193,8 +193,6 @@ def _key(e: tuple[int, ...]) -> int:
 
 @cache
 def _compositions(total: int, k: int) -> tuple[tuple[int, ...], ...]:
-    if k == 0:
-        return ((),) if total == 0 else ()
     if k == 1:
         return ((total,),)
     out = []
@@ -366,8 +364,6 @@ class _Engine:
         d >= 2, which only `parity_check` reads, as the dimension of
         A^d(a, b), the independent ones among `_split_products` of A^{d-1}
         and A^1."""
-        if a < 0 or b < 0:
-            return []
         key = (d, a, b)
         if key in self._abasis:
             return self._abasis[key]

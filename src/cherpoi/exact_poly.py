@@ -50,7 +50,7 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, TypeVar
 
 from .errors import ResourceError
 from .partition_core import memo_n
@@ -270,8 +270,6 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is int:
-            other = LaurentPoly.const(self.vars, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same_vars(other)
@@ -279,18 +277,13 @@ class LaurentPoly:
         _add_into(out, other.packed)
         return LaurentPoly._build(self.vars, out, max(self.reach, other.reach))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentPoly._build(self.vars, {key: -c for key, c in self.packed.items()}, self.reach)
 
     def __sub__(self, other):
-        if type(other) is int or isinstance(other, LaurentPoly):
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self + (-other)
 
     def __mul__(self, other):
         if type(other) is int:
@@ -301,8 +294,6 @@ class LaurentPoly:
             return NotImplemented
         self._check_same_vars(other)
         return LaurentPoly._build(self.vars, _mul_packed(self.packed, other.packed), self.reach + other.reach)
-
-    __rmul__ = __mul__
 
     def shift(self, exps: tuple[int, ...]) -> "LaurentPoly":
         """Multiply by the monomial with the given exponent vector."""
@@ -448,45 +439,31 @@ class ExactRationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def _coerce(self, other) -> "ExactRationalFunction":
-        if isinstance(other, ExactRationalFunction):
-            return other
-        if isinstance(other, LaurentPoly):
-            return ExactRationalFunction(other)
-        if type(other) is int:
-            return ExactRationalFunction(LaurentPoly.const(self.vars, other))
-        raise TypeError(f"cannot combine with {other!r}")
-
     def __add__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, ExactRationalFunction):
+            return NotImplemented
         if self.vars != other.vars:
             raise ValueError(f"mixed variable sets: {self.vars} vs {other.vars}")
         den, mine, theirs = _sum_denominator(self.den, other.den)
         num = self.num * _product(self.vars, theirs) + other.num * _product(self.vars, mine)
         return ExactRationalFunction(num, den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return ExactRationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._coerce(other)
-
-    def __mul__(self, other):
-        if type(other) is int or isinstance(other, LaurentPoly):
-            other = self._coerce(other)
         if not isinstance(other, ExactRationalFunction):
             return NotImplemented
-        return ExactRationalFunction(self.num * other.num, self.den + other.den)
+        return self + (-other)
 
-    __rmul__ = __mul__
+    def __mul__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return ExactRationalFunction(self.num * other, self.den)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, ExactRationalFunction):
+            return NotImplemented
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         num = self.num * _product(self.vars, other.den)
@@ -549,10 +526,14 @@ def _without(factors: tuple[LaurentPoly, ...], drop: Counter) -> tuple[LaurentPo
     return tuple(kept)
 
 
-def rf_equal(f: ExactRationalFunction | LaurentPoly, g: ExactRationalFunction | LaurentPoly) -> bool:
-    """Equality of two rational functions or Laurent polynomials in one set of
-    variables: their difference is zero. Subtraction cancels the shared
-    denominator factors and cross-multiplies the rest."""
+_Same = TypeVar("_Same", ExactRationalFunction, LaurentPoly)
+
+
+def rf_equal(f: _Same, g: _Same) -> bool:
+    """Equality of two rational functions, or of two Laurent polynomials, in
+    one set of variables: their difference is zero. Subtraction cancels the
+    shared denominator factors and cross-multiplies the rest. A rational
+    function and a polynomial do not subtract: TypeError."""
     return (f - g).is_zero()
 
 
@@ -611,16 +592,17 @@ def _normalize_window(variables: tuple[str, ...], window) -> list[tuple[int, int
     return out
 
 
-def expand_window(f, direction, window) -> LaurentPoly:
-    """Exact coefficients of f inside an exponent box, per-variable directions.
+def expand_window(f: ExactRationalFunction, direction, window) -> LaurentPoly:
+    """Exact coefficients of f inside an exponent box, per-variable
+    directions; a LaurentPoly p goes in as ExactRationalFunction(p).
 
     After flipping descending variables, expansion happens in the lex Laurent
     field with the first variable outermost. Every denominator factor must
     have a lex-lowest term with coefficient +-1. An expansion that would make
     more than _EXPANSION_BUDGET term products raises ResourceError.
     """
-    if isinstance(f, LaurentPoly):
-        f = ExactRationalFunction(f)
+    if not isinstance(f, ExactRationalFunction):
+        raise TypeError(f"expand_window takes an ExactRationalFunction, got {type(f).__name__}")
     variables = f.vars
     k = len(variables)
     if k not in (1, 2):

@@ -157,31 +157,29 @@ def shift_amount(i: int, j: int, mu) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_point_term(mu: Partition, d: int, argument_order: str) -> ExactRationalFunction:
+def _fixed_point_term(mu: Partition, d: int) -> ExactRationalFunction:
     """P_mu(s,t) s^{d n(mu)} t^{d n(mu^t)} / Omega(mu), over Omega's 2n factors."""
     from .macdonald import omega_factors, procesi_fiber
 
-    num = procesi_fiber(mu, argument_order).shift((d * nstat(mu), d * nstat(transpose(mu))))
+    num = procesi_fiber(mu).shift((d * nstat(mu), d * nstat(transpose(mu))))
     return ExactRationalFunction(num, omega_factors(mu))
 
 
-def bigraded_JJ(n: int, d: int, argument_order: str = "positional") -> ExactRationalFunction:
-    """Bigraded series of the big ideal power, P_mu read in argument_order:
+def bigraded_JJ(n: int, d: int) -> ExactRationalFunction:
+    """Bigraded series of the big ideal power:
     sum_mu P_mu(s,t) s^{d n(mu)} t^{d n(mu^t)} / Omega(mu)."""
     _check_series_input(n, "d", d, 0)
     total = ExactRationalFunction(LaurentPoly.zero(ST))
     for mu in enumerate_partitions(n):
-        total = total + _fixed_point_term(mu, d, argument_order)
+        total = total + _fixed_point_term(mu, d)
     return total
 
 
-def bigraded_J(n: int, d: int, argument_order: str = "positional") -> ExactRationalFunction:
+def bigraded_J(n: int, d: int) -> ExactRationalFunction:
     """Bigraded series of the small ideal power:
     sum_mu P_mu(s,t) (1-s)(1-t) s^{d n(mu)} t^{d n(mu^t)} / Omega(mu)."""
     one = LaurentPoly.one(ST)
-    return bigraded_JJ(n, d, argument_order) * (
-        (one - LaurentPoly.var_power(ST, "s", 1)) * (one - LaurentPoly.var_power(ST, "t", 1))
-    )
+    return bigraded_JJ(n, d) * ((one - LaurentPoly.var_power(ST, "s", 1)) * (one - LaurentPoly.var_power(ST, "t", 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +220,7 @@ def _specialized_sum(n: int) -> _SpecializedSum:
     for i in range(1, n + 1):
         cut = cut * (one - _vp(i))
     parts = enumerate_partitions(n)
-    terms = [_fixed_point_term(mu, 0, "positional").substitute_monomials(V, {"s": (1,), "t": (-1,)}) for mu in parts]
+    terms = [_fixed_point_term(mu, 0).substitute_monomials(V, {"s": (1,), "t": (-1,)}) for mu in parts]
     den: tuple[LaurentPoly, ...] = ()
     for term in terms:
         den = _sum_denominator(den, term.den)[0]

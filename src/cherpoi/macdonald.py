@@ -16,13 +16,13 @@ both columns of every conjugate pair against the fillings enumerated one
 by one.
 
 Argument-order note. The fixed-point series P_mu(s,t) evaluates the
-Kostka-Macdonald entries at a point written (t, s^{-1}); two readings of the
-slot-filling are possible. The package default ("positional") reads the pair
-left to right as (q, t), so q := t and t := s^{-1}. That is the unique
-reading under which the d=0 ideal series collapses to 1/((1-s)(1-t))^{n-1}
-and the windowed expansions match the brute-force oracle; the other reading
-("swapped", q := s^{-1} and t := t) is kept available and is shown to fail
-those checks in the test suite.
+Kostka-Macdonald entries at a point written (t, s^{-1}), and reads it left to
+right as (q, t): q := t and t := s^{-1}. That is the unique reading under
+which the d=0 ideal series collapses to 1/((1-s)(1-t))^{n-1} and the windowed
+expansions match the brute-force oracle. The other reading (q := s^{-1},
+t := t) is not an option here; the argument-order check of the
+omega-specialization suite builds it from P_mu and shows that it fails the
+collapse.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import NamedTuple
 from .errors import ResourceError
 from .exact_poly import LaurentPoly
 from .partition_core import Partition, cells, cell_data, check_partition, enumerate_partitions, nstat, num_syt
-from .partition_core import memo, memo_n, memo_partition, transpose
+from .partition_core import memo_n, memo_partition, transpose
 from .sn_rep import fake_degree
 
 QT = ("q", "t")
@@ -266,31 +266,16 @@ def kostka_macdonald(n: int) -> KostkaMacdonaldMatrix:
 # Fixed-point data
 # ---------------------------------------------------------------------------
 
-ARGUMENT_ORDERS = ("positional", "swapped")
 
-
-def _fiber_door(mu, argument_order: str = "positional") -> tuple[Partition, str]:
-    if argument_order not in ARGUMENT_ORDERS:
-        raise ValueError(f"argument_order must be one of {ARGUMENT_ORDERS}")
-    return check_partition(mu), argument_order
-
-
-@memo(_fiber_door)
-def procesi_fiber(mu: Partition, argument_order: str = "positional") -> LaurentPoly:
-    """The Laurent polynomial P_mu(s,t) = sum_lam s^{n(mu)} K_{lam mu}(q:=t, t:=s^{-1}) dim(lam).
-
-    argument_order="swapped" uses the reading q:=s^{-1}, t:=t instead; see
-    the module docstring. The result is shared between callers and must not
-    be mutated.
-    """
+@memo_partition
+def procesi_fiber(mu: Partition) -> LaurentPoly:
+    """The Laurent polynomial P_mu(s,t) = sum_lam s^{n(mu)} K_{lam mu}(q:=t, t:=s^{-1}) dim(lam),
+    in the one reading of the module docstring; shared, not to be mutated."""
     n = sum(mu)
     matrix = kostka_macdonald(n)
-    mapping = {"q": (0, 1), "t": (-1, 0)} if argument_order == "positional" else {"q": (-1, 0), "t": (0, 1)}
     acc = LaurentPoly.zero(ST)
-    for lam in matrix.partitions:
-        entry = matrix.entries[(lam, mu)]
-        if not entry.is_zero():
-            acc = acc + entry.substitute_monomials(ST, mapping) * num_syt(lam)
+    for lam in matrix.partitions:  # no K_{lam mu} is zero: K_{lam mu}(1, 1) = dim(lam)
+        acc = acc + matrix.entries[(lam, mu)].substitute_monomials(ST, {"q": (0, 1), "t": (-1, 0)}) * num_syt(lam)
     return acc.shift((nstat(mu), 0))
 
 
@@ -312,29 +297,25 @@ def omega_factors(mu: Partition) -> tuple[LaurentPoly, ...]:
 # ---------------------------------------------------------------------------
 
 
-def kostka_fake_degree_identity(n: int, variant: str = "printed") -> dict[Partition, bool]:
+def kostka_fake_degree_identity(n: int) -> dict[str, dict[Partition, bool]]:
     """Per-mu truth of sum_lam v^{n(mu)} K_{lam mu}(1/v, 1/v) f_*(1/v) f_lam(1)
-    = sum_lam f_lam(1/v) f_mu(1) f_lam(1), where f_* is f_mu for the "printed"
-    reading and f_lam for the "lam" reading. Both readings are evaluated by
-    the suites; exactly one is expected to hold.
+    = sum_lam f_lam(1/v) f_mu(1) f_lam(1) in both readings of f_*: f_mu under
+    "printed" and f_lam under "lam", from one pass over K. The suites
+    evaluate both; exactly one is expected to hold.
     """
-    if variant not in ("printed", "lam"):
-        raise ValueError("variant must be 'printed' or 'lam'")
     matrix = kostka_macdonald(n)
     v = ("v",)
-    results = {}
     fk = {lam: fake_degree(lam).invert_variables() for lam in matrix.partitions}
-    rhs_sum = LaurentPoly.zero(v)
-    for lam in matrix.partitions:
-        rhs_sum = rhs_sum + fk[lam] * num_syt(lam)
+    rhs_sum = sum((fk[lam] * num_syt(lam) for lam in matrix.partitions), LaurentPoly.zero(v))
+    results = {"printed": {}, "lam": {}}
     for mu in matrix.partitions:
-        lhs = LaurentPoly.zero(v)
+        # sum_lam K_{lam mu}(1/v, 1/v) f_lam(1), alone and times f_lam(1/v)
+        column = lam_sum = LaurentPoly.zero(v)
         for lam in matrix.partitions:
-            entry = matrix.entries[(lam, mu)]
-            kv = entry.substitute_monomials(v, {"q": (-1,), "t": (-1,)})
-            fstar = fk[mu] if variant == "printed" else fk[lam]
-            lhs = lhs + kv * fstar * num_syt(lam)
-        lhs = lhs.shift((nstat(mu),))
+            kv = matrix.entries[(lam, mu)].substitute_monomials(v, {"q": (-1,), "t": (-1,)}) * num_syt(lam)
+            column = column + kv
+            lam_sum = lam_sum + kv * fk[lam]
         rhs = rhs_sum * num_syt(mu)
-        results[mu] = lhs == rhs
+        results["printed"][mu] = (column * fk[mu]).shift((nstat(mu),)) == rhs
+        results["lam"][mu] = lam_sum.shift((nstat(mu),)) == rhs
     return results

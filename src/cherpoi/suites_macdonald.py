@@ -58,8 +58,8 @@ def _suite_kostka(p):
             return _verdict(ok), left, right
 
         def variants(n=n):
-            printed = kostka_fake_degree_identity(n, variant="printed")
-            lam = kostka_fake_degree_identity(n, variant="lam")
+            readings = kostka_fake_degree_identity(n)
+            printed, lam = readings["printed"], readings["lam"]
             exactly_one = all(printed.values()) != all(lam.values())
             return _verdict(exactly_one), {"printed": printed}, {"lam": lam}
 
@@ -93,6 +93,30 @@ def _collapse_target(n: int):
     return ExactRationalFunction(one, [s1, t1] * (n - 1))
 
 
+def _swapped_fiber(mu):
+    """P_mu(s,t) in the other reading, q := s^{-1} and t := t: s -> 1/t and
+    t -> 1/s turn s^{n(mu)} K_{lam mu}(t, 1/s) into t^{-n(mu)} K_{lam mu}(1/s, t),
+    and (st)^{n(mu)} brings back s^{n(mu)}."""
+    from .macdonald import procesi_fiber
+    from .partition_core import nstat
+
+    k = nstat(mu)
+    return procesi_fiber(mu).substitute_monomials(ST, {"s": (0, -1), "t": (-1, 0)}).shift((k, k))
+
+
+def _swapped_J(n: int):
+    """bigraded_J(n, 0) with P_mu in the other reading: the negative control
+    of the argument-order check."""
+    from .exact_poly import ExactRationalFunction, LaurentPoly
+    from .macdonald import omega_factors
+    from .partition_core import enumerate_partitions
+
+    terms = (ExactRationalFunction(_swapped_fiber(mu), omega_factors(mu)) for mu in enumerate_partitions(n))
+    total = sum(terms, ExactRationalFunction(LaurentPoly.zero(ST)))
+    one = LaurentPoly.one(ST)
+    return total * ((one - LaurentPoly.var_power(ST, "s", 1)) * (one - LaurentPoly.var_power(ST, "t", 1)))
+
+
 def _suite_omega_specialization(p):
     # bigraded_J's module, loaded before any check's clock
     from . import macdonald  # noqa: F401
@@ -112,8 +136,8 @@ def _suite_omega_specialization(p):
         def order_protocol(n=n):
             target = _collapse_target(n)
             outcome = {
-                order: rf_equal(bigraded_J(n, 0, order), target)
-                for order in ("positional", "swapped")
+                "positional": rf_equal(bigraded_J(n, 0), target),
+                "swapped": rf_equal(_swapped_J(n), target),
             }
             want = {"positional": True, "swapped": False}
             return _verdict(outcome == want), outcome, want

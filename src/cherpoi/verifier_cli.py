@@ -188,9 +188,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _parse_pair(text) -> tuple[int, int]:
-    if isinstance(text, tuple):
-        return text
+def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected A,B, got {text!r}")

@@ -6,8 +6,12 @@ partition, which they check sn_rep's recursion on beta-sets against, the
 Haglund-Haiman-Loehr fillings enumerated one by one, which they check the
 row transfer and the conjugate symmetry of macdonald's K against, the
 Lascoux-Schutzenberger charge of semistandard tableaux, which they check
-K(0,t) against, and the fixed-point sum of jbar_via_specialization added
-term by term, which they check its per-n cache against."""
+K(0,t) against, the fixed-point sum of jbar_via_specialization added
+term by term, which they check its per-n cache against, the fiber P_mu in
+the swapped reading read straight off K, which they check the
+argument-order check's negative control against, and the fake-degree
+identity evaluated one reading at a time, which they check macdonald's
+one pass over K against."""
 
 import math
 from collections import Counter
@@ -20,8 +24,9 @@ from cherpoi._linalg import EchelonSpan
 from cherpoi.exact_poly import ExactRationalFunction, LaurentPoly
 from cherpoi.graded_free import HomogeneousVector, module_scale
 from cherpoi.hilbert_series import _fixed_point_term
-from cherpoi.macdonald import kostka_numbers
-from cherpoi.partition_core import cell_data, enumerate_partitions, nstat
+from cherpoi.macdonald import kostka_macdonald, kostka_numbers
+from cherpoi.partition_core import cell_data, enumerate_partitions, nstat, num_syt
+from cherpoi.sn_rep import fake_degree
 
 
 def ref_mul(a: dict, b: dict) -> dict:
@@ -212,6 +217,39 @@ def jbar_by_sequential_sum(n: int, d: int) -> ExactRationalFunction:
         cut = cut * (one - LaurentPoly.var_power(v, "v", i))
     total = ExactRationalFunction(LaurentPoly.zero(v))
     for mu in enumerate_partitions(n):
-        term = _fixed_point_term(mu, d, "positional").substitute_monomials(v, {"s": (1,), "t": (-1,)})
+        term = _fixed_point_term(mu, d).substitute_monomials(v, {"s": (1,), "t": (-1,)})
         total = total + term * cut
     return total
+
+
+def swapped_fiber(mu: tuple) -> LaurentPoly:
+    """P_mu(s,t) in the swapped reading, sum_lam s^{n(mu)} K_{lam mu}(q:=s^{-1},
+    t:=t) dim(lam), read straight off kostka_macdonald."""
+    st = ("s", "t")
+    matrix = kostka_macdonald(sum(mu))
+    acc = LaurentPoly.zero(st)
+    for lam in matrix.partitions:
+        acc = acc + matrix.entries[(lam, mu)].substitute_monomials(st, {"q": (-1, 0), "t": (0, 1)}) * num_syt(lam)
+    return acc.shift((nstat(mu), 0))
+
+
+def fake_degree_identity_by_reading(n: int, variant: str) -> dict:
+    """Per-mu truth of sum_lam v^{n(mu)} K_{lam mu}(1/v, 1/v) f_*(1/v) f_lam(1)
+    = sum_lam f_lam(1/v) f_mu(1) f_lam(1), with f_* = f_mu for "printed" and
+    f_lam for "lam": one reading per call, each term multiplied out as
+    printed."""
+    matrix = kostka_macdonald(n)
+    v = ("v",)
+    results = {}
+    fk = {lam: fake_degree(lam).invert_variables() for lam in matrix.partitions}
+    rhs_sum = LaurentPoly.zero(v)
+    for lam in matrix.partitions:
+        rhs_sum = rhs_sum + fk[lam] * num_syt(lam)
+    for mu in matrix.partitions:
+        lhs = LaurentPoly.zero(v)
+        for lam in matrix.partitions:
+            kv = matrix.entries[(lam, mu)].substitute_monomials(v, {"q": (-1,), "t": (-1,)})
+            fstar = fk[mu] if variant == "printed" else fk[lam]
+            lhs = lhs + kv * fstar * num_syt(lam)
+        results[mu] = lhs.shift((nstat(mu),)) == rhs_sum * num_syt(mu)
+    return results

@@ -223,12 +223,13 @@ def test_ac11_identity_variants():
     """Of the two readings of the graded character identity, exactly one
     holds for every partition of n <= 5, and the surviving reading is the
     one the quotient-series chain is built on."""
+    readings = [kostka_fake_degree_identity(n) for n in range(2, 6)]
     verdicts = {}
     for variant in ("printed", "lam"):
         verdicts[variant] = all(
             ok
-            for n in range(2, 6)
-            for ok in kostka_fake_degree_identity(n, variant).values()
+            for reading in readings
+            for ok in reading[variant].values()
         )
     assert sum(verdicts.values()) == 1, verdicts
     assert verdicts["printed"] is True

@@ -18,7 +18,6 @@ from cherpoi.exact_poly import (
     _pack,
 )
 from cherpoi.macdonald import (
-    ARGUMENT_ORDERS,
     MAX_KOSTKA_N,
     KostkaMacdonaldMatrix,
     _hhl_columns,
@@ -36,8 +35,16 @@ from cherpoi.partition_core import (
     transpose,
 )
 from cherpoi.sn_rep import centralizer_order, character_table
+from cherpoi.suites_macdonald import _swapped_fiber
 
-from _reference import charge, hhl_column_by_enumeration, reading_word, semistandard_tableaux
+from _reference import (
+    charge,
+    fake_degree_identity_by_reading,
+    hhl_column_by_enumeration,
+    reading_word,
+    semistandard_tableaux,
+    swapped_fiber,
+)
 
 
 QT = ("q", "t")
@@ -454,13 +461,13 @@ def test_omega_factors():
 
 
 def test_procesi_fiber_dimension_and_orders():
-    assert tuple(ARGUMENT_ORDERS) == ("positional", "swapped")
     for mu in enumerate_partitions(3):
         fiber = procesi_fiber(mu)
         assert isinstance(fiber, LaurentPoly)
         assert fiber.evaluate({"s": Fraction(1), "t": Fraction(1)}) == 6
-    with pytest.raises(ValueError):
-        procesi_fiber((2,), argument_order="sideways")
+    # one reading of K: the memo door takes mu and nothing else
+    with pytest.raises(TypeError):
+        procesi_fiber((2,), "swapped")
 
 
 def test_procesi_fiber_n2_values():
@@ -474,9 +481,39 @@ def test_procesi_fiber_n2_values():
 
 def test_kostka_fake_degree_identity_variants():
     for n in range(2, 5):
-        printed = kostka_fake_degree_identity(n, variant="printed")
-        lam_variant = kostka_fake_degree_identity(n, variant="lam")
-        assert all(printed.values())
-        assert not all(lam_variant.values())
-    with pytest.raises(ValueError):
-        kostka_fake_degree_identity(3, variant="other")
+        readings = kostka_fake_degree_identity(n)
+        assert all(readings["printed"].values())
+        assert not all(readings["lam"].values())
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_one_pass_fake_degree_identity_matches_each_reading_alone(n):
+    assert kostka_fake_degree_identity(n) == {
+        "printed": fake_degree_identity_by_reading(n, "printed"),
+        "lam": fake_degree_identity_by_reading(n, "lam"),
+    }
+
+
+def _swapped_fiber_mismatches(fiber) -> list:
+    """The mu, over every n <= MAX_KOSTKA_N, whose fiber(mu) is not the
+    swapped reading read straight off K."""
+    return [
+        mu
+        for n in range(1, MAX_KOSTKA_N + 1)
+        for mu in enumerate_partitions(n)
+        if fiber(mu) != swapped_fiber(mu)
+    ]
+
+
+def test_the_argument_order_control_reads_the_swapped_fiber():
+    assert _swapped_fiber_mismatches(_swapped_fiber) == []
+
+
+def test_the_swapped_fiber_comparison_rejects_a_missing_st_shift():
+    def unshifted(mu):
+        # the substitution s -> 1/t, t -> 1/s without the (st)^{n(mu)} factor
+        return procesi_fiber(mu).substitute_monomials(("s", "t"), {"s": (0, -1), "t": (-1, 0)})
+
+    # caught at every mu but the one-row shapes, whose n(mu) is 0
+    every = [mu for n in range(1, MAX_KOSTKA_N + 1) for mu in enumerate_partitions(n)]
+    assert _swapped_fiber_mismatches(unshifted) == [mu for mu in every if len(mu) > 1]

@@ -15,7 +15,6 @@ from cherpoi.errors import ResourceError
 from cherpoi.exact_poly import rf_equal, rf_from_json
 from cherpoi.hilbert_series import _graded_numerator, _specialized_sum, jbar_closed
 from cherpoi.macdonald import (
-    ARGUMENT_ORDERS,
     kostka_fake_degree_identity,
     kostka_macdonald,
     omega_factors,
@@ -25,6 +24,7 @@ from cherpoi.partition_core import enumerate_partitions
 from cherpoi.sn_rep import fake_degree
 from cherpoi.cli_table import emit_table
 from cherpoi.report import _label, _ser
+from cherpoi.suites_macdonald import _swapped_fiber
 from cherpoi.verifier_cli import MAX_GRID, SUITES, _Params, _parse_pair, main, run_suite
 
 SMALL_GRIDS = {
@@ -206,7 +206,8 @@ def test_reports_do_not_depend_on_process_history(suite, params, others):
     # suites share the process-wide oracle engines, Kostka matrices,
     # memoized fake degrees, graded numerators, fixed-point ingredients and
     # specialized fixed-point sums;
-    # procesi_fiber and kostka_fake_degree_identity read the Kostka ones
+    # procesi_fiber, the argument-order check's swapped fiber and
+    # kostka_fake_degree_identity read the Kostka ones
     before = run_suite(suite, params).to_json(timings=False)
     shared = {mu: dict(fake_degree(mu).terms) for n in range(1, 7) for mu in enumerate_partitions(n)}
     numerators = {(n, k): dict(_graded_numerator(n, k).terms) for n in range(2, 6) for k in range(-3, 4)}
@@ -217,8 +218,7 @@ def test_reports_do_not_depend_on_process_history(suite, params, others):
         for n in kostka:
             for mu in enumerate_partitions(n):
                 out[mu] = [f.terms for f in omega_factors(mu)]
-                for order in ARGUMENT_ORDERS:
-                    out[mu, order] = procesi_fiber(mu, order).terms
+                out[mu, "fiber"] = procesi_fiber(mu).terms
             if n >= 2:
                 spec = _specialized_sum(n)
                 out[n] = [f.terms for f in spec.den], [(w, part.terms) for w, part in spec.parts]
@@ -228,9 +228,9 @@ def test_reports_do_not_depend_on_process_history(suite, params, others):
     for other, other_params in others:
         assert run_suite(other, other_params).status == "pass"
     for n in kostka:
-        kostka_fake_degree_identity(n, variant="lam")
+        kostka_fake_degree_identity(n)
         for mu in enumerate_partitions(n):
-            procesi_fiber(mu, argument_order="swapped")
+            _swapped_fiber(mu)
     assert run_suite(suite, params).to_json(timings=False) == before
     # no caller mutated a shared f_mu, graded numerator, K_{lam mu}, P_mu,
     # Omega(mu) factor or specialized fixed-point sum
@@ -957,7 +957,6 @@ def test_run_suite_rejects_an_unread_parameter(monkeypatch):
 
 def test_parse_pair():
     assert _parse_pair("3,4") == (3, 4)
-    assert _parse_pair((5, 6)) == (5, 6)
     with pytest.raises(ValueError):
         _parse_pair("7")
 
