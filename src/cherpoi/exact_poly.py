@@ -2,10 +2,10 @@
 
 Coefficients are ints: the paper's series live in Z[q, t] and Z[v^(+-1)],
 and a coefficient or exponent of any other type (bool, float, Fraction,
-str) raises TypeError. Only evaluation leaves Z, at exact rational points.
-Rational functions keep their denominator as a list of unexpanded factors and
-are never reduced by a polynomial gcd, so equality is decided by
-cross-multiplication and series expansion can orient each factor separately.
+str) raises TypeError. Rational functions keep their denominator as a list
+of unexpanded factors and are never reduced by a polynomial gcd, so equality
+is decided by cross-multiplication and series expansion can orient each
+factor separately.
 
 Every polynomial is a {packed key: coefficient} dict in one key format: the
 exponents e of k variables pack to key(e) = sum_i e_i 2^(66(k-1-i)), first
@@ -18,18 +18,18 @@ works on these dicts: _mul_packed (multiply) and _add_into (scaled
 accumulate), both on int coefficients; outside this module only
 commutative_oracle calls them, on keys of its own packing. Exponent tuples
 appear only where a caller reads exponents: LaurentPoly.terms, coefficient,
-sorted_terms, rendering, JSON, evaluate, substitute_monomials,
-expand_window's orientation of its factors, and _build's overflow scan;
-_unpack is the one decoder of a key.
+sorted_terms, rendering, JSON, substitute_monomials, expand_window, and
+_build's overflow scan; _unpack is the one decoder of a key.
 
 The one exact division is _binomial_quotient: prod (1 - v^i) over
 prod (1 - v^h) for multisets of i and h, on a dense one-variable
 coefficient list. It gives the hook quotients of sn_rep's fake degrees and
 q_factorial_poly's [n]_v!.
 
-Window expansion semantics: a direction choice (ascending or descending per
-variable) selects signs for the exponents; after flipping, f is expanded in
-the lexicographic Laurent field determined by the variable order (first
+Window expansion semantics: one direction (ascending or descending) for
+every variable selects the sign of the exponents, and the window is one
+(lo, hi) pair per variable; after flipping, f is expanded in the
+lexicographic Laurent field determined by the variable order (first
 variable outermost, so for vars (s, t) this is Q((t))((s)) in the flipped
 exponents). Each denominator factor must have lowest term with coefficient
 +1 or -1 in that order, which is the usual geometric-series condition.
@@ -37,16 +37,13 @@ Each factor is then 1 - g up to a sign and a monomial, and the numerator is
 multiplied by sum_k g^k one layer g^k at a time. A term that lies past the
 window and cannot come back into it is dropped as soon as it appears, and
 so are all its multiples; the expansion stops at the first empty layer. The
-numerator and the factors are read once as {(p, q): coefficient} in the
-flipped exponents, a single variable being p with q = 0, and peeled there.
-From the bound on every q the layers meet, the plane's slot is then chosen
-once: the layers and their sum are {p 2^slot + q: coefficient} dicts on it,
-and only the result becomes a LaurentPoly.
+numerator, the factors and the layers are {(p, q): coefficient} dicts in
+the flipped exponents, a single variable being p with q = 0, and only the
+window's coefficients become a LaurentPoly, through its constructor.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import Counter
 from fractions import Fraction
@@ -212,13 +209,9 @@ class LaurentPoly:
         return cls._build(tuple(variables), {})
 
     @classmethod
-    def const(cls, variables, c: int) -> "LaurentPoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): c})
-
-    @classmethod
     def one(cls, variables) -> "LaurentPoly":
-        return cls.const(variables, 1)
+        variables = tuple(variables)
+        return cls(variables, {(0,) * len(variables): 1})
 
     @classmethod
     def monomial(cls, variables, exps, coeff: int = 1) -> "LaurentPoly":
@@ -305,7 +298,7 @@ class LaurentPoly:
         step = _pack(exps)
         return LaurentPoly._build(self.vars, {key + step: c for key, c in self.packed.items()}, self.reach + top)
 
-    # -- substitution and evaluation ------------------------------------
+    # -- substitution ----------------------------------------------------
 
     def substitute_monomials(self, new_vars, mapping: Mapping[str, tuple[int, ...]]) -> "LaurentPoly":
         """Map each variable to a monomial (exponent vector over new_vars):
@@ -335,23 +328,6 @@ class LaurentPoly:
     def invert_variables(self) -> "LaurentPoly":
         """Substitute every variable x by x^(-1)."""
         return LaurentPoly._build(self.vars, {-key: c for key, c in self.packed.items()}, self.reach)
-
-    def evaluate(self, values: Mapping[str, int | Fraction]) -> Fraction:
-        """Full evaluation at exact rational points (nonzero where exponents are negative)."""
-        if any(type(values[name]) not in (int, Fraction) for name in self.vars):
-            raise TypeError(f"evaluation points must be ints or Fractions: {values!r}")
-        # Fraction, not int, so that x**power stays exact for negative powers
-        vals = [Fraction(values[name]) for name in self.vars]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for x, power in zip(vals, e):
-                if power:
-                    if x == 0 and power < 0:
-                        raise ZeroDivisionError("negative exponent at zero")
-                    term *= x**power
-            total += term
-        return total
 
     # -- term access ------------------------------------------------------
 
@@ -561,29 +537,19 @@ def q_factorial_poly(n: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_direction(variables: tuple[str, ...], direction) -> tuple[int, ...]:
-    if isinstance(direction, str):
-        direction = {name: direction for name in variables}
-    signs = []
-    for name in variables:
-        d = direction[name]
-        if d not in ("ascending", "descending"):
-            raise ValueError(f"direction must be ascending or descending, got {d!r}")
-        signs.append(1 if d == "ascending" else -1)
-    return tuple(signs)
+def _normalize_direction(direction) -> int:
+    if direction not in ("ascending", "descending"):
+        raise ValueError(f"direction must be ascending or descending, got {direction!r}")
+    return 1 if direction == "ascending" else -1
 
 
 def _normalize_window(variables: tuple[str, ...], window) -> list[tuple[int, int]]:
-    """One (lo, hi) pair of ints per variable; one variable's pair may stand
-    alone. TypeError on a bound that is not an int, ValueError on a wrong
-    variable count or lo > hi."""
-    boxes = list(window)
-    if len(variables) == 1 and len(boxes) == 2 and not isinstance(boxes[0], (tuple, list)):
-        boxes = [window]
-    if len(boxes) != len(variables):
+    """One (lo, hi) pair of ints per variable. TypeError on a bound that is
+    not an int, ValueError on a wrong variable count or lo > hi."""
+    if len(window) != len(variables):
         raise ValueError("window does not match variable count")
     out = []
-    for lo, hi in boxes:
+    for lo, hi in window:
         if type(lo) is not int or type(hi) is not int:
             raise TypeError(f"window bounds {(lo, hi)} are not both ints")
         if lo > hi:
@@ -592,14 +558,14 @@ def _normalize_window(variables: tuple[str, ...], window) -> list[tuple[int, int
     return out
 
 
-def expand_window(f: ExactRationalFunction, direction, window) -> LaurentPoly:
-    """Exact coefficients of f inside an exponent box, per-variable
-    directions; a LaurentPoly p goes in as ExactRationalFunction(p).
+def expand_window(f: ExactRationalFunction, direction: str, window) -> LaurentPoly:
+    """Exact coefficients of f inside an exponent box, one (lo, hi) pair per
+    variable, every variable in one direction.
 
-    After flipping descending variables, expansion happens in the lex Laurent
-    field with the first variable outermost. Every denominator factor must
-    have a lex-lowest term with coefficient +-1. An expansion that would make
-    more than _EXPANSION_BUDGET term products raises ResourceError.
+    After flipping a descending direction, expansion happens in the lex
+    Laurent field with the first variable outermost. Every denominator factor
+    must have a lex-lowest term with coefficient +-1. An expansion that would
+    make more than _EXPANSION_BUDGET term products raises ResourceError.
     """
     if not isinstance(f, ExactRationalFunction):
         raise TypeError(f"expand_window takes an ExactRationalFunction, got {type(f).__name__}")
@@ -607,17 +573,15 @@ def expand_window(f: ExactRationalFunction, direction, window) -> LaurentPoly:
     k = len(variables)
     if k not in (1, 2):
         raise ValueError("window expansion supports one or two variables")
-    signs = _normalize_direction(variables, direction) + (1,) * (2 - k)
-    fboxes = [(lo, hi) if s == 1 else (-hi, -lo) for (lo, hi), s in zip(_normalize_window(variables, window), signs)]
-    fboxes += [(0, 0)] * (2 - k)
-
-    s0, s1 = signs
+    sign = _normalize_direction(direction)
+    boxes = [(lo, hi) if sign == 1 else (-hi, -lo) for lo, hi in _normalize_window(variables, window)]
+    (plo, p_cap), (qlo, q_cap) = boxes + [(0, 0)] * (2 - k)
 
     def flipped(poly: LaurentPoly) -> dict:
         """poly's terms as {(p, q): c} in the flipped exponents, q = 0 for one variable."""
         if k == 1:
-            return {(s0 * p, 0): c for (p,), c in poly.terms.items()}
-        return {(s0 * p, s1 * q): c for (p, q), c in poly.terms.items()}
+            return {(sign * p, 0): c for (p,), c in poly.terms.items()}
+        return {(sign * p, sign * q): c for (p, q), c in poly.terms.items()}
 
     num = flipped(f.num)
     if not num:
@@ -625,7 +589,7 @@ def expand_window(f: ExactRationalFunction, direction, window) -> LaurentPoly:
     # peel each factor into sign, monomial shift, and tail g with lex(g) > 0
     shift_p = shift_q = 0
     sign_flip = 1
-    tails: list[dict] = []  # each g as {(p, q): coefficient}
+    tails: list[list] = []  # each g as [((p, q), coefficient)]
     for factor in f.den:
         fac = flipped(factor)
         low = min(fac)
@@ -641,35 +605,19 @@ def expand_window(f: ExactRationalFunction, direction, window) -> LaurentPoly:
         shift_q -= lq
         # g = 1 - fac/(low_c * mono): strictly lex-positive support; low_c is
         # +-1, so dividing by it is multiplying by it
-        tails.append({(p - lp, q - lq): -c * low_c for (p, q), c in fac.items() if (p, q) != low})
-    num = {(p + shift_p, q + shift_q): sign_flip * c for (p, q), c in num.items()}
+        tails.append([((p - lp, q - lq), -c * low_c) for (p, q), c in fac.items() if (p, q) != low])
 
     # a term (p, q) is kept while p <= p_cap and q <= q_cap + rho (p_cap - p),
-    # rho the largest possible future drop of q per unit of p
-    (plo, p_cap), (qlo, q_cap) = fboxes
-    rho = Fraction(0)
-    step = 0  # the largest |q| of a tail term
-    for tail in tails:
-        for p, q in tail:
-            step = max(step, abs(q))
-            if p > 0 and q < 0:
-                rho = max(rho, Fraction(-q, p))
-    # a kept term's q lies within margin of q_cap and of the numerator's, and
-    # a candidate's within step of a kept one's, so slots of this width hold
-    # every q the layers decode
-    margin = math.ceil(rho * max(0, p_cap - min(num)[0]))
-    bound = max(abs(q_cap), max(abs(q) for _, q in num)) + margin + step
-    slot = bound.bit_length() + 2
-    half = 1 << (slot - 1)
-    # p <= p_cap is key < limit, and the rho condition is a bound on the
-    # weight rho_num p + rho_den q = rho_den key + slope p; both in integers
-    limit = (p_cap << slot) + half
+    # rho the largest possible future drop of q per unit of p; in integers,
+    # while rho_num p + rho_den q <= cap
+    rho = max((Fraction(-q, p) for tail in tails for (p, q), _ in tail if p > 0 and q < 0), default=Fraction(0))
     rho_num, rho_den = rho.numerator, rho.denominator
-    slope = rho_num - (rho_den << slot)
     cap = rho_num * p_cap + rho_den * q_cap
-
-    result = {(p << slot) + q: c for (p, q), c in num.items() if p <= p_cap and rho_num * p + rho_den * q <= cap}
-    tails = [[((p << slot) + q, c) for (p, q), c in tail.items()] for tail in tails]
+    result = {}
+    for (p, q), c in num.items():
+        p, q = p + shift_p, q + shift_q
+        if p <= p_cap and rho_num * p + rho_den * q <= cap:
+            result[p, q] = sign_flip * c
 
     # the layers a factor needs grow with the numerator's distance from the
     # window, not with the window, so the products they make are budgeted
@@ -686,31 +634,23 @@ def expand_window(f: ExactRationalFunction, direction, window) -> LaurentPoly:
             if budget < 0:
                 raise ResourceError(f"window expansion needs more than {_EXPANSION_BUDGET} term products")
             nxt: dict = {}
-            for k1, c1 in layer.items():
-                for k2, c2 in tail:
-                    key = k1 + k2
-                    if key >= limit or rho_den * key + slope * ((key + half) >> slot) > cap:
+            for (p1, q1), c1 in layer.items():
+                for (p2, q2), c2 in tail:
+                    p, q = p1 + p2, q1 + q2
+                    if p > p_cap or rho_num * p + rho_den * q > cap:
                         continue
-                    s = nxt.get(key, 0) + c1 * c2
+                    s = nxt.get((p, q), 0) + c1 * c2
                     if s:
-                        nxt[key] = s
+                        nxt[p, q] = s
                     else:
-                        del nxt[key]
+                        del nxt[p, q]
             _add_into(acc, nxt)
             layer = nxt
         result = acc
 
-    final = {}
-    reach = 0
-    for key, c in result.items():
-        p = (key + half) >> slot
-        q = key - (p << slot)
-        if plo <= p <= p_cap and qlo <= q <= q_cap:
-            reach = max(reach, abs(p), abs(q))
-            final[signs[0] * p if k == 1 else (signs[0] * p << _SLOT) + signs[1] * q] = c
-    if reach >= MAX_EXPONENT:
-        raise OverflowError("exponent out of 64-bit range")
-    return LaurentPoly._build(variables, final, reach)
+    return LaurentPoly(variables, {
+        (sign * p, sign * q)[:k]: c for (p, q), c in result.items() if plo <= p <= p_cap and qlo <= q <= q_cap
+    })
 
 
 # ---------------------------------------------------------------------------

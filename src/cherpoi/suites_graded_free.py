@@ -7,6 +7,8 @@ from fractions import Fraction
 from .report import _verdict
 from .verifier_cli import DEFAULT_SEED
 
+_TRIALS = 25  # random idempotents in each of the two batteries
+
 
 def _random_battery(algebra, trials: int, rng):
     from .graded_free import extract_homogeneous_basis, random_unipotent_idempotent
@@ -32,7 +34,6 @@ def _suite_graded_free(p):
     from .graded_free import MonomialAlgebra, diagonal_idempotent, extract_homogeneous_basis
 
     seed = p.get("seed", DEFAULT_SEED)
-    trials = p.get("trials", 50)
     items = []
 
     def identity_case():
@@ -54,13 +55,13 @@ def _suite_graded_free(p):
 
     def battery_one():
         algebra = MonomialAlgebra(1, 12)
-        passes, failures = _random_battery(algebra, trials // 2, Random(seed))
-        return _verdict(not failures), {"passes": passes}, {"trials": trials // 2}
+        passes, failures = _random_battery(algebra, _TRIALS, Random(seed))
+        return _verdict(not failures), {"passes": passes}, {"trials": _TRIALS}
 
     def battery_two():
         algebra = MonomialAlgebra(2, 12)
-        passes, failures = _random_battery(algebra, trials - trials // 2, Random(seed + 1))
-        return _verdict(not failures), {"passes": passes}, {"trials": trials - trials // 2}
+        passes, failures = _random_battery(algebra, _TRIALS, Random(seed + 1))
+        return _verdict(not failures), {"passes": passes}, {"trials": _TRIALS}
 
     items.append(("identity-basis", identity_case))
     items.append(("coordinate-projection", projection_case))

@@ -16,8 +16,8 @@ from functools import partial
 from .report import _verdict
 
 # the default grids of oracle-J and oracle-jbar, {n: (d_max, window, total)};
-# a given --n takes the n = 2 row when it is 2 and the n = 3 row otherwise,
-# under its own --d, --window and --total
+# a given --n takes its own row, under its own --d, --window and --total, and
+# an --n without a row is bad input
 _GRIDS = {
     "oracle-J": {2: (3, (10, 10), None), 3: (2, (8, 8), 8)},
     "oracle-jbar": {2: (2, (8, 8), None), 3: (2, (7, 7), 10)},
@@ -26,12 +26,14 @@ _GRIDS = {
 
 def _grid(suite: str, p) -> dict:
     """The suite's grid; --d, --window and --total are read only beside --n,
-    so that run_suite refuses them alone."""
+    so that run_suite refuses them alone. ValueError on an --n without a row."""
     rows = _GRIDS[suite]
     n = p.get("n")
     if n is None:
         return rows
-    d_max, window, total = rows[2 if n == 2 else 3]
+    if n not in rows:
+        raise ValueError(f"suite {suite} has grid rows for --n {', '.join(map(str, rows))}, got --n {n}")
+    d_max, window, total = rows[n]
     return {n: (p.get("d_max", d_max), p.get("window", window), p.get("total", total))}
 
 
@@ -90,7 +92,7 @@ def _jbar_check(n: int, d: int, window, total):
     if not sums:
         return "unsaturated", {}, dict(result.sums)
     lo, hi = min(sums), max(sums)
-    series = expand_window(jbar_closed(n, d), "descending", (lo, hi))
+    series = expand_window(jbar_closed(n, d), "descending", ((lo, hi),))
     left = {g: series.coefficient((g,)) for g in sorted(sums)}
     right = {g: sums[g] for g in sorted(sums)}
     return _verdict(left == right), left, right

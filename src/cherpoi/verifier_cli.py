@@ -115,7 +115,7 @@ _OPTIONS = {param: "--" + dest.replace("_", "-") for dest, param in _PARAMETERS.
 # per grid point, and the largest value run_suite accepts for any of them; at
 # 64, jbar-chain --n-max 5 --d 64 took 0.45 s, and eqpoi and appendix-b
 # --n-max 7 --k 64 took 0.56 and 0.66 s
-_RANGES = ("n_max", "d_max", "k_max", "trials")
+_RANGES = ("n_max", "d_max", "k_max")
 MAX_GRID = 64
 
 

@@ -231,7 +231,7 @@ def test_jbar_saturated_diagonals_match_the_closed_form():
         sat = result.saturated_sums()
         assert sat, "no certified diagonals"
         lo, hi = min(sat), max(sat)
-        series = expand_window(jbar_closed(2, d), "descending", (lo, hi))
+        series = expand_window(jbar_closed(2, d), "descending", ((lo, hi),))
         for g, total in sat.items():
             assert series.coefficient((g,)) == total
 

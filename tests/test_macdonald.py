@@ -420,7 +420,6 @@ def test_kostka_numbers_match_the_character_route(n):
 def test_kostka_specializations():
     for n in range(2, MAX_KOSTKA_N + 1):
         matrix = kostka_macdonald(n)
-        one = {"q": Fraction(1), "t": Fraction(1)}
         for mu in enumerate_partitions(n):
             col = 0
             for lam in enumerate_partitions(n):
@@ -429,7 +428,7 @@ def test_kostka_specializations():
                     c == int(c) and c >= 0 and all(e >= 0 for e in exps)
                     for exps, c in entry.terms.items()
                 )
-                value = entry.evaluate(one)
+                value = sum(entry.terms.values())  # the entry at q = t = 1
                 assert value == num_syt(lam)
                 col += value * num_syt(lam)
             assert col == factorial(n)
@@ -464,7 +463,7 @@ def test_procesi_fiber_dimension_and_orders():
     for mu in enumerate_partitions(3):
         fiber = procesi_fiber(mu)
         assert isinstance(fiber, LaurentPoly)
-        assert fiber.evaluate({"s": Fraction(1), "t": Fraction(1)}) == 6
+        assert sum(fiber.terms.values()) == 6
     # one reading of K: the memo door takes mu and nothing else
     with pytest.raises(TypeError):
         procesi_fiber((2,), "swapped")

@@ -157,6 +157,18 @@ def test_private_kernels_are_named_only_by_their_owners():
     assert strays == set()
 
 
+# the window expansion works on exponent pairs and hands its window to the
+# LaurentPoly constructor, so it names nothing of the key layout: no slot
+# width, no packing or unpacking, no raw wrap and no hand-made 2^63 check
+KEY_LAYOUT = {"_SLOT", "_HALF", "_pack", "_unpack", "_build", "MAX_EXPONENT"}
+
+
+def test_the_window_expansion_keeps_no_key_layout():
+    tree = ast.parse((PACKAGE / "exact_poly.py").read_text())
+    (func,) = [node for node in tree.body if isinstance(node, FUNCTIONS) and node.name == "expand_window"]
+    assert _names(func, _docstrings(tree)) & KEY_LAYOUT == set()
+
+
 # a public memo keys on its raw arguments unless partition_core.memo checks
 # them first: bare, character_value answered 0 for (1, 2) and hit the entry
 # of (1,) for (True,); private memos (_engine, _ssyt_count, ...) are fed

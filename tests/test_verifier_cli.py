@@ -38,7 +38,7 @@ SMALL_GRIDS = {
     "oracle-jbar": {"n": 2, "d_max": 1, "window": (6, 6)},
     "coinvariants": {"n_max": 3},
     "parity": {"n_max": 2, "d_max": 2, "window": (4, 4), "total": 6},
-    "graded-free": {"trials": 6},
+    "graded-free": {},
 }
 
 
@@ -184,9 +184,17 @@ def test_reports_are_deterministic_without_timings():
 
 
 def test_random_battery_is_seed_deterministic():
-    a = run_suite("graded-free", {"trials": 6, "seed": 42})
-    b = run_suite("graded-free", {"trials": 6, "seed": 42})
+    a = run_suite("graded-free", {"seed": 42})
+    b = run_suite("graded-free", {"seed": 42})
     assert a.to_json(timings=False) == b.to_json(timings=False)
+
+
+def test_graded_free_always_runs_its_fifty_trials():
+    # no option sets the trial count, so no parameter does either
+    report = run_suite("graded-free")
+    assert [c.right for c in report.checks[2:]] == [{"trials": 25}, {"trials": 25}]
+    with pytest.raises(ValueError, match="suite graded-free does not read trials$"):
+        run_suite("graded-free", {"trials": 6})
 
 
 @pytest.mark.parametrize(
@@ -241,7 +249,8 @@ def test_reports_do_not_depend_on_process_history(suite, params, others):
 
 
 def test_resource_bounds_show_up_as_partial():
-    report = run_suite("oracle-jbar", {"n": 4})
+    # past the oracle's window cap of 24, every check is skipped
+    report = run_suite("oracle-jbar", {"n": 3, "window": (25, 25)})
     assert all(c.verdict == "skipped" for c in report.checks)
     assert report.status == "partial"
     assert report.exit_code == 2
@@ -258,15 +267,15 @@ def test_check_names_follow_the_grid():
 @pytest.mark.parametrize(
     "suite,params,row",
     [
-        ("oracle-J", {"n": 4, "d_max": 1}, (4, (8, 8), 8)),
+        ("oracle-J", {"n": 3, "d_max": 1}, (3, (8, 8), 8)),
         ("oracle-J", {"n": 2, "d_max": 1}, (2, (10, 10), None)),
-        ("oracle-jbar", {"n": 5, "d_max": 1}, (5, (7, 7), 10)),
+        ("oracle-jbar", {"n": 3, "d_max": 1}, (3, (7, 7), 10)),
         ("oracle-jbar", {"n": 2, "d_max": 1, "total": 6}, (2, (8, 8), 6)),
     ],
 )
-def test_a_given_n_takes_the_default_row_of_n_2_or_n_3(suite, params, row):
-    # n = 2 takes the n = 2 row and every other n the n = 3 row, under the
-    # options given beside it
+def test_a_given_n_takes_its_own_default_row(suite, params, row):
+    # each n takes its own row, under the options given beside it; an n
+    # without a row is refused by test_bad_input_to_an_oracle_suite_exits_3
     items = SUITES[suite](_Params(params))
     assert [thunk.args for _, thunk in items] == [(row[0], d, *row[1:]) for d in (0, 1)]
 
@@ -879,11 +888,11 @@ def test_coordinate_projection_renders_fraction_strings(capsys):
 
 
 def test_verify_partial_exit(capsys):
-    assert main(["verify", "--suite", "oracle-jbar", "--n", "4"]) == 2
+    assert main(["verify", "--suite", "oracle-jbar", "--n", "3", "--window", "25,25"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "partial"
     # a cap is per check: past it the suite still reports, skipped
-    assert main(["verify", "--suite", "oracle-J", "--n", "5"]) == 2
+    assert main(["verify", "--suite", "oracle-J", "--n", "2", "--window", "25,25"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert {c["verdict"] for c in doc["checks"]} == {"skipped"}
 
@@ -891,12 +900,14 @@ def test_verify_partial_exit(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--suite", "oracle-J", "--n", "1"], "need n >= 2, got 1"),
-        (["--suite", "oracle-jbar", "--n", "-2"], "need n >= 2, got -2"),
+        (["--suite", "oracle-J", "--n", "1"], "suite oracle-J has grid rows for --n 2, 3, got --n 1"),
+        (["--suite", "oracle-jbar", "--n", "-2"], "suite oracle-jbar has grid rows for --n 2, 3, got --n -2"),
+        (["--suite", "oracle-J", "--n", "4"], "suite oracle-J has grid rows for --n 2, 3, got --n 4"),
+        (["--suite", "oracle-jbar", "--n", "4"], "suite oracle-jbar has grid rows for --n 2, 3, got --n 4"),
         (["--suite", "oracle-J", "--n", "2", "--window", "0,-1"], "window bounds must be nonnegative"),
         (["--suite", "parity", "--n-max", "3", "--total", "-2"], "total-degree cap must be nonnegative"),
     ],
-    ids=["oracle-J-n", "oracle-jbar-n", "oracle-J-window", "parity-total"],
+    ids=["oracle-J-n", "oracle-jbar-n", "oracle-J-n4", "oracle-jbar-n4", "oracle-J-window", "parity-total"],
 )
 def test_bad_input_to_an_oracle_suite_exits_3(capsys, argv, message):
     # bad input exits 3 before any check runs, as in the oracle subcommand: a
@@ -1031,7 +1042,7 @@ def test_fake_degrees_past_the_grid_bound_are_skipped(tmp_path):
 
 
 @pytest.mark.parametrize("suite, param", [
-    ("fake-degrees", "n_max"), ("jbar-chain", "d_max"), ("eqpoi", "k_max"), ("graded-free", "trials"),
+    ("fake-degrees", "n_max"), ("jbar-chain", "d_max"), ("eqpoi", "k_max"),
 ])
 def test_run_suite_refuses_a_grid_past_its_bound(monkeypatch, suite, param):
     # every builder makes one check per grid point, so a 10^20 grid once ran
