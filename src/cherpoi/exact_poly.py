@@ -23,8 +23,11 @@ _build's overflow scan; _unpack is the one decoder of a key.
 
 The one exact division is _binomial_quotient: prod (1 - v^i) over
 prod (1 - v^h) for multisets of i and h, on a dense one-variable
-coefficient list. It gives the hook quotients of sn_rep's fake degrees and
-q_factorial_poly's [n]_v!.
+coefficient list. It gives the hook quotients of sn_rep's fake degrees,
+q_factorial_poly's [n]_v! and q_factorial's numerator prod (1 - v^i), and
+no other code multiplies out a product of binomials in v. _from_coeffs is
+the one constructor that turns such a dense list, with its lowest
+exponent, into a LaurentPoly.
 
 Window expansion semantics: one direction (ascending or descending) for
 every variable selects the sign of the exponents, and the window is one
@@ -52,6 +55,7 @@ from typing import Iterable, Mapping, NamedTuple, TypeVar
 from .errors import ResourceError
 from .partition_core import memo_n
 
+_V = ("v",)
 MAX_EXPONENT = 2**63  # exponents are conceptually signed 64-bit; beyond is a hard error
 _SLOT = 66  # bits per exponent in a packed key
 _HALF = 1 << (_SLOT - 1)
@@ -513,23 +517,21 @@ def rf_equal(f: _Same, g: _Same) -> bool:
     return (f - g).is_zero()
 
 
+def _from_coeffs(coeffs: list[int], low: int = 0) -> LaurentPoly:
+    """sum_k coeffs[k] v^(low + k) for an int low >= 0, as a LaurentPoly in v."""
+    return LaurentPoly._build(_V, {low + k: c for k, c in enumerate(coeffs) if c}, low + len(coeffs))
+
+
 @memo_n
 def q_factorial(n: int) -> ExactRationalFunction:
     """[n]_v! as prod_{i=1..n}(1 - v^i) over (1 - v)^n."""
-    v = ("v",)
-    one = LaurentPoly.one(v)
-    num = LaurentPoly.one(v)
-    for i in range(1, n + 1):
-        num = num * (one - LaurentPoly.var_power(v, "v", i))
-    den = [one - LaurentPoly.var_power(v, "v", 1)] * n
-    return ExactRationalFunction(num, den)
+    return ExactRationalFunction(_from_coeffs(_binomial_quotient(range(1, n + 1), ())), [_from_coeffs([1, -1])] * n)
 
 
 @memo_n
 def q_factorial_poly(n: int) -> LaurentPoly:
     """[n]_v! in expanded polynomial form, the quotient q_factorial states."""
-    coeffs = _binomial_quotient(range(1, n + 1), [1] * n)
-    return LaurentPoly._build(("v",), {k: c for k, c in enumerate(coeffs) if c}, len(coeffs))
+    return _from_coeffs(_binomial_quotient(range(1, n + 1), [1] * n))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .errors import ResourceError
-from .exact_poly import CExponent, ExactRationalFunction, LaurentPoly, _product, _sum_denominator, _without
+from .exact_poly import CExponent, ExactRationalFunction, LaurentPoly, _product, _sum_denominator, _without, q_factorial
 from .partition_core import Partition, check_ints, check_partition, enumerate_partitions, nstat, num_syt, transpose
 from .sn_rep import fake_degree, kronecker
 
@@ -59,8 +59,9 @@ def _check_grading(grading: str) -> None:
         raise ValueError(f"grading must be one of {GRADINGS}, got {grading!r}")
 
 
-def _vp(k: int) -> LaurentPoly:
-    return LaurentPoly.var_power(V, "v", k)
+def _binomials(exponents) -> tuple[LaurentPoly, ...]:
+    """The denominator factors 1 - v^e, one per e, in order."""
+    return tuple(LaurentPoly(V, {(0,): 1, (e,): -1}) for e in exponents)
 
 
 def _wshift(mu: Partition) -> int:
@@ -101,8 +102,7 @@ def standard_series_W(mu) -> WGradedSeries:
     mu = check_partition(mu)
     n = sum(mu)
     _check_rank(n)
-    one = LaurentPoly.one(V)
-    den = [one - _vp(i) for i in range(2, n + 1)]
+    den = _binomials(range(2, n + 1))
     parts = enumerate_partitions(n)
     components = {}
     for lamp in parts:
@@ -124,8 +124,7 @@ def e_standard_series(mu) -> PrefixedSeries:
     _check_rank(n)
     if n > MAX_STANDARD_N:
         raise ResourceError(f"standard series bound is n <= {MAX_STANDARD_N}, got {n}")
-    one = LaurentPoly.one(V)
-    den = [one - _vp(i) for i in range(2, n + 1)]
+    den = _binomials(range(2, n + 1))
     return PrefixedSeries(canonical_weight(mu), ExactRationalFunction(fake_degree(mu), den))
 
 
@@ -191,12 +190,9 @@ def jbar_closed(n: int, d: int) -> ExactRationalFunction:
     """Graded series of the quotient of the ideal power by the invariants:
     sum_mu f_mu(1) f_mu(1/v) v^{-d(n(mu)-n(mu^t))} [n]_v! / prod_{i=2}^n (1-v^-i)."""
     _check_series_input(n, "d", d, 0)
-    one = LaurentPoly.one(V)
-    num = _graded_numerator(n, d).invert_variables()
-    for i in range(1, n + 1):
-        num = num * (one - _vp(i))
-    den = [one - _vp(1)] * n + [one - _vp(-i) for i in range(2, n + 1)]
-    return ExactRationalFunction(num, den)
+    qfac = q_factorial(n)
+    num = _graded_numerator(n, d).invert_variables() * qfac.num
+    return ExactRationalFunction(num, qfac.den + _binomials(-i for i in range(2, n + 1)))
 
 
 class _SpecializedSum(NamedTuple):
@@ -215,10 +211,7 @@ def _specialized_sum(n: int) -> _SpecializedSum:
     would give, factor for factor; each mu's numerator carries its cofactor,
     the product of the factors its own denominator lacks. The result is
     shared and must not be mutated."""
-    one = LaurentPoly.one(V)
-    cut = one - _vp(-1)
-    for i in range(1, n + 1):
-        cut = cut * (one - _vp(i))
+    cut = _binomials([-1])[0] * q_factorial(n).num
     parts = enumerate_partitions(n)
     terms = [_fixed_point_term(mu, 0).substitute_monomials(V, {"s": (1,), "t": (-1,)}) for mu in parts]
     den: tuple[LaurentPoly, ...] = ()
@@ -285,8 +278,7 @@ def nbar_series(n: int, k: int, grading: str = "h") -> ExactRationalFunction:
     against this one by the test suite.
     """
     _check_series_input(n, "k", k, 0)
-    one = LaurentPoly.one(V)
-    body = ExactRationalFunction(_graded_numerator(n, k), [one - _vp(-1)] * (n - 1))
+    body = ExactRationalFunction(_graded_numerator(n, k), _binomials([-1] * (n - 1)))
     return _with_grading(body, n, k, grading)
 
 
@@ -294,8 +286,7 @@ def nunder_series(n: int, k: int, grading: str = "h") -> ExactRationalFunction:
     """Series of the submodule N(k)under:
     sum_mu f_mu(1) f_mu(v) v^{k(n(mu)-n(mu^t))} / prod_{i=2}^n (1-v^i)."""
     _check_series_input(n, "k", k, 0)
-    one = LaurentPoly.one(V)
-    body = ExactRationalFunction(_graded_numerator(n, k), [one - _vp(i) for i in range(2, n + 1)])
+    body = ExactRationalFunction(_graded_numerator(n, k), _binomials(range(2, n + 1)))
     return _with_grading(body, n, k, grading)
 
 
@@ -307,9 +298,8 @@ def mbar_series(n: int, k: int, grading: str = "h") -> ExactRationalFunction:
     f_mu(1/v) and shift -(k-1) is checked against this one by the test suite.
     """
     _check_series_input(n, "k", k, 1)
-    one = LaurentPoly.one(V)
     num = _graded_numerator(n, k - 1).shift((-(n * (n - 1) // 2),))
-    body = ExactRationalFunction(num, [one - _vp(-i) for i in range(2, n + 1)])
+    body = ExactRationalFunction(num, _binomials(-i for i in range(2, n + 1)))
     return _with_grading(body, n, k, grading)
 
 
@@ -317,6 +307,5 @@ def munder_series(n: int, k: int, grading: str = "h") -> ExactRationalFunction:
     """Series of the submodule M(k)under, k >= 1:
     sum_mu f_mu(1) f_mu(1/v) v^{k(n(mu)-n(mu^t))} / (1-v)^{n-1}."""
     _check_series_input(n, "k", k, 1)
-    one = LaurentPoly.one(V)
-    body = ExactRationalFunction(_graded_numerator(n, -k).invert_variables(), [one - _vp(1)] * (n - 1))
+    body = ExactRationalFunction(_graded_numerator(n, -k).invert_variables(), _binomials([1] * (n - 1)))
     return _with_grading(body, n, k, grading)

@@ -18,13 +18,11 @@ from math import factorial
 from typing import NamedTuple
 
 from .errors import ResourceError
-from .exact_poly import LaurentPoly, _binomial_quotient
+from .exact_poly import LaurentPoly, _binomial_quotient, _from_coeffs
 from .partition_core import Partition, check_partition, enumerate_partitions, hooks, nstat
 from .partition_core import memo, memo_n, memo_partition
 
 MAX_TABLE_N = 12  # p(12) = 77 classes; far beyond anything the suites need
-
-_V = ("v",)
 
 
 def _character_door(lam, rho) -> tuple[Partition, Partition]:
@@ -119,9 +117,7 @@ def fake_degree(mu: Partition) -> LaurentPoly:
     Always a polynomial with nonnegative integer coefficients; f_mu(1) = dim mu.
     The result is shared between callers and must not be mutated.
     """
-    coeffs = _binomial_quotient(range(1, sum(mu) + 1), hooks(mu))
-    low = nstat(mu)
-    return LaurentPoly._build(_V, {low + k: c for k, c in enumerate(coeffs) if c}, low + len(coeffs))
+    return _from_coeffs(_binomial_quotient(range(1, sum(mu) + 1), hooks(mu)), nstat(mu))
 
 
 def _corners(mu: Partition) -> list[int]:
@@ -161,4 +157,4 @@ def fake_degree_maj(mu) -> LaurentPoly:
     total: Counter = Counter()
     for r in _corners(mu):
         total.update(_maj_counts(mu, r))
-    return LaurentPoly._build(_V, dict(total), max(total, default=0))
+    return _from_coeffs([total[m] for m in range(max(total, default=-1) + 1)])

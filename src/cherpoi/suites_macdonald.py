@@ -43,16 +43,11 @@ def _suite_kostka(p):
             # an entry at q = t = 1 is its coefficient sum, a Fraction as
             # the report has always rendered it
             matrix = kostka_macdonald(n)
-            left = {}
-            right = {}
-            for (lam, mu), poly in matrix.entries.items():
-                left[(lam, mu)] = Fraction(sum(poly.terms.values()))
-                right[(lam, mu)] = Fraction(num_syt(lam))
+            sums = {key: sum(poly.packed.values()) for key, poly in matrix.entries.items()}
+            left = {key: Fraction(total) for key, total in sums.items()}
+            right = {(lam, mu): Fraction(num_syt(lam)) for lam, mu in sums}
             for mu in matrix.partitions:
-                column = sum(
-                    sum(matrix.entry(lam, mu).terms.values()) * num_syt(lam)
-                    for lam in matrix.partitions
-                )
+                column = sum(sums[lam, mu] * num_syt(lam) for lam in matrix.partitions)
                 left[("column-sum", mu)] = Fraction(column)
                 right[("column-sum", mu)] = Fraction(factorial(n))
             ok = left == right

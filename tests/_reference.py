@@ -6,7 +6,9 @@ partition, which they check sn_rep's recursion on beta-sets against, the
 Haglund-Haiman-Loehr fillings enumerated one by one, which they check the
 row transfer and the conjugate symmetry of macdonald's K against, the
 Lascoux-Schutzenberger charge of semistandard tableaux, which they check
-K(0,t) against, the fixed-point sum of jbar_via_specialization added
+K(0,t) against, [n]_v!'s numerator prod (1 - v^i) multiplied out one
+binomial at a time, which they check exact_poly's binomial kernel and
+jbar_closed against, the fixed-point sum of jbar_via_specialization added
 term by term, which they check its per-n cache against, the fiber P_mu in
 the swapped reading read straight off K, which they check the
 argument-order check's negative control against, and the fake-degree
@@ -207,14 +209,21 @@ def charge(word: list) -> int:
     return total
 
 
+def binomial_product_by_loop(n: int) -> LaurentPoly:
+    """prod_{i=1}^n (1 - v^i), multiplied out one binomial at a time."""
+    v = ("v",)
+    one = LaurentPoly.one(v)
+    num = one
+    for i in range(1, n + 1):
+        num = num * (one - LaurentPoly.var_power(v, "v", i))
+    return num
+
+
 def jbar_by_sequential_sum(n: int, d: int) -> ExactRationalFunction:
     """jbar_via_specialization's sum as ExactRationalFunction's + adds it,
     one specialized mu-term at a time."""
     v = ("v",)
-    one = LaurentPoly.one(v)
-    cut = one - LaurentPoly.var_power(v, "v", -1)
-    for i in range(1, n + 1):
-        cut = cut * (one - LaurentPoly.var_power(v, "v", i))
+    cut = (LaurentPoly.one(v) - LaurentPoly.var_power(v, "v", -1)) * binomial_product_by_loop(n)
     total = ExactRationalFunction(LaurentPoly.zero(v))
     for mu in enumerate_partitions(n):
         term = _fixed_point_term(mu, d).substitute_monomials(v, {"s": (1,), "t": (-1,)})

@@ -13,6 +13,7 @@ from cherpoi.exact_poly import (
 )
 from cherpoi.hilbert_series import (
     GRADINGS,
+    _graded_numerator,
     _specialized_sum,
     bigraded_J,
     bigraded_JJ,
@@ -33,7 +34,7 @@ from cherpoi.partition_core import enumerate_partitions, nstat, num_syt, transpo
 from cherpoi.sn_rep import fake_degree
 from cherpoi.suites_macdonald import _collapse_target, _swapped_J
 
-from _reference import jbar_by_sequential_sum
+from _reference import binomial_product_by_loop, jbar_by_sequential_sum
 
 V = ("v",)
 ST = ("s", "t")
@@ -151,6 +152,21 @@ def test_jbar_closed_n2():
         num = (vp(d) + vp(-1 - d)) * (ONE_V + vp(1))
         want = ExactRationalFunction(num, [ONE_V - vp(-2)])
         assert rf_equal(jbar_closed(2, d), want)
+
+
+def test_binomial_products_are_the_ones_the_loop_multiplies_out():
+    # q_factorial and jbar_closed read prod (1 - v^i) off the binomial
+    # kernel; the reference pins hold only the default grids, so compare
+    # with the loop they replaced, factor order of each denominator included
+    for n in range(1, 13):
+        got = q_factorial(n)
+        assert got.num == binomial_product_by_loop(n), n
+        assert got.den == (ONE_V - vp(1),) * n, n
+    for n in range(2, 7):
+        for d in range(4):
+            got = jbar_closed(n, d)
+            assert got.num == _graded_numerator(n, d).invert_variables() * binomial_product_by_loop(n), (n, d)
+            assert got.den == (ONE_V - vp(1),) * n + tuple(ONE_V - vp(-i) for i in range(2, n + 1)), (n, d)
 
 
 def test_jbar_chain():

@@ -130,18 +130,22 @@ def test_the_keep_list_names_only_uncalled_public_names():
 
 # private names that only their owners may name in src/cherpoi: the sparse
 # kernel belongs to exact_poly and the oracle, which packs its own keys
-# with _key; LaurentPoly's keys are packed and decoded only in exact_poly,
-# and wrapped raw only there and by sn_rep's one-variable fake degrees,
-# whose keys are their exponents; z_rho is read only through sn_rep's class
-# average; partition labels are rendered only by the report and the two
-# subcommands that print tables, so a suite hands over raw keys
+# with _key; LaurentPoly's keys are packed, decoded and wrapped raw only in
+# exact_poly; products of binomials 1 - v^i are multiplied out and divided
+# only by exact_poly's kernel, whose dense lists become polynomials only
+# through _from_coeffs, for exact_poly's [n]_v! and sn_rep's fake degrees;
+# z_rho is read only through sn_rep's class average; partition labels are
+# rendered only by the report and the two subcommands that print tables, so
+# a suite hands over raw keys
 OWNERS = {
     "_mul_packed": {"exact_poly.py", "commutative_oracle.py"},
     "_add_into": {"exact_poly.py", "commutative_oracle.py"},
     "_key": {"commutative_oracle.py"},
     "_pack": {"exact_poly.py"},
     "_unpack": {"exact_poly.py"},
-    "_build": {"exact_poly.py", "sn_rep.py"},
+    "_build": {"exact_poly.py"},
+    "_binomial_quotient": {"exact_poly.py", "sn_rep.py"},
+    "_from_coeffs": {"exact_poly.py", "sn_rep.py"},
     "_label": {"report.py", "cli_oracle.py", "cli_table.py"},
     "centralizer_order": {"sn_rep.py"},
 }

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -705,12 +706,20 @@ def test_basis_refuses_an_algebra_past_its_budget(tmp_path, capsys, algebra):
 
 
 def test_basis_refuses_too_many_shifts_before_building_the_table(tmp_path, capsys):
+    # reading the 10^6 shifts takes about 16 MB; one row of the shifts x
+    # shifts table would take 10^6 dicts, about 64 MB, and the whole table
+    # 10^12, so a peak under 40 MB means not one row was built, however fast
+    # the machine
     path = tmp_path / "wide.json"
     algebra = {"kind": "polynomial", "variables": 1, "cutoff": 2}
     path.write_text(json.dumps({"algebra": algebra, "shifts": [0] * 10**6}))
-    start = time.perf_counter()
-    assert main(["basis", "--input", str(path)]) == 2
-    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        assert main(["basis", "--input", str(path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
     assert "idempotent bound" in capsys.readouterr().err
 
 
